@@ -127,6 +127,7 @@ def _reconstruction_section(scenario, data, method, tol, seed):
 
 def _perturbation_section(scenario, args):
     tols = scenario.tolerances
+    bounds = optimal_bounds(frame_operator(scenario.family))
     if scenario.perturbation_kind == "additive":
         admissible, energy, lower = additive_admissible(
             scenario.family, scenario.additive, tols["admissibility"]
@@ -143,7 +144,7 @@ def _perturbation_section(scenario, args):
             "empirical_bounds": [empirical[0], empirical[1]],
         }
         if admissible:
-            lo, hi = additive_envelope(lower, optimal_bounds(frame_operator(scenario.family))[1], energy)
+            lo, hi = additive_envelope(lower, bounds[1], energy)
             section["envelope"] = [lo, hi]
             section["within_envelope"] = bool(lo - 1e-9 <= empirical[0] and empirical[1] <= hi + 1e-9)
         else:
@@ -160,7 +161,6 @@ def _perturbation_section(scenario, args):
     passed = relative_criterion_check(
         scenario.family, scenario.comparison_family, scenario.relative, xs, tols["criterion"]
     )
-    bounds = optimal_bounds(frame_operator(scenario.family))
     envelope = relative_envelope(bounds, scenario.relative, scenario.rule)
     empirical = optimal_bounds(frame_operator(scenario.comparison_family))
     return {

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import NotAFrame
 from .frames import PARAMETRIC, FrameOperatorData, OperatorFamily, frame_operator, optimal_bounds
-from .quadrature import integrate_array
+from .quadrature import _integrate_products
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,10 @@ def canonical_dual(family: OperatorFamily, tol: float = 1e-10) -> OperatorFamily
         deg, n = coeffs.shape[0], family.n
         k = family.descriptor.dim
         flat_coeffs = coeffs.transpose(0, 1, 3, 2, 4).reshape(deg, n * k, n * k)
-        dual_flat = np.einsum("ab,dbc->dac", s_inv, flat_coeffs)
+        dual_flat = s_inv @ flat_coeffs
         dual_coeffs = dual_flat.reshape(deg, n, k, n, k).transpose(0, 1, 3, 2, 4)
         return OperatorFamily.parametric(family.rule, family.descriptor, n, dual_coeffs)
-    duals = np.einsum("ab,sbc->sac", s_inv, family.flats)
-    return OperatorFamily.from_flats(family.rule, family.descriptor, family.n, duals)
+    return OperatorFamily.from_flats(family.rule, family.descriptor, family.n, s_inv @ family.flats)
 
 
 def is_dual_pair(primal: OperatorFamily, other: OperatorFamily, tol: float = 1e-10) -> DualPairReport:
@@ -61,8 +60,7 @@ def is_dual_pair(primal: OperatorFamily, other: OperatorFamily, tol: float = 1e-
         raise ValueError("families must share one quadrature rule")
     if primal.descriptor != other.descriptor or primal.n != other.n:
         raise ValueError("families must share descriptor and rank")
-    products = np.einsum("sab,scb->sac", other.flats, primal.flats.conj())
-    resolution = integrate_array(primal.rule, products)
+    resolution = _integrate_products(primal.rule, other.flats, primal.flats)
     residual = float(np.linalg.norm(resolution - np.eye(resolution.shape[0]), 2))
     lo, hi = optimal_bounds(frame_operator(other))
     return DualPairReport(

@@ -30,7 +30,7 @@ from .hilbert_module import (
     inner_product,
     random_vector,
 )
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, _integrate_products, _side_by_side
 
 PARAMETRIC = "parametric"
 SAMPLED = "sampled"
@@ -42,7 +42,8 @@ class OperatorFamily:
     Parametric families store polynomial coefficients, lowest degree first,
     as an array of shape (degree + 1, n, n, k, k); the node operator is the
     polynomial evaluated at that node.  Sampled families store one operator
-    per node.
+    per node.  The flats are read-only, so the frame operator and the
+    singular values computed from them are cached on the family.
     """
 
     def __init__(self, rule, descriptor, n, *, coefficients=None, flats=None, form):
@@ -51,7 +52,10 @@ class OperatorFamily:
         self.n = n
         self.form = form
         self.coefficients = coefficients
+        flats.setflags(write=False)
         self._flats = flats
+        self._frame = None               # FrameOperatorData, set by frame_operator
+        self._sigma = None               # singular values, set by _singular_values
 
     @classmethod
     def parametric(cls, rule: QuadratureRule, descriptor: AlgebraDescriptor, n: int, coefficients):
@@ -70,7 +74,7 @@ class OperatorFamily:
         nk = n * k
         flat_coeffs = coefficients.transpose(0, 1, 3, 2, 4).reshape(-1, nk, nk)
         powers = rule.nodes[:, None] ** np.arange(flat_coeffs.shape[0])[None, :]
-        flats = np.einsum("sd,dab->sab", powers, flat_coeffs)
+        flats = np.tensordot(powers, flat_coeffs, axes=1)
         return cls(rule, descriptor, n, coefficients=coefficients, flats=flats, form=PARAMETRIC)
 
     @classmethod
@@ -78,20 +82,24 @@ class OperatorFamily:
         operators = list(operators)
         if len(operators) != len(rule):
             raise ValueError(f"need {len(rule)} operators, got {len(operators)}")
-        descriptor = operators[0].descriptor
-        n = operators[0].n
-        for op in operators:
-            if op.descriptor != descriptor or op.n != n:
-                raise ValueError("all sampled operators must share descriptor and rank")
-        flats = np.stack([op.flatten() for op in operators])
-        return cls(rule, descriptor, n, flats=flats, form=SAMPLED)
+        first = operators[0]
+        if any(op.descriptor != first.descriptor or op.n != first.n for op in operators):
+            raise ValueError("all sampled operators must share descriptor and rank")
+        return cls.from_flats(rule, first.descriptor, first.n, [op.flatten() for op in operators])
 
     @classmethod
     def from_flats(cls, rule, descriptor, n, flats):
-        """Sampled family from pre-flattened node operators (validated blockwise)."""
-        flats = np.asarray(flats, dtype=np.complex128)
-        ops = [ModuleOperator.from_flat(descriptor, f) for f in flats]
-        return cls.sampled(rule, ops)
+        """Sampled family from pre-flattened node operators, validated in one pass."""
+        flats = np.array(flats, dtype=np.complex128)
+        k = descriptor.dim
+        if n < 1 or flats.shape[1:] != (n * k, n * k):
+            raise ValueError(f"node operators must be {n * k} x {n * k}, got {flats.shape[1:]}")
+        if len(flats) != len(rule):
+            raise ValueError(f"need {len(rule)} operators, got {len(flats)}")
+        slot = np.arange(n * k) % k  # the algebra index of each flattened row and column
+        if descriptor.is_diagonal and np.any(flats[:, slot[:, None] != slot]):
+            raise ValueError("operator blocks: diagonal descriptor requires zero off-diagonal entries")
+        return cls(rule, descriptor, n, flats=flats, form=SAMPLED)
 
     @property
     def flats(self) -> np.ndarray:
@@ -147,8 +155,7 @@ def analysis(family: OperatorFamily, x: ModuleVector) -> L2Family:
     """Apply every node operator to x; node and weight metadata travel along."""
     if x.descriptor != family.descriptor or x.n != family.n:
         raise ValueError("vector does not match the family shape")
-    flat = x.flatten()
-    out = np.einsum("ab,sbc->sac", flat, family.flats)
+    out = x.flatten() @ family.flats
     k = family.descriptor.dim
     samples = out.reshape(len(family), k, family.n, k).transpose(0, 2, 1, 3)
     return L2Family(family.rule, family.descriptor, samples)
@@ -161,27 +168,25 @@ def synthesis(family: OperatorFamily, ys: L2Family) -> ModuleVector:
     if ys.descriptor != family.descriptor or ys.n != family.n:
         raise ValueError("samples do not match the family shape")
     k = family.descriptor.dim
-    n = family.n
-    flats = family.flats
-    w = family.rule.weights
-    acc = None
-    for i in range(len(family)):
-        yf = ys.samples[i].transpose(1, 0, 2).reshape(k, n * k)
-        term = w[i] * (yf @ flats[i].conj().T)
-        acc = term if acc is None else acc + term
+    ys_flat = ys.samples.transpose(0, 2, 1, 3).reshape(len(family), k, family.n * k)
+    acc = _integrate_products(family.rule, ys_flat, family.flats)
     return ModuleVector.from_flat(family.descriptor, acc)
 
 
 def frame_operator(family: OperatorFamily) -> FrameOperatorData:
-    """Accumulate s = sum_i w_i M_i M_i* and attach its eigendecomposition."""
-    flats = family.flats
-    w = family.rule.weights
-    acc = w[0] * (flats[0] @ flats[0].conj().T)
-    for i in range(1, len(family)):
-        acc = acc + w[i] * (flats[i] @ flats[i].conj().T)
-    eigenvalues, eigenvectors = np.linalg.eigh(acc)
-    element = ModuleOperator.from_flat(family.descriptor, acc)
-    return FrameOperatorData(element, acc, eigenvalues, eigenvectors)
+    """s = sum_i w_i M_i M_i* with its eigendecomposition, computed once per family.
+
+    The result is cached on the family and its arrays are read-only, so
+    every consumer shares one factorization.
+    """
+    if family._frame is None:
+        acc = _integrate_products(family.rule, family.flats, family.flats)
+        eigenvalues, eigenvectors = np.linalg.eigh(acc)
+        for arr in (acc, eigenvalues, eigenvectors):
+            arr.setflags(write=False)
+        element = ModuleOperator.from_flat(family.descriptor, acc)
+        family._frame = FrameOperatorData(element, acc, eigenvalues, eigenvectors)
+    return family._frame
 
 
 def optimal_bounds(data: FrameOperatorData) -> tuple[float, float]:
@@ -263,17 +268,19 @@ def norm_bounds_estimate(family, sample_count: int, seed=0) -> tuple[float, floa
     return lo, hi
 
 
-def _weighted_analysis_matrix(family) -> np.ndarray:
-    """Tall matrix V with V* V = flattened frame operator (blocks scaled by sqrt w)."""
-    roots = np.sqrt(family.rule.weights)
-    return np.concatenate([r * f.conj().T for r, f in zip(roots, family.flats)], axis=0)
+def _singular_values(family) -> np.ndarray:
+    """Singular values of the tall matrix V stacking sqrt(w_i) M_i* (so V* V = s), cached."""
+    if family._sigma is None:
+        roots = np.sqrt(family.rule.weights)
+        tall = _side_by_side(roots[:, None, None] * family.flats).conj().T
+        family._sigma = np.linalg.svd(tall, compute_uv=False)
+        family._sigma.setflags(write=False)
+    return family._sigma
 
 
 def below_bounded_check(family, tol: float = 1e-10) -> tuple[bool, float]:
     """Smallest singular value of the weighted analysis map; positive iff frame."""
-    tall = _weighted_analysis_matrix(family)
-    sigma = np.linalg.svd(tall, compute_uv=False)
-    sigma_min = float(sigma[-1])
+    sigma_min = float(_singular_values(family)[-1])
     return sigma_min > tol, sigma_min
 
 
@@ -286,10 +293,9 @@ def independence_check(family, tol: float = 1e-12) -> tuple[bool, int]:
     is trivial.  Returns the kernel dimension, counted in the full
     flattened space.
     """
-    tall = _weighted_analysis_matrix(family)
-    sigma = np.linalg.svd(tall, compute_uv=False)
+    sigma = _singular_values(family)
     k = family.descriptor.dim
-    rows = tall.shape[0]
+    rows = len(family) * family.flats.shape[1]
     if sigma[0] == 0.0:
         rank = 0
     else:

@@ -70,3 +70,23 @@ def psd_within(matrix, tol):
     herm = (matrix + matrix.conj().T) / 2.0
     values, _ = jacobi_eigh(herm)
     return values[0] >= -tol
+
+
+def fold_products(weights, left, right):
+    """sum_i w_i L_i R_i*, folded node by node with explicit index sums.
+
+    With left = right = the flats this is the frame operator; with the
+    dual family on the left it is the dual resolution of the identity.
+    """
+    acc = np.zeros((left.shape[1], right.shape[1]), dtype=np.complex128)
+    for w, lmat, rmat in zip(weights, left, right):
+        acc = acc + w * np.einsum("ab,cb->ac", lmat, rmat.conj())
+    return acc
+
+
+def fold_integral(weights, samples):
+    """sum_i w_i x_i, folded left to right."""
+    acc = np.zeros(samples.shape[1:], dtype=np.result_type(samples, float))
+    for w, x in zip(weights, samples):
+        acc = acc + w * x
+    return acc
