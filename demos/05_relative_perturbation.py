@@ -8,15 +8,15 @@
 #       <= alpha integral <a T x, a T x> + beta integral <b L x, b L x>
 #
 # for all x, then L is itself a frame, with bounds predicted from T's.
-# Numerically the hypothesis is checked on a finite sample of vectors,
-# so a pass is a sampled verdict.
+# Both sides are quadratic forms in the row flattening of x, so the
+# hypothesis holds for all x exactly when one Hermitian matrix is
+# positive semidefinite; its smallest eigenvalue is the margin.
 
 import numpy as np
 
 from opframes import (
     RelativePerturbation,
     ScalarFamily,
-    criterion_sample_vectors,
     frame_operator,
     optimal_bounds,
     relative_criterion_check,
@@ -42,9 +42,8 @@ pert = RelativePerturbation(
     beta=0.2,
 )
 
-xs = criterion_sample_vectors(family, other, count=100, seed=0)
-passed = relative_criterion_check(family, other, pert, xs)
-print(f"criterion holds on {len(xs)} sampled vectors: {passed}")
+passed, margin = relative_criterion_check(family, other, pert)
+print(f"criterion holds for all x: {passed} (margin {margin:.6f})")
 
 env = relative_envelope(bounds, pert, family.rule)
 emp = optimal_bounds(frame_operator(other))
@@ -56,5 +55,5 @@ print("inside envelope:", env[0] - 1e-9 <= emp[0] and emp[1] <= env[1] + 1e-9)
 unrelated = OperatorFamily.from_flats(
     family.rule, family.descriptor, family.n, 0.0 * family.flats
 )
-print("\nzero family passes the criterion:",
-      relative_criterion_check(family, unrelated, pert, xs[:10]))
+passed, margin = relative_criterion_check(family, unrelated, pert)
+print(f"\nzero family passes the criterion: {passed} (margin {margin:.6f})")

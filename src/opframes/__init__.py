@@ -59,7 +59,6 @@ from .perturbation import (
     ScalarFamily,
     additive_admissible,
     additive_envelope,
-    criterion_sample_vectors,
     perturb_additive,
     relative_criterion_check,
     relative_envelope,

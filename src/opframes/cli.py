@@ -33,7 +33,6 @@ from .hilbert_module import apply, random_vector, scalar_norm
 from .perturbation import (
     additive_envelope,
     additive_admissible,
-    criterion_sample_vectors,
     perturb_additive,
     relative_criterion_check,
     relative_envelope,
@@ -125,7 +124,7 @@ def _reconstruction_section(scenario, data, method, tol, seed):
     }
 
 
-def _perturbation_section(scenario, args):
+def _perturbation_section(scenario):
     tols = scenario.tolerances
     bounds = optimal_bounds(frame_operator(scenario.family))
     if scenario.perturbation_kind == "additive":
@@ -154,12 +153,8 @@ def _perturbation_section(scenario, args):
                 f"not admissible, R = {energy:.6g} >= A = {lower:.6g}"
             )
         return section
-    sample_count = 50
-    xs = criterion_sample_vectors(
-        scenario.family, scenario.comparison_family, count=sample_count, seed=args.seed
-    )
-    passed = relative_criterion_check(
-        scenario.family, scenario.comparison_family, scenario.relative, xs, tols["criterion"]
+    passed, margin = relative_criterion_check(
+        scenario.family, scenario.comparison_family, scenario.relative, tols["criterion"]
     )
     envelope = relative_envelope(bounds, scenario.relative, scenario.rule)
     empirical = optimal_bounds(frame_operator(scenario.comparison_family))
@@ -168,8 +163,8 @@ def _perturbation_section(scenario, args):
         "alpha": scenario.relative.alpha,
         "beta": scenario.relative.beta,
         "criterion_passed": passed,
-        "verdict": "sampled",
-        "sample_count": sample_count,
+        "verdict": "exact",
+        "margin": margin,
         "tolerance": tols["criterion"],
         "envelope": [envelope[0], envelope[1]],
         "empirical_bounds": [empirical[0], empirical[1]],
@@ -243,7 +238,7 @@ def cmd_analyze(args):
         if timings is not None:
             timings["dual_reconstruction_seconds"] = time.perf_counter() - start
     if scenario.perturbation_kind is not None and is_frame:
-        report["perturbation"] = _perturbation_section(scenario, args)
+        report["perturbation"] = _perturbation_section(scenario)
     _emit(report, args.format)
     return EXIT_OK if is_frame else EXIT_NOT_FRAME
 
@@ -270,7 +265,7 @@ def cmd_perturb(args):
     if scenario.perturbation_kind is None:
         print("error: scenario has no perturbation block", file=sys.stderr)
         return EXIT_ERROR
-    section = _perturbation_section(scenario, args)
+    section = _perturbation_section(scenario)
     _emit({"scenario": scenario.raw, "perturbation": section}, args.format)
     return EXIT_OK
 
@@ -347,7 +342,7 @@ def build_parser():
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--tol", type=float, default=None, help="override the governing tolerance")
     shared.add_argument("--nodes", type=int, default=None, help="override the quadrature node count")
-    shared.add_argument("--seed", type=int, default=0, help="seed for sampled vectors")
+    shared.add_argument("--seed", type=int, default=0, help="seed for the reconstruction test vector")
     shared.add_argument("--timings", action="store_true", help="include wall-clock timings in reports")
 
     parser = _Parser(prog="opframes", description=__doc__)

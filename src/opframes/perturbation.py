@@ -7,8 +7,8 @@ its optimal bounds land inside [(sqrt A - sqrt R)^2, (sqrt B + sqrt R)^2].
 Relative route: a comparison family {L_w} inherits frame bounds from
 {T_w} whenever the quadratic-closeness hypothesis with positively
 confined scale families a_w, b_w and constants alpha, beta < 1/2 holds.
-The hypothesis is universally quantified; numerically it is checked on a
-finite vector sample and a pass is a sampled verdict, never a proof.
+The hypothesis quantifies over all x but is a quadratic form in x, so it
+is decided exactly, from the spectrum of one Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -16,21 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .algebra import loewner_leq
 from .exceptions import NotAFrame
-from .frames import (
-    PARAMETRIC,
-    OperatorFamily,
-    analysis,
-    extremal_vector,
-    frame_operator,
-    optimal_bounds,
-)
-from .hilbert_module import L2Family, ModuleOperator, l2_inner_product, op_norm, random_vector
-from .quadrature import COUNTING, QuadratureRule
-
-_GRID = 1000  # evaluation grid for inf/sup of parametric scale families
+from .frames import PARAMETRIC, OperatorFamily, extremal_vector, frame_operator, optimal_bounds
+from .hilbert_module import ModuleOperator, op_norm, random_vector
+from .quadrature import COUNTING, QuadratureRule, _integrate_products
 
 
 class ScalarFamily:
@@ -43,6 +34,8 @@ class ScalarFamily:
             None if coefficients is None else np.asarray(coefficients, dtype=np.complex128)
         )
         self.values = None if values is None else np.asarray(values, dtype=np.complex128)
+        if not np.all(np.isfinite(self.values if coefficients is None else self.coefficients)):
+            raise ValueError("scale family must be finite")
 
     @classmethod
     def polynomial(cls, coefficients):
@@ -66,22 +59,28 @@ class ScalarFamily:
             if len(self.values) != len(rule):
                 raise ValueError(f"need {len(rule)} samples, got {len(self.values)}")
             return self.values
-        powers = rule.nodes[:, None] ** np.arange(len(self.coefficients))[None, :]
+        return self._polynomial_at(rule.nodes)
+
+    def _polynomial_at(self, points):
+        powers = points[:, None] ** np.arange(len(self.coefficients))[None, :]
         return powers @ self.coefficients
 
     def real_range(self, rule: QuadratureRule) -> tuple[float, float]:
-        """(inf, sup) of the real values over the node set or a dense grid.
+        """Exact (inf, sup) of the real values over the node set or the interval.
 
-        Sampled forms range over the rule's nodes; polynomial forms over a
-        1000-point grid of the underlying interval (the nodes themselves
-        for counting measure).  Rejects values with an imaginary part.
+        Sampled forms, and any form under counting measure, range over the
+        rule's nodes; polynomial forms over the interval, evaluated at its
+        endpoints and at the critical points of their real and imaginary
+        parts.  Rejects values with an imaginary part.
         """
         if self.values is not None or rule.space.kind == COUNTING:
             vals = self.at_nodes(rule)
         else:
-            grid = np.linspace(rule.space.a, rule.space.b, _GRID)
-            powers = grid[:, None] ** np.arange(len(self.coefficients))[None, :]
-            vals = powers @ self.coefficients
+            a, b = rule.space.a, rule.space.b
+            slopes = (P.polyder(self.coefficients.real), P.polyder(self.coefficients.imag))
+            # extra points inside [a, b] never move the inf or the sup
+            critical = np.concatenate([P.polyroots(c).real for c in slopes])
+            vals = self._polynomial_at(np.concatenate([[a, b], np.clip(critical, a, b)]))
         if np.max(np.abs(vals.imag), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(vals))):
             raise ValueError("scale family must be real-valued")
         return float(np.min(vals.real)), float(np.max(vals.real))
@@ -176,35 +175,37 @@ def relative_criterion_check(
     family: OperatorFamily,
     other: OperatorFamily,
     pert: RelativePerturbation,
-    xs,
     tol: float = 1e-10,
-) -> bool:
-    """Sampled check of the quadratic-closeness hypothesis.
+) -> tuple[bool, float]:
+    """Exact decision of the quadratic-closeness hypothesis, with its margin.
 
-    For every x in xs, in the Loewner order:
+    For every x, in the Loewner order:
 
         integral <a T x - b L x, a T x - b L x>
             <=  alpha * integral <a T x, a T x>  +  beta * integral <b L x, b L x>.
+
+    Under the row flattening X of x both sides are X (.) X*, so this holds
+    for all x iff Q = alpha sum w (aM)(aM)* + beta sum w (bN)(bN)* - sum w D D*,
+    D = aM - bN, is positive semidefinite (block diagonal by slot for a
+    diagonal algebra).  Returns (passed, margin = lambda_min(Q)); it passes
+    when margin >= -tol * (1 + |margin|), ``is_positive``'s floor at the
+    worst unit vector.
     """
     if family.rule != other.rule:
         raise ValueError("families must share one quadrature rule")
     if family.descriptor != other.descriptor or family.n != other.n:
         raise ValueError("families must share descriptor and rank")
-    a = pert.scale_primal.at_nodes(family.rule)
-    b = pert.scale_other.at_nodes(family.rule)
-    for x in xs:
-        t_samples = analysis(family, x).samples
-        l_samples = analysis(other, x).samples
-        scaled_t = a[:, None, None, None] * t_samples
-        scaled_l = b[:, None, None, None] * l_samples
-        diff = L2Family(family.rule, family.descriptor, scaled_t - scaled_l)
-        left = l2_inner_product(diff, diff)
-        ta = L2Family(family.rule, family.descriptor, scaled_t)
-        lb = L2Family(family.rule, family.descriptor, scaled_l)
-        right = pert.alpha * l2_inner_product(ta, ta) + pert.beta * l2_inner_product(lb, lb)
-        if not loewner_leq(left, right, tol):
-            return False
-    return True
+    rule = family.rule
+    scaled_t = pert.scale_primal.at_nodes(rule)[:, None, None] * family.flats
+    scaled_l = pert.scale_other.at_nodes(rule)[:, None, None] * other.flats
+    diff = scaled_t - scaled_l
+    q = (
+        pert.alpha * _integrate_products(rule, scaled_t, scaled_t)
+        + pert.beta * _integrate_products(rule, scaled_l, scaled_l)
+        - _integrate_products(rule, diff, diff)
+    )
+    margin = float(np.linalg.eigvalsh(q)[0])
+    return margin >= -tol * (1.0 + abs(margin)), margin
 
 
 def relative_envelope(
@@ -225,8 +226,8 @@ def relative_envelope(
 def criterion_sample_vectors(
     family: OperatorFamily, other: OperatorFamily, count: int = 200, seed=0
 ):
-    """Sample set for the relative criterion: random unit vectors plus the
-    extremal vectors of both frame operators."""
+    """Random unit vectors plus the extremal vectors of both frame operators,
+    for cross-checking the exact relative criterion vector by vector."""
     rng = np.random.default_rng(seed)
     xs = [
         random_vector(family.descriptor, family.n, rng, unit=True) for _ in range(count)

@@ -90,3 +90,41 @@ def fold_integral(weights, samples):
     for w, x in zip(weights, samples):
         acc = acc + w * x
     return acc
+
+
+def criterion_matrix(weights, a, b, alpha, beta, M, N):
+    """Q = alpha sum w (aM)(aM)* + beta sum w (bN)(bN)* - sum w (aM - bN)(aM - bN)*.
+
+    The relative-perturbation hypothesis holds for every x exactly when Q
+    is positive semidefinite; M and N are the (N, nk, nk) node flats.
+    """
+    scaled_m = a[:, None, None] * M
+    scaled_n = b[:, None, None] * N
+    diff = scaled_m - scaled_n
+    return (
+        alpha * fold_products(weights, scaled_m, scaled_m)
+        + beta * fold_products(weights, scaled_n, scaled_n)
+        - fold_products(weights, diff, diff)
+    )
+
+
+def sampled_relative_criterion(weights, a, b, alpha, beta, M, N, xs, tol=1e-10):
+    """The relative-perturbation hypothesis checked vector by vector.
+
+    For each flattened x (k x nk) the two sides are formed from the node
+    samples X M_i and X N_i and compared in the Loewner order with the
+    floor tol * (||gap|| + 1).  A pass only covers the vectors given.
+    """
+    def gram(samples):
+        return np.einsum("i,iab,icb->ac", weights, samples, samples.conj())
+
+    for x in xs:
+        t = a[:, None, None] * (x @ M)
+        lam = b[:, None, None] * (x @ N)
+        gap = alpha * gram(t) + beta * gram(lam) - gram(t - lam)
+        floor = tol * (np.linalg.norm(gap, 2) + 1.0)
+        if np.linalg.norm(gap - gap.conj().T, 2) > floor:
+            return False
+        if np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)[0] < -floor:
+            return False
+    return True

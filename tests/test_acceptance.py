@@ -46,7 +46,7 @@ from opframes.perturbation import (
 from opframes.quadrature import gauss_legendre, midpoint
 from opframes.reconstruction import reconstruct_direct, reconstruct_neumann
 
-from oracles import psd_within
+from oracles import psd_within, sampled_relative_criterion
 
 ROOT3 = np.sqrt(3.0)
 
@@ -187,34 +187,56 @@ def test_criterion_5_additive_perturbation_envelope():
         assert env_lo - 1e-9 <= emp_lo and emp_hi <= env_hi + 1e-9
 
 
+def relative_cases():
+    """Deterministic (family, comparison, perturbation) triples of criterion 6."""
+    rng = np.random.default_rng(23)
+    rule = gauss_legendre(0.0, 1.0, 16)
+    for index in range(20):
+        kind = "diagonal" if index % 2 else "full"
+        descriptor = AlgebraDescriptor(kind, int(rng.integers(1, 4)))
+        n = int(rng.integers(1, 3))
+        family = random_frame_family(descriptor, n, rule, seed=4000 + index)
+        alpha = float(rng.uniform(0.05, 0.45))
+        beta = float(rng.uniform(0.05, 0.45))
+        a_vals = rng.uniform(0.5, 2.0, len(family))
+        b_vals = rng.uniform(0.5, 2.0, len(family))
+        delta = rng.uniform(-0.9, 0.9, len(family)) * np.sqrt(alpha)
+        gamma = (a_vals / b_vals) * (1.0 + delta)
+        other = OperatorFamily.from_flats(rule, descriptor, n, gamma[:, None, None] * family.flats)
+        pert = RelativePerturbation(
+            ScalarFamily.sampled(a_vals), ScalarFamily.sampled(b_vals), alpha, beta
+        )
+        yield index, family, other, pert
+
+
 def test_criterion_6_relative_perturbation_envelope():
     with criterion(6, "relative perturbation envelope soundness"):
-        rng = np.random.default_rng(23)
-        rule = gauss_legendre(0.0, 1.0, 16)
-        for index in range(20):
-            kind = "diagonal" if index % 2 else "full"
-            descriptor = AlgebraDescriptor(kind, int(rng.integers(1, 4)))
-            n = int(rng.integers(1, 3))
-            family = random_frame_family(descriptor, n, rule, seed=4000 + index)
-            alpha = float(rng.uniform(0.05, 0.45))
-            beta = float(rng.uniform(0.05, 0.45))
-            a_vals = rng.uniform(0.5, 2.0, len(family))
-            b_vals = rng.uniform(0.5, 2.0, len(family))
-            delta = rng.uniform(-0.9, 0.9, len(family)) * np.sqrt(alpha)
-            gamma = (a_vals / b_vals) * (1.0 + delta)
-            other = OperatorFamily.from_flats(
-                rule, descriptor, n, gamma[:, None, None] * family.flats
-            )
-            pert = RelativePerturbation(
-                ScalarFamily.sampled(a_vals), ScalarFamily.sampled(b_vals), alpha, beta
-            )
-            xs = criterion_sample_vectors(family, other, count=200, seed=5000 + index)
-            assert relative_criterion_check(family, other, pert, xs)
+        for _, family, other, pert in relative_cases():
+            passed, _ = relative_criterion_check(family, other, pert)
+            assert passed
             bounds = optimal_bounds(frame_operator(family))
-            env_lo, env_hi = relative_envelope(bounds, pert, rule)
+            env_lo, env_hi = relative_envelope(bounds, pert, family.rule)
             emp_lo, emp_hi = optimal_bounds(frame_operator(other))
             assert emp_lo >= env_lo - 1e-9
             assert emp_hi <= env_hi + 1e-9
+
+
+def test_exact_criterion_pass_holds_on_every_sample():
+    """Criterion 6's families: the old per-vector check agrees with each exact pass."""
+    for index, family, other, pert in relative_cases():
+        passed, _ = relative_criterion_check(family, other, pert)
+        assert passed
+        xs = criterion_sample_vectors(family, other, count=200, seed=5000 + index)
+        assert sampled_relative_criterion(
+            family.rule.weights,
+            pert.scale_primal.at_nodes(family.rule),
+            pert.scale_other.at_nodes(family.rule),
+            pert.alpha,
+            pert.beta,
+            family.flats,
+            other.flats,
+            [x.flatten() for x in xs],
+        )
 
 
 def test_criterion_7_oracle_equivalence():

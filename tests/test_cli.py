@@ -161,7 +161,7 @@ class TestPerturb:
         assert code == 0
         section = json.loads(out)["perturbation"]
         assert section["criterion_passed"] is True
-        assert section["verdict"] == "sampled"
+        assert section["verdict"] == "exact"
         assert section["within_envelope"] is True
 
     def test_scenario_without_block(self, capsys):

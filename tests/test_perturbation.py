@@ -5,7 +5,7 @@ from opframes.algebra import AlgebraDescriptor
 from opframes.catalog import diagonal_slope_family, random_frame_family
 from opframes.exceptions import NotAFrame
 from opframes.frames import OperatorFamily, frame_operator, optimal_bounds
-from opframes.hilbert_module import ModuleOperator, random_vector
+from opframes.hilbert_module import ModuleOperator
 from opframes.perturbation import (
     AdditivePerturbation,
     RelativePerturbation,
@@ -17,7 +17,9 @@ from opframes.perturbation import (
     relative_criterion_check,
     relative_envelope,
 )
-from opframes.quadrature import gauss_legendre
+from opframes.quadrature import counting, gauss_legendre
+
+from oracles import criterion_matrix, jacobi_eigh, sampled_relative_criterion
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
@@ -55,6 +57,19 @@ class TestScalarFamily:
         rule = gauss_legendre(0.0, 1.0, 4)
         with pytest.raises(ValueError):
             ScalarFamily.constant(1.0 + 0.5j).real_range(rule)
+
+    def test_real_range_sees_an_interior_imaginary_part(self):
+        # imaginary part 1e-3 (w - w^2): zero at both endpoints, 2.5e-4 at w = 1/2
+        rule = gauss_legendre(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="real-valued"):
+            ScalarFamily.polynomial([1.0, 1e-3j, -1e-3j]).real_range(rule)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ScalarFamily.polynomial([1.0, 1.0, 1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            ScalarFamily.sampled([1.0, bad])
 
     def test_exactly_one_form(self):
         with pytest.raises(ValueError):
@@ -187,8 +202,8 @@ class TestRelativeCriterion:
         pert = RelativePerturbation(
             ScalarFamily.constant(1.0), ScalarFamily.constant(1.0), 0.1, 0.3
         )
-        xs = [random_vector(DIAG2, 1, np.random.default_rng(1)) for _ in range(5)]
-        assert relative_criterion_check(fam, fam, pert, xs)
+        passed, _ = relative_criterion_check(fam, fam, pert)
+        assert passed
 
     def test_scaled_family_passes(self):
         fam = diagonal_slope_family()
@@ -196,8 +211,8 @@ class TestRelativeCriterion:
         pert = RelativePerturbation(
             ScalarFamily.constant(1.0), ScalarFamily.constant(1.0), 0.4, 0.4
         )
-        xs = criterion_sample_vectors(fam, other, count=25, seed=2)
-        assert relative_criterion_check(fam, other, pert, xs)
+        passed, _ = relative_criterion_check(fam, other, pert)
+        assert passed
 
     def test_zero_comparison_fails_for_frames(self):
         fam = diagonal_slope_family()
@@ -205,8 +220,69 @@ class TestRelativeCriterion:
         pert = RelativePerturbation(
             ScalarFamily.constant(1.0), ScalarFamily.constant(1.0), 0.4, 0.4
         )
-        xs = [random_vector(DIAG2, 1, np.random.default_rng(3)) for _ in range(5)]
-        assert not relative_criterion_check(fam, other, pert, xs)
+        passed, _ = relative_criterion_check(fam, other, pert)
+        assert not passed
+
+    @pytest.mark.parametrize("kind", ["full", "diagonal"])
+    def test_margin_matches_jacobi_oracle(self, kind):
+        rng = np.random.default_rng(11)
+        rule = gauss_legendre(0.0, 1.0, 12)
+        verdicts = set()
+        for seed in range(4):
+            descriptor = AlgebraDescriptor(kind, 1 + seed % 3)
+            n = 1 + seed // 2
+            fam = random_frame_family(descriptor, n, rule, seed=seed)
+            # near I like fam, so its negative is far from fam
+            unrelated = random_frame_family(descriptor, n, rule, seed=100 + seed)
+            gamma = 1.0 + 0.1 * rng.standard_normal(len(rule))
+            for other_flats in (gamma[:, None, None] * fam.flats, -unrelated.flats):
+                other = OperatorFamily.from_flats(rule, descriptor, n, other_flats)
+                # complex scale families: the criterion itself needs no real values
+                if seed % 2:
+                    scale_a = ScalarFamily.polynomial([1.0, 0.5j, -0.2])
+                else:
+                    moduli = rng.uniform(0.5, 2.0, len(rule))
+                    scale_a = ScalarFamily.sampled(moduli * np.exp(0.3j * rng.standard_normal(len(rule))))
+                a = scale_a.at_nodes(rule)
+                b = a * np.exp(0.05j * rng.standard_normal(len(rule)))
+                pert = RelativePerturbation(scale_a, ScalarFamily.sampled(b), 0.3, 0.2)
+                passed, margin = relative_criterion_check(fam, other, pert)
+                q = criterion_matrix(rule.weights, a, b, 0.3, 0.2, fam.flats, other.flats)
+                assert margin == pytest.approx(jacobi_eigh(q)[0][0], abs=1e-12)
+                assert passed == (margin >= -1e-10 * (1.0 + abs(margin)))
+                verdicts.add(passed)
+        assert verdicts == {True, False}
+
+    def test_exact_check_rejects_what_sampling_misses(self):
+        # one node, M = I and the unitary N = I + (e^{i theta} - 1) v v* with
+        # |e^{i theta} - 1|^2 = gap: Q = 0.5 I - gap v v*
+        rule = counting(1)
+        v = np.array([1.0, 1j, -1.0, 1.0]) / 2.0
+        m = np.eye(4, dtype=complex)
+        fam = OperatorFamily.from_flats(rule, FULL2, 2, m[None])
+        one = np.ones(1)
+
+        def rotated(gap):
+            theta = 2.0 * np.arcsin(np.sqrt(gap / 4.0))
+            flat = m + (np.exp(1j * theta) - 1.0) * np.outer(v, v.conj())
+            return OperatorFamily.from_flats(rule, FULL2, 2, flat[None])
+
+        # a gross violation is one the samples do find
+        other = rotated(0.9)
+        xs = [x.flatten() for x in criterion_sample_vectors(fam, other, count=200, seed=0)]
+        assert not sampled_relative_criterion(
+            rule.weights, one, one, 0.25, 0.25, fam.flats, other.flats, xs
+        )
+        other = rotated(0.5 + 1e-6)
+        for seed in range(20):
+            xs = [x.flatten() for x in criterion_sample_vectors(fam, other, count=200, seed=seed)]
+            assert sampled_relative_criterion(
+                rule.weights, one, one, 0.25, 0.25, fam.flats, other.flats, xs
+            )
+        pert = RelativePerturbation(ScalarFamily.constant(1.0), ScalarFamily.constant(1.0), 0.25, 0.25)
+        passed, margin = relative_criterion_check(fam, other, pert)
+        assert not passed
+        assert margin == pytest.approx(-1e-6, abs=1e-12)
 
     def test_alpha_beta_range_enforced(self):
         with pytest.raises(ValueError):
@@ -257,13 +333,23 @@ class TestRelativeEnvelope:
         with pytest.raises(ValueError):
             relative_envelope((0.25, 1.0 / 3.0), pert, rule)
 
+    def test_interior_dip_below_zero_is_not_confined(self):
+        # a(w) = (w - c)^2 - 1e-9: a 1000-point grid sees a minimum of +6.2e-8
+        rule = gauss_legendre(0.0, 1.0, 8)
+        c = 0.50025
+        dip = ScalarFamily.polynomial([c * c - 1e-9, -2.0 * c, 1.0])
+        assert dip.real_range(rule)[0] == pytest.approx(-1e-9, abs=1e-15)
+        pert = RelativePerturbation(dip, ScalarFamily.constant(1.0), 0.1, 0.1)
+        with pytest.raises(ValueError, match="positively confined"):
+            pert.confined_ranges(rule)
+
     def test_zero_perturbation_fixed_point(self):
         fam = diagonal_slope_family()
         pert = RelativePerturbation(
             ScalarFamily.constant(1.0), ScalarFamily.constant(1.0), 0.0, 0.0
         )
-        xs = [random_vector(DIAG2, 1, np.random.default_rng(4)) for _ in range(5)]
-        assert relative_criterion_check(fam, fam, pert, xs)
+        passed, _ = relative_criterion_check(fam, fam, pert)
+        assert passed
         bounds = optimal_bounds(frame_operator(fam))
         env_lo, env_hi = relative_envelope(bounds, pert, fam.rule)
         # the comparison family is the original one; its bounds are unchanged
@@ -286,8 +372,8 @@ class TestRelativeEnvelope:
             pert = RelativePerturbation(
                 ScalarFamily.sampled(a_vals), ScalarFamily.sampled(b_vals), alpha, beta
             )
-            xs = criterion_sample_vectors(fam, other, count=30, seed=seed)
-            assert relative_criterion_check(fam, other, pert, xs)
+            passed, _ = relative_criterion_check(fam, other, pert)
+            assert passed
             bounds = optimal_bounds(frame_operator(fam))
             env_lo, env_hi = relative_envelope(bounds, pert, fam.rule)
             emp_lo, emp_hi = optimal_bounds(frame_operator(other))
