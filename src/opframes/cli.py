@@ -3,7 +3,8 @@
 Subcommands: analyze, reconstruct, dual, perturb, independence,
 verify-examples.  Scenarios are JSON documents (schema version 1);
 reports go to standard output as JSON (default) or CSV.  Exit codes:
-0 success / frame, 2 family is not a frame, 1 error, 64 usage.
+0 success / frame, 2 family is not a frame, 1 error, 64 usage.  Every
+command decides "is a frame" by one rule at the classification tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .catalog import diagonal_slope_family
 from .duals import canonical_dual, is_dual_pair
-from .exceptions import NoConvergence, NotAFrame, SingularFrameOperator
+from .exceptions import NoConvergence, NotAFrame
 from .frames import (
     PARAMETRIC,
     below_bounded_check,
@@ -28,6 +29,7 @@ from .frames import (
     frame_operator,
     independence_check,
     optimal_bounds,
+    require_frame,
 )
 from .hilbert_module import apply, random_vector, scalar_norm
 from .perturbation import (
@@ -77,8 +79,8 @@ def _frame_section(report):
     }
 
 
-def _dual_section(scenario, tol):
-    dual = canonical_dual(scenario.family, tol)
+def _dual_section(scenario, frame_tol, tol):
+    dual = canonical_dual(scenario.family, frame_tol)
     pair = is_dual_pair(scenario.family, dual, tol)
     section = {
         "bounds": [pair.dual_bounds[0], pair.dual_bounds[1]],
@@ -124,9 +126,9 @@ def _reconstruction_section(scenario, data, method, tol, seed):
     }
 
 
-def _perturbation_section(scenario):
+def _perturbation_section(scenario, frame_tol):
     tols = scenario.tolerances
-    bounds = optimal_bounds(frame_operator(scenario.family))
+    bounds = require_frame(frame_operator(scenario.family), frame_tol)
     if scenario.perturbation_kind == "additive":
         admissible, energy, lower = additive_admissible(
             scenario.family, scenario.additive, tols["admissibility"]
@@ -231,14 +233,14 @@ def cmd_analyze(args):
     is_frame = report_frame.classification in _FRAME_KINDS
     if is_frame:
         start = time.perf_counter()
-        report["dual"] = _dual_section(scenario, tols["dual"])
+        report["dual"] = _dual_section(scenario, class_tol, tols["dual"])
         report["reconstruction"] = _reconstruction_section(
             scenario, data, "neumann", tols["reconstruction"], args.seed
         )
         if timings is not None:
             timings["dual_reconstruction_seconds"] = time.perf_counter() - start
-    if scenario.perturbation_kind is not None and is_frame:
-        report["perturbation"] = _perturbation_section(scenario)
+        if scenario.perturbation_kind is not None:
+            report["perturbation"] = _perturbation_section(scenario, class_tol)
     _emit(report, args.format)
     return EXIT_OK if is_frame else EXIT_NOT_FRAME
 
@@ -247,6 +249,7 @@ def cmd_reconstruct(args):
     scenario = _load(args)
     tol = args.tol if args.tol is not None else scenario.tolerances["reconstruction"]
     data = frame_operator(scenario.family)
+    require_frame(data, scenario.tolerances["classification"])
     section = _reconstruction_section(scenario, data, args.method, tol, args.seed)
     _emit({"scenario": scenario.raw, "reconstruction": section}, args.format)
     return EXIT_OK
@@ -255,7 +258,7 @@ def cmd_reconstruct(args):
 def cmd_dual(args):
     scenario = _load(args)
     tol = args.tol if args.tol is not None else scenario.tolerances["dual"]
-    section = _dual_section(scenario, tol)
+    section = _dual_section(scenario, scenario.tolerances["classification"], tol)
     _emit({"scenario": scenario.raw, "dual": section}, args.format)
     return EXIT_OK
 
@@ -265,14 +268,14 @@ def cmd_perturb(args):
     if scenario.perturbation_kind is None:
         print("error: scenario has no perturbation block", file=sys.stderr)
         return EXIT_ERROR
-    section = _perturbation_section(scenario)
+    section = _perturbation_section(scenario, scenario.tolerances["classification"])
     _emit({"scenario": scenario.raw, "perturbation": section}, args.format)
     return EXIT_OK
 
 
 def cmd_independence(args):
     scenario = _load(args)
-    tol = args.tol if args.tol is not None else scenario.tolerances["positivity"]
+    tol = args.tol if args.tol is not None else scenario.tolerances["classification"]
     bounded, sigma_min = below_bounded_check(scenario.family, tol)
     independent, kernel_dim = independence_check(scenario.family)
     section = {
@@ -303,22 +306,19 @@ def cmd_verify_examples(args):
                    bool(np.max(np.abs(element - target)) <= tol),
                    f"max deviation {np.max(np.abs(element - target)):.3e}"))
 
-    try:
-        dual = canonical_dual(family, tol=min(tol, 1e-6))
-        expected = np.zeros((2, 1, 1, 2, 2), dtype=complex)
-        expected[1, 0, 0] = np.diag([3.0, 2.0 * np.sqrt(3.0)])
-        coeff_dev = float(np.max(np.abs(dual.coefficients - expected)))
-        checks.append(("canonical dual family diag(3w, 2 sqrt(3) w)", coeff_dev <= tol,
-                       f"max coefficient deviation {coeff_dev:.3e}"))
-        dual_lo, dual_hi = optimal_bounds(frame_operator(dual))
-        checks.append(("dual bounds (3, 4)",
-                       abs(dual_lo - 3.0) <= tol and abs(dual_hi - 4.0) <= tol,
-                       f"got ({dual_lo!r}, {dual_hi!r})"))
-        pair = is_dual_pair(family, dual, tol)
-        checks.append(("dual resolution of the identity", pair.resolution_residual <= tol,
-                       f"residual {pair.resolution_residual:.3e}"))
-    except NotAFrame as exc:
-        checks.append(("canonical dual construction", False, str(exc)))
+    dual = canonical_dual(family)
+    expected = np.zeros((2, 1, 1, 2, 2), dtype=complex)
+    expected[1, 0, 0] = np.diag([3.0, 2.0 * np.sqrt(3.0)])
+    coeff_dev = float(np.max(np.abs(dual.coefficients - expected)))
+    checks.append(("canonical dual family diag(3w, 2 sqrt(3) w)", coeff_dev <= tol,
+                   f"max coefficient deviation {coeff_dev:.3e}"))
+    dual_lo, dual_hi = optimal_bounds(frame_operator(dual))
+    checks.append(("dual bounds (3, 4)",
+                   abs(dual_lo - 3.0) <= tol and abs(dual_hi - 4.0) <= tol,
+                   f"got ({dual_lo!r}, {dual_hi!r})"))
+    pair = is_dual_pair(family, dual, tol)
+    checks.append(("dual resolution of the identity", pair.resolution_residual <= tol,
+                   f"residual {pair.resolution_residual:.3e}"))
 
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, detail in checks:
@@ -385,7 +385,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (NotAFrame, SingularFrameOperator) as exc:
+    except NotAFrame as exc:
         print(f"not a frame: {exc}", file=sys.stderr)
         return EXIT_NOT_FRAME
     except NoConvergence as exc:

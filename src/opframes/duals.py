@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NotAFrame
-from .frames import PARAMETRIC, FrameOperatorData, OperatorFamily, frame_operator, optimal_bounds
+from .frames import PARAMETRIC, OperatorFamily, frame_operator, optimal_bounds, require_frame
 from .quadrature import _integrate_products
 
 
@@ -26,17 +25,10 @@ class DualPairReport:
     tolerance: float
 
 
-def _require_frame(data: FrameOperatorData, tol):
-    lo, hi = optimal_bounds(data)
-    if lo <= tol:
-        raise NotAFrame(f"lower frame bound {lo:.3e} below tolerance {tol:.1e}")
-    return lo, hi
-
-
 def canonical_dual(family: OperatorFamily, tol: float = 1e-10) -> OperatorFamily:
-    """The family {T_w S^-1}; parametric input yields parametric output."""
+    """The family {T_w S^-1} of a frame at ``tol``; parametric input yields parametric output."""
     data = frame_operator(family)
-    _require_frame(data, tol)
+    require_frame(data, tol)
     s_inv = np.linalg.inv(data.flat)
     if family.form == PARAMETRIC:
         coeffs = family.coefficients

@@ -5,12 +5,12 @@ class SingularElement(Exception):
     """Algebra element is singular to working tolerance; no inverse returned."""
 
 
-class SingularFrameOperator(Exception):
-    """Frame operator has a numerically zero eigenvalue; direct inversion refused."""
-
-
 class NotAFrame(Exception):
-    """Operation requires a family whose lower frame bound is positive."""
+    """Operation requires a frame: lower bound A > tol * B (``frames.require_frame``)."""
+
+
+class SingularFrameOperator(NotAFrame):
+    """Frame operator has a numerically zero eigenvalue; direct inversion refused."""
 
 
 class NoConvergence(Exception):

@@ -13,6 +13,10 @@ eigenvalues of the flattened ``s``: under the row flattening X of x one
 has <Sx,x> = X s X* and <x,x> = X X*, and placing an extremal eigenvector
 in a single row of X attains equality.  All spectral quantities below are
 computed from that flattening.
+
+"Is a frame" has one rule, in ``require_frame``, ``classify`` and
+``below_bounded_check`` alike: A > tol * B with B > 0.  It is relative, so
+rescaling a family never changes the verdict; non-finite bounds fail it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraDescriptor, loewner_leq, operator_norm
+from .exceptions import NotAFrame
 from .hilbert_module import (
     L2Family,
     ModuleOperator,
@@ -194,21 +199,35 @@ def optimal_bounds(data: FrameOperatorData) -> tuple[float, float]:
     return float(data.eigenvalues[0]), float(data.eigenvalues[-1])
 
 
+def _is_frame(lower: float, upper: float, tol: float) -> bool:
+    """The one frame rule: A > tol * B with B > 0; NaN bounds fail it."""
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+    return upper > 0.0 and lower > tol * upper
+
+
+def require_frame(data: FrameOperatorData, tol: float, error=NotAFrame) -> tuple[float, float]:
+    """Optimal bounds (A, B) of a frame; raises ``error`` (a NotAFrame) unless A > tol * B."""
+    lower, upper = optimal_bounds(data)
+    if not _is_frame(lower, upper, tol):
+        raise error(f"lower frame bound {lower:.3e} is not above {tol:.1e} x {upper:.3e}")
+    return lower, upper
+
+
 def classify(data: FrameOperatorData, tol: float = 1e-8) -> FrameReport:
     """Sort a family into frame / tight / parseval / bessel_only / not_bessel."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     lower, upper = optimal_bounds(data)
+    is_frame = _is_frame(lower, upper, tol)
     spectrum = tuple(float(v) for v in data.eigenvalues)
     tight_value = None
     if not (np.isfinite(lower) and np.isfinite(upper)):
         kind = "not_bessel"
         condition = float("nan")
         note = "spectrum contains non-finite values; input is malformed"
-    elif lower <= tol:
+    elif not is_frame:
         kind = "bessel_only"
         condition = float("inf")
-        note = f"lower bound {lower:.3e} below tolerance; upper (Bessel) bound {upper:.6g}"
+        note = f"lower bound {lower:.3e} not above {tol:.1e} x upper (Bessel) bound {upper:.6g}"
     else:
         condition = upper / lower
         if upper - lower <= tol * upper:
@@ -279,9 +298,9 @@ def _singular_values(family) -> np.ndarray:
 
 
 def below_bounded_check(family, tol: float = 1e-10) -> tuple[bool, float]:
-    """Smallest singular value of the weighted analysis map; positive iff frame."""
-    sigma_min = float(_singular_values(family)[-1])
-    return sigma_min > tol, sigma_min
+    """The frame rule on sigma_min^2 = A, sigma_max^2 = B of the weighted analysis map, and sigma_min."""
+    sigma_max, sigma_min = (float(v) for v in _singular_values(family)[[0, -1]])
+    return _is_frame(sigma_min**2, sigma_max**2, tol), sigma_min
 
 
 def independence_check(family, tol: float = 1e-12) -> tuple[bool, int]:

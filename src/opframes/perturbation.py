@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .exceptions import NotAFrame
-from .frames import PARAMETRIC, OperatorFamily, extremal_vector, frame_operator, optimal_bounds
+from .algebra import SINGULARITY_RATIO
+from .frames import PARAMETRIC, OperatorFamily, extremal_vector, frame_operator, require_frame
 from .hilbert_module import ModuleOperator, op_norm, random_vector
 from .quadrature import COUNTING, QuadratureRule, _integrate_products
 
@@ -150,14 +150,11 @@ def additive_admissible(
 ) -> tuple[bool, float, float]:
     """Whether the perturbation energy stays below the lower frame bound.
 
-    Returns (admissible, R, A) with the criterion R < A - tol.  The
-    energy criterion is what the bound envelope actually consumes; the
-    looser reading integral |c|^2 < A / ||K|| is not used.
+    Returns (admissible, R, A) with the criterion R < A - tol; refuses
+    A <= SINGULARITY_RATIO * B, as the reconstructors do.  The energy criterion
+    is what the envelope consumes; integral |c|^2 < A / ||K|| is not used.
     """
-    data = frame_operator(family)
-    lo, _ = optimal_bounds(data)
-    if lo <= tol:
-        raise NotAFrame(f"lower frame bound {lo:.3e} below tolerance")
+    lo, _ = require_frame(frame_operator(family), SINGULARITY_RATIO)
     energy = pert.energy(family.rule)
     return energy < lo - tol, energy, lo
 

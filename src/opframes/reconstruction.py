@@ -6,6 +6,7 @@ q = max(|1 - lam A|, |1 - lam B|) per step.  With lam = 1/B the
 contraction factor is (B - A) / B, the same quantity that certifies
 invertibility of the frame operator in the first place; lam = 2/(A + B)
 is the classical optimal relaxation and is available opt-in.
+Both routes refuse A <= SINGULARITY_RATIO * B and measure residuals relative to ||y||.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NoConvergence, NotAFrame, SingularFrameOperator
-from .frames import FrameOperatorData, optimal_bounds
+from .algebra import SINGULARITY_RATIO
+from .exceptions import NoConvergence, SingularFrameOperator
+from .frames import FrameOperatorData, require_frame
 from .hilbert_module import ModuleVector, scalar_norm
-
-# lambda_min <= RATIO * lambda_max counts as a singular frame operator
-_SINGULAR_RATIO = 1e-13
 
 
 @dataclass(frozen=True)
@@ -43,14 +42,10 @@ def _relative_residual(y_flat, x_flat, s_flat, y_scale):
 
 def reconstruct_direct(data: FrameOperatorData, y: ModuleVector) -> ReconstructionResult:
     """Solve x s = y by direct inversion of the flattened frame operator."""
-    lo, hi = optimal_bounds(data)
-    if lo <= _SINGULAR_RATIO * max(hi, 0.0) or hi <= 0.0:
-        raise SingularFrameOperator(
-            f"frame operator spectrum reaches {lo:.3e}; family is not a frame"
-        )
+    require_frame(data, SINGULARITY_RATIO, SingularFrameOperator)
     y_flat = y.flatten()
     x_flat = np.linalg.solve(data.flat.T, y_flat.T).T
-    y_scale = scalar_norm(y) + 1.0
+    y_scale = scalar_norm(y) or 1.0
     residual, _ = _relative_residual(y_flat, x_flat, data.flat, y_scale)
     return ReconstructionResult(
         vector=ModuleVector.from_flat(y.descriptor, x_flat),
@@ -71,12 +66,10 @@ def reconstruct_neumann(
 
     ``relaxation`` may be a number in (0, 2/B), "auto" for the certified
     1/B step, or "optimal" for 2/(A + B).  The residual is the norm of
-    y - x_m s relative to ||y|| + 1.  Raises NoConvergence when max_iter
-    updates do not reach ``tol``.
+    y - x_m s relative to ||y|| (to 1 when y = 0).  Raises NoConvergence
+    when max_iter updates do not reach ``tol``.
     """
-    lo, hi = optimal_bounds(data)
-    if lo <= _SINGULAR_RATIO * max(hi, 0.0) or hi <= 0.0:
-        raise NotAFrame(f"lower frame bound {lo:.3e} is not positive")
+    lo, hi = require_frame(data, SINGULARITY_RATIO, SingularFrameOperator)
     if relaxation == "auto":
         lam = 1.0 / hi
     elif relaxation == "optimal":
@@ -88,7 +81,7 @@ def reconstruct_neumann(
     q = max(abs(1.0 - lam * lo), abs(1.0 - lam * hi))
 
     y_flat = y.flatten()
-    y_scale = scalar_norm(y) + 1.0
+    y_scale = scalar_norm(y) or 1.0
     x_flat = lam * y_flat
     residual, r = _relative_residual(y_flat, x_flat, data.flat, y_scale)
     history = [residual]

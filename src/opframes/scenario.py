@@ -21,7 +21,6 @@ from .quadrature import QuadratureRule, counting, gauss_legendre, midpoint
 SCHEMA_VERSION = 1
 
 DEFAULT_TOLERANCES = {
-    "positivity": 1e-10,
     "classification": 1e-8,
     "reconstruction": 1e-12,
     "dual": 1e-10,

@@ -8,15 +8,11 @@ from opframes.exceptions import NotAFrame
 from opframes.frames import OperatorFamily, frame_operator, optimal_bounds
 from opframes.quadrature import gauss_legendre
 
+from families import rank_deficient_family
+
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
 ROOT3 = np.sqrt(3.0)
-
-
-def rank_deficient_family():
-    coeffs = np.zeros((2, 1, 1, 2, 2), dtype=complex)
-    coeffs[1, 0, 0] = np.diag([1.0, 0.0])
-    return OperatorFamily.parametric(gauss_legendre(0.0, 1.0, 8), DIAG2, 1, coeffs)
 
 
 class TestCanonicalDual:

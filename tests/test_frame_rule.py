@@ -1,0 +1,177 @@
+"""One frame rule: every entry point that decides "is a frame" agrees.
+
+The rule is A > tol * B (``frames.require_frame``).  classify, require_frame,
+canonical_dual and below_bounded_check take tol from the caller; the
+reconstructors and additive_admissible decide at SINGULARITY_RATIO.  The
+boundary families have A / B = tol * (1 -+ 1e-3); the tiny family is the
+worked one scaled to bounds (1e-9, 4e-9/3), well conditioned but below
+any absolute tolerance.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from opframes.algebra import SINGULARITY_RATIO
+from opframes.catalog import diagonal_slope_family
+from opframes.cli import main
+from opframes.duals import canonical_dual
+from opframes.exceptions import NoConvergence, NotAFrame, SingularFrameOperator
+from opframes.frames import (
+    FrameOperatorData,
+    below_bounded_check,
+    classify,
+    frame_operator,
+    require_frame,
+)
+from opframes.hilbert_module import ModuleOperator, random_vector
+from opframes.perturbation import AdditivePerturbation, ScalarFamily, additive_admissible
+from opframes.reconstruction import reconstruct_direct, reconstruct_neumann
+
+from families import DIAG2, rank_deficient_family, ratio_slopes, slope_scenario, tiny_slopes
+
+FRAME_KINDS = ("frame", "tight", "parseval")
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+CLASSIFICATION_TOL = 1e-8   # the scenario default
+
+
+def accepts(call):
+    """False when call() refuses the family as not a frame, True otherwise."""
+    try:
+        call()
+    except NotAFrame:
+        return False
+    except NoConvergence:
+        pass
+    return True
+
+
+def verdicts(family, tol):
+    """The frame verdict of every tolerance-taking entry point at tol."""
+    data = frame_operator(family)
+    return {
+        "classify": classify(data, tol).classification in FRAME_KINDS,
+        "require_frame": accepts(lambda: require_frame(data, tol)),
+        "canonical_dual": accepts(lambda: canonical_dual(family, tol)),
+        "below_bounded_check": below_bounded_check(family, tol)[0],
+    }
+
+
+def floor_verdicts(family):
+    """The verdicts of the entry points that decide at SINGULARITY_RATIO."""
+    data = frame_operator(family)
+    y = random_vector(DIAG2, 1, np.random.default_rng(0))
+    pert = AdditivePerturbation(ModuleOperator.identity(DIAG2, 1), ScalarFamily.constant(1e-6))
+    return {
+        "reconstruct_direct": accepts(lambda: reconstruct_direct(data, y)),
+        "reconstruct_neumann": accepts(lambda: reconstruct_neumann(data, y, max_iter=3)),
+        "additive_admissible": accepts(lambda: additive_admissible(family, pert)),
+    }
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+@pytest.mark.parametrize("tol", [CLASSIFICATION_TOL, 1e-10, SINGULARITY_RATIO])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_entry_points_agree_at_the_boundary(side, tol, scale):
+    family = diagonal_slope_family(ratio_slopes(tol * (1.0 + side * 1e-3), scale))
+    got = verdicts(family, tol)
+    if tol == SINGULARITY_RATIO:
+        got.update(floor_verdicts(family))
+    assert got == dict.fromkeys(got, side > 0)
+
+
+@pytest.mark.parametrize("tol", [CLASSIFICATION_TOL, SINGULARITY_RATIO])
+def test_tiny_well_conditioned_family_is_a_frame(tol):
+    family = diagonal_slope_family(tiny_slopes())
+    lower, upper = require_frame(frame_operator(family), tol)
+    assert lower == pytest.approx(1e-9, rel=1e-12)
+    assert upper == pytest.approx(4e-9 / 3.0, rel=1e-12)
+    got = {**verdicts(family, tol), **floor_verdicts(family)}
+    assert all(got.values()), got
+
+
+def test_rank_deficient_family_is_refused_everywhere():
+    family = rank_deficient_family()
+    got = {**verdicts(family, SINGULARITY_RATIO), **floor_verdicts(family)}
+    assert not any(got.values()), got
+
+
+@pytest.mark.parametrize(
+    "bounds", [(np.nan, 1.0), (0.5, np.nan), (0.5, np.inf), (0.0, 0.0), (-1.0, -0.5)]
+)
+def test_degenerate_bounds_are_not_a_frame(bounds):
+    data = FrameOperatorData(None, None, np.array(bounds), None)
+    with pytest.raises(NotAFrame):
+        require_frame(data, 1e-8)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
+def test_tolerance_must_be_positive(tol):
+    data = frame_operator(diagonal_slope_family())
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        require_frame(data, tol)
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        classify(data, tol)
+
+
+def test_singular_frame_operator_is_not_a_frame():
+    assert issubclass(SingularFrameOperator, NotAFrame)
+    data = frame_operator(rank_deficient_family())
+    y = random_vector(DIAG2, 1, np.random.default_rng(1))
+    for reconstruct in (reconstruct_direct, reconstruct_neumann):
+        with pytest.raises(SingularFrameOperator):
+            reconstruct(data, y)
+
+
+def boundary_scenarios():
+    """Scenario documents for the CLI sweep, with the verdict each must get."""
+    below = slope_scenario(ratio_slopes(CLASSIFICATION_TOL * (1.0 - 1e-3)), 1e-5)
+    above = slope_scenario(ratio_slopes(CLASSIFICATION_TOL * (1.0 + 1e-3)), 1e-5)
+    relative = json.loads((SCENARIOS / "perturbed_relative.json").read_text())
+    relative["family"] = below["family"]
+    # an energy margin larger than the frame tolerance must not move the frame verdict
+    loose = dict(above, tolerances={"admissibility": 1e-6})
+    return {
+        "below": (below, False),
+        "above": (above, True),
+        "tiny": (slope_scenario(tiny_slopes(), np.sqrt(1e-9 / 4.0)), True),
+        "below_relative": (relative, False),
+        "above_loose_admissibility": (loose, True),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in SCENARIOS.glob("*.json")) + sorted(boundary_scenarios())
+)
+def test_commands_agree_with_analyze(name, tmp_path, capsys):
+    boundary = boundary_scenarios()
+    if name in boundary:
+        doc, expected = boundary[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+    else:
+        path = SCENARIOS / name
+        doc, expected = json.loads(path.read_text()), None
+
+    def run(command):
+        code = main([command, "--scenario", str(path)])
+        return code, capsys.readouterr()
+
+    code, captured = run("analyze")
+    is_frame = json.loads(captured.out)["frame"]["classification"] in FRAME_KINDS
+    assert expected is None or is_frame == expected
+    assert code == (0 if is_frame else 2)
+    for command in ("dual", "reconstruct", "perturb"):
+        code, captured = run(command)
+        if command == "perturb" and doc.get("perturbation") is None:
+            assert code == 1, captured.err
+        elif is_frame:
+            assert code == 0, (command, captured.err)
+        else:
+            assert code == 2, command
+            assert captured.err.startswith("not a frame: ")
+    code, captured = run("independence")
+    assert code == 0
+    assert json.loads(captured.out)["independence"]["bounded_below"] is is_frame

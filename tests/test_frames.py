@@ -29,6 +29,7 @@ from opframes.hilbert_module import (
 )
 from opframes.quadrature import counting, gauss_legendre
 
+from families import rank_deficient_family
 from oracles import psd_within
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
@@ -46,15 +47,6 @@ def tight_ramp_family(rule=None):
         rule = gauss_legendre(0.0, 1.0, 8)
     coeffs = np.zeros((2, 1, 1, 2, 2), dtype=complex)
     coeffs[1, 0, 0] = np.eye(2)
-    return OperatorFamily.parametric(rule, DIAG2, 1, coeffs)
-
-
-def rank_deficient_family(rule=None):
-    """T_w = diag(w, 0): upper bound only, lower bound exactly zero."""
-    if rule is None:
-        rule = gauss_legendre(0.0, 1.0, 8)
-    coeffs = np.zeros((2, 1, 1, 2, 2), dtype=complex)
-    coeffs[1, 0, 0] = np.diag([1.0, 0.0])
     return OperatorFamily.parametric(rule, DIAG2, 1, coeffs)
 
 

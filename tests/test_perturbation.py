@@ -19,6 +19,7 @@ from opframes.perturbation import (
 )
 from opframes.quadrature import counting, gauss_legendre
 
+from families import rank_deficient_family
 from oracles import criterion_matrix, jacobi_eigh, sampled_relative_criterion
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
@@ -34,12 +35,6 @@ def scaled_family(family, factors):
     """Sampled family with node operators multiplied by per-node scalars."""
     flats = factors[:, None, None] * family.flats
     return OperatorFamily.from_flats(family.rule, family.descriptor, family.n, flats)
-
-
-def rank_deficient_family():
-    coeffs = np.zeros((2, 1, 1, 2, 2), dtype=complex)
-    coeffs[1, 0, 0] = np.diag([1.0, 0.0])
-    return OperatorFamily.parametric(gauss_legendre(0.0, 1.0, 8), DIAG2, 1, coeffs)
 
 
 class TestScalarFamily:

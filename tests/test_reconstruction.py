@@ -4,7 +4,7 @@ import pytest
 from opframes.algebra import AlgebraDescriptor, AlgebraElement
 from opframes.catalog import diagonal_slope_family, identity_family, random_frame_family
 from opframes.exceptions import NoConvergence, NotAFrame, SingularFrameOperator
-from opframes.frames import OperatorFamily, analysis, frame_operator, optimal_bounds, synthesis
+from opframes.frames import analysis, frame_operator, optimal_bounds, synthesis
 from opframes.hilbert_module import (
     L2Family,
     ModuleOperator,
@@ -16,14 +16,10 @@ from opframes.hilbert_module import (
 from opframes.quadrature import gauss_legendre
 from opframes.reconstruction import reconstruct_direct, reconstruct_neumann
 
+from families import rank_deficient_family, tiny_slopes
+
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
-
-
-def rank_deficient_family():
-    coeffs = np.zeros((2, 1, 1, 2, 2), dtype=complex)
-    coeffs[1, 0, 0] = np.diag([1.0, 0.0])
-    return OperatorFamily.parametric(gauss_legendre(0.0, 1.0, 8), DIAG2, 1, coeffs)
 
 
 class TestDirect:
@@ -121,6 +117,22 @@ class TestNeumann:
             reconstruct_neumann(data, y, tol=1e-14, max_iter=1)
         assert info.value.residual is not None
         assert info.value.iterations == 1
+
+    def test_residual_is_relative_at_any_scale(self):
+        # bounds (1e-9, 4e-9/3): a residual taken relative to ||y|| + 1 would
+        # stop at an absolute 1e-12 while x is still off by about 1e-3
+        data = frame_operator(diagonal_slope_family(tiny_slopes()))
+        x = random_vector(DIAG2, 1, np.random.default_rng(10), unit=True)
+        y = apply(data.element, x)
+        for result in (reconstruct_neumann(data, y, tol=1e-12), reconstruct_direct(data, y)):
+            assert result.final_residual <= 1e-12
+            assert scalar_norm(result.vector - x) <= 1e-10
+
+    def test_zero_data_stops_at_once(self):
+        data = frame_operator(diagonal_slope_family(tiny_slopes()))
+        result = reconstruct_neumann(data, ModuleVector.zero(DIAG2, 1))
+        assert result.iterations == 0
+        assert result.final_residual == 0.0
 
     def test_relaxation_range_validated(self):
         data = frame_operator(diagonal_slope_family())

@@ -129,11 +129,13 @@ class TestValidation:
         assert info.value.field_path == "family.operators"
 
     def test_unknown_tolerance_rejected(self):
-        doc = base_doc()
-        doc["tolerances"] = {"speed": 1e-3}
-        with pytest.raises(ScenarioError) as info:
-            parse_scenario(doc)
-        assert info.value.field_path == "tolerances.speed"
+        # positivity was a tolerance name; the frame rule now reads classification
+        for name in ("speed", "positivity"):
+            doc = base_doc()
+            doc["tolerances"] = {name: 1e-3}
+            with pytest.raises(ScenarioError, match="unknown tolerance name") as info:
+                parse_scenario(doc)
+            assert info.value.field_path == f"tolerances.{name}"
 
     def test_nonpositive_tolerance_rejected(self):
         doc = base_doc()
