@@ -1,7 +1,8 @@
 """Config-driven command line front end.
 
 Subcommands: analyze, reconstruct, dual, perturb, independence,
-verify-examples.  Scenarios are JSON documents (schema version 1);
+verify-examples; each accepts only the flags that ``COMMANDS`` lists for
+it.  Scenarios are JSON documents (schema version 1);
 reports go to standard output as JSON (default) or CSV.  Exit codes:
 0 success / frame, 2 family is not a frame, 1 error, 64 usage.  Every
 command decides "is a frame" by one rule at the classification tolerance.
@@ -41,7 +42,7 @@ from .perturbation import (
 )
 from .quadrature import gauss_legendre
 from .reconstruction import reconstruct_direct, reconstruct_neumann
-from .scenario import ScenarioError, load_scenario, parse_scenario
+from .scenario import ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -126,6 +127,12 @@ def _reconstruction_section(scenario, data, method, tol, seed):
     }
 
 
+def _within(envelope, empirical):
+    """Empirical bounds inside the envelope, with a slack of 1e-9 relative to each end."""
+    lo, hi = envelope
+    return bool(lo - 1e-9 * abs(lo) <= empirical[0] and empirical[1] <= hi + 1e-9 * abs(hi))
+
+
 def _perturbation_section(scenario, frame_tol):
     tols = scenario.tolerances
     bounds = require_frame(frame_operator(scenario.family), frame_tol)
@@ -147,7 +154,7 @@ def _perturbation_section(scenario, frame_tol):
         if admissible:
             lo, hi = additive_envelope(lower, bounds[1], energy)
             section["envelope"] = [lo, hi]
-            section["within_envelope"] = bool(lo - 1e-9 <= empirical[0] and empirical[1] <= hi + 1e-9)
+            section["within_envelope"] = _within((lo, hi), empirical)
         else:
             section["envelope"] = None
             section["within_envelope"] = None
@@ -170,9 +177,7 @@ def _perturbation_section(scenario, frame_tol):
         "tolerance": tols["criterion"],
         "envelope": [envelope[0], envelope[1]],
         "empirical_bounds": [empirical[0], empirical[1]],
-        "within_envelope": bool(
-            envelope[0] - 1e-9 <= empirical[0] and empirical[1] <= envelope[1] + 1e-9
-        ),
+        "within_envelope": _within(envelope, empirical),
     }
 
 
@@ -198,23 +203,14 @@ def _emit(report, fmt):
     sys.stdout.write(buffer.getvalue())
 
 
-def _load(args):
-    scenario = load_scenario(args.scenario)
-    if args.nodes is not None:
-        raw = json.loads(json.dumps(scenario.raw))
-        measure = raw.get("measure", {})
-        if measure.get("kind") == "counting":
-            measure["count"] = args.nodes
-        else:
-            measure["nodes"] = args.nodes
-        scenario = parse_scenario(raw)
-    return scenario
+def _tol(args, scenario, name):
+    """``--tol`` when given, else the scenario's tolerance ``name``."""
+    return args.tol if args.tol is not None else scenario.tolerances[name]
 
 
-def cmd_analyze(args):
-    scenario = _load(args)
+def cmd_analyze(scenario, args):
     tols = scenario.tolerances
-    class_tol = args.tol if args.tol is not None else tols["classification"]
+    class_tol = _tol(args, scenario, "classification")
     timings = {} if args.timings else None
     start = time.perf_counter()
     data = frame_operator(scenario.family)
@@ -223,7 +219,6 @@ def cmd_analyze(args):
         timings["frame_seconds"] = time.perf_counter() - start
     report = {
         "schema_version": scenario.raw.get("schema_version"),
-        "scenario": scenario.raw,
         "frame": _frame_section(report_frame),
         "dual": None,
         "reconstruction": None,
@@ -241,52 +236,40 @@ def cmd_analyze(args):
             timings["dual_reconstruction_seconds"] = time.perf_counter() - start
         if scenario.perturbation_kind is not None:
             report["perturbation"] = _perturbation_section(scenario, class_tol)
-    _emit(report, args.format)
-    return EXIT_OK if is_frame else EXIT_NOT_FRAME
+    return report, EXIT_OK if is_frame else EXIT_NOT_FRAME
 
 
-def cmd_reconstruct(args):
-    scenario = _load(args)
-    tol = args.tol if args.tol is not None else scenario.tolerances["reconstruction"]
+def cmd_reconstruct(scenario, args):
     data = frame_operator(scenario.family)
     require_frame(data, scenario.tolerances["classification"])
+    tol = _tol(args, scenario, "reconstruction")
     section = _reconstruction_section(scenario, data, args.method, tol, args.seed)
-    _emit({"scenario": scenario.raw, "reconstruction": section}, args.format)
-    return EXIT_OK
+    return {"reconstruction": section}, EXIT_OK
 
 
-def cmd_dual(args):
-    scenario = _load(args)
-    tol = args.tol if args.tol is not None else scenario.tolerances["dual"]
-    section = _dual_section(scenario, scenario.tolerances["classification"], tol)
-    _emit({"scenario": scenario.raw, "dual": section}, args.format)
-    return EXIT_OK
+def cmd_dual(scenario, args):
+    frame_tol = scenario.tolerances["classification"]
+    return {"dual": _dual_section(scenario, frame_tol, _tol(args, scenario, "dual"))}, EXIT_OK
 
 
-def cmd_perturb(args):
-    scenario = _load(args)
+def cmd_perturb(scenario, args):
     if scenario.perturbation_kind is None:
-        print("error: scenario has no perturbation block", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("scenario has no perturbation block")
     section = _perturbation_section(scenario, scenario.tolerances["classification"])
-    _emit({"scenario": scenario.raw, "perturbation": section}, args.format)
-    return EXIT_OK
+    return {"perturbation": section}, EXIT_OK
 
 
-def cmd_independence(args):
-    scenario = _load(args)
-    tol = args.tol if args.tol is not None else scenario.tolerances["classification"]
+def cmd_independence(scenario, args):
+    tol = _tol(args, scenario, "classification")
     bounded, sigma_min = below_bounded_check(scenario.family, tol)
     independent, kernel_dim = independence_check(scenario.family)
-    section = {
+    return {"independence": {
         "bounded_below": bounded,
         "sigma_min": sigma_min,
         "independent": independent,
         "kernel_dimension": kernel_dim,
         "tolerance": tol,
-    }
-    _emit({"scenario": scenario.raw, "independence": section}, args.format)
-    return EXIT_OK
+    }}, EXIT_OK
 
 
 def cmd_verify_examples(args):
@@ -336,36 +319,44 @@ def cmd_verify_examples(args):
     return EXIT_OK
 
 
-def build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--scenario", help="path to a JSON scenario file")
-    shared.add_argument("--format", choices=("json", "csv"), default="json")
-    shared.add_argument("--tol", type=float, default=None, help="override the governing tolerance")
-    shared.add_argument("--nodes", type=int, default=None, help="override the quadrature node count")
-    shared.add_argument("--seed", type=int, default=0, help="seed for the reconstruction test vector")
-    shared.add_argument("--timings", action="store_true", help="include wall-clock timings in reports")
+# Each flag is defined once; a command accepts only the flags it lists below.
+_FLAGS = {
+    "--scenario": dict(required=True, help="path to a JSON scenario file"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--nodes": dict(type=int, default=None, help="override the quadrature node count"),
+    "--tol": dict(type=float, default=None, help="override the governing tolerance"),
+    "--seed": dict(type=int, default=0, help="seed for the reconstruction test vector"),
+    "--timings": dict(action="store_true", help="include wall-clock timings in reports"),
+    "--method": dict(choices=("direct", "neumann"), default="neumann"),
+}
 
+_SCENARIO_FLAGS = ("--scenario", "--format", "--nodes")
+
+# command -> (handler, help text, the flags it reads).  A command that reads
+# --scenario gets (scenario, args) and returns (report sections, exit code).
+COMMANDS = {
+    "analyze": (cmd_analyze, "full frame report for a scenario",
+                _SCENARIO_FLAGS + ("--tol", "--seed", "--timings")),
+    "reconstruct": (cmd_reconstruct, "recover a vector from frame-operator data",
+                    _SCENARIO_FLAGS + ("--tol", "--seed", "--method")),
+    "dual": (cmd_dual, "canonical dual family and resolution check", _SCENARIO_FLAGS + ("--tol",)),
+    "perturb": (cmd_perturb, "perturbation admissibility and bound envelopes", _SCENARIO_FLAGS),
+    "independence": (cmd_independence, "below-boundedness and synthesis kernel",
+                     _SCENARIO_FLAGS + ("--tol",)),
+    "verify-examples": (cmd_verify_examples, "re-verify the built-in worked families",
+                        ("--tol", "--nodes")),
+}
+
+
+def build_parser():
     parser = _Parser(prog="opframes", description=__doc__)
     parser.add_argument("--version", action="version", version=f"opframes {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    needs_scenario = {
-        "analyze": (cmd_analyze, "full frame report for a scenario"),
-        "reconstruct": (cmd_reconstruct, "recover a vector from frame-operator data"),
-        "dual": (cmd_dual, "canonical dual family and resolution check"),
-        "perturb": (cmd_perturb, "perturbation admissibility and bound envelopes"),
-        "independence": (cmd_independence, "below-boundedness and synthesis kernel"),
-    }
-    for name, (handler, help_text) in needs_scenario.items():
-        sub = commands.add_parser(name, parents=[shared], help=help_text)
-        sub.set_defaults(handler=handler, needs_scenario=True)
-    commands.choices["reconstruct"].add_argument(
-        "--method", choices=("direct", "neumann"), default="neumann"
-    )
-    sub = commands.add_parser(
-        "verify-examples", parents=[shared], help="re-verify the built-in worked families"
-    )
-    sub.set_defaults(handler=cmd_verify_examples, needs_scenario=False)
+    for name, (handler, help_text, flags) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -377,11 +368,13 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_USAGE
-    if getattr(args, "needs_scenario", False) and not args.scenario:
-        print("usage error: this command requires --scenario PATH", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        return args.handler(args)
+        if "scenario" not in args:
+            return args.handler(args)
+        scenario = load_scenario(args.scenario, args.nodes)
+        report, code = args.handler(scenario, args)
+        _emit({"scenario": scenario.raw, **report}, args.format)
+        return code
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -17,6 +17,9 @@ computed from that flattening.
 "Is a frame" has one rule, in ``require_frame``, ``classify`` and
 ``below_bounded_check`` alike: A > tol * B with B > 0.  It is relative, so
 rescaling a family never changes the verdict; non-finite bounds fail it.
+A tol below ``algebra.SINGULARITY_RATIO``, the floor at which the
+reconstructors decide, raises ValueError, so no command can accept a
+family that the reconstructors refuse.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, loewner_leq, operator_norm
+from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, loewner_leq, operator_norm
 from .exceptions import NotAFrame
 from .hilbert_module import (
     L2Family,
@@ -200,9 +203,17 @@ def optimal_bounds(data: FrameOperatorData) -> tuple[float, float]:
 
 
 def _is_frame(lower: float, upper: float, tol: float) -> bool:
-    """The one frame rule: A > tol * B with B > 0; NaN bounds fail it."""
+    """The one frame rule: A > tol * B with B > 0; NaN bounds fail it.
+
+    tol may not undercut SINGULARITY_RATIO, the floor at which the
+    reconstructors and additive_admissible decide.
+    """
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    if tol < SINGULARITY_RATIO:
+        raise ValueError(
+            f"tol {tol:g} is below the frame-rule floor SINGULARITY_RATIO = {SINGULARITY_RATIO:g}"
+        )
     return upper > 0.0 and lower > tol * upper
 
 

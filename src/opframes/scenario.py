@@ -262,10 +262,15 @@ def parse_scenario(doc: dict) -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, nodes=None) -> Scenario:
+    """Read and parse a scenario file.  ``nodes`` replaces the measure's node
+    count (its ``count`` for a counting measure) before the one parse."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ScenarioError("", f"not valid JSON: {exc}") from exc
+    measure = doc.get("measure") if isinstance(doc, dict) else None
+    if nodes is not None and isinstance(measure, dict):
+        measure["count" if measure.get("kind") == "counting" else "nodes"] = nodes
     return parse_scenario(doc)

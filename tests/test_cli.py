@@ -4,7 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from opframes import cli
+from opframes import scenario as scenario_module
 from opframes.cli import main
+
+from families import slope_scenario, tiny_slopes
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 DIAGONAL = str(SCENARIOS / "diagonal_slope.json")
@@ -196,3 +200,141 @@ class TestVerifyExamples:
         code, _, err = run(capsys, "verify-examples", "--tol", "1e-16")
         assert code == 1
         assert "resolution" in err
+
+
+# The flags each command reads; every other (command, flag) pair is a usage error.
+ACCEPTED = {
+    "analyze": {"--scenario", "--format", "--nodes", "--tol", "--seed", "--timings"},
+    "reconstruct": {"--scenario", "--format", "--nodes", "--tol", "--seed", "--method"},
+    "dual": {"--scenario", "--format", "--nodes", "--tol"},
+    "independence": {"--scenario", "--format", "--nodes", "--tol"},
+    "perturb": {"--scenario", "--format", "--nodes"},
+    "verify-examples": {"--tol", "--nodes"},
+}
+FLAG_VALUES = {
+    "--scenario": [PERTURBED],
+    "--format": ["csv"],
+    "--nodes": ["32"],
+    "--tol": ["1e-9"],
+    "--seed": ["3"],
+    "--timings": [],
+    "--method": ["direct"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    @pytest.mark.parametrize("command", sorted(ACCEPTED))
+    def test_flag_matrix(self, capsys, command, flag):
+        argv = [command]
+        if "--scenario" in ACCEPTED[command] and flag != "--scenario":
+            argv += ["--scenario", PERTURBED]
+        code, out, err = run(capsys, *argv, flag, *FLAG_VALUES[flag])
+        if flag in ACCEPTED[command]:
+            assert code == 0, err
+        else:
+            assert code == 64
+            assert out == ""
+            assert err.startswith("usage error: ")
+
+    def test_timings_are_opt_in(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--scenario", DIAGONAL, "--timings")
+        assert code == 0
+        timings = json.loads(out)["timings"]
+        assert set(timings) == {"frame_seconds", "dual_reconstruction_seconds"}
+        assert all(seconds >= 0.0 for seconds in timings.values())
+        _, out, _ = run(capsys, "analyze", "--scenario", DIAGONAL)
+        assert json.loads(out)["timings"] is None
+
+
+def write_doc(tmp_path, doc, name="scenario.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestNodesOverride:
+    def test_scenario_is_parsed_once(self, capsys, monkeypatch):
+        calls = []
+        original = scenario_module.parse_scenario
+
+        def counted(doc):
+            calls.append(doc)
+            return original(doc)
+
+        monkeypatch.setattr(scenario_module, "parse_scenario", counted)
+        # an own binding of the name in cli (a second parse there) is counted too
+        monkeypatch.setattr(cli, "parse_scenario", counted, raising=False)
+        code, _, _ = run(capsys, "analyze", "--scenario", DIAGONAL, "--nodes", "2")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_echo_shows_override(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--scenario", DIAGONAL, "--nodes", "7")
+        assert code == 0
+        expected = json.loads(Path(DIAGONAL).read_text())
+        expected["measure"]["nodes"] = 7
+        assert json.loads(out)["scenario"] == expected
+
+    def test_counting_measure_count_is_replaced(self, capsys, tmp_path):
+        doc = slope_scenario((1.0, np.sqrt(3.0) / 2.0), 0.0)
+        del doc["perturbation"]
+        doc["measure"] = {"kind": "counting", "count": 2}
+        code, out, _ = run(capsys, "analyze", "--scenario", write_doc(tmp_path, doc), "--nodes", "3")
+        assert code == 0
+        report = json.loads(out)
+        assert report["scenario"]["measure"] == {"kind": "counting", "count": 3}
+        # nodes 1, 2, 3 with unit weights: S = (1 + 4 + 9) diag(1, 3/4)
+        assert report["frame"]["lower_bound"] == pytest.approx(10.5, rel=1e-12)
+        assert report["frame"]["upper_bound"] == pytest.approx(14.0, rel=1e-12)
+
+    def test_override_replaces_invalid_file_nodes(self, capsys, tmp_path):
+        doc = json.loads(Path(DIAGONAL).read_text())
+        doc["measure"]["nodes"] = 0
+        path = write_doc(tmp_path, doc)
+        code, _, err = run(capsys, "analyze", "--scenario", path)
+        assert code == 1
+        assert "measure.nodes" in err
+        code, out, _ = run(capsys, "analyze", "--scenario", path, "--nodes", "32")
+        assert code == 0
+        assert json.loads(out)["frame"]["lower_bound"] == pytest.approx(0.25, abs=1e-10)
+
+    def test_malformed_measure_names_field(self, capsys, tmp_path):
+        doc = json.loads(Path(DIAGONAL).read_text())
+        doc["measure"] = "oops"
+        code, _, err = run(capsys, "analyze", "--scenario", write_doc(tmp_path, doc), "--nodes", "8")
+        assert code == 1
+        assert err.startswith("scenario error: measure: expected")
+
+
+def tiny_envelope_scenario(kind):
+    """A perturbation scenario over the tiny family, bounds (1e-9, 4e-9/3).
+
+    Its empirical lower bound is below 2e-9, so an absolute slack of 1e-9
+    would accept an envelope whose lower end is 1.5 times that bound.
+    """
+    doc = slope_scenario(tiny_slopes(), 1e-6)
+    if kind == "relative":
+        relative = json.loads(Path(RELATIVE).read_text())["perturbation"]
+        doc["perturbation"] = dict(relative, comparison_family=doc["family"])
+    return doc
+
+
+class TestEnvelopeSlack:
+    @pytest.mark.parametrize("kind", ["additive", "relative"])
+    def test_slack_is_relative_to_the_bound(self, capsys, monkeypatch, tmp_path, kind):
+        path = write_doc(tmp_path, tiny_envelope_scenario(kind))
+        code, out, _ = run(capsys, "perturb", "--scenario", path)
+        assert code == 0
+        section = json.loads(out)["perturbation"]
+        assert section["within_envelope"] is True
+        empirical_lower = section["empirical_bounds"][0]
+        assert 0.0 < empirical_lower < 2e-9
+        name = f"{kind}_envelope"
+        envelope = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *args: (1.5 * empirical_lower, envelope(*args)[1])
+        )
+        code, out, _ = run(capsys, "perturb", "--scenario", path)
+        assert code == 0
+        assert json.loads(out)["perturbation"]["within_envelope"] is False

@@ -175,3 +175,36 @@ def test_commands_agree_with_analyze(name, tmp_path, capsys):
     code, captured = run("independence")
     assert code == 0
     assert json.loads(captured.out)["independence"]["bounded_below"] is is_frame
+
+
+@pytest.mark.parametrize("tol", [SINGULARITY_RATIO * (1.0 - 1e-3), 1e-14, 1e-300])
+def test_tolerance_below_the_floor_is_refused(tol):
+    family = diagonal_slope_family()
+    data = frame_operator(family)
+    calls = (
+        lambda: require_frame(data, tol),
+        lambda: classify(data, tol),
+        lambda: canonical_dual(family, tol),
+        lambda: below_bounded_check(family, tol),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="below the frame-rule floor SINGULARITY_RATIO"):
+            call()
+
+
+def test_commands_refuse_a_classification_tolerance_below_the_floor(tmp_path, capsys):
+    # A / B = 3.2e-14 lies between the scenario tolerance and the floor
+    doc = slope_scenario(ratio_slopes(3.2e-14), 1e-5)
+    doc["tolerances"] = {"classification": 1e-14}
+    path = tmp_path / "below_floor.json"
+    path.write_text(json.dumps(doc))
+    errors = set()
+    for command in ("analyze", "dual", "reconstruct", "perturb", "independence"):
+        code = main([command, "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1, command
+        assert captured.out == ""
+        errors.add(captured.err)
+    assert errors == {
+        "error: tol 1e-14 is below the frame-rule floor SINGULARITY_RATIO = 1e-13\n"
+    }
