@@ -28,12 +28,10 @@ from .frames import (
     OperatorFamily,
     analysis,
     below_bounded_check,
-    check_frame_inequality,
     classify,
     extremal_vector,
     frame_operator,
     independence_check,
-    norm_bounds_estimate,
     optimal_bounds,
     synthesis,
 )

@@ -16,6 +16,8 @@ import io
 import json
 import sys
 import time
+from itertools import product, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .perturbation import (
 )
 from .quadrature import gauss_legendre
 from .reconstruction import reconstruct_direct, reconstruct_neumann
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, _numeric_block, load_scenario
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -181,11 +183,76 @@ def _perturbation_section(scenario, frame_tol):
     }
 
 
-def _emit(report, fmt):
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return
-    buffer = io.StringIO()
+def _block_template(shape, level):
+    """The indented json layout of a nested list of ``shape`` at ``level``, one %s per leaf."""
+    text = "%s"
+    for depth in reversed(range(len(shape))):
+        inner = "\n" + "  " * (level + depth + 1)
+        text = f"[{inner}{(',' + inner).join([text] * shape[depth])}\n{'  ' * (level + depth)}]"
+    return text
+
+
+def _finite(flat):
+    """Whether every number in ``flat`` is finite, read from their sum.
+
+    A sum that overflows on finite numbers answers False, which only sends
+    them through the element-by-element path.
+    """
+    try:
+        total = sum(flat)
+    except OverflowError:                  # an int beyond float range beside a float
+        return False
+    return total - total == 0.0
+
+
+def _write_json(value, level, write):
+    """Write ``json.dumps(value, indent=2, sort_keys=True)`` for a subtree at nesting ``level``.
+
+    A finite numeric block is written a row of its outermost axis at a time,
+    each row filling one layout template with the reprs of its numbers, as
+    json spells them.  Types this encoder does not know, and non-finite
+    numbers, go to the stdlib.
+    """
+    kind = type(value)
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if kind is str:
+        write(encode_basestring_ascii(value))
+    elif value is None:
+        write("null")
+    elif kind is bool:
+        write("true" if value else "false")
+    elif kind is int or (kind is float and value - value == 0.0):
+        write(repr(value))
+    elif kind is dict and value and set(map(type, value)) == {str}:
+        opening = "{"
+        for key in sorted(value):
+            write(f"{opening}{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(value[key], level + 1, write)
+            opening = ","
+        write(close + "}")
+    elif kind is list and value:
+        block = _numeric_block(value)
+        opening = "["
+        if block is not None and _finite(block[1]):
+            shape, flat = block
+            row = _block_template(shape[1:], level + 1)
+            width = len(flat) // shape[0]
+            for start in range(0, len(flat), width):
+                write(opening + inner + row % tuple(map(repr, flat[start:start + width])))
+                opening = ","
+        else:
+            for item in value:
+                write(opening + inner)
+                _write_json(item, level + 1, write)
+                opening = ","
+        write(close + "]")
+    else:
+        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", close))
+
+
+def _write_csv(report, buffer):
+    """Write ``field,value`` rows, one per leaf, as csv.writer writes them."""
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["field", "value"])
 
@@ -194,12 +261,31 @@ def _emit(report, fmt):
             for key in sorted(value):
                 walk(f"{prefix}.{key}" if prefix else key, value[key])
         elif isinstance(value, (list, tuple)):
+            # a numeric block's rows are joined directly where csv.writer would not quote the path
+            block = None if any(c in prefix for c in ',"\r\n') else _numeric_block(value)
+            if block is not None:
+                shape, flat = block
+                suffixes = product(*([f"[{i}]" for i in range(d)] for d in shape))
+                buffer.write("".join(map("{}{},{}\n".format, repeat(prefix),
+                                         map("".join, suffixes), map(repr, flat))))
+                return
             for i, item in enumerate(value):
                 walk(f"{prefix}[{i}]", item)
         else:
             writer.writerow([prefix, "" if value is None else value])
 
     walk("", report)
+
+
+def _emit(report, fmt):
+    """Write the report to stdout: json exactly as ``json.dumps(report, indent=2,
+    sort_keys=True)`` writes it, or csv.  Nothing is written if encoding fails."""
+    buffer = io.StringIO()
+    if fmt == "json":
+        _write_json(report, 0, buffer.write)
+        buffer.write("\n")
+    else:
+        _write_csv(report, buffer)
     sys.stdout.write(buffer.getvalue())
 
 

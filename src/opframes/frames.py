@@ -28,16 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, loewner_leq, operator_norm
+from .algebra import SINGULARITY_RATIO, AlgebraDescriptor
 from .exceptions import NotAFrame
-from .hilbert_module import (
-    L2Family,
-    ModuleOperator,
-    ModuleVector,
-    apply,
-    inner_product,
-    random_vector,
-)
+from .hilbert_module import L2Family, ModuleOperator, ModuleVector
 from .quadrature import QuadratureRule, _integrate_products, _side_by_side
 
 PARAMETRIC = "parametric"
@@ -262,40 +255,6 @@ def classify(data: FrameOperatorData, tol: float = 1e-8) -> FrameReport:
         tight_value=tight_value,
         diagnostics=note,
     )
-
-
-def check_frame_inequality(family, lower, upper, xs, tol: float = 1e-10) -> bool:
-    """Directly verify  lower <x,x> <= <Sx,x> <= upper <x,x>  on given vectors."""
-    if lower > upper:
-        raise ValueError("need lower <= upper")
-    data = frame_operator(family)
-    for x in xs:
-        gram = inner_product(x, x)
-        middle = inner_product(apply(data.element, x), x)
-        if not loewner_leq(lower * gram, middle, tol):
-            return False
-        if not loewner_leq(middle, upper * gram, tol):
-            return False
-    return True
-
-
-def norm_bounds_estimate(family, sample_count: int, seed=0) -> tuple[float, float]:
-    """Sampled min/max of ||<Sx,x>|| over random unit vectors.
-
-    The estimates always lie inside the optimal bounds; they approach them
-    as the sample count grows.  Deterministic for a given seed.
-    """
-    if sample_count < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    data = frame_operator(family)
-    lo, hi = np.inf, -np.inf
-    for _ in range(sample_count):
-        x = random_vector(family.descriptor, family.n, rng, unit=True)
-        value = operator_norm(inner_product(apply(data.element, x), x))
-        lo = min(lo, value)
-        hi = max(hi, value)
-    return lo, hi
 
 
 def _singular_values(family) -> np.ndarray:

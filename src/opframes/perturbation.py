@@ -150,13 +150,14 @@ def additive_admissible(
 ) -> tuple[bool, float, float]:
     """Whether the perturbation energy stays below the lower frame bound.
 
-    Returns (admissible, R, A) with the criterion R < A - tol; refuses
+    Returns (admissible, R, A) with the criterion R < (1 - tol) A, relative to
+    A so that rescaling the problem never changes the verdict; refuses
     A <= SINGULARITY_RATIO * B, as the reconstructors do.  The energy criterion
     is what the envelope consumes; integral |c|^2 < A / ||K|| is not used.
     """
     lo, _ = require_frame(frame_operator(family), SINGULARITY_RATIO)
     energy = pert.energy(family.rule)
-    return energy < lo - tol, energy, lo
+    return energy < (1.0 - tol) * lo, energy, lo
 
 
 def additive_envelope(lower: float, upper: float, energy: float) -> tuple[float, float]:

@@ -81,7 +81,13 @@ class QuadratureRule:
 
 
 def gauss_legendre(a: float, b: float, n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [a, b]; exact through degree 2n - 1."""
+    """n-point Gauss-Legendre rule on [a, b] from numpy's ``leggauss``.
+
+    In exact arithmetic the rule integrates polynomials through degree
+    2n - 1.  In double precision the nodes are accurate to about 1e-16, but
+    the endpoint weights are not: their relative error grows with n, to about
+    1e-12 at n = 64, 1e-10 at n = 512 and 6e-8 at n = 2048.
+    """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if n < 1:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -85,8 +86,36 @@ def _complex_pair(value, path):
     return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
+def _numeric_block(value):
+    """``(shape, flat)`` of a rectangular nested list whose leaves are all exactly
+    int or float (bool is not), flattened level by level; else None."""
+    shape, level = [], [value]
+    while True:
+        kinds = set(map(type, level))
+        if kinds != {list}:
+            return (tuple(shape), level) if shape and kinds <= {int, float} else None
+        lengths = set(map(len, level))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+
+
 def _complex_blocks(value, shape, path):
-    """Nested lists of [re, im] pairs with the given block shape."""
+    """Nested lists of [re, im] pairs with the given block shape.
+
+    A rectangular all-finite numeric block is converted in one step; anything
+    else (wrong shape, bool or string leaves, non-finite or huge numbers) goes
+    through the element walker, which names the offending field.
+    """
+    block = _numeric_block(value)
+    if block is not None and block[0] == (*shape, 2):
+        try:
+            flat = np.array(block[1], dtype=float)
+        except OverflowError:
+            flat = None
+        if flat is not None and np.isfinite(flat).all():
+            return flat.view(np.complex128).reshape(shape)
     out = np.zeros(shape, dtype=np.complex128)
     def fill(node, idx, sub_path):
         if len(idx) == len(shape):

@@ -6,6 +6,9 @@ uses LAPACK), so spectral claims are checked against an unrelated
 algorithm.
 """
 
+import csv
+import io
+
 import numpy as np
 
 
@@ -128,3 +131,68 @@ def sampled_relative_criterion(weights, a, b, alpha, beta, M, N, xs, tol=1e-10):
         if np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)[0] < -floor:
             return False
     return True
+
+
+def _loewner_leq(a, b, tol):
+    """a <= b: b - a Hermitian and positive within the floor tol * (||b - a|| + 1)."""
+    gap = b - a
+    floor = tol * (np.linalg.norm(gap, 2) + 1.0)
+    if np.linalg.norm(gap - gap.conj().T, 2) > floor:
+        return False
+    return np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)[0] >= -floor
+
+
+def check_frame_inequality(family, lower, upper, xs, tol=1e-10):
+    """The sampled frame inequality  lower <x,x> <= <Sx,x> <= upper <x,x>  on the
+    given module vectors, with <x,x> = X X* and <Sx,x> = X s X* for the k x nk
+    flattening X of x and s folded node by node.  A pass only covers the vectors given."""
+    s = fold_products(family.rule.weights, family.flats, family.flats)
+    for x in xs:
+        flat = x.flatten()
+        gram, middle = flat @ flat.conj().T, flat @ s @ flat.conj().T
+        if not (_loewner_leq(lower * gram, middle, tol) and _loewner_leq(middle, upper * gram, tol)):
+            return False
+    return True
+
+
+def norm_bounds_estimate(family, sample_count, seed=0):
+    """Sampled min/max of ||<Sx,x>|| over random unit vectors x (||<x,x>|| = 1).
+
+    The estimates lie inside the optimal bounds and approach them as the
+    sample count grows.  Deterministic for a given seed.
+    """
+    if sample_count < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    s = fold_products(family.rule.weights, family.flats, family.flats)
+    k, n = family.descriptor.dim, family.n
+    values = []
+    for _ in range(sample_count):
+        stack = rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k))
+        if family.descriptor.is_diagonal:
+            stack = stack * np.eye(k)
+        flat = stack.transpose(1, 0, 2).reshape(k, n * k)
+        flat = flat / np.linalg.norm(flat, 2)
+        values.append(float(np.linalg.norm(flat @ s @ flat.conj().T, 2)))
+    return min(values), max(values)
+
+
+def csv_report(report):
+    """The csv report, row by row through csv.writer: the reference for the
+    bulk csv emitter."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["field", "value"])
+
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for key in sorted(value):
+                walk(f"{prefix}.{key}" if prefix else key, value[key])
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                walk(f"{prefix}[{i}]", item)
+        else:
+            writer.writerow([prefix, "" if value is None else value])
+
+    walk("", report)
+    return buffer.getvalue()

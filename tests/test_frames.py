@@ -7,12 +7,10 @@ from opframes.frames import (
     OperatorFamily,
     analysis,
     below_bounded_check,
-    check_frame_inequality,
     classify,
     extremal_vector,
     frame_operator,
     independence_check,
-    norm_bounds_estimate,
     optimal_bounds,
     synthesis,
 )
@@ -30,7 +28,7 @@ from opframes.hilbert_module import (
 from opframes.quadrature import counting, gauss_legendre
 
 from families import rank_deficient_family
-from oracles import psd_within
+from oracles import check_frame_inequality, norm_bounds_estimate, psd_within
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)

@@ -1,0 +1,306 @@
+"""Bulk parse and emit of numeric blocks against the element-by-element paths.
+
+A numeric block is a rectangular nested list whose leaves are all exactly
+int or float.  ``scenario._complex_blocks`` converts one in a single step
+and falls back to its element walker on anything else; ``cli._emit``
+writes one from a layout template.  These tests hold both to the slow
+paths they replace: the walker (with the block helper switched off), the
+stdlib ``json.dumps(indent=2, sort_keys=True)`` and the row-by-row csv
+writer in ``oracles.csv_report``.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from opframes import scenario
+from opframes.algebra import AlgebraDescriptor
+from opframes.catalog import random_frame_family
+from opframes.cli import _emit, main
+from opframes.quadrature import gauss_legendre
+
+from oracles import csv_report
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+SCENARIO_COMMANDS = ("analyze", "reconstruct", "dual", "perturb", "independence")
+
+
+def pairs(arr):
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def generated_doc(kind, k, n, nodes, form, seed, perturbation=None):
+    """A small scenario of one of the benchmark's forms, from catalog.random_frame_family."""
+    descriptor = AlgebraDescriptor(kind, k)
+    family = random_frame_family(descriptor, n, gauss_legendre(0.0, 1.0, nodes), seed=seed)
+    if form == "sampled":
+        blocks = family.flats.reshape(nodes, n, k, n, k).transpose(0, 1, 3, 2, 4)
+        family_doc = {"form": "sampled", "operators": pairs(blocks)}
+    else:
+        family_doc = {"form": "parametric", "coefficients": pairs(family.coefficients)}
+    doc = {
+        "schema_version": 1,
+        "algebra": {"kind": kind, "dim": k},
+        "module_rank": n,
+        "measure": {"kind": "lebesgue_interval", "a": 0.0, "b": 1.0,
+                    "rule": "gauss_legendre", "nodes": nodes},
+        "family": family_doc,
+    }
+    if perturbation == "additive":
+        doc["perturbation"] = {
+            "kind": "additive",
+            "operator": pairs(0.1 * family.coefficients[0]),
+            "coefficient": {"form": "polynomial", "coefficients": [[0.1, 0.0]]},
+        }
+    elif perturbation == "relative":
+        doc["perturbation"] = {
+            "kind": "relative",
+            "comparison_family": {"form": "parametric",
+                                  "coefficients": pairs(1.01 * family.coefficients)},
+            "scale_primal": {"form": "polynomial", "coefficients": [1.0, 0.5]},
+            "scale_other": {"form": "polynomial", "coefficients": [1.0, 0.5]},
+            "alpha": 0.25,
+            "beta": 0.25,
+        }
+    return doc
+
+
+def documents():
+    """The demo scenarios and one small scenario of each benchmark workload's form."""
+    docs = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
+    docs["sampled_full"] = generated_doc("full", 2, 2, 4, "sampled", seed=1)
+    docs["parametric_diagonal"] = generated_doc("diagonal", 3, 2, 8, "parametric", seed=2)
+    docs["relative_diagonal"] = generated_doc("diagonal", 2, 2, 6, "parametric", 3, "relative")
+    docs["additive_full"] = generated_doc("full", 2, 2, 5, "parametric", 4, "additive")
+    return docs
+
+
+def block_tables(doc):
+    """(owner, key) of every table that _complex_blocks parses."""
+    tables = []
+    for owner in (doc["family"], (doc.get("perturbation") or {}).get("comparison_family")):
+        if owner is not None:
+            tables.append((owner, "coefficients" if "coefficients" in owner else "operators"))
+    if "operator" in (doc.get("perturbation") or {}):
+        tables.append((doc["perturbation"], "operator"))
+    return tables
+
+
+def first_pair(block):
+    """The innermost list holding a block's first [re, im] pair, and that pair."""
+    row = block
+    while isinstance(row[0][0], list):
+        row = row[0]
+    return row, row[0]
+
+
+def set_leaf(index, value):
+    def mutate(block):
+        first_pair(block)[1][index] = value
+    return mutate
+
+
+def drop_pair(block):                 # a ragged row
+    first_pair(block)[0].pop()
+
+
+def add_pair(block):                  # a row one too long
+    row, pair = first_pair(block)
+    row.append(list(pair))
+
+
+def add_part(block):                  # a pair of three
+    first_pair(block)[1].append(0.0)
+
+
+def pair_to_number(block):
+    row = first_pair(block)[0]
+    row[0] = 1.0
+
+
+def extra_entry(block):               # the outermost list one too long
+    block.append(copy.deepcopy(block[-1]))
+
+
+def negative_zeros(block):
+    row = first_pair(block)[0]
+    row[0] = [-0.0, -0.0]
+
+
+def tuple_pair(block):
+    row, pair = first_pair(block)
+    row[0] = tuple(pair)
+
+
+MUTATIONS = {
+    "bool_leaf": set_leaf(0, True),
+    "string_leaf": set_leaf(1, "1.5"),
+    "null_leaf": set_leaf(0, None),
+    "nan_leaf": set_leaf(1, float("nan")),
+    "overflow_float": set_leaf(0, json.loads("1e400")),
+    "huge_int": set_leaf(1, 10**400),
+    "ragged_row": drop_pair,
+    "long_row": add_pair,
+    "three_part_pair": add_part,
+    "number_for_pair": pair_to_number,
+    "extra_entry": extra_entry,
+    "negative_zeros": negative_zeros,
+    "tuple_pair": tuple_pair,
+}
+
+
+def parsed_arrays(sc):
+    """Every array that _complex_blocks fed, as (shape, dtype, bytes) so -0.0 counts."""
+    arrays = [sc.family.flats, sc.family.coefficients]
+    if sc.comparison_family is not None:
+        arrays += [sc.comparison_family.flats, sc.comparison_family.coefficients]
+    if sc.additive is not None:
+        arrays.append(sc.additive.operator.blocks)
+    return [None if a is None else (a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+
+def outcome(doc):
+    try:
+        return "parsed", parsed_arrays(scenario.parse_scenario(doc))
+    except Exception as exc:  # the walker's own exception types are part of the contract
+        return "raised", (type(exc), str(exc), getattr(exc, "field_path", None))
+
+
+def walker_outcome(doc, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario, "_numeric_block", lambda value: None)
+        return outcome(doc)
+
+
+def mutated_cases():
+    for name, doc in documents().items():
+        for t in range(len(block_tables(doc))):
+            for mutation in MUTATIONS:
+                yield pytest.param(name, t, mutation, id=f"{name}-{t}-{mutation}")
+
+
+@pytest.mark.parametrize("name", sorted(documents()))
+def test_valid_documents_parse_bit_identically(name, monkeypatch):
+    doc = documents()[name]
+    fast = outcome(doc)
+    assert fast[0] == "parsed"
+    assert fast == walker_outcome(doc, monkeypatch)
+
+
+@pytest.mark.parametrize("name,table,mutation", list(mutated_cases()))
+def test_mutated_documents_match_the_walker(name, table, mutation, monkeypatch):
+    doc = documents()[name]
+    owner, key = block_tables(doc)[table]
+    block = owner[key][-1] if key in ("coefficients", "operators") else owner[key]
+    MUTATIONS[mutation](block)
+    assert outcome(doc) == walker_outcome(doc, monkeypatch)
+
+
+def test_fast_path_keeps_the_sign_of_zero():
+    doc = documents()["sampled_full"]
+    negative_zeros(doc["family"]["operators"][0])
+    entry = scenario.parse_scenario(doc).family.flats[0, 0, 0]
+    assert np.signbit(entry.real) and np.signbit(entry.imag)
+
+
+@pytest.mark.parametrize("name", ["diagonal_slope", "sampled_full"])
+def test_valid_blocks_bypass_the_walker(name, monkeypatch):
+    def walker_pair(value, path):
+        raise AssertionError(f"walker reached {path}")
+
+    monkeypatch.setattr(scenario, "_complex_pair", walker_pair)
+    scenario.parse_scenario(documents()[name])
+
+
+# ------------------------------------------------------------------ emit
+
+NUMBERS = (
+    st.floats()
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e22, -1e22])
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1])
+)
+TEXT = st.text() | st.sampled_from(["é", "Ωmega ∑", " ", "tab\t", 'q"uote,comma\nline', "%s"])
+KEYS = TEXT | st.sampled_from(["", "a,b", "x[0]", "field.value", "\r"])
+SCALARS = NUMBERS | TEXT | st.booleans() | st.none()
+
+
+def nest(flat, shape):
+    for size in reversed(shape[1:]):
+        flat = [flat[i:i + size] for i in range(0, len(flat), size)]
+    return flat
+
+
+BLOCKS = st.lists(st.integers(1, 3), min_size=1, max_size=4).flatmap(
+    lambda shape: st.lists(NUMBERS, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+        lambda flat: nest(flat, shape)
+    )
+)
+
+
+def damage(block, how):
+    """A block with a bool leaf, one row cut short, or one row a tuple."""
+    row = block
+    while isinstance(row[0], list):
+        row = row[0]
+    if how == "bool":
+        row[0] = True
+    elif how == "ragged":
+        row.pop()
+    elif how == "tuple" and row is not block:
+        parent = block
+        while parent[0] is not row:
+            parent = parent[0]
+        parent[0] = tuple(row)
+    return block
+
+
+DAMAGED = st.builds(damage, BLOCKS, st.sampled_from(["bool", "ragged", "tuple"]))
+VALUES = st.recursive(
+    SCALARS | BLOCKS | DAMAGED,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=24,
+)
+
+
+def emitted(report, fmt):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit(report, fmt)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES)
+@example({"operators": [[[[0.5, -0.0]], [[1e22, 5e-324]]]], "empty": [[], {}, ()]})
+@example({"ints": {1: [1.0, 2.0], 2: {"x": math.nan}}, "np": [np.float64(0.1), 1.0]})
+@example({"spectrum": [1.0, math.inf, 2.0], "huge": [2**64 + 1, 0.5], "mixed": [1, 2.5]})
+def test_json_matches_stdlib(report):
+    assert emitted(report, "json") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES)
+@example({'a,b': [[1.0, 2.0]], 'q"': [3], "line\nbreak": [[0.5]], "ok": [[math.nan, -0.0]]})
+@example({"np": [np.float64(0.1), 1.0], "bools": [True, 1.5], "t": (1.0, 2.0)})
+def test_csv_matches_row_walker(report):
+    assert emitted(report, "csv") == csv_report(report)
+
+
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_json_reports_keep_the_stdlib_layout(command, path, capsys):
+    main([command, "--scenario", str(path)])
+    out = capsys.readouterr().out
+    if out:
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -141,6 +141,15 @@ class TestAdmissibility:
         with pytest.raises(NotAFrame):
             additive_admissible(rank_deficient_family(), identity_perturbation(0.1))
 
+    def test_slope_family_scaled_by_1e_minus_6_with_quarter_energy_is_admissible(self):
+        # A = 2.5e-13 and A/B = 0.75; the absolute margin R < A - 1e-12 refused it
+        c = 1e-6
+        fam = diagonal_slope_family((c, c * ROOT3 / 2.0))
+        admissible, energy, lower = additive_admissible(fam, identity_perturbation(c / 4.0))
+        assert lower == pytest.approx(c * c / 4.0, rel=1e-12)
+        assert energy == pytest.approx(lower / 4.0, rel=1e-12)
+        assert admissible
+
 
 class TestAdditiveEnvelope:
     def test_zero_energy_reproduces_bounds(self):
