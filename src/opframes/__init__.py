@@ -3,7 +3,7 @@
 A numerical toolkit for node-sampled families of adjointable operators
 over matrix C*-algebras: frame operators and optimal bounds, direct and
 iterative reconstruction, canonical dual families, and perturbation
-bound envelopes, all backed by dense complex linear algebra.
+bound envelopes, all backed by complex linear algebra on slot blocks.
 """
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ from .hilbert_module import (
     ModuleOperator,
     ModuleVector,
     apply,
-    check_norm_domination,
     compose,
     inner_product,
     l2_inner_product,

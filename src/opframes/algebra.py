@@ -66,10 +66,6 @@ class AlgebraElement:
         object.__setattr__(self, "entries", entries)
 
     @classmethod
-    def from_matrix(cls, descriptor, matrix):
-        return cls(descriptor, matrix)
-
-    @classmethod
     def diagonal(cls, descriptor, values):
         """Element with the given diagonal, valid for both algebra kinds."""
         values = np.asarray(values, dtype=np.complex128)

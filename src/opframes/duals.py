@@ -4,7 +4,8 @@ The canonical dual of a frame {T_w} is {T_w S^-1}: apply the inverse
 frame operator first, then the node operator.  In the right-multiplication
 picture the dual node matrix is ``s_inv @ M_w``, and the dual frame
 operator is ``s_inv`` itself, so the dual's optimal bounds are exactly
-(1/B, 1/A) of the primal.
+(1/B, 1/A) of the primal.  Both the inverse and the resolution of the
+identity are taken per slot block (see ``frames``).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import PARAMETRIC, OperatorFamily, frame_operator, optimal_bounds, require_frame
+from .hilbert_module import _from_slots, _to_slots
 from .quadrature import _integrate_products
 
 
@@ -29,16 +31,14 @@ def canonical_dual(family: OperatorFamily, tol: float = 1e-10) -> OperatorFamily
     """The family {T_w S^-1} of a frame at ``tol``; parametric input yields parametric output."""
     data = frame_operator(family)
     require_frame(data, tol)
-    s_inv = np.linalg.inv(data.flat)
+    s_inv = np.linalg.inv(data.blocks)[:, None]
+    descriptor, n, k = family.descriptor, family.n, family.descriptor.dim
     if family.form == PARAMETRIC:
-        coeffs = family.coefficients
-        deg, n = coeffs.shape[0], family.n
-        k = family.descriptor.dim
-        flat_coeffs = coeffs.transpose(0, 1, 3, 2, 4).reshape(deg, n * k, n * k)
-        dual_flat = s_inv @ flat_coeffs
-        dual_coeffs = dual_flat.reshape(deg, n, k, n, k).transpose(0, 1, 3, 2, 4)
-        return OperatorFamily.parametric(family.rule, family.descriptor, n, dual_coeffs)
-    return OperatorFamily.from_flats(family.rule, family.descriptor, family.n, s_inv @ family.flats)
+        flat_coeffs = family.coefficients.transpose(0, 1, 3, 2, 4).reshape(-1, n * k, n * k)
+        dual_flat = _from_slots(descriptor, s_inv @ _to_slots(descriptor, flat_coeffs))
+        dual_coeffs = dual_flat.reshape(-1, n, k, n, k).transpose(0, 1, 3, 2, 4)
+        return OperatorFamily.parametric(family.rule, descriptor, n, dual_coeffs)
+    return OperatorFamily(family.rule, descriptor, n, s_inv @ family.blocks)
 
 
 def is_dual_pair(primal: OperatorFamily, other: OperatorFamily, tol: float = 1e-10) -> DualPairReport:
@@ -46,14 +46,14 @@ def is_dual_pair(primal: OperatorFamily, other: OperatorFamily, tol: float = 1e-
 
     The per-node composition in the right-multiplication picture is
     ``L_w @ M_w*``; the pair is dual when the weighted sum of those
-    products is the identity to tolerance.
+    products is the identity to tolerance, in the largest spectral norm over the slots.
     """
     if primal.rule != other.rule:
         raise ValueError("families must share one quadrature rule")
     if primal.descriptor != other.descriptor or primal.n != other.n:
         raise ValueError("families must share descriptor and rank")
-    resolution = _integrate_products(primal.rule, other.flats, primal.flats)
-    residual = float(np.linalg.norm(resolution - np.eye(resolution.shape[0]), 2))
+    resolution = _integrate_products(primal.rule, other.blocks, primal.blocks)
+    residual = float(np.max(np.linalg.norm(resolution - np.eye(resolution.shape[-1]), 2, axis=(1, 2))))
     lo, hi = optimal_bounds(frame_operator(other))
     return DualPairReport(
         is_dual=residual <= tol,

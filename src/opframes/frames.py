@@ -11,8 +11,11 @@ In the right-multiplication representation S acts as ``x @ s`` where
 two-sided inequality  A <x,x>  <=  <Sx,x>  <=  B <x,x>  are the extreme
 eigenvalues of the flattened ``s``: under the row flattening X of x one
 has <Sx,x> = X s X* and <x,x> = X X*, and placing an extremal eigenvector
-in a single row of X attains equality.  All spectral quantities below are
-computed from that flattening.
+in a single row of X attains equality.  A family stores its node operators
+as slot blocks (``hilbert_module``), (k, N, n, n) for a diagonal algebra and
+(1, N, nk, nk) for a full one, and every spectral quantity is one batched
+kernel over the slots: the spectrum of s is the union of its blocks'
+spectra.  The dense ``flats`` and ``flat`` are built on demand.
 
 "Is a frame" has one rule, in ``require_frame``, ``classify`` and
 ``below_bounded_check`` alike: A > tol * B with B > 0.  It is relative, so
@@ -25,16 +28,22 @@ family that the reconstructors refuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import SINGULARITY_RATIO, AlgebraDescriptor
 from .exceptions import NotAFrame
-from .hilbert_module import L2Family, ModuleOperator, ModuleVector
+from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _from_slots, _to_slots
 from .quadrature import QuadratureRule, _integrate_products, _side_by_side
 
 PARAMETRIC = "parametric"
 SAMPLED = "sampled"
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 class OperatorFamily:
@@ -42,19 +51,18 @@ class OperatorFamily:
 
     Parametric families store polynomial coefficients, lowest degree first,
     as an array of shape (degree + 1, n, n, k, k); the node operator is the
-    polynomial evaluated at that node.  Sampled families store one operator
-    per node.  The flats are read-only, so the frame operator and the
-    singular values computed from them are cached on the family.
+    polynomial evaluated at that node.  The node operators are read-only
+    slot blocks (m, N, b, b), so the frame operator and the singular values
+    computed from them are cached on the family.
     """
 
-    def __init__(self, rule, descriptor, n, *, coefficients=None, flats=None, form):
+    def __init__(self, rule, descriptor, n, blocks, coefficients=None):
         self.rule = rule
         self.descriptor = descriptor
         self.n = n
-        self.form = form
+        self.form = SAMPLED if coefficients is None else PARAMETRIC
         self.coefficients = coefficients
-        flats.setflags(write=False)
-        self._flats = flats
+        self.blocks = _read_only(blocks)
         self._frame = None               # FrameOperatorData, set by frame_operator
         self._sigma = None               # singular values, set by _singular_values
 
@@ -70,13 +78,12 @@ class OperatorFamily:
         # each coefficient is itself a valid operator, so every node evaluation is one
         for d in range(coefficients.shape[0]):
             ModuleOperator(descriptor, coefficients[d])
-        coefficients = coefficients.copy()
-        coefficients.setflags(write=False)
-        nk = n * k
-        flat_coeffs = coefficients.transpose(0, 1, 3, 2, 4).reshape(-1, nk, nk)
-        powers = rule.nodes[:, None] ** np.arange(flat_coeffs.shape[0])[None, :]
-        flats = np.tensordot(powers, flat_coeffs, axes=1)
-        return cls(rule, descriptor, n, coefficients=coefficients, flats=flats, form=PARAMETRIC)
+        coefficients = _read_only(coefficients.copy())
+        flat_coeffs = coefficients.transpose(0, 1, 3, 2, 4).reshape(-1, n * k, n * k)
+        powers = rule.nodes[:, None] ** np.arange(len(coefficients))[None, :]
+        blocks = np.tensordot(powers, _to_slots(descriptor, flat_coeffs), axes=([1], [1]))
+        blocks = np.ascontiguousarray(blocks.swapaxes(0, 1))
+        return cls(rule, descriptor, n, blocks, coefficients)
 
     @classmethod
     def sampled(cls, rule: QuadratureRule, operators):
@@ -100,15 +107,12 @@ class OperatorFamily:
         slot = np.arange(n * k) % k  # the algebra index of each flattened row and column
         if descriptor.is_diagonal and np.any(flats[:, slot[:, None] != slot]):
             raise ValueError("operator blocks: diagonal descriptor requires zero off-diagonal entries")
-        return cls(rule, descriptor, n, flats=flats, form=SAMPLED)
+        return cls(rule, descriptor, n, _to_slots(descriptor, flats))
 
     @property
     def flats(self) -> np.ndarray:
-        """(N, n*k, n*k) array of flattened node operators."""
-        return self._flats
-
-    def node_operator(self, i) -> ModuleOperator:
-        return ModuleOperator.from_flat(self.descriptor, self._flats[i])
+        """(N, n*k, n*k) array of flattened node operators, built from the blocks on each read."""
+        return _read_only(_from_slots(self.descriptor, self.blocks))
 
     def with_rule(self, rule: QuadratureRule) -> "OperatorFamily":
         """Re-sample a parametric family on another rule (sampled forms cannot move)."""
@@ -122,20 +126,28 @@ class OperatorFamily:
 
 @dataclass(frozen=True, eq=False)
 class FrameOperatorData:
-    """Frame operator of a family: blocks over A, flattening, and its spectrum."""
+    """Frame operator of a family as slot blocks, with the blocks' eigenpairs."""
 
-    element: ModuleOperator              # s with S x = x @ s
-    flat: np.ndarray                     # (n*k, n*k) Hermitian
-    eigenvalues: np.ndarray              # ascending
-    eigenvectors: np.ndarray             # columns match eigenvalues
+    descriptor: AlgebraDescriptor
+    blocks: np.ndarray                   # (m, b, b) Hermitian, one per slot
+    block_eigenvalues: np.ndarray        # (m, b), each row ascending
+    block_eigenvectors: np.ndarray       # (m, b, b), columns match the rows above
 
-    @property
-    def descriptor(self):
-        return self.element.descriptor
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of the flattened s, ascending (one slot's eigh is sorted already)."""
+        values = self.block_eigenvalues
+        return _read_only(np.sort(values, axis=None) if len(values) > 1 else values.ravel())
 
-    @property
-    def n(self):
-        return self.element.n
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """(n*k, n*k) Hermitian flattening of s."""
+        return _read_only(_from_slots(self.descriptor, self.blocks))
+
+    @cached_property
+    def element(self) -> ModuleOperator:
+        """s as an operator on A^n, S x = x @ s."""
+        return ModuleOperator.from_flat(self.descriptor, self.flat)
 
 
 @dataclass(frozen=True)
@@ -156,7 +168,8 @@ def analysis(family: OperatorFamily, x: ModuleVector) -> L2Family:
     """Apply every node operator to x; node and weight metadata travel along."""
     if x.descriptor != family.descriptor or x.n != family.n:
         raise ValueError("vector does not match the family shape")
-    out = x.flatten() @ family.flats
+    rows = _to_slots(family.descriptor, x.flatten())[:, None] @ family.blocks
+    out = _from_slots(family.descriptor, rows)
     k = family.descriptor.dim
     samples = out.reshape(len(family), k, family.n, k).transpose(0, 2, 1, 3)
     return L2Family(family.rule, family.descriptor, samples)
@@ -170,29 +183,27 @@ def synthesis(family: OperatorFamily, ys: L2Family) -> ModuleVector:
         raise ValueError("samples do not match the family shape")
     k = family.descriptor.dim
     ys_flat = ys.samples.transpose(0, 2, 1, 3).reshape(len(family), k, family.n * k)
-    acc = _integrate_products(family.rule, ys_flat, family.flats)
-    return ModuleVector.from_flat(family.descriptor, acc)
+    acc = _integrate_products(family.rule, _to_slots(family.descriptor, ys_flat), family.blocks)
+    return ModuleVector.from_flat(family.descriptor, _from_slots(family.descriptor, acc))
 
 
 def frame_operator(family: OperatorFamily) -> FrameOperatorData:
-    """s = sum_i w_i M_i M_i* with its eigendecomposition, computed once per family.
+    """s = sum_i w_i M_i M_i* per slot with one batched eigh, computed once per family.
 
     The result is cached on the family and its arrays are read-only, so
     every consumer shares one factorization.
     """
     if family._frame is None:
-        acc = _integrate_products(family.rule, family.flats, family.flats)
-        eigenvalues, eigenvectors = np.linalg.eigh(acc)
-        for arr in (acc, eigenvalues, eigenvectors):
-            arr.setflags(write=False)
-        element = ModuleOperator.from_flat(family.descriptor, acc)
-        family._frame = FrameOperatorData(element, acc, eigenvalues, eigenvectors)
+        blocks = _integrate_products(family.rule, family.blocks, family.blocks)
+        eigenpairs = np.linalg.eigh(blocks)
+        family._frame = FrameOperatorData(family.descriptor, *map(_read_only, (blocks, *eigenpairs)))
     return family._frame
 
 
 def optimal_bounds(data: FrameOperatorData) -> tuple[float, float]:
-    """Best constants in the two-sided frame inequality: the extreme eigenvalues."""
-    return float(data.eigenvalues[0]), float(data.eigenvalues[-1])
+    """Best constants in the two-sided frame inequality: the extreme eigenvalues over all slots."""
+    values = data.block_eigenvalues
+    return float(np.min(values[..., 0])), float(np.max(values[..., -1]))
 
 
 def _is_frame(lower: float, upper: float, tol: float) -> bool:
@@ -258,12 +269,12 @@ def classify(data: FrameOperatorData, tol: float = 1e-8) -> FrameReport:
 
 
 def _singular_values(family) -> np.ndarray:
-    """Singular values of the tall matrix V stacking sqrt(w_i) M_i* (so V* V = s), cached."""
+    """Singular values, descending, of V stacking sqrt(w_i) M_i* (so V* V = s), cached."""
     if family._sigma is None:
         roots = np.sqrt(family.rule.weights)
-        tall = _side_by_side(roots[:, None, None] * family.flats).conj().T
-        family._sigma = np.linalg.svd(tall, compute_uv=False)
-        family._sigma.setflags(write=False)
+        tall = _side_by_side(roots[:, None, None] * family.blocks).conj().swapaxes(1, 2)
+        sigma = np.linalg.svd(tall, compute_uv=False)
+        family._sigma = _read_only(np.sort(sigma, axis=None)[::-1] if len(sigma) > 1 else sigma[0])
     return family._sigma
 
 
@@ -284,7 +295,7 @@ def independence_check(family, tol: float = 1e-12) -> tuple[bool, int]:
     """
     sigma = _singular_values(family)
     k = family.descriptor.dim
-    rows = len(family) * family.flats.shape[1]
+    rows = len(family) * family.n * k
     if sigma[0] == 0.0:
         rank = 0
     else:
@@ -296,24 +307,14 @@ def independence_check(family, tol: float = 1e-12) -> tuple[bool, int]:
 def extremal_vector(data: FrameOperatorData, which: str = "min") -> ModuleVector:
     """Unit vector in H attaining the extreme of <Sx,x> relative to <x,x>.
 
-    Built from the corresponding eigenvector of the flattened frame
-    operator; for the diagonal algebra the eigenvector is folded onto its
-    dominant diagonal slot so the result stays inside the algebra.
+    Built from the eigenvector of the slot block that holds the extreme
+    eigenvalue, placed in the first row of that slot.
     """
     if which not in ("min", "max"):
         raise ValueError("which must be 'min' or 'max'")
-    col = 0 if which == "min" else -1
-    v = data.eigenvectors[:, col]
-    k = data.descriptor.dim
-    n = data.n
-    if data.descriptor.is_diagonal:
-        per_slot = v.reshape(n, k)
-        slot = int(np.argmax(np.sum(np.abs(per_slot) ** 2, axis=0)))
-        coeffs = per_slot[:, slot].conj()
-        coeffs = coeffs / np.linalg.norm(coeffs)
-        stack = np.zeros((n, k, k), dtype=np.complex128)
-        stack[:, slot, slot] = coeffs
-        return ModuleVector(data.descriptor, stack)
-    flat = np.zeros((k, n * k), dtype=np.complex128)
-    flat[0] = v.conj()
-    return ModuleVector.from_flat(data.descriptor, flat)
+    col, pick = (0, np.argmin) if which == "min" else (-1, np.argmax)
+    slot = int(pick(data.block_eigenvalues[:, col]))
+    rows = 1 if data.descriptor.is_diagonal else data.descriptor.dim
+    blocks = np.zeros((len(data.blocks), rows, data.blocks.shape[-1]), dtype=np.complex128)
+    blocks[slot, 0] = data.block_eigenvectors[slot][:, col].conj()
+    return ModuleVector.from_flat(data.descriptor, _from_slots(data.descriptor, blocks))

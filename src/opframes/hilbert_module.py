@@ -10,7 +10,10 @@ spectral machinery: a vector becomes the k x (n*k) matrix obtained by
 laying its components side by side, an operator becomes the (n*k) x (n*k)
 block matrix.  Flattening is an isometric *-isomorphism onto its image,
 so norms, positivity and spectra can be read off standard dense linear
-algebra.
+algebra.  For the diagonal algebra A = C^k, A^n splits into k copies of
+C^n: a flattened operator is the direct sum of its k n x n slot blocks
+``flat[s::k, s::k]``, the form the spectral machinery works on (``_to_slots``);
+for the full algebra the whole flattening is the one slot.
 """
 
 from __future__ import annotations
@@ -34,6 +37,24 @@ def _as_blocks(descriptor, arr, shape, what):
     out = arr.copy()
     out.setflags(write=False)
     return out
+
+
+def _to_slots(descriptor, flat):
+    """Slot blocks ``flat[..., s::k, s::k]`` of flattened arrays, (..., r*k, c*k) -> (k, ..., r, c)."""
+    if not descriptor.is_diagonal:
+        return flat[None]
+    k, (*lead, rows, cols) = descriptor.dim, flat.shape
+    return flat.reshape(*lead, rows // k, k, cols // k, k)[..., :, range(k), :, range(k)]
+
+
+def _from_slots(descriptor, blocks):
+    """The flattened arrays of slot blocks, zero between the slots; inverse of ``_to_slots``."""
+    if not descriptor.is_diagonal:
+        return blocks[0]
+    k, (_, *lead, rows, cols) = descriptor.dim, blocks.shape
+    flat = np.zeros((*lead, rows, k, cols, k), dtype=blocks.dtype)
+    flat[..., :, range(k), :, range(k)] = blocks
+    return flat.reshape(*lead, rows * k, cols * k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +86,6 @@ class ModuleVector:
     @property
     def n(self):
         return self.stack.shape[0]
-
-    @property
-    def components(self):
-        return tuple(AlgebraElement(self.descriptor, c) for c in self.stack)
 
     def flatten(self) -> np.ndarray:
         """k x (n*k) matrix [x_1 x_2 ... x_n]."""
@@ -241,13 +258,6 @@ class L2Family:
     def n(self):
         return self.samples.shape[1]
 
-    def vector(self, i) -> ModuleVector:
-        return ModuleVector(self.descriptor, self.samples[i])
-
-    def weighted_sum(self) -> ModuleVector:
-        """The integral of the family as an H-valued quantity (deterministic fold)."""
-        return ModuleVector(self.descriptor, integrate_array(self.rule, self.samples))
-
 
 def l2_inner_product(xs: L2Family, ys: L2Family) -> AlgebraElement:
     """Integral of the pointwise inner products against the shared rule."""
@@ -257,15 +267,6 @@ def l2_inner_product(xs: L2Family, ys: L2Family) -> AlgebraElement:
         raise ValueError("families must share descriptor and shape")
     grams = np.einsum("siab,sicb->sac", xs.samples, ys.samples.conj())
     return AlgebraElement(xs.descriptor, integrate_array(xs.rule, grams))
-
-
-def check_norm_domination(op: ModuleOperator, x: ModuleVector, tol: float = 1e-10) -> bool:
-    """Whether <Mx, Mx> <= ||M||^2 <x, x> in the Loewner order."""
-    from .algebra import loewner_leq
-
-    y = apply(op, x)
-    bound = op_norm(op) ** 2
-    return loewner_leq(inner_product(y, y), bound * inner_product(x, x), tol)
 
 
 def random_vector(descriptor, n, rng, scale=1.0, unit=False) -> ModuleVector:

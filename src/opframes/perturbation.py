@@ -20,7 +20,7 @@ from numpy.polynomial import polynomial as P
 
 from .algebra import SINGULARITY_RATIO
 from .frames import PARAMETRIC, OperatorFamily, extremal_vector, frame_operator, require_frame
-from .hilbert_module import ModuleOperator, op_norm, random_vector
+from .hilbert_module import ModuleOperator, _to_slots, op_norm, random_vector
 from .quadrature import COUNTING, QuadratureRule, _integrate_products
 
 
@@ -140,9 +140,9 @@ def perturb_additive(family: OperatorFamily, pert: AdditivePerturbation) -> Oper
             coeffs[d] = coeffs[d] + c[d] * k_blocks
         return OperatorFamily.parametric(family.rule, family.descriptor, family.n, coeffs)
     c_nodes = pert.coefficient.at_nodes(family.rule)
-    k_flat = pert.operator.flatten()
-    flats = family.flats + c_nodes[:, None, None] * k_flat[None, :, :]
-    return OperatorFamily.from_flats(family.rule, family.descriptor, family.n, flats)
+    k_blocks = _to_slots(family.descriptor, pert.operator.flatten())[:, None]
+    blocks = family.blocks + c_nodes[:, None, None] * k_blocks
+    return OperatorFamily(family.rule, family.descriptor, family.n, blocks)
 
 
 def additive_admissible(
@@ -184,25 +184,25 @@ def relative_criterion_check(
 
     Under the row flattening X of x both sides are X (.) X*, so this holds
     for all x iff Q = alpha sum w (aM)(aM)* + beta sum w (bN)(bN)* - sum w D D*,
-    D = aM - bN, is positive semidefinite (block diagonal by slot for a
-    diagonal algebra).  Returns (passed, margin = lambda_min(Q)); it passes
-    when margin >= -tol * (1 + |margin|), ``is_positive``'s floor at the
-    worst unit vector.
+    D = aM - bN, is positive semidefinite (Q is formed per slot block).
+    Returns (passed, margin = lambda_min(Q), the least over the blocks); it
+    passes when margin >= -tol * (1 + |margin|), ``is_positive``'s floor at
+    the worst unit vector.
     """
     if family.rule != other.rule:
         raise ValueError("families must share one quadrature rule")
     if family.descriptor != other.descriptor or family.n != other.n:
         raise ValueError("families must share descriptor and rank")
     rule = family.rule
-    scaled_t = pert.scale_primal.at_nodes(rule)[:, None, None] * family.flats
-    scaled_l = pert.scale_other.at_nodes(rule)[:, None, None] * other.flats
+    scaled_t = pert.scale_primal.at_nodes(rule)[:, None, None] * family.blocks
+    scaled_l = pert.scale_other.at_nodes(rule)[:, None, None] * other.blocks
     diff = scaled_t - scaled_l
     q = (
         pert.alpha * _integrate_products(rule, scaled_t, scaled_t)
         + pert.beta * _integrate_products(rule, scaled_l, scaled_l)
         - _integrate_products(rule, diff, diff)
     )
-    margin = float(np.linalg.eigvalsh(q)[0])
+    margin = float(np.min(np.linalg.eigvalsh(q)[:, 0]))
     return margin >= -tol * (1.0 + abs(margin)), margin
 
 

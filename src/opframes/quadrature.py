@@ -2,7 +2,8 @@
 
 Two measures are supported: Lebesgue measure on a bounded interval and
 counting measure on {1..N}.  Integrals of algebra-valued samples are
-finite weighted sums, taken as BLAS contractions over the node axis.
+finite weighted sums, taken as BLAS contractions over the node axis and
+batched over the slot axis of node operators (see ``hilbert_module``).
 Results are the same from run to run for one numpy/BLAS build and thread
 count, but they are not bit-equal to a left-to-right fold: the two differ
 in the last few bits (a few 1e-15 relative).
@@ -135,20 +136,21 @@ def integrate_array(rule: QuadratureRule, samples: np.ndarray) -> np.ndarray:
 
 
 def _side_by_side(stack):
-    """Node matrices laid side by side: (N, r, c) -> (r, N * c)."""
-    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
+    """Node matrices laid side by side in each slot: (m, N, r, c) -> (m, r, N * c)."""
+    return stack.swapaxes(1, 2).reshape(stack.shape[0], stack.shape[2], -1)
 
 
 def _integrate_products(rule: QuadratureRule, left, right) -> np.ndarray:
-    """sum_i w_i L_i R_i* over the nodes, as one GEMM per chunk of nodes.
+    """sum_i w_i L_i R_i* per slot, (m, N, r, b) and (m, N, c, b) -> (m, r, c),
+    as one batched GEMM per chunk of nodes.
 
     Chunks bound the temporaries, and their size depends only on the
     shapes, so results are as reproducible as ``integrate_array``'s.
     """
-    step = max(1, _CHUNK_ENTRIES // right[0].size)
+    step = max(1, _CHUNK_ENTRIES // right[:, 0].size)
     acc = 0.0
     for start in range(0, len(rule), step):
         part = slice(start, start + step)
-        scaled = rule.weights[part, None, None] * right[part]
-        acc = acc + _side_by_side(left[part]) @ _side_by_side(scaled).conj().T
+        scaled = rule.weights[part, None, None] * right[:, part]
+        acc = acc + _side_by_side(left[:, part]) @ _side_by_side(scaled).conj().swapaxes(1, 2)
     return acc

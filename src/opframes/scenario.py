@@ -8,6 +8,7 @@ ScenarioError carrying the JSON path of the offending field.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import chain
 
@@ -69,7 +70,7 @@ def _get(mapping, key, path, kind=None):
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(path, "expected a number")
-    if not np.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities and ints beyond the float range
         raise ScenarioError(path, "number must be finite")
     return float(value)
 

@@ -11,6 +11,8 @@ import io
 
 import numpy as np
 
+from opframes.hilbert_module import ModuleOperator, ModuleVector
+
 
 def jacobi_eigh(matrix, tol=1e-14, max_sweeps=100):
     """Eigen-decomposition of a complex Hermitian matrix by cyclic Jacobi rotations.
@@ -95,6 +97,11 @@ def fold_integral(weights, samples):
     return acc
 
 
+def weighted_sum(family):
+    """The integral of an L2Family, sum_i w_i x_i folded left to right, as a module vector."""
+    return ModuleVector(family.descriptor, fold_integral(family.rule.weights, family.samples))
+
+
 def criterion_matrix(weights, a, b, alpha, beta, M, N):
     """Q = alpha sum w (aM)(aM)* + beta sum w (bN)(bN)* - sum w (aM - bN)(aM - bN)*.
 
@@ -140,6 +147,22 @@ def _loewner_leq(a, b, tol):
     if np.linalg.norm(gap - gap.conj().T, 2) > floor:
         return False
     return np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)[0] >= -floor
+
+
+def check_norm_domination(op, x, tol=1e-10):
+    """Whether <Mx, Mx> <= ||M||^2 <x, x> in the Loewner order, for a module
+    operator M and vector x, from their k x nk and nk x nk flattenings."""
+    flat_x, flat_m = x.flatten(), op.flatten()
+    flat_y = flat_x @ flat_m
+    bound = float(np.linalg.norm(flat_m, 2)) ** 2
+    return _loewner_leq(flat_y @ flat_y.conj().T, bound * (flat_x @ flat_x.conj().T), tol)
+
+
+def node_operator(family, i):
+    """Node operator i of a parametric family, sum_d w_i^d C_d summed term by term."""
+    w = family.rule.nodes[i]
+    blocks = sum(w**d * c for d, c in enumerate(family.coefficients))
+    return ModuleOperator(family.descriptor, blocks)
 
 
 def check_frame_inequality(family, lower, upper, xs, tol=1e-10):

@@ -25,7 +25,6 @@ from opframes.frames import (
 from opframes.hilbert_module import (
     ModuleOperator,
     apply,
-    check_norm_domination,
     inner_product,
     op_adjoint,
     random_operator,
@@ -46,7 +45,7 @@ from opframes.perturbation import (
 from opframes.quadrature import gauss_legendre, midpoint
 from opframes.reconstruction import reconstruct_direct, reconstruct_neumann
 
-from oracles import psd_within, sampled_relative_criterion
+from oracles import check_norm_domination, psd_within, sampled_relative_criterion
 
 ROOT3 = np.sqrt(3.0)
 

@@ -9,6 +9,7 @@ from opframes.frames import OperatorFamily, frame_operator, optimal_bounds
 from opframes.quadrature import gauss_legendre
 
 from families import rank_deficient_family
+from oracles import node_operator
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
@@ -38,7 +39,7 @@ class TestCanonicalDual:
     def test_sampled_input_gives_sampled_output(self):
         fam = diagonal_slope_family()
         sampled = OperatorFamily.sampled(
-            fam.rule, [fam.node_operator(i) for i in range(len(fam))]
+            fam.rule, [node_operator(fam, i) for i in range(len(fam))]
         )
         dual = canonical_dual(sampled)
         assert dual.form == "sampled"

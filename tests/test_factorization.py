@@ -1,5 +1,6 @@
 """One factorization per family, and the batched kernels against left folds."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,18 @@ from opframes.algebra import AlgebraDescriptor
 from opframes.catalog import random_frame_family
 from opframes.cli import main
 from opframes.duals import canonical_dual, is_dual_pair
-from opframes.frames import OperatorFamily, frame_operator, synthesis
+from opframes.frames import (
+    OperatorFamily,
+    _singular_values,
+    frame_operator,
+    optimal_bounds,
+    synthesis,
+)
 from opframes.hilbert_module import L2Family
+from opframes.perturbation import RelativePerturbation, ScalarFamily, relative_criterion_check
 from opframes.quadrature import gauss_legendre, integrate_array
 
-from oracles import fold_integral, fold_products
+from oracles import criterion_matrix, fold_integral, fold_products
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 DESCRIPTORS = [AlgebraDescriptor("full", 3), AlgebraDescriptor("diagonal", 4)]
@@ -79,7 +87,9 @@ class TestReadOnly:
     def test_cached_arrays_reject_writes(self):
         family = random_family(DESCRIPTORS[1], seed=2)
         data = frame_operator(family)
-        for arr in (family.flats, data.flat, data.eigenvalues, data.eigenvectors):
+        arrays = (family.blocks, family.flats, data.blocks, data.flat, data.eigenvalues,
+                  data.block_eigenvalues, data.block_eigenvectors)
+        for arr in arrays:
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
 
@@ -151,3 +161,120 @@ class TestAgainstLeftFolds:
         ):
             want = fold_integral(rule.weights, samples)
             assert relative_error(integrate_array(rule, samples), want) <= RTOL
+
+
+# ---------------------------------------------------------------- slot blocks
+
+
+def node_flats(rule, descriptor, n, seed, form):
+    """(N, nk, nk) node operators built by plain numpy: a parametric family's
+    polynomial summed term by term, or an identity plus random noise."""
+    k = descriptor.dim
+    rng = np.random.default_rng(seed)
+    mask = 1.0
+    if descriptor.is_diagonal:
+        slot = np.arange(n * k) % k
+        mask = slot[:, None] == slot
+    if form == "parametric":
+        coeffs = random_frame_family(descriptor, n, rule, seed=seed).coefficients
+        flat_coeffs = coeffs.transpose(0, 1, 3, 2, 4).reshape(-1, n * k, n * k)
+        flats = np.array([sum(w**d * c for d, c in enumerate(flat_coeffs)) for w in rule.nodes])
+        return flats, OperatorFamily.parametric(rule, descriptor, n, coeffs)
+    shape = (len(rule), n * k, n * k)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flats = (np.eye(n * k) + 0.3 * noise / np.sqrt(n * k)) * mask
+    return flats, OperatorFamily.from_flats(rule, descriptor, n, flats)
+
+
+def spread(got, want):
+    """Largest deviation relative to the largest magnitude of ``want``."""
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("form", ["parametric", "sampled"])
+@pytest.mark.parametrize(
+    "descriptor,n",
+    [(AlgebraDescriptor("diagonal", 4), 3), (AlgebraDescriptor("full", 3), 2)],
+    ids=["diagonal", "full"],
+)
+class TestSlotBlocksAgainstDenseFolds:
+    """Every per-slot kernel against the dense flattening folded node by node."""
+
+    @pytest.fixture
+    def case(self, descriptor, n, form):
+        rule = gauss_legendre(0.0, 1.0, 23)
+        flats, family = node_flats(rule, descriptor, n, 40, form)
+        return rule, flats, family, fold_products(rule.weights, flats, flats)
+
+    def test_frame_operator_and_spectrum(self, case):
+        _, _, family, s = case
+        data = frame_operator(family)
+        spectrum = np.linalg.eigvalsh(s)
+        assert spread(data.flat, s) <= RTOL
+        assert spread(data.eigenvalues, spectrum) <= RTOL
+        assert spread(optimal_bounds(data), spectrum[[0, -1]]) <= RTOL
+
+    def test_singular_values(self, case):
+        rule, flats, family, _ = case
+        tall = np.concatenate([np.sqrt(w) * f.conj().T for w, f in zip(rule.weights, flats)])
+        want = np.linalg.svd(tall, compute_uv=False)
+        assert _singular_values(family).shape == want.shape
+        assert spread(_singular_values(family), want) <= RTOL
+
+    def test_canonical_dual(self, case, descriptor, n):
+        rule, flats, family, s = case
+        s_inv = np.linalg.inv(s)
+        dual = canonical_dual(family)
+        if dual.form == "parametric":
+            k = descriptor.dim
+            flat_coeffs = family.coefficients.transpose(0, 1, 3, 2, 4).reshape(-1, n * k, n * k)
+            want = (s_inv @ flat_coeffs).reshape(-1, n, k, n, k).transpose(0, 1, 3, 2, 4)
+            assert spread(dual.coefficients, want) <= RTOL
+        else:
+            assert spread(dual.flats, s_inv @ flats) <= RTOL
+
+    def test_dual_pair_residual(self, case, descriptor, n):
+        rule, flats, family, s = case
+        pairs = [(np.linalg.inv(s) @ flats, canonical_dual(family)),
+                 node_flats(rule, descriptor, n, 41, "sampled")]
+        for other_flats, other in pairs:
+            gap = fold_products(rule.weights, other_flats, flats) - np.eye(len(s))
+            want = np.linalg.norm(gap, 2)
+            got = is_dual_pair(family, other).resolution_residual
+            assert abs(got - want) <= RTOL * max(1.0, want)
+
+    def test_relative_criterion_margin(self, case, descriptor, n):
+        rule, flats, family, _ = case
+        other_flats, other = node_flats(rule, descriptor, n, 42, "sampled")
+        a = 1.0 + 0.5 * rule.nodes
+        b = 1.2 - 0.3 * rule.nodes
+        pert = RelativePerturbation(ScalarFamily.sampled(a), ScalarFamily.sampled(b), 0.3, 0.2)
+        q = criterion_matrix(rule.weights, a, b, 0.3, 0.2, flats, other_flats)
+        spectrum = np.linalg.eigvalsh(q)
+        _, margin = relative_criterion_check(family, other, pert)
+        assert abs(margin - spectrum[0]) <= RTOL * np.max(np.abs(spectrum))
+
+
+def test_diagonal_family_stores_slot_blocks_until_flats_is_read():
+    # k=16, n=4, N=512, the diagonal-parametric benchmark shape: 2.1 MB of
+    # slot blocks against 33.6 MB of dense flats
+    k, n, nodes = 16, 4, 512
+    descriptor = AlgebraDescriptor("diagonal", k)
+    rule = gauss_legendre(0.0, 1.0, nodes)
+    rng = np.random.default_rng(43)
+    coeffs = (rng.standard_normal((3, n, n, k, k)) + 1j * rng.standard_normal((3, n, n, k, k)))
+    coeffs = coeffs * np.eye(k)
+    tracemalloc.start()
+    try:
+        family = OperatorFamily.parametric(rule, descriptor, n, coeffs)
+        frame_operator(family)
+        stored, _ = tracemalloc.get_traced_memory()
+        flats = family.flats
+        with_flats, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert family.blocks.shape == (k, nodes, n, n)
+    assert family.blocks.nbytes == k * nodes * n * n * 16 == 2_097_152
+    assert flats.nbytes == nodes * (n * k) ** 2 * 16 == 33_554_432
+    assert stored < 2 * family.blocks.nbytes
+    assert with_flats - stored >= flats.nbytes

@@ -28,7 +28,7 @@ from opframes.hilbert_module import (
 from opframes.quadrature import counting, gauss_legendre
 
 from families import rank_deficient_family
-from oracles import check_frame_inequality, norm_bounds_estimate, psd_within
+from oracles import check_frame_inequality, node_operator, norm_bounds_estimate, psd_within
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
@@ -72,7 +72,7 @@ class TestOperatorFamily:
         moved = fam.with_rule(gauss_legendre(0.0, 1.0, 7))
         assert len(moved) == 7
         sampled = OperatorFamily.sampled(
-            fam.rule, [fam.node_operator(i) for i in range(len(fam))]
+            fam.rule, [node_operator(fam, i) for i in range(len(fam))]
         )
         with pytest.raises(ValueError):
             sampled.with_rule(gauss_legendre(0.0, 1.0, 7))

@@ -13,7 +13,6 @@ from opframes.hilbert_module import (
     ModuleOperator,
     ModuleVector,
     apply,
-    check_norm_domination,
     compose,
     inner_product,
     l2_inner_product,
@@ -26,7 +25,7 @@ from opframes.hilbert_module import (
 )
 from opframes.quadrature import counting, gauss_legendre
 
-from oracles import jacobi_eigh
+from oracles import check_norm_domination, jacobi_eigh, weighted_sum
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
@@ -208,8 +207,8 @@ class TestL2:
         vectors = [random_vector(FULL2, 2, rng) for _ in range(8)]
         fam = L2Family.from_vectors(rule, vectors)
         m = random_operator(FULL2, 2, rng)
-        lhs = apply(m, fam.weighted_sum())
-        rhs = L2Family.from_vectors(rule, [apply(m, v) for v in vectors]).weighted_sum()
+        lhs = apply(m, weighted_sum(fam))
+        rhs = weighted_sum(L2Family.from_vectors(rule, [apply(m, v) for v in vectors]))
         assert np.allclose(lhs.stack, rhs.stack, atol=1e-13)
 
 

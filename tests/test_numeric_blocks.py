@@ -202,7 +202,30 @@ def test_mutated_documents_match_the_walker(name, table, mutation, monkeypatch):
     owner, key = block_tables(doc)[table]
     block = owner[key][-1] if key in ("coefficients", "operators") else owner[key]
     MUTATIONS[mutation](block)
-    assert outcome(doc) == walker_outcome(doc, monkeypatch)
+    got = outcome(doc)
+    assert got == walker_outcome(doc, monkeypatch)
+    if mutation in ("nan_leaf", "overflow_float", "huge_int"):
+        kind, (error, message, field_path) = got
+        assert kind == "raised" and error is scenario.ScenarioError
+        assert message == f"{field_path}: number must be finite"
+
+
+@pytest.mark.parametrize("walker", [False, True], ids=["bulk", "walker"])
+@pytest.mark.parametrize("field", ["measure.b", "family.coefficients[1][0][0][0][0][1]"])
+def test_huge_int_exits_with_its_field_path(field, walker, tmp_path, monkeypatch, capsys):
+    doc = json.loads((SCENARIOS / "diagonal_slope.json").read_text())
+    if field == "measure.b":
+        doc["measure"]["b"] = 10**400
+    else:
+        doc["family"]["coefficients"][1][0][0][0][0][1] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    if walker:
+        monkeypatch.setattr(scenario, "_numeric_block", lambda value: None)
+    assert main(["analyze", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scenario error: {field}: number must be finite\n"
 
 
 def test_fast_path_keeps_the_sign_of_zero():

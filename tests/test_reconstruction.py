@@ -17,6 +17,7 @@ from opframes.quadrature import gauss_legendre
 from opframes.reconstruction import reconstruct_direct, reconstruct_neumann
 
 from families import rank_deficient_family, tiny_slopes
+from oracles import weighted_sum
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
@@ -89,8 +90,9 @@ class TestNeumann:
         assert result.contraction == pytest.approx((hi - lo) / (hi + lo), rel=1e-9)
         assert result.contraction == pytest.approx(1.0 / 7.0, rel=1e-6)
         history = result.residual_history
-        # measure contraction above the rounding floor of the residual
-        ratios = [b / a for a, b in zip(history, history[1:]) if a > 1e-9]
+        # measure contraction only while the residual is above 1e-6: rounding
+        # r = y - x s moves a ratio by about 1e-16 / a, 1e-10 at that floor
+        ratios = [b / a for a, b in zip(history, history[1:]) if a > 1e-6]
         assert ratios and max(ratios) <= 1.0 / 7.0 + 1e-8
         default = reconstruct_neumann(data, y, tol=1e-12)
         assert result.iterations < default.iterations
@@ -170,7 +172,7 @@ class TestConsistency:
                 apply(s_inv, ModuleVector.from_flat(FULL2, x.flatten() @ f @ f.conj().T))
                 for f in fam.flats
             ]
-            inside = L2Family.from_vectors(fam.rule, per_node).weighted_sum()
+            inside = weighted_sum(L2Family.from_vectors(fam.rule, per_node))
             scale = 1.0 + scalar_norm(x)
             assert scalar_norm(outside - x) <= 1e-9 * scale
             assert scalar_norm(inside - x) <= 1e-9 * scale

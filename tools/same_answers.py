@@ -1,0 +1,259 @@
+"""Run a fixed matrix of ``opframes`` invocations and compare two runs of it.
+
+Usage (from the root of a checkout):
+
+    PYTHONPATH=src python tools/same_answers.py OUTDIR
+    python tools/same_answers.py --compare A B
+
+The first form calls ``opframes.cli.main`` in process for every invocation of the
+matrix and writes each one's exit code, stdout and stderr under OUTDIR.
+The matrix is every scenario command with its default flags and with each
+of ``--format csv``, ``--tol``, ``--nodes``, ``--seed`` and ``--method``
+that the command accepts, on every ``demos/scenarios/*.json`` and on the
+scenario of each benchmark workload for seed 1 (whose own benchmark calls
+are added as they are), plus ``verify-examples`` with and without flags.
+The ``opframes`` that runs is whichever one is importable, so pointing
+PYTHONPATH at another checkout's ``src`` records that version's answers
+for the same inputs.
+
+``--compare`` prints one line per invocation: ``same`` when exit code,
+stdout and stderr are byte-identical, else the largest relative move of
+any numeric leaf of the report (JSON or CSV), with its two values, and the
+first non-numeric differences.  A summary gives the largest move per
+scenario file, over all numeric leaves and over the leaves above
+ROUNDING_LEVEL in magnitude: residuals and recovery errors sit at the
+rounding level, where any change of summation order moves them by O(1)
+relative.  The exit code is 0 when every invocation is byte-identical,
+1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import json
+import math
+import sys
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "demos" / "scenarios"
+BENCH_SEED = 1
+VARIANTS = (
+    (),
+    ("--format", "csv"),
+    ("--tol", "1e-6"),
+    ("--nodes", "64"),
+    ("--seed", "3"),
+    ("--method", "direct"),
+)
+VERIFY = ((), ("--nodes", "64", "--tol", "1e-9"), ("--nodes", "1"), ("--tol", "1e-16"))
+SHOWN_DIFFERENCES = 3
+ROUNDING_LEVEL = 1e-9  # residuals and recovery errors stay below it
+
+
+def bench_scenarios(workdir):
+    """(name, path, benchmark calls) of every benchmark workload at BENCH_SEED."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    out = []
+    for name in workloads.WORKLOADS:
+        plan = workloads.generate(name, BENCH_SEED, workdir)
+        out.append((name, workdir / f"{name}-{BENCH_SEED}.json", [c.argv for c in plan.calls]))
+    return out
+
+
+def matrix(workdir):
+    """Ordered {invocation name: argv}; paths are relative to the checkout root when possible."""
+    from opframes.cli import COMMANDS
+
+    def rel(path):
+        path = Path(path)
+        return str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else str(path)
+
+    sources = [(p.stem, p, []) for p in sorted(SCENARIOS.glob("*.json"))]
+    sources += bench_scenarios(workdir)
+    invocations = {}
+    for stem, path, own_calls in sources:
+        for command, (_, _, flags) in COMMANDS.items():
+            if "--scenario" not in flags:
+                continue
+            for variant in VARIANTS:
+                if variant and variant[0] not in flags:
+                    continue
+                name = " ".join([stem, command, *variant])
+                invocations[name] = [command, "--scenario", rel(path), *variant]
+        for argv in own_calls:
+            extra = [a for a in argv if a not in ("--scenario", str(path))]
+            invocations[" ".join([stem, "bench", *extra])] = [
+                a if a != str(path) else rel(path) for a in argv
+            ]
+    for variant in VERIFY:
+        invocations[" ".join(["verify-examples", *variant])] = ["verify-examples", *variant]
+    return invocations
+
+
+def run_one(argv):
+    from opframes.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:  # an escaped exception is an answer too: record it
+            traceback.print_exc(limit=0)
+            code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+def slug(index):
+    return f"{index:04d}"
+
+
+def cmd_run(outdir):
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    workdir = outdir / "bench-scenarios"
+    workdir.mkdir(exist_ok=True)
+    manifest = {}
+    for index, (name, argv) in enumerate(matrix(workdir).items()):
+        code, out, err = run_one(argv)
+        (outdir / f"{slug(index)}.out").write_text(out, encoding="utf-8")
+        (outdir / f"{slug(index)}.err").write_text(err, encoding="utf-8")
+        manifest[name] = {"file": slug(index), "argv": argv, "exit": code}
+    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    print(f"{len(manifest)} invocations written to {outdir}")
+    return 0
+
+
+# ---------------------------------------------------------------- compare
+
+
+def leaves(text):
+    """{path: leaf} of a JSON report, a CSV report, or a text's lines."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if doc is not None:
+        out = {}
+
+        def walk(prefix, value):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    walk(f"{prefix}.{key}", item)
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    walk(f"{prefix}[{i}]", item)
+            else:
+                out[prefix] = value
+
+        walk("", doc)
+        return out
+    rows = list(csv.reader(io.StringIO(text)))
+    if rows and rows[0] == ["field", "value"] and all(len(r) == 2 for r in rows):
+        out = {}
+        for field, value in rows[1:]:
+            try:
+                out[field] = float(value)
+            except ValueError:
+                out[field] = value
+        return out
+    return {f"line {i + 1}": line for i, line in enumerate(text.splitlines())}
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def relative_move(a, b):
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def differences(text_a, text_b):
+    """Largest relative move of a numeric leaf between two outputs as
+    (move, path, value in A, value in B), the same for leaves above
+    ROUNDING_LEVEL, and the non-numeric differences."""
+    a, b = leaves(text_a), leaves(text_b)
+    worst = above = (0.0, None, None, None)
+    other = []
+    for path in sorted(set(a) | set(b)):
+        if path not in a or path not in b:
+            other.append(f"{path} only in {'B' if path not in a else 'A'}")
+        elif is_number(a[path]) and is_number(b[path]):
+            move = (relative_move(float(a[path]), float(b[path])), path, a[path], b[path])
+            worst = max(worst, move, key=lambda m: m[0])
+            if min(abs(a[path]), abs(b[path])) > ROUNDING_LEVEL:
+                above = max(above, move, key=lambda m: m[0])
+        elif a[path] != b[path]:
+            other.append(f"{path}: {a[path]!r} -> {b[path]!r}")
+    return worst, above, other
+
+
+def cmd_compare(dir_a, dir_b):
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    man_a = json.loads((dir_a / "manifest.json").read_text(encoding="utf-8"))
+    man_b = json.loads((dir_b / "manifest.json").read_text(encoding="utf-8"))
+    per_source = {}
+    changed = 0
+    for name in list(man_a) + [n for n in man_b if n not in man_a]:
+        source = name.split()[0]
+        if name not in man_a or name not in man_b:
+            print(f"only in {'A' if name in man_a else 'B'}: {name}")
+            changed += 1
+            continue
+        ea, eb = man_a[name], man_b[name]
+        out_a = (dir_a / f"{ea['file']}.out").read_text(encoding="utf-8")
+        out_b = (dir_b / f"{eb['file']}.out").read_text(encoding="utf-8")
+        err_a = (dir_a / f"{ea['file']}.err").read_text(encoding="utf-8")
+        err_b = (dir_b / f"{eb['file']}.err").read_text(encoding="utf-8")
+        worst_so_far = per_source.setdefault(source, [0.0, 0.0])
+        if ea["exit"] == eb["exit"] and out_a == out_b and err_a == err_b:
+            print(f"same     {name}")
+            continue
+        changed += 1
+        worst, above, other = differences(out_a, out_b)
+        _, _, err_other = differences(err_a, err_b)
+        notes = []
+        for label, (move, path, value_a, value_b) in (("max", worst), ("above rounding", above)):
+            if path is not None:
+                notes.append(f"{label} rel move {move:.3g} at {path} ({value_a!r} -> {value_b!r})")
+        if ea["exit"] != eb["exit"]:
+            notes.append(f"exit {ea['exit']} -> {eb['exit']}")
+        notes += other[:SHOWN_DIFFERENCES]
+        notes += [f"stderr {d}" for d in err_other[:SHOWN_DIFFERENCES]]
+        if len(other) + len(err_other) > 2 * SHOWN_DIFFERENCES:
+            notes.append(f"{len(other) + len(err_other)} non-numeric differences in all")
+        print(f"differs  {name}: " + ("; ".join(notes) or "no numeric move"))
+        worst_so_far[0] = max(worst_so_far[0], worst[0])
+        worst_so_far[1] = max(worst_so_far[1], above[0])
+    print(f"\n{changed} of {len(set(man_a) | set(man_b))} invocations differ")
+    print(f"largest relative move of a numeric leaf per scenario: all leaves, leaves above {ROUNDING_LEVEL:g}")
+    for source, (worst, above) in per_source.items():
+        print(f"  {source:24s} {worst:<10.3g} {above:.3g}")
+    return 0 if changed == 0 else 1
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("outdir", nargs="?", help="record every invocation of the matrix here")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two recorded runs")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return cmd_compare(*args.compare)
+    return cmd_run(args.outdir)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
