@@ -9,8 +9,10 @@
 #
 # for all x, then L is itself a frame, with bounds predicted from T's.
 # Both sides are quadratic forms in the row flattening of x, so the
-# hypothesis holds for all x exactly when one Hermitian matrix is
-# positive semidefinite; its smallest eigenvalue is the margin.
+# hypothesis holds for all x exactly when one Hermitian matrix Q is
+# positive semidefinite.  The margin is its smallest eigenvalue relative to
+# the largest eigenvalue of Q's positive part (the right-hand side), so it
+# does not change when the problem is rescaled.
 
 import numpy as np
 

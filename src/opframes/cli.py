@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
@@ -34,7 +33,7 @@ from .frames import (
     optimal_bounds,
     require_frame,
 )
-from .hilbert_module import apply, random_vector, scalar_norm
+from .hilbert_module import ModuleVector, _from_slots, _to_slots, random_vector, scalar_norm
 from .perturbation import (
     additive_envelope,
     additive_admissible,
@@ -100,7 +99,8 @@ def _dual_section(scenario, frame_tol, tol):
 def _reconstruction_section(scenario, data, method, tol, seed):
     rng = np.random.default_rng(seed)
     x_true = random_vector(scenario.descriptor, scenario.module_rank, rng, unit=True)
-    y = apply(data.element, x_true)
+    y_slots = _to_slots(scenario.descriptor, x_true.flatten()) @ data.blocks
+    y = ModuleVector.from_flat(scenario.descriptor, _from_slots(scenario.descriptor, y_slots))
     try:
         if method == "direct":
             result = reconstruct_direct(data, y)
@@ -277,16 +277,21 @@ def _write_csv(report, buffer):
     walk("", report)
 
 
+class _Parts(list):
+    """A report's pieces, joined once: no buffer of several MB grows by realloc."""
+    write = list.append
+
+
 def _emit(report, fmt):
     """Write the report to stdout: json exactly as ``json.dumps(report, indent=2,
     sort_keys=True)`` writes it, or csv.  Nothing is written if encoding fails."""
-    buffer = io.StringIO()
+    parts = _Parts()
     if fmt == "json":
-        _write_json(report, 0, buffer.write)
-        buffer.write("\n")
+        _write_json(report, 0, parts.write)
+        parts.write("\n")
     else:
-        _write_csv(report, buffer)
-    sys.stdout.write(buffer.getvalue())
+        _write_csv(report, parts)
+    sys.stdout.write("".join(parts))
 
 
 def _tol(args, scenario, name):
@@ -369,7 +374,7 @@ def cmd_verify_examples(args):
     lower, upper = optimal_bounds(data)
     checks.append(("frame bounds (1/4, 1/3)", abs(lower - 0.25) <= tol and abs(upper - 1.0 / 3.0) <= tol,
                    f"got ({lower!r}, {upper!r})"))
-    element = data.element.blocks[0, 0]
+    element = data.flat  # the element itself, since n = 1
     target = np.diag([1.0 / 3.0, 0.25])
     checks.append(("frame operator element diag(1/3, 1/4)",
                    bool(np.max(np.abs(element - target)) <= tol),
@@ -405,12 +410,23 @@ def cmd_verify_examples(args):
     return EXIT_OK
 
 
+def _tolerance(text):
+    """A ``--tol`` value: a positive finite float, the domain of the scenario's tolerances."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 # Each flag is defined once; a command accepts only the flags it lists below.
 _FLAGS = {
     "--scenario": dict(required=True, help="path to a JSON scenario file"),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--nodes": dict(type=int, default=None, help="override the quadrature node count"),
-    "--tol": dict(type=float, default=None, help="override the governing tolerance"),
+    "--tol": dict(type=_tolerance, default=None, help="override the governing tolerance"),
     "--seed": dict(type=int, default=0, help="seed for the reconstruction test vector"),
     "--timings": dict(action="store_true", help="include wall-clock timings in reports"),
     "--method": dict(choices=("direct", "neumann"), default="neumann"),

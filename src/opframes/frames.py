@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import SINGULARITY_RATIO, AlgebraDescriptor
 from .exceptions import NotAFrame
-from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _from_slots, _to_slots
+from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _as_blocks, _from_slots, _to_slots
 from .quadrature import QuadratureRule, _integrate_products, _side_by_side
 
 PARAMETRIC = "parametric"
@@ -70,15 +70,13 @@ class OperatorFamily:
     def parametric(cls, rule: QuadratureRule, descriptor: AlgebraDescriptor, n: int, coefficients):
         coefficients = np.asarray(coefficients, dtype=np.complex128)
         k = descriptor.dim
-        if coefficients.ndim != 5 or coefficients.shape[1:] != (n, n, k, k):
+        if n < 1 or coefficients.ndim != 5 or coefficients.shape[1:] != (n, n, k, k):
             raise ValueError(
                 f"coefficients must have shape (degree+1, {n}, {n}, {k}, {k}),"
                 f" got {coefficients.shape}"
             )
         # each coefficient is itself a valid operator, so every node evaluation is one
-        for d in range(coefficients.shape[0]):
-            ModuleOperator(descriptor, coefficients[d])
-        coefficients = _read_only(coefficients.copy())
+        coefficients = _as_blocks(descriptor, coefficients, coefficients.shape, "operator blocks")
         flat_coeffs = coefficients.transpose(0, 1, 3, 2, 4).reshape(-1, n * k, n * k)
         powers = rule.nodes[:, None] ** np.arange(len(coefficients))[None, :]
         blocks = np.tensordot(powers, _to_slots(descriptor, flat_coeffs), axes=([1], [1]))

@@ -185,9 +185,10 @@ def relative_criterion_check(
     Under the row flattening X of x both sides are X (.) X*, so this holds
     for all x iff Q = alpha sum w (aM)(aM)* + beta sum w (bN)(bN)* - sum w D D*,
     D = aM - bN, is positive semidefinite (Q is formed per slot block).
-    Returns (passed, margin = lambda_min(Q), the least over the blocks); it
-    passes when margin >= -tol * (1 + |margin|), ``is_positive``'s floor at
-    the worst unit vector.
+    Returns (passed, margin) with margin = lambda_min(Q) / lambda_max(P),
+    P = alpha sum w (aM)(aM)* + beta sum w (bN)(bN)* the positive part of Q,
+    each extreme taken over the blocks; it passes when margin >= -tol.  Both
+    scale with Q, so rescaling the problem never changes the verdict.
     """
     if family.rule != other.rule:
         raise ValueError("families must share one quadrature rule")
@@ -197,13 +198,18 @@ def relative_criterion_check(
     scaled_t = pert.scale_primal.at_nodes(rule)[:, None, None] * family.blocks
     scaled_l = pert.scale_other.at_nodes(rule)[:, None, None] * other.blocks
     diff = scaled_t - scaled_l
-    q = (
+    positive = (
         pert.alpha * _integrate_products(rule, scaled_t, scaled_t)
         + pert.beta * _integrate_products(rule, scaled_l, scaled_l)
-        - _integrate_products(rule, diff, diff)
     )
-    margin = float(np.min(np.linalg.eigvalsh(q)[:, 0]))
-    return margin >= -tol * (1.0 + abs(margin)), margin
+    gap = _integrate_products(rule, diff, diff)
+    least = float(np.min(np.linalg.eigvalsh(positive - gap)[:, 0]))
+    scale = float(np.max(np.linalg.eigvalsh(positive)[:, -1]))
+    if scale > 0.0:
+        margin = least / scale
+    else:  # P = 0, so Q = -sum w D D*: the hypothesis holds only where D = 0
+        margin = 0.0 if least >= 0.0 else -np.inf
+    return margin >= -tol, margin
 
 
 def relative_envelope(

@@ -32,6 +32,9 @@ class MeasureSpace:
 
     def __post_init__(self):
         if self.kind == LEBESGUE:
+            for name, end in (("a", self.a), ("b", self.b)):
+                if not np.isfinite(end):
+                    raise ValueError(f"interval end {name} must be finite, got {end}")
             if not self.a < self.b:
                 raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
         elif self.kind == COUNTING:
@@ -43,7 +46,7 @@ class MeasureSpace:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and strictly positive weights discretizing a measure space."""
+    """Finite nodes and strictly positive finite weights discretizing a measure space."""
 
     space: MeasureSpace
     nodes: np.ndarray
@@ -54,6 +57,9 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=float).copy()
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
+        for name, values in (("nodes", nodes), ("weights", weights)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"quadrature {name} must be finite")
         if np.any(weights <= 0.0):
             raise ValueError("all quadrature weights must be strictly positive")
         if self.space.kind == LEBESGUE:
@@ -104,9 +110,10 @@ def midpoint(a: float, b: float, n: int) -> QuadratureRule:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if n < 1:
         raise ValueError(f"need n >= 1 nodes, got {n}")
+    space = MeasureSpace(LEBESGUE, a, b)  # refuses infinite ends before they reach the nodes
     h = (b - a) / n
     nodes = a + h * (np.arange(n) + 0.5)
-    return QuadratureRule(MeasureSpace(LEBESGUE, a, b), nodes, np.full(n, h))
+    return QuadratureRule(space, nodes, np.full(n, h))
 
 
 def counting(n: int) -> QuadratureRule:

@@ -155,12 +155,7 @@ def _parse_family(doc, descriptor, n, rule, path):
         table = _get(doc, "coefficients", path, list)
         if not table:
             raise ScenarioError(f"{path}.coefficients", "need at least one coefficient")
-        coeffs = np.stack(
-            [
-                _complex_blocks(entry, (n, n, k, k), f"{path}.coefficients[{d}]")
-                for d, entry in enumerate(table)
-            ]
-        )
+        coeffs = _complex_blocks(table, (len(table), n, n, k, k), f"{path}.coefficients")
         try:
             return OperatorFamily.parametric(rule, descriptor, n, coeffs)
         except ValueError as exc:
@@ -169,14 +164,13 @@ def _parse_family(doc, descriptor, n, rule, path):
         table = _get(doc, "operators", path, list)
         if len(table) != len(rule):
             raise ScenarioError(f"{path}.operators", f"need one operator per node ({len(rule)})")
-        ops = []
-        for i, entry in enumerate(table):
-            blocks = _complex_blocks(entry, (n, n, k, k), f"{path}.operators[{i}]")
-            try:
-                ops.append(ModuleOperator(descriptor, blocks))
-            except ValueError as exc:
-                raise ScenarioError(f"{path}.operators[{i}]", str(exc)) from exc
-        return OperatorFamily.sampled(rule, ops)
+        ops = _complex_blocks(table, (len(rule), n, n, k, k), f"{path}.operators")
+        flats = ops.transpose(0, 1, 3, 2, 4).reshape(len(rule), n * k, n * k)
+        try:
+            return OperatorFamily.from_flats(rule, descriptor, n, flats)
+        except ValueError as exc:  # an off-diagonal entry: name the first node that has one
+            off_diagonal = ops[..., ~np.eye(k, dtype=bool)].any(axis=(1, 2, 3))
+            raise ScenarioError(f"{path}.operators[{np.argmax(off_diagonal)}]", str(exc)) from exc
     raise ScenarioError(f"{path}.form", f"unknown family form {form!r}")
 
 

@@ -89,6 +89,12 @@ def fold_products(weights, left, right):
     return acc
 
 
+def dense_solve(s, y):
+    """x with x s = y by one np.linalg.solve on the dense (nk, nk) frame operator s;
+    y and x are k x nk flattenings."""
+    return np.linalg.solve(s.T, y.T).T
+
+
 def fold_integral(weights, samples):
     """sum_i w_i x_i, folded left to right."""
     acc = np.zeros(samples.shape[1:], dtype=np.result_type(samples, float))
@@ -102,20 +108,26 @@ def weighted_sum(family):
     return ModuleVector(family.descriptor, fold_integral(family.rule.weights, family.samples))
 
 
-def criterion_matrix(weights, a, b, alpha, beta, M, N):
-    """Q = alpha sum w (aM)(aM)* + beta sum w (bN)(bN)* - sum w (aM - bN)(aM - bN)*.
+def criterion_terms(weights, a, b, alpha, beta, M, N):
+    """(P, G) with P = alpha sum w (aM)(aM)* + beta sum w (bN)(bN)* and
+    G = sum w (aM - bN)(aM - bN)*.
 
-    The relative-perturbation hypothesis holds for every x exactly when Q
-    is positive semidefinite; M and N are the (N, nk, nk) node flats.
+    The relative-perturbation hypothesis holds for every x exactly when
+    Q = P - G is positive semidefinite; M and N are the (N, nk, nk) node flats.
     """
     scaled_m = a[:, None, None] * M
     scaled_n = b[:, None, None] * N
     diff = scaled_m - scaled_n
-    return (
-        alpha * fold_products(weights, scaled_m, scaled_m)
-        + beta * fold_products(weights, scaled_n, scaled_n)
-        - fold_products(weights, diff, diff)
-    )
+    positive = alpha * fold_products(weights, scaled_m, scaled_m)
+    positive = positive + beta * fold_products(weights, scaled_n, scaled_n)
+    return positive, fold_products(weights, diff, diff)
+
+
+def criterion_margin(weights, a, b, alpha, beta, M, N):
+    """lambda_min(Q) / lambda_max(P) from Jacobi sweeps: the criterion's margin
+    relative to the positive part P of Q."""
+    positive, gap = criterion_terms(weights, a, b, alpha, beta, M, N)
+    return jacobi_eigh(positive - gap)[0][0] / jacobi_eigh(positive)[0][-1]
 
 
 def sampled_relative_criterion(weights, a, b, alpha, beta, M, N, xs, tol=1e-10):

@@ -7,8 +7,9 @@ import pytest
 from opframes import cli
 from opframes import scenario as scenario_module
 from opframes.cli import main
+from opframes.frames import FrameOperatorData, OperatorFamily
 
-from families import slope_scenario, tiny_slopes
+from families import generated_doc, slope_scenario, tiny_slopes
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 DIAGONAL = str(SCENARIOS / "diagonal_slope.json")
@@ -237,6 +238,19 @@ class TestFlags:
             assert out == ""
             assert err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+    @pytest.mark.parametrize("command", sorted(c for c, flags in ACCEPTED.items() if "--tol" in flags))
+    def test_tol_must_be_positive_and_finite(self, capsys, command, value):
+        # the scenario's tolerances refuse these values; --tol once accepted them with exit 0
+        argv = [command, "--tol", value]
+        if "--scenario" in ACCEPTED[command]:
+            argv += ["--scenario", PERTURBED]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err.startswith(
+            f"usage error: argument --tol: expected a positive finite number, got '{value}'\n"
+        )
+
     def test_timings_are_opt_in(self, capsys):
         code, out, _ = run(capsys, "analyze", "--scenario", DIAGONAL, "--timings")
         assert code == 0
@@ -338,3 +352,30 @@ class TestEnvelopeSlack:
         code, out, _ = run(capsys, "perturb", "--scenario", path)
         assert code == 0
         assert json.loads(out)["perturbation"]["within_envelope"] is False
+
+
+def scenario_invocations(tmp_path):
+    """Every scenario command, reconstruct with each --method, on every demo scenario
+    and on generated diagonal sampled scenarios with each kind of perturbation."""
+    paths = sorted(str(p) for p in SCENARIOS.glob("*.json"))
+    for perturbation in ("additive", "relative"):
+        doc = generated_doc("diagonal", 3, 2, 6, "sampled", 7, perturbation)
+        paths.append(write_doc(tmp_path, doc, f"sampled-{perturbation}.json"))
+    commands = [[name] for name, (_, _, flags) in cli.COMMANDS.items() if "--scenario" in flags]
+    commands += [["reconstruct", "--method", "direct"], ["reconstruct", "--method", "neumann"]]
+    return [[*command, "--scenario", path] for path in paths for command in commands]
+
+
+def test_scenario_commands_read_no_dense_view(tmp_path, capsys, monkeypatch):
+    invocations = scenario_invocations(tmp_path)
+    answers = [run(capsys, *argv) for argv in invocations]
+    assert {code for code, _, _ in answers} >= {0, 2}
+
+    def refuse(self):
+        raise AssertionError("a dense view was read")
+
+    monkeypatch.setattr(FrameOperatorData, "flat", property(refuse))
+    monkeypatch.setattr(FrameOperatorData, "element", property(refuse))
+    monkeypatch.setattr(OperatorFamily, "flats", property(refuse))
+    for argv, answer in zip(invocations, answers):
+        assert run(capsys, *argv) == answer, argv

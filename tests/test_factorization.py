@@ -21,7 +21,7 @@ from opframes.hilbert_module import L2Family
 from opframes.perturbation import RelativePerturbation, ScalarFamily, relative_criterion_check
 from opframes.quadrature import gauss_legendre, integrate_array
 
-from oracles import criterion_matrix, fold_integral, fold_products
+from oracles import criterion_terms, fold_integral, fold_products
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 DESCRIPTORS = [AlgebraDescriptor("full", 3), AlgebraDescriptor("diagonal", 4)]
@@ -249,10 +249,11 @@ class TestSlotBlocksAgainstDenseFolds:
         a = 1.0 + 0.5 * rule.nodes
         b = 1.2 - 0.3 * rule.nodes
         pert = RelativePerturbation(ScalarFamily.sampled(a), ScalarFamily.sampled(b), 0.3, 0.2)
-        q = criterion_matrix(rule.weights, a, b, 0.3, 0.2, flats, other_flats)
-        spectrum = np.linalg.eigvalsh(q)
+        positive, gap = criterion_terms(rule.weights, a, b, 0.3, 0.2, flats, other_flats)
+        spectrum = np.linalg.eigvalsh(positive - gap)
+        scale = np.linalg.eigvalsh(positive)[-1]
         _, margin = relative_criterion_check(family, other, pert)
-        assert abs(margin - spectrum[0]) <= RTOL * np.max(np.abs(spectrum))
+        assert abs(margin - spectrum[0] / scale) <= RTOL * np.max(np.abs(spectrum)) / scale
 
 
 def test_diagonal_family_stores_slot_blocks_until_flats_is_read():

@@ -22,62 +22,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opframes import scenario
-from opframes.algebra import AlgebraDescriptor
-from opframes.catalog import random_frame_family
 from opframes.cli import _emit, main
-from opframes.quadrature import gauss_legendre
 
+from families import generated_doc
 from oracles import csv_report
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 SCENARIO_COMMANDS = ("analyze", "reconstruct", "dual", "perturb", "independence")
 
 
-def pairs(arr):
-    arr = np.asarray(arr, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-
-def generated_doc(kind, k, n, nodes, form, seed, perturbation=None):
-    """A small scenario of one of the benchmark's forms, from catalog.random_frame_family."""
-    descriptor = AlgebraDescriptor(kind, k)
-    family = random_frame_family(descriptor, n, gauss_legendre(0.0, 1.0, nodes), seed=seed)
-    if form == "sampled":
-        blocks = family.flats.reshape(nodes, n, k, n, k).transpose(0, 1, 3, 2, 4)
-        family_doc = {"form": "sampled", "operators": pairs(blocks)}
-    else:
-        family_doc = {"form": "parametric", "coefficients": pairs(family.coefficients)}
-    doc = {
-        "schema_version": 1,
-        "algebra": {"kind": kind, "dim": k},
-        "module_rank": n,
-        "measure": {"kind": "lebesgue_interval", "a": 0.0, "b": 1.0,
-                    "rule": "gauss_legendre", "nodes": nodes},
-        "family": family_doc,
-    }
-    if perturbation == "additive":
-        doc["perturbation"] = {
-            "kind": "additive",
-            "operator": pairs(0.1 * family.coefficients[0]),
-            "coefficient": {"form": "polynomial", "coefficients": [[0.1, 0.0]]},
-        }
-    elif perturbation == "relative":
-        doc["perturbation"] = {
-            "kind": "relative",
-            "comparison_family": {"form": "parametric",
-                                  "coefficients": pairs(1.01 * family.coefficients)},
-            "scale_primal": {"form": "polynomial", "coefficients": [1.0, 0.5]},
-            "scale_other": {"form": "polynomial", "coefficients": [1.0, 0.5]},
-            "alpha": 0.25,
-            "beta": 0.25,
-        }
-    return doc
-
-
 def documents():
     """The demo scenarios and one small scenario of each benchmark workload's form."""
     docs = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
     docs["sampled_full"] = generated_doc("full", 2, 2, 4, "sampled", seed=1)
+    docs["sampled_diagonal"] = generated_doc("diagonal", 3, 2, 5, "sampled", seed=5)
     docs["parametric_diagonal"] = generated_doc("diagonal", 3, 2, 8, "parametric", seed=2)
     docs["relative_diagonal"] = generated_doc("diagonal", 2, 2, 6, "parametric", 3, "relative")
     docs["additive_full"] = generated_doc("full", 2, 2, 5, "parametric", 4, "additive")
@@ -141,6 +99,12 @@ def tuple_pair(block):
     row[0] = tuple(pair)
 
 
+def off_diagonal(block):              # entry (0, 1) of the first algebra element, if k > 1
+    row = first_pair(block)[0]
+    if len(row) > 1:
+        row[1] = [0.5, 0.0]
+
+
 MUTATIONS = {
     "bool_leaf": set_leaf(0, True),
     "string_leaf": set_leaf(1, "1.5"),
@@ -155,6 +119,7 @@ MUTATIONS = {
     "extra_entry": extra_entry,
     "negative_zeros": negative_zeros,
     "tuple_pair": tuple_pair,
+    "off_diagonal": off_diagonal,
 }
 
 
@@ -208,6 +173,17 @@ def test_mutated_documents_match_the_walker(name, table, mutation, monkeypatch):
         kind, (error, message, field_path) = got
         assert kind == "raised" and error is scenario.ScenarioError
         assert message == f"{field_path}: number must be finite"
+
+
+def test_off_diagonal_sampled_entry_names_its_node():
+    doc = documents()["sampled_diagonal"]
+    off_diagonal(doc["family"]["operators"][3])
+    with pytest.raises(scenario.ScenarioError) as caught:
+        scenario.parse_scenario(doc)
+    assert str(caught.value) == (
+        "family.operators[3]: operator blocks: diagonal descriptor requires zero off-diagonal entries"
+    )
+    assert caught.value.field_path == "family.operators[3]"
 
 
 @pytest.mark.parametrize("walker", [False, True], ids=["bulk", "walker"])

@@ -20,7 +20,7 @@ from opframes.perturbation import (
 from opframes.quadrature import counting, gauss_legendre
 
 from families import rank_deficient_family
-from oracles import criterion_matrix, jacobi_eigh, sampled_relative_criterion
+from oracles import criterion_margin, sampled_relative_criterion
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
@@ -200,6 +200,18 @@ class TestAdditiveEnvelope:
             assert emp_hi <= env_hi + 1e-9
 
 
+def rotated_pair(gap, scale=1.0):
+    """One counting node, M = scale I and N = scale (I + (e^{i theta} - 1) v v*), a scaled
+    unitary with |e^{i theta} - 1|^2 = gap: at alpha = beta = 1/4, Q = scale^2 (I / 2 - gap v v*)."""
+    rule = counting(1)
+    v = np.array([1.0, 1j, -1.0, 1.0]) / 2.0
+    m = scale * np.eye(4, dtype=complex)
+    theta = 2.0 * np.arcsin(np.sqrt(gap / 4.0))
+    flat = m + scale * (np.exp(1j * theta) - 1.0) * np.outer(v, v.conj())
+    return (OperatorFamily.from_flats(rule, FULL2, 2, m[None]),
+            OperatorFamily.from_flats(rule, FULL2, 2, flat[None]))
+
+
 class TestRelativeCriterion:
     def test_same_family_always_passes(self):
         fam = diagonal_slope_family()
@@ -251,33 +263,21 @@ class TestRelativeCriterion:
                 b = a * np.exp(0.05j * rng.standard_normal(len(rule)))
                 pert = RelativePerturbation(scale_a, ScalarFamily.sampled(b), 0.3, 0.2)
                 passed, margin = relative_criterion_check(fam, other, pert)
-                q = criterion_matrix(rule.weights, a, b, 0.3, 0.2, fam.flats, other.flats)
-                assert margin == pytest.approx(jacobi_eigh(q)[0][0], abs=1e-12)
-                assert passed == (margin >= -1e-10 * (1.0 + abs(margin)))
+                want = criterion_margin(rule.weights, a, b, 0.3, 0.2, fam.flats, other.flats)
+                assert margin == pytest.approx(want, abs=1e-12)
+                assert passed == (margin >= -1e-10)
                 verdicts.add(passed)
         assert verdicts == {True, False}
 
     def test_exact_check_rejects_what_sampling_misses(self):
-        # one node, M = I and the unitary N = I + (e^{i theta} - 1) v v* with
-        # |e^{i theta} - 1|^2 = gap: Q = 0.5 I - gap v v*
-        rule = counting(1)
-        v = np.array([1.0, 1j, -1.0, 1.0]) / 2.0
-        m = np.eye(4, dtype=complex)
-        fam = OperatorFamily.from_flats(rule, FULL2, 2, m[None])
-        one = np.ones(1)
-
-        def rotated(gap):
-            theta = 2.0 * np.arcsin(np.sqrt(gap / 4.0))
-            flat = m + (np.exp(1j * theta) - 1.0) * np.outer(v, v.conj())
-            return OperatorFamily.from_flats(rule, FULL2, 2, flat[None])
-
+        fam, other = rotated_pair(0.9)
+        rule, one = fam.rule, np.ones(1)
         # a gross violation is one the samples do find
-        other = rotated(0.9)
         xs = [x.flatten() for x in criterion_sample_vectors(fam, other, count=200, seed=0)]
         assert not sampled_relative_criterion(
             rule.weights, one, one, 0.25, 0.25, fam.flats, other.flats, xs
         )
-        other = rotated(0.5 + 1e-6)
+        _, other = rotated_pair(0.5 + 1e-6)
         for seed in range(20):
             xs = [x.flatten() for x in criterion_sample_vectors(fam, other, count=200, seed=seed)]
             assert sampled_relative_criterion(
@@ -285,8 +285,26 @@ class TestRelativeCriterion:
             )
         pert = RelativePerturbation(ScalarFamily.constant(1.0), ScalarFamily.constant(1.0), 0.25, 0.25)
         passed, margin = relative_criterion_check(fam, other, pert)
+        # lambda_min(Q) = -1e-6 against lambda_max(P) = lambda_max(I / 4 + N N* / 4) = 1/2
         assert not passed
-        assert margin == pytest.approx(-1e-6, abs=1e-12)
+        assert margin == pytest.approx(-2e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1.0, 1e-5, 1e-6])
+    def test_rotated_pair_fails_at_every_scale(self, c):
+        # Q = c^2 (I / 2 - 0.9 v v*) and P = c^2 I / 2: the margin is -0.4 / 0.5 at every c;
+        # the absolute floor -tol (1 + |lambda_min|) passed it at c = 1e-5 and 1e-6
+        fam, other = rotated_pair(0.9, c)
+        pert = RelativePerturbation(ScalarFamily.constant(1.0), ScalarFamily.constant(1.0), 0.25, 0.25)
+        passed, margin = relative_criterion_check(fam, other, pert)
+        assert not passed
+        assert margin == pytest.approx(-0.8, rel=1e-12)
+
+    def test_zero_positive_part_passes_only_equal_families(self):
+        # alpha = beta = 0 leaves Q = -sum w D D*, with no scale to divide by
+        fam, other = rotated_pair(0.9)
+        pert = RelativePerturbation(ScalarFamily.constant(1.0), ScalarFamily.constant(1.0), 0.0, 0.0)
+        assert relative_criterion_check(fam, fam, pert) == (True, 0.0)
+        assert relative_criterion_check(fam, other, pert) == (False, -np.inf)
 
     def test_alpha_beta_range_enforced(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,32 @@ class TestRuleValidation:
         with pytest.raises(ValueError):
             QuadratureRule(MeasureSpace("lebesgue_interval", 0.0, 1.0), [0.25, 0.75], [0.5, 0.1])
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("end", ["a", "b"])
+    def test_interval_ends_must_be_finite(self, end, value):
+        from opframes.quadrature import MeasureSpace
+
+        ends = {"a": 0.0, "b": 1.0, end: value}
+        with pytest.raises(ValueError, match=f"^interval end {end} must be finite"):
+            MeasureSpace("lebesgue_interval", **ends)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["nodes", "weights"])
+    def test_nodes_and_weights_must_be_finite(self, field, value):
+        from opframes.quadrature import MeasureSpace
+
+        # a NaN weight passed both the sign check and the sum check
+        arrays = {"nodes": [0.5], "weights": [1.0], field: [value]}
+        with pytest.raises(ValueError, match=f"^quadrature {field} must be finite$"):
+            QuadratureRule(MeasureSpace("lebesgue_interval", 0.0, 1.0), **arrays)
+
+    @pytest.mark.parametrize("build", [gauss_legendre, midpoint])
+    def test_rules_refuse_an_infinite_interval(self, build):
+        # gauss_legendre(-inf, 1, 3) returned nodes [-inf, nan, nan] with infinite weights
+        for a, b in ((-np.inf, 1.0), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                build(a, b, 3)
+
     def test_equality_compares_arrays(self):
         assert gauss_legendre(0.0, 1.0, 4) == gauss_legendre(0.0, 1.0, 4)
         assert gauss_legendre(0.0, 1.0, 4) != gauss_legendre(0.0, 1.0, 5)

@@ -4,7 +4,7 @@ import pytest
 from opframes.algebra import AlgebraDescriptor, AlgebraElement
 from opframes.catalog import diagonal_slope_family, identity_family, random_frame_family
 from opframes.exceptions import NoConvergence, NotAFrame, SingularFrameOperator
-from opframes.frames import analysis, frame_operator, optimal_bounds, synthesis
+from opframes.frames import OperatorFamily, analysis, frame_operator, optimal_bounds, synthesis
 from opframes.hilbert_module import (
     L2Family,
     ModuleOperator,
@@ -17,7 +17,7 @@ from opframes.quadrature import gauss_legendre
 from opframes.reconstruction import reconstruct_direct, reconstruct_neumann
 
 from families import rank_deficient_family, tiny_slopes
-from oracles import weighted_sum
+from oracles import dense_solve, fold_products, weighted_sum
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
@@ -49,6 +49,26 @@ class TestDirect:
             y = apply(data.element, x)
             result = reconstruct_direct(data, y)
             assert scalar_norm(result.vector - x) <= 1e-9 * (1.0 + scalar_norm(x))
+
+    def test_diagonal_slots_match_a_dense_solve(self):
+        # k = 16, n = 4: sixteen 4 x 4 slot solves against one dense 64 x 64 solve
+        k, n = 16, 4
+        descriptor = AlgebraDescriptor("diagonal", k)
+        rule = gauss_legendre(0.0, 1.0, 24)
+        rng = np.random.default_rng(5)
+        slot = np.arange(n * k) % k
+        shape = (len(rule), n * k, n * k)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        flats = (np.eye(n * k) + 0.3 * noise / np.sqrt(n * k)) * (slot[:, None] == slot)
+        family = OperatorFamily.from_flats(rule, descriptor, n, flats)
+        s = fold_products(rule.weights, flats, flats)
+        y = random_vector(descriptor, n, rng)
+        want = dense_solve(s, y.flatten())
+        result = reconstruct_direct(frame_operator(family), y)
+        got = result.vector.flatten()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.linalg.norm(y.flatten() - got @ s, 2) <= 1e-13 * scalar_norm(y)
+        assert result.final_residual <= 1e-13
 
     def test_singular_frame_operator_refused(self):
         data = frame_operator(rank_deficient_family())

@@ -10,15 +10,16 @@ same_answers = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(same_answers)
 
 
-def record(directory, outputs):
-    """Write a record with one invocation per (name, stdout) pair, exit 0, empty stderr."""
+def record(directory, outputs, exits=None):
+    """Write a record with one invocation per (name, stdout) pair, empty stderr and
+    the exit code from ``exits`` (default 0)."""
     directory.mkdir()
     manifest = {}
     for index, (name, out) in enumerate(outputs):
         slug = same_answers.slug(index)
         (directory / f"{slug}.out").write_text(out)
         (directory / f"{slug}.err").write_text("")
-        manifest[name] = {"file": slug, "argv": name.split(), "exit": 0}
+        manifest[name] = {"file": slug, "argv": name.split(), "exit": (exits or {}).get(name, 0)}
     (directory / "manifest.json").write_text(json.dumps(manifest))
     return directory
 
@@ -51,3 +52,35 @@ def test_compare_of_a_record_with_itself_passes(tmp_path, capsys):
     dir_a = record(tmp_path / "a", [("s analyze", '{"a": 1.0}\n')])
     assert same_answers.main(["--compare", str(dir_a), str(dir_a)]) == 0
     assert "0 of 1 invocations differ" in capsys.readouterr().out
+
+
+def test_compare_counts_changed_verdicts(tmp_path, capsys):
+    report = {"passed": True, "kind": "frame", "iterations": 27, "margin": 0.21, "envelope": None}
+    csv_a = "field,value\niterations,27\nresidual,1e-13\n"
+    outputs_a = [
+        ("s bool", json.dumps(report)),
+        ("s int csv", csv_a),
+        ("s float only", json.dumps(report)),
+        ("s text", "FAIL: bounds (got 0.3333333333333334)\n"),
+        ("s exit", json.dumps(report)),
+        ("s null", json.dumps(report)),
+    ]
+    outputs_b = [
+        ("s bool", json.dumps({**report, "passed": False})),
+        ("s int csv", csv_a.replace("27", "28")),
+        ("s float only", json.dumps({**report, "margin": 0.42})),
+        ("s text", "FAIL: bounds (got 0.3333333333333335)\n"),
+        ("s exit", json.dumps(report)),
+        ("s null", json.dumps({**report, "envelope": [0.1, 0.2]})),
+    ]
+    dir_a = record(tmp_path / "a", outputs_a)
+    dir_b = record(tmp_path / "b", outputs_b, exits={"s exit": 2})
+    assert same_answers.main(["--compare", str(dir_a), str(dir_b)]) == 1
+    out = capsys.readouterr().out
+    assert "verdict leaves changed: .passed" in out
+    assert "verdict leaves changed: iterations" in out
+    assert "verdict leaves changed: .envelope, .envelope[0], .envelope[1]" in out
+    assert "exit 0 -> 2" in out
+    assert "6 of 6 invocations differ" in out
+    # a float move and a moved number in plain text are not verdicts
+    assert "4 of 6 invocations changed an exit code or a boolean, string or integer leaf" in out

@@ -5,13 +5,10 @@ import pytest
 
 from opframes.scenario import ScenarioError, load_scenario, parse_scenario
 
+from families import pairs
+
 ROOT3 = np.sqrt(3.0)
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
-
-
-def pairs(arr):
-    arr = np.asarray(arr, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def base_doc():

@@ -19,11 +19,13 @@ for the same inputs.
 ``--compare`` prints one line per invocation: ``same`` when exit code,
 stdout and stderr are byte-identical, else the largest relative move of
 any numeric leaf of the report (JSON or CSV), with its two values, and the
-first non-numeric differences.  A summary gives the largest move per
-scenario file, over all numeric leaves and over the leaves above
-ROUNDING_LEVEL in magnitude: residuals and recovery errors sit at the
-rounding level, where any change of summation order moves them by O(1)
-relative.  The exit code is 0 when every invocation is byte-identical,
+first non-numeric differences.  A summary counts the invocations that
+differ and those whose exit code or any boolean, string or integer leaf of
+the report changed (a verdict, classification, iteration count or kernel
+dimension).  It gives the largest move per scenario file, over all numeric
+leaves and over the leaves above ROUNDING_LEVEL in magnitude: residuals and
+recovery errors sit at the rounding level, where any change of summation
+order moves them by O(1) relative.  The exit code is 0 when every invocation is byte-identical,
 1 otherwise.
 """
 
@@ -135,8 +137,8 @@ def cmd_run(outdir):
 # ---------------------------------------------------------------- compare
 
 
-def leaves(text):
-    """{path: leaf} of a JSON report, a CSV report, or a text's lines."""
+def report_leaves(text):
+    """{path: leaf} of a JSON or CSV report, else None; CSV integers stay integers."""
     try:
         doc = json.loads(text)
     except ValueError:
@@ -158,14 +160,39 @@ def leaves(text):
         return out
     rows = list(csv.reader(io.StringIO(text)))
     if rows and rows[0] == ["field", "value"] and all(len(r) == 2 for r in rows):
-        out = {}
-        for field, value in rows[1:]:
-            try:
-                out[field] = float(value)
-            except ValueError:
-                out[field] = value
-        return out
-    return {f"line {i + 1}": line for i, line in enumerate(text.splitlines())}
+        return {field: csv_value(value) for field, value in rows[1:]}
+    return None
+
+
+def csv_value(text):
+    """A CSV cell as int, else float, else the string itself."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def leaves(text):
+    """{path: leaf} of a JSON report, a CSV report, or a text's lines."""
+    out = report_leaves(text)
+    return out if out is not None else {f"line {i + 1}": line for i, line in enumerate(text.splitlines())}
+
+
+def verdict_changes(text_a, text_b):
+    """Paths of report leaves that differ and are not floats on both sides:
+    booleans, strings, integers and nulls (verdicts, classifications,
+    iteration counts, kernel dimensions), and paths in one report only.
+    Outputs that are not reports, such as ``verify-examples`` text, have none."""
+    a, b = report_leaves(text_a), report_leaves(text_b)
+    if a is None or b is None:
+        return [] if a is None and b is None else ["(report in one output only)"]
+    return [
+        path for path in sorted(set(a) | set(b))
+        if path not in a or path not in b
+        or (a[path] != b[path] and not (type(a[path]) is float and type(b[path]) is float))
+    ]
 
 
 def is_number(value):
@@ -205,12 +232,13 @@ def cmd_compare(dir_a, dir_b):
     man_a = json.loads((dir_a / "manifest.json").read_text(encoding="utf-8"))
     man_b = json.loads((dir_b / "manifest.json").read_text(encoding="utf-8"))
     per_source = {}
-    changed = 0
+    changed = verdicts = 0
     for name in list(man_a) + [n for n in man_b if n not in man_a]:
         source = name.split()[0]
         if name not in man_a or name not in man_b:
             print(f"only in {'A' if name in man_a else 'B'}: {name}")
             changed += 1
+            verdicts += 1
             continue
         ea, eb = man_a[name], man_b[name]
         out_a = (dir_a / f"{ea['file']}.out").read_text(encoding="utf-8")
@@ -230,6 +258,10 @@ def cmd_compare(dir_a, dir_b):
                 notes.append(f"{label} rel move {move:.3g} at {path} ({value_a!r} -> {value_b!r})")
         if ea["exit"] != eb["exit"]:
             notes.append(f"exit {ea['exit']} -> {eb['exit']}")
+        moved = verdict_changes(out_a, out_b)
+        if moved:
+            notes.append(f"verdict leaves changed: {', '.join(moved[:SHOWN_DIFFERENCES])}")
+        verdicts += bool(moved) or ea["exit"] != eb["exit"]
         notes += other[:SHOWN_DIFFERENCES]
         notes += [f"stderr {d}" for d in err_other[:SHOWN_DIFFERENCES]]
         if len(other) + len(err_other) > 2 * SHOWN_DIFFERENCES:
@@ -237,7 +269,10 @@ def cmd_compare(dir_a, dir_b):
         print(f"differs  {name}: " + ("; ".join(notes) or "no numeric move"))
         worst_so_far[0] = max(worst_so_far[0], worst[0])
         worst_so_far[1] = max(worst_so_far[1], above[0])
-    print(f"\n{changed} of {len(set(man_a) | set(man_b))} invocations differ")
+    total = len(set(man_a) | set(man_b))
+    print(f"\n{changed} of {total} invocations differ")
+    print(f"{verdicts} of {total} invocations changed an exit code or a boolean, string or integer"
+          " leaf of a report")
     print(f"largest relative move of a numeric leaf per scenario: all leaves, leaves above {ROUNDING_LEVEL:g}")
     for source, (worst, above) in per_source.items():
         print(f"  {source:24s} {worst:<10.3g} {above:.3g}")
