@@ -475,7 +475,8 @@ def main(argv=None) -> int:
             return args.handler(args)
         scenario = load_scenario(args.scenario, args.nodes)
         report, code = args.handler(scenario, args)
-        _emit({"scenario": scenario.raw, **report}, args.format)
+        report, scenario = {"scenario": scenario.raw, **report}, None  # free its arrays before the text
+        _emit(report, args.format)
         return code
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
