@@ -1,9 +1,10 @@
 """Discretization of the measure space into weighted nodes.
 
 Two measures are supported: Lebesgue measure on a bounded interval and
-counting measure on {1..N}.  Integrals of algebra-valued samples are
-finite weighted sums, taken as BLAS contractions over the node axis and
-batched over the slot axis of node operators (see ``hilbert_module``).
+counting measure on {1..N}; Gauss-Legendre nodes come from Newton's method
+on the Legendre recurrence.  Integrals of algebra-valued samples are finite
+weighted sums, taken as BLAS contractions over the node axis and batched
+over the slot axis of node operators (see ``hilbert_module``).
 Results are the same from run to run for one numpy/BLAS build and thread
 count, but they are not bit-equal to a left-to-right fold: the two differ
 in the last few bits (a few 1e-15 relative).
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .algebra import AlgebraElement
 
@@ -87,29 +87,70 @@ class QuadratureRule:
         )
 
 
-def gauss_legendre(a: float, b: float, n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [a, b] from numpy's ``leggauss``.
+def _node_count(n) -> int:
+    """n as an int; bools, non-integers and counts below 1 are refused."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"need an integer node count >= 1, got {n}")
+    return int(n)
 
-    In exact arithmetic the rule integrates polynomials through degree
-    2n - 1.  In double precision the nodes are accurate to about 1e-16, but
-    the endpoint weights are not: their relative error grows with n, to about
-    1e-12 at n = 64, 1e-10 at n = 512 and 6e-8 at n = 2048.
+
+def _legendre(n: int, theta: np.ndarray):
+    """P_n(cos θ) and dP_n/dθ for θ in (0, π/2], by the three-term recurrence in
+    Reinsch's form: it carries r_k = P_{k-1} - P_k and 1 - x = 2 sin²(θ/2), so
+    near x = 1, where P_k and P_{k-1} agree to many digits, no digits cancel.
+    """
+    u = 2.0 * np.sin(theta / 2) ** 2
+    p, r, t = np.ones(theta.size), np.zeros(theta.size), np.empty(theta.size)  # r_0 is multiplied by b_0 = 0
+    rows = max(1, (1 << 14) // theta.size)  # steps per block of coefficients (128 KB)
+    for start in range(0, n, rows):
+        k = np.arange(start, min(n, start + rows), dtype=float)
+        for au, b in zip(np.multiply.outer((2 * k + 1) / (k + 1), u), (k / (k + 1)).tolist()):
+            np.multiply(au, p, out=t)
+            r *= b
+            r += t  # r_{k+1} = k/(k+1) r_k + (2k+1)/(k+1) (1 - x) P_k
+            p -= r  # P_{k+1} = P_k - r_{k+1}
+    return p, -n * (u * p + r) / np.sin(theta)  # n (x P_n - P_{n-1}) / sin θ
+
+
+def gauss_legendre(a: float, b: float, n: int) -> QuadratureRule:
+    """n-point Gauss-Legendre rule on [a, b], by Newton's method in θ = arccos x.
+
+    The nodes in [0, 1) start from Tricomi's guess; each step adds the second-order
+    term of P'' = -cot θ P' - n(n+1) P, so it is cubic, and the loop stops once
+    n max|Δθ| <= 1e-8, where what that step and the Taylor step below leave is
+    about (n Δθ)² relative, below 1e-16 (two passes for n >= 5).  Weights are
+    2 / (dP_n/dθ)², the derivative moved from the last iterate to the root by one
+    Taylor step.  O(n²) flops, O(n) memory, symmetric by construction.  Against
+    a 38-digit reference for n <= 1024, nodes on [-1, 1] are within 2.3e-16 and
+    weights within 1.5e-14 relative (``leggauss``, a dense eigensolve: 1.1e-10
+    at n = 512, 1.2e-9 at n = 1024).
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    if n < 1:
-        raise ValueError(f"need n >= 1 nodes, got {n}")
-    x, w = leggauss(n)
-    half = (b - a) / 2.0
-    return QuadratureRule(MeasureSpace(LEBESGUE, a, b), half * x + (a + b) / 2.0, half * w)
+    n = _node_count(n)
+    space = MeasureSpace(LEBESGUE, a, b)  # refuses infinite ends before the iteration
+    theta = (4 * np.arange(1, (n + 1) // 2 + 1) - 1) * np.pi / (4 * n + 2)
+    theta = np.arccos((1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)) * np.cos(theta))
+    lam = n * (n + 1.0)
+    while True:
+        p, dp = _legendre(n, theta)
+        h, cot = p / dp, 1.0 / np.tan(theta)
+        step = h - (cot + lam * h) * h * h / 2
+        if not n * np.max(np.abs(step)) > 1e-8:  # a NaN ends the loop too, and the rule refuses it
+            break
+        theta = theta - step
+    w = 2.0 / (dp + step * (cot * dp + lam * p)) ** 2
+    x = np.cos(theta) * np.cos(step) + np.sin(theta) * np.sin(step)  # cos(θ - step) without rounding θ - step
+    x[n // 2 :] = 0.0  # the middle node of an odd rule, if any
+    nodes, w = np.concatenate((-x[: n // 2], x[::-1])), np.concatenate((w[: n // 2], w[::-1]))
+    return QuadratureRule(space, (b - a) / 2.0 * nodes + (a + b) / 2.0, (b - a) / 2.0 * w)
 
 
 def midpoint(a: float, b: float, n: int) -> QuadratureRule:
     """Composite midpoint rule on [a, b]; O(n^-2) error on smooth integrands."""
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    if n < 1:
-        raise ValueError(f"need n >= 1 nodes, got {n}")
+    n = _node_count(n)
     space = MeasureSpace(LEBESGUE, a, b)  # refuses infinite ends before they reach the nodes
     h = (b - a) / n
     nodes = a + h * (np.arange(n) + 0.5)
@@ -118,8 +159,7 @@ def midpoint(a: float, b: float, n: int) -> QuadratureRule:
 
 def counting(n: int) -> QuadratureRule:
     """Counting measure on n points: nodes 1..n, unit weights; integrals are sums."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 points, got {n}")
+    n = _node_count(n)
     return QuadratureRule(MeasureSpace(COUNTING, count=n), np.arange(1, n + 1, dtype=float), np.ones(n))
 
 

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths of the library under test:
 the eigensolver is a hand-rolled cyclic Jacobi iteration (the library
 uses LAPACK), so spectral claims are checked against an unrelated
-algorithm.
+algorithm, and the Gauss-Legendre reference runs Newton's method in x at
+128 bits from numpy's eigensolver-based ``leggauss`` (the library iterates
+in θ = arccos x from an asymptotic guess, in double precision).
 """
 
 import csv
@@ -231,3 +233,40 @@ def csv_report(report):
 
     walk("", report)
     return buffer.getvalue()
+
+
+def gauss_legendre_reference(n, bits=128):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], as two
+    ascending lists of mpmath numbers good to far more than 30 digits.
+
+    Newton's method in x on P_n, from the nodes of numpy's ``leggauss``, until
+    a step is below 2**-(bits - 24).  P_n and P_{n-1} come from the
+    three-term recurrence in integers scaled by 2**bits, so each step is exact
+    but for one rounding of 2**-bits (mpmath numbers would take seconds per
+    pass at n = 1024); the Newton update and the weights
+    2 / ((1 - x^2) P_n'(x)^2) are taken in mpmath at bits + 32 bits.  Needs
+    mpmath, so the tests that call it skip without it.
+    """
+    import mpmath
+    from numpy.polynomial.legendre import leggauss
+
+    with mpmath.workprec(bits + 32):
+        xs = [mpmath.mpf(v) for v in leggauss(n)[0][n // 2:]]  # the half in [0, 1)
+        if n % 2:
+            xs[0] = mpmath.mpf(0)
+        while True:
+            fixed = np.array([int(mpmath.nint(mpmath.ldexp(x, bits))) for x in xs], dtype=object)
+            previous, current = np.full(len(xs), 1 << bits, dtype=object), fixed.copy()
+            for k in range(1, n):
+                previous, current = current, (((2 * k + 1) * fixed * current >> bits) - k * previous) // (k + 1)
+            slopes, steps = [], []
+            for x, pn, pm in zip(xs, current, previous):
+                pn, pm = mpmath.ldexp(int(pn), -bits), mpmath.ldexp(int(pm), -bits)
+                slopes.append(n * (x * pn - pm) / (x * x - 1))
+                steps.append(pn / slopes[-1])
+            xs = [x - step for x, step in zip(xs, steps)]
+            if max(abs(step) for step in steps) <= mpmath.ldexp(1, 24 - bits):
+                break
+        weights = [2 / ((1 - x * x) * slope**2) for x, slope in zip(xs, slopes)]
+        nodes = [-x for x in reversed(xs[n % 2:])] + xs
+        return nodes, list(reversed(weights[n % 2:])) + weights

@@ -203,6 +203,24 @@ class TestVerifyExamples:
         assert "resolution" in err
 
 
+class TestOutOfMemory:
+    @staticmethod
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 335. GiB for an array")
+
+    def test_scenario_command_names_the_cause(self, capsys, monkeypatch):
+        monkeypatch.setitem(scenario_module._RULES, "gauss_legendre", self.exhausted)
+        code, out, err = run(capsys, "analyze", "--scenario", DIAGONAL, "--nodes", "300000")
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory: Unable to allocate 335. GiB for an array\n"
+
+    def test_verify_examples_names_the_cause(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gauss_legendre", self.exhausted)
+        code, out, err = run(capsys, "verify-examples", "--nodes", "300000")
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory: Unable to allocate 335. GiB for an array\n"
+
+
 # The flags each command reads; every other (command, flag) pair is a usage error.
 ACCEPTED = {
     "analyze": {"--scenario", "--format", "--nodes", "--tol", "--seed", "--timings"},

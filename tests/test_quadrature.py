@@ -119,6 +119,22 @@ class TestRuleValidation:
             with pytest.raises(ValueError, match="must be finite"):
                 build(a, b, 3)
 
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, 0])
+    @pytest.mark.parametrize("build", [
+        lambda n: gauss_legendre(0.0, 1.0, n),
+        lambda n: midpoint(0.0, 1.0, n),
+        counting,
+    ], ids=["gauss_legendre", "midpoint", "counting"])
+    def test_rules_refuse_a_bad_node_count(self, build, n):
+        # True gave a 1-node Gauss rule; 3.0 and 2.5 raised TypeErrors from numpy
+        with pytest.raises(ValueError, match=f"^need an integer node count >= 1, got {n}$"):
+            build(n)
+
+    def test_rules_take_numpy_integer_counts(self):
+        assert gauss_legendre(0.0, 1.0, np.int64(3)) == gauss_legendre(0.0, 1.0, 3)
+        assert midpoint(0.0, 1.0, np.int64(3)) == midpoint(0.0, 1.0, 3)
+        assert counting(np.int64(3)) == counting(3)
+
     def test_equality_compares_arrays(self):
         assert gauss_legendre(0.0, 1.0, 4) == gauss_legendre(0.0, 1.0, 4)
         assert gauss_legendre(0.0, 1.0, 4) != gauss_legendre(0.0, 1.0, 5)
