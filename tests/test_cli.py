@@ -85,6 +85,14 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["frame"]["lower_bound"] == pytest.approx(0.25, abs=1e-10)
 
+    def test_a_very_large_node_count_runs_in_linear_time(self, capsys):
+        # about 1 s: the rule is O(N) above 100 nodes, where an O(N²) one took minutes
+        code, out, _ = run(capsys, "analyze", "--scenario", DIAGONAL, "--nodes", "300000")
+        assert code == 0
+        frame = json.loads(out)["frame"]
+        assert frame["lower_bound"] == pytest.approx(0.25, abs=1e-9)
+        assert frame["upper_bound"] == pytest.approx(1.0 / 3.0, abs=1e-9)
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

@@ -8,10 +8,13 @@ Usage (from the root of a checkout):
 The first form calls ``opframes.cli.main`` in process for every invocation of the
 matrix and writes each one's exit code, stdout and stderr under OUTDIR.
 The matrix is every scenario command with its default flags and with each
-of ``--format csv``, ``--tol``, ``--nodes``, ``--seed`` and ``--method``
-that the command accepts, on every ``demos/scenarios/*.json`` and on the
-scenario of each benchmark workload for seed 1 (whose own benchmark calls
-are added as they are), plus ``verify-examples`` with and without flags.
+of ``--format csv``, ``--tol``, ``--nodes 64``, ``--nodes 256``, ``--seed``
+and ``--method`` that the command accepts, on every ``demos/scenarios/*.json``
+and on the scenario of each benchmark workload for seed 1 (whose own
+benchmark calls are added as they are), plus ``verify-examples`` with and
+without flags.  The demo scenarios use at most 32 nodes, so ``--nodes 256``
+is what takes them past 100 nodes, where ``gauss_legendre`` switches from
+the recurrence to closed-form expansions.
 The ``opframes`` that runs is whichever one is importable, so pointing
 PYTHONPATH at another checkout's ``src`` records that version's answers
 for the same inputs.
@@ -49,6 +52,7 @@ VARIANTS = (
     ("--format", "csv"),
     ("--tol", "1e-6"),
     ("--nodes", "64"),
+    ("--nodes", "256"),
     ("--seed", "3"),
     ("--method", "direct"),
 )
