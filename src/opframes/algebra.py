@@ -131,14 +131,19 @@ def operator_norm(a: AlgebraElement) -> float:
     return float(np.linalg.norm(a.entries, 2))
 
 
+def _check_tol(tol):
+    """Refuse a tolerance that is not a positive finite number; NaN and inf decide nothing."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be > 0 and finite, got {tol!r}")
+
+
 def is_positive(a: AlgebraElement, tol: float = 1e-10) -> bool:
     """Whether ``a`` is positive to tolerance.
 
     True iff ``a`` is Hermitian within the floor ``tol * (||a|| + 1)`` and
     the minimum eigenvalue of its Hermitian part is >= -floor.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     floor = tol * (operator_norm(a) + 1.0)
     if a.descriptor.is_diagonal:
         d = a.diag

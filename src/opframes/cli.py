@@ -99,8 +99,8 @@ def _dual_section(scenario, frame_tol, tol):
 def _reconstruction_section(scenario, data, method, tol, seed):
     rng = np.random.default_rng(seed)
     x_true = random_vector(scenario.descriptor, scenario.module_rank, rng, unit=True)
-    y_slots = _to_slots(scenario.descriptor, x_true.flatten()) @ data.blocks
-    y = ModuleVector.from_flat(scenario.descriptor, _from_slots(scenario.descriptor, y_slots))
+    y_slots = _to_slots(scenario.descriptor, x_true.stack[None]) @ data.blocks
+    y = ModuleVector(scenario.descriptor, _from_slots(scenario.descriptor, y_slots)[0])
     try:
         if method == "direct":
             result = reconstruct_direct(data, y)

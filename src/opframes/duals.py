@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _check_tol
 from .frames import PARAMETRIC, OperatorFamily, frame_operator, optimal_bounds, require_frame
 from .hilbert_module import _from_slots, _to_slots
 from .quadrature import _integrate_products
@@ -32,11 +33,9 @@ def canonical_dual(family: OperatorFamily, tol: float = 1e-10) -> OperatorFamily
     data = frame_operator(family)
     require_frame(data, tol)
     s_inv = np.linalg.inv(data.blocks)[:, None]
-    descriptor, n, k = family.descriptor, family.n, family.descriptor.dim
+    descriptor, n = family.descriptor, family.n
     if family.form == PARAMETRIC:
-        flat_coeffs = family.coefficients.transpose(0, 1, 3, 2, 4).reshape(-1, n * k, n * k)
-        dual_flat = _from_slots(descriptor, s_inv @ _to_slots(descriptor, flat_coeffs))
-        dual_coeffs = dual_flat.reshape(-1, n, k, n, k).transpose(0, 1, 3, 2, 4)
+        dual_coeffs = _from_slots(descriptor, s_inv @ _to_slots(descriptor, family.coefficients))
         return OperatorFamily.parametric(family.rule, descriptor, n, dual_coeffs)
     return OperatorFamily(family.rule, descriptor, n, s_inv @ family.blocks)
 
@@ -48,6 +47,7 @@ def is_dual_pair(primal: OperatorFamily, other: OperatorFamily, tol: float = 1e-
     ``L_w @ M_w*``; the pair is dual when the weighted sum of those
     products is the identity to tolerance, in the largest spectral norm over the slots.
     """
+    _check_tol(tol)
     if primal.rule != other.rule:
         raise ValueError("families must share one quadrature rule")
     if primal.descriptor != other.descriptor or primal.n != other.n:

@@ -12,10 +12,11 @@ two-sided inequality  A <x,x>  <=  <Sx,x>  <=  B <x,x>  are the extreme
 eigenvalues of the flattened ``s``: under the row flattening X of x one
 has <Sx,x> = X s X* and <x,x> = X X*, and placing an extremal eigenvector
 in a single row of X attains equality.  A family stores its node operators
-as slot blocks (``hilbert_module``), (k, N, n, n) for a diagonal algebra and
-(1, N, nk, nk) for a full one, and every spectral quantity is one batched
-kernel over the slots: the spectrum of s is the union of its blocks'
-spectra.  The dense ``flats`` and ``flat`` are built on demand.
+as slot blocks, (k, N, n, n) for a diagonal algebra and (1, N, nk, nk) for
+a full one, and every spectral quantity is one batched kernel over the
+slots: the spectrum of s is the union of its blocks' spectra.  Tables of
+algebra elements, slot blocks and the dense ``flats`` and ``flat`` convert
+into each other only through the helpers of ``hilbert_module``.
 
 "Is a frame" has one rule, in ``require_frame``, ``classify`` and
 ``below_bounded_check`` alike: A > tol * B with B > 0.  It is relative, so
@@ -32,9 +33,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import SINGULARITY_RATIO, AlgebraDescriptor
+from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _check_tol
 from .exceptions import NotAFrame
-from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _as_blocks, _from_slots, _to_slots
+from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _as_blocks, _flatten, _from_slots
+from .hilbert_module import _to_slots, _unflatten
 from .quadrature import QuadratureRule, _integrate_products, _side_by_side
 
 PARAMETRIC = "parametric"
@@ -77,9 +79,8 @@ class OperatorFamily:
             )
         # each coefficient is itself a valid operator, so every node evaluation is one
         coefficients = _as_blocks(descriptor, coefficients, coefficients.shape, "operator blocks")
-        flat_coeffs = coefficients.transpose(0, 1, 3, 2, 4).reshape(-1, n * k, n * k)
         powers = rule.nodes[:, None] ** np.arange(len(coefficients))[None, :]
-        blocks = np.tensordot(powers, _to_slots(descriptor, flat_coeffs), axes=([1], [1]))
+        blocks = np.tensordot(powers, _to_slots(descriptor, coefficients), axes=([1], [1]))
         blocks = np.ascontiguousarray(blocks.swapaxes(0, 1))
         return cls(rule, descriptor, n, blocks, coefficients)
 
@@ -91,26 +92,25 @@ class OperatorFamily:
         first = operators[0]
         if any(op.descriptor != first.descriptor or op.n != first.n for op in operators):
             raise ValueError("all sampled operators must share descriptor and rank")
-        return cls.from_flats(rule, first.descriptor, first.n, [op.flatten() for op in operators])
+        table = np.stack([op.blocks for op in operators])  # each one validated already
+        return cls(rule, first.descriptor, first.n, _to_slots(first.descriptor, table))
 
     @classmethod
     def from_flats(cls, rule, descriptor, n, flats):
-        """Sampled family from pre-flattened node operators, validated in one pass."""
-        flats = np.array(flats, dtype=np.complex128)
+        """Sampled family from pre-flattened node operators, validated and copied in one pass."""
+        flats = np.asarray(flats, dtype=np.complex128)
         k = descriptor.dim
         if n < 1 or flats.shape[1:] != (n * k, n * k):
             raise ValueError(f"node operators must be {n * k} x {n * k}, got {flats.shape[1:]}")
         if len(flats) != len(rule):
             raise ValueError(f"need {len(rule)} operators, got {len(flats)}")
-        slot = np.arange(n * k) % k  # the algebra index of each flattened row and column
-        if descriptor.is_diagonal and np.any(flats[:, slot[:, None] != slot]):
-            raise ValueError("operator blocks: diagonal descriptor requires zero off-diagonal entries")
-        return cls(rule, descriptor, n, _to_slots(descriptor, flats))
+        table = _as_blocks(descriptor, _unflatten(flats, k), (len(rule), n, n, k, k), "operator blocks")
+        return cls(rule, descriptor, n, _to_slots(descriptor, table))
 
     @property
     def flats(self) -> np.ndarray:
         """(N, n*k, n*k) array of flattened node operators, built from the blocks on each read."""
-        return _read_only(_from_slots(self.descriptor, self.blocks))
+        return _read_only(_flatten(_from_slots(self.descriptor, self.blocks)))
 
     def with_rule(self, rule: QuadratureRule) -> "OperatorFamily":
         """Re-sample a parametric family on another rule (sampled forms cannot move)."""
@@ -140,12 +140,12 @@ class FrameOperatorData:
     @cached_property
     def flat(self) -> np.ndarray:
         """(n*k, n*k) Hermitian flattening of s."""
-        return _read_only(_from_slots(self.descriptor, self.blocks))
+        return _read_only(_flatten(_from_slots(self.descriptor, self.blocks)))
 
     @cached_property
     def element(self) -> ModuleOperator:
         """s as an operator on A^n, S x = x @ s."""
-        return ModuleOperator.from_flat(self.descriptor, self.flat)
+        return ModuleOperator(self.descriptor, _from_slots(self.descriptor, self.blocks))
 
 
 @dataclass(frozen=True)
@@ -166,11 +166,8 @@ def analysis(family: OperatorFamily, x: ModuleVector) -> L2Family:
     """Apply every node operator to x; node and weight metadata travel along."""
     if x.descriptor != family.descriptor or x.n != family.n:
         raise ValueError("vector does not match the family shape")
-    rows = _to_slots(family.descriptor, x.flatten())[:, None] @ family.blocks
-    out = _from_slots(family.descriptor, rows)
-    k = family.descriptor.dim
-    samples = out.reshape(len(family), k, family.n, k).transpose(0, 2, 1, 3)
-    return L2Family(family.rule, family.descriptor, samples)
+    rows = _to_slots(family.descriptor, x.stack[None])[:, None] @ family.blocks
+    return L2Family(family.rule, family.descriptor, _from_slots(family.descriptor, rows)[:, 0])
 
 
 def synthesis(family: OperatorFamily, ys: L2Family) -> ModuleVector:
@@ -179,10 +176,8 @@ def synthesis(family: OperatorFamily, ys: L2Family) -> ModuleVector:
         raise ValueError("family and samples use different quadrature rules")
     if ys.descriptor != family.descriptor or ys.n != family.n:
         raise ValueError("samples do not match the family shape")
-    k = family.descriptor.dim
-    ys_flat = ys.samples.transpose(0, 2, 1, 3).reshape(len(family), k, family.n * k)
-    acc = _integrate_products(family.rule, _to_slots(family.descriptor, ys_flat), family.blocks)
-    return ModuleVector.from_flat(family.descriptor, _from_slots(family.descriptor, acc))
+    acc = _integrate_products(family.rule, _to_slots(family.descriptor, ys.samples[:, None]), family.blocks)
+    return ModuleVector(family.descriptor, _from_slots(family.descriptor, acc)[0])
 
 
 def frame_operator(family: OperatorFamily) -> FrameOperatorData:
@@ -210,8 +205,7 @@ def _is_frame(lower: float, upper: float, tol: float) -> bool:
     tol may not undercut SINGULARITY_RATIO, the floor at which the
     reconstructors and additive_admissible decide.
     """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     if tol < SINGULARITY_RATIO:
         raise ValueError(
             f"tol {tol:g} is below the frame-rule floor SINGULARITY_RATIO = {SINGULARITY_RATIO:g}"
@@ -291,6 +285,7 @@ def independence_check(family, tol: float = 1e-12) -> tuple[bool, int]:
     is trivial.  Returns the kernel dimension, counted in the full
     flattened space.
     """
+    _check_tol(tol)
     sigma = _singular_values(family)
     k = family.descriptor.dim
     rows = len(family) * family.n * k
@@ -315,4 +310,4 @@ def extremal_vector(data: FrameOperatorData, which: str = "min") -> ModuleVector
     rows = 1 if data.descriptor.is_diagonal else data.descriptor.dim
     blocks = np.zeros((len(data.blocks), rows, data.blocks.shape[-1]), dtype=np.complex128)
     blocks[slot, 0] = data.block_eigenvectors[slot][:, col].conj()
-    return ModuleVector.from_flat(data.descriptor, _from_slots(data.descriptor, blocks))
+    return ModuleVector(data.descriptor, _from_slots(data.descriptor, blocks)[0])

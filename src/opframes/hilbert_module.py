@@ -11,9 +11,12 @@ laying its components side by side, an operator becomes the (n*k) x (n*k)
 block matrix.  Flattening is an isometric *-isomorphism onto its image,
 so norms, positivity and spectra can be read off standard dense linear
 algebra.  For the diagonal algebra A = C^k, A^n splits into k copies of
-C^n: a flattened operator is the direct sum of its k n x n slot blocks
-``flat[s::k, s::k]``, the form the spectral machinery works on (``_to_slots``);
-for the full algebra the whole flattening is the one slot.
+C^n: an operator is the direct sum of its k n x n slot blocks, slot s
+made of entry (s, s) of every element, the form the spectral machinery
+works on; for the full algebra the whole flattening is the one slot.  Only
+this module knows the layout: a (..., r, c, k, k) table of algebra elements
+goes to its flattening in ``_flatten`` and to its slot blocks in
+``_to_slots``, and a vector is the table of one row, ``x.stack[None]``.
 """
 
 from __future__ import annotations
@@ -34,27 +37,39 @@ def _as_blocks(descriptor, arr, shape, what):
         mask = ~np.eye(descriptor.dim, dtype=bool)
         if np.any(arr[..., mask] != 0):
             raise ValueError(f"{what}: diagonal descriptor requires zero off-diagonal entries")
-    out = arr.copy()
+    out = arr.copy(order="K")  # in its own memory order, so a flattening stays a view
     out.setflags(write=False)
     return out
 
 
-def _to_slots(descriptor, flat):
-    """Slot blocks ``flat[..., s::k, s::k]`` of flattened arrays, (..., r*k, c*k) -> (k, ..., r, c)."""
+def _flatten(table):
+    """Flattenings of tables of algebra elements, (..., r, c, k, k) -> (..., r*k, c*k)."""
+    *lead, rows, cols, k, _ = table.shape
+    return table.swapaxes(-3, -2).reshape(*lead, rows * k, cols * k)
+
+
+def _unflatten(flat, k):
+    """Tables of algebra elements of flattenings, (..., r*k, c*k) -> (..., r, c, k, k)."""
+    *lead, rows, cols = flat.shape
+    return flat.reshape(*lead, rows // k, k, cols // k, k).swapaxes(-3, -2)
+
+
+def _to_slots(descriptor, table):
+    """Slot blocks of tables, (..., r, c, k, k) -> (k, ..., r, c), or (1, ..., r*k, c*k) if full."""
     if not descriptor.is_diagonal:
-        return flat[None]
-    k, (*lead, rows, cols) = descriptor.dim, flat.shape
-    return flat.reshape(*lead, rows // k, k, cols // k, k)[..., :, range(k), :, range(k)]
+        return _flatten(table)[None]
+    k = descriptor.dim
+    return np.moveaxis(table, (-2, -1), (0, 1))[range(k), range(k)]
 
 
 def _from_slots(descriptor, blocks):
-    """The flattened arrays of slot blocks, zero between the slots; inverse of ``_to_slots``."""
+    """The tables of slot blocks, zero off the diagonal of each element; inverse of ``_to_slots``."""
     if not descriptor.is_diagonal:
-        return blocks[0]
-    k, (_, *lead, rows, cols) = descriptor.dim, blocks.shape
-    flat = np.zeros((*lead, rows, k, cols, k), dtype=blocks.dtype)
-    flat[..., :, range(k), :, range(k)] = blocks
-    return flat.reshape(*lead, rows * k, cols * k)
+        return _unflatten(blocks[0], descriptor.dim)
+    k = descriptor.dim
+    table = np.zeros((*blocks.shape[1:], k, k), dtype=blocks.dtype)
+    np.moveaxis(table, (-2, -1), (0, 1))[range(k), range(k)] = blocks
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,14 +104,11 @@ class ModuleVector:
 
     def flatten(self) -> np.ndarray:
         """k x (n*k) matrix [x_1 x_2 ... x_n]."""
-        n, k, _ = self.stack.shape
-        return self.stack.transpose(1, 0, 2).reshape(k, n * k)
+        return _flatten(self.stack[None])
 
     @classmethod
     def from_flat(cls, descriptor, flat):
-        k = descriptor.dim
-        n = flat.shape[1] // k
-        return cls(descriptor, flat.reshape(k, n, k).transpose(1, 0, 2))
+        return cls(descriptor, _unflatten(flat, descriptor.dim)[0])
 
     def scale(self, scalar):
         return ModuleVector(self.descriptor, complex(scalar) * self.stack)
@@ -138,11 +150,7 @@ class ModuleOperator:
 
     @classmethod
     def identity(cls, descriptor, n):
-        k = descriptor.dim
-        blocks = np.zeros((n, n, k, k), dtype=np.complex128)
-        for i in range(n):
-            blocks[i, i] = np.eye(k)
-        return cls(descriptor, blocks)
+        return cls.from_flat(descriptor, np.eye(n * descriptor.dim))
 
     @classmethod
     def zero(cls, descriptor, n):
@@ -151,9 +159,7 @@ class ModuleOperator:
 
     @classmethod
     def from_flat(cls, descriptor, flat):
-        k = descriptor.dim
-        n = flat.shape[0] // k
-        return cls(descriptor, flat.reshape(n, k, n, k).transpose(0, 2, 1, 3))
+        return cls(descriptor, _unflatten(flat, descriptor.dim))
 
     @property
     def n(self):
@@ -161,8 +167,7 @@ class ModuleOperator:
 
     def flatten(self) -> np.ndarray:
         """(n*k) x (n*k) matrix with blocks[j, i] at block row j, block column i."""
-        n, _, k, _ = self.blocks.shape
-        return self.blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k)
+        return _flatten(self.blocks)
 
     def block(self, j, i) -> AlgebraElement:
         return AlgebraElement(self.descriptor, self.blocks[j, i])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .algebra import SINGULARITY_RATIO
+from .algebra import SINGULARITY_RATIO, _check_tol
 from .frames import PARAMETRIC, OperatorFamily, extremal_vector, frame_operator, require_frame
 from .hilbert_module import ModuleOperator, _to_slots, op_norm, random_vector
 from .quadrature import COUNTING, QuadratureRule, _integrate_products
@@ -34,7 +34,10 @@ class ScalarFamily:
             None if coefficients is None else np.asarray(coefficients, dtype=np.complex128)
         )
         self.values = None if values is None else np.asarray(values, dtype=np.complex128)
-        if not np.all(np.isfinite(self.values if coefficients is None else self.coefficients)):
+        given = self.values if coefficients is None else self.coefficients
+        if given.ndim != 1 or len(given) == 0:
+            raise ValueError(f"scale family needs a non-empty 1-d array, got shape {given.shape}")
+        if not np.all(np.isfinite(given)):
             raise ValueError("scale family must be finite")
 
     @classmethod
@@ -94,6 +97,8 @@ class AdditivePerturbation:
     coefficient: ScalarFamily
 
     def __post_init__(self):
+        if not np.isfinite(self.operator.blocks).all():
+            raise ValueError("perturbation operator must be finite")
         if op_norm(self.operator) == 0.0:
             raise ValueError("perturbation operator must be nonzero")
 
@@ -140,7 +145,7 @@ def perturb_additive(family: OperatorFamily, pert: AdditivePerturbation) -> Oper
             coeffs[d] = coeffs[d] + c[d] * k_blocks
         return OperatorFamily.parametric(family.rule, family.descriptor, family.n, coeffs)
     c_nodes = pert.coefficient.at_nodes(family.rule)
-    k_blocks = _to_slots(family.descriptor, pert.operator.flatten())[:, None]
+    k_blocks = _to_slots(family.descriptor, pert.operator.blocks)[:, None]
     blocks = family.blocks + c_nodes[:, None, None] * k_blocks
     return OperatorFamily(family.rule, family.descriptor, family.n, blocks)
 
@@ -155,6 +160,7 @@ def additive_admissible(
     A <= SINGULARITY_RATIO * B, as the reconstructors do.  The energy criterion
     is what the envelope consumes; integral |c|^2 < A / ||K|| is not used.
     """
+    _check_tol(tol)
     lo, _ = require_frame(frame_operator(family), SINGULARITY_RATIO)
     energy = pert.energy(family.rule)
     return energy < (1.0 - tol) * lo, energy, lo
@@ -162,6 +168,8 @@ def additive_admissible(
 
 def additive_envelope(lower: float, upper: float, energy: float) -> tuple[float, float]:
     """Predicted bounds [(sqrt A - sqrt R)^2, (sqrt B + sqrt R)^2]; needs R < A."""
+    if not np.isfinite([lower, upper, energy]).all():
+        raise ValueError("frame bounds and perturbation energy must be finite")
     if energy >= lower:
         raise ValueError(f"perturbation energy {energy:.6g} must stay below A = {lower:.6g}")
     if energy < 0.0:
@@ -190,6 +198,7 @@ def relative_criterion_check(
     each extreme taken over the blocks; it passes when margin >= -tol.  Both
     scale with Q, so rescaling the problem never changes the verdict.
     """
+    _check_tol(tol)
     if family.rule != other.rule:
         raise ValueError("families must share one quadrature rule")
     if family.descriptor != other.descriptor or family.n != other.n:

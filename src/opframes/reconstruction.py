@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SINGULARITY_RATIO
+from .algebra import SINGULARITY_RATIO, _check_tol
 from .exceptions import NoConvergence, SingularFrameOperator
 from .frames import FrameOperatorData, require_frame
 from .hilbert_module import ModuleVector, _from_slots, _to_slots, scalar_norm
@@ -44,12 +44,12 @@ def _relative_residual(y, x, s, y_scale):
 def reconstruct_direct(data: FrameOperatorData, y: ModuleVector) -> ReconstructionResult:
     """Solve x s = y by LU on every slot block of the frame operator, in one batched call."""
     require_frame(data, SINGULARITY_RATIO, SingularFrameOperator)
-    y_slots = _to_slots(y.descriptor, y.flatten())
+    y_slots = _to_slots(y.descriptor, y.stack[None])
     x_slots = np.linalg.solve(data.blocks.swapaxes(1, 2), y_slots.swapaxes(1, 2)).swapaxes(1, 2)
     y_scale = scalar_norm(y) or 1.0
     residual, _ = _relative_residual(y_slots, x_slots, data.blocks, y_scale)
     return ReconstructionResult(
-        vector=ModuleVector.from_flat(y.descriptor, _from_slots(y.descriptor, x_slots)),
+        vector=ModuleVector(y.descriptor, _from_slots(y.descriptor, x_slots)[0]),
         iterations=0,
         residual_history=(residual,),
         method="direct",
@@ -70,6 +70,9 @@ def reconstruct_neumann(
     y - x_m s relative to ||y|| (to 1 when y = 0).  Raises NoConvergence
     when max_iter updates do not reach ``tol``.
     """
+    _check_tol(tol)
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     lo, hi = require_frame(data, SINGULARITY_RATIO, SingularFrameOperator)
     if relaxation == "auto":
         lam = 1.0 / hi
@@ -81,7 +84,7 @@ def reconstruct_neumann(
             raise ValueError(f"relaxation must lie in (0, {2.0 / hi:.6g}), got {lam}")
     q = max(abs(1.0 - lam * lo), abs(1.0 - lam * hi))
 
-    y_slots = _to_slots(y.descriptor, y.flatten())
+    y_slots = _to_slots(y.descriptor, y.stack[None])
     y_scale = scalar_norm(y) or 1.0
     x_slots = lam * y_slots
     residual, r = _relative_residual(y_slots, x_slots, data.blocks, y_scale)
@@ -99,7 +102,7 @@ def reconstruct_neumann(
         residual, r = _relative_residual(y_slots, x_slots, data.blocks, y_scale)
         history.append(residual)
     return ReconstructionResult(
-        vector=ModuleVector.from_flat(y.descriptor, _from_slots(y.descriptor, x_slots)),
+        vector=ModuleVector(y.descriptor, _from_slots(y.descriptor, x_slots)[0]),
         iterations=iterations,
         residual_history=tuple(history),
         method="neumann",

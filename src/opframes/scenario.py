@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor
 from .frames import OperatorFamily
-from .hilbert_module import ModuleOperator
+from .hilbert_module import ModuleOperator, _flatten, _unflatten
 from .perturbation import AdditivePerturbation, RelativePerturbation, ScalarFamily
 from .quadrature import QuadratureRule, counting, gauss_legendre, midpoint
 
@@ -164,12 +164,11 @@ def _parse_family(doc, descriptor, n, rule, path):
         table = _get(doc, "operators", path, list)
         if len(table) != len(rule):
             raise ScenarioError(f"{path}.operators", f"need one operator per node ({len(rule)})")
-        ops = _complex_blocks(table, (len(rule), n, n, k, k), f"{path}.operators")
-        flats = ops.transpose(0, 1, 3, 2, 4).reshape(len(rule), n * k, n * k)
+        flats = _flatten(_complex_blocks(table, (len(rule), n, n, k, k), f"{path}.operators"))
         try:
             return OperatorFamily.from_flats(rule, descriptor, n, flats)
         except ValueError as exc:  # an off-diagonal entry: name the first node that has one
-            off_diagonal = ops[..., ~np.eye(k, dtype=bool)].any(axis=(1, 2, 3))
+            off_diagonal = _unflatten(flats, k)[..., ~np.eye(k, dtype=bool)].any(axis=(1, 2, 3))
             raise ScenarioError(f"{path}.operators[{np.argmax(off_diagonal)}]", str(exc)) from exc
     raise ScenarioError(f"{path}.form", f"unknown family form {form!r}")
 

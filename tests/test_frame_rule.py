@@ -14,20 +14,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opframes.algebra import SINGULARITY_RATIO
+from opframes.algebra import SINGULARITY_RATIO, AlgebraElement, is_positive
 from opframes.catalog import diagonal_slope_family
 from opframes.cli import main
-from opframes.duals import canonical_dual
+from opframes.duals import canonical_dual, is_dual_pair
 from opframes.exceptions import NoConvergence, NotAFrame, SingularFrameOperator
 from opframes.frames import (
     FrameOperatorData,
     below_bounded_check,
     classify,
     frame_operator,
+    independence_check,
     require_frame,
 )
 from opframes.hilbert_module import ModuleOperator, random_vector
-from opframes.perturbation import AdditivePerturbation, ScalarFamily, additive_admissible
+from opframes.perturbation import (
+    AdditivePerturbation,
+    RelativePerturbation,
+    ScalarFamily,
+    additive_admissible,
+    relative_criterion_check,
+)
 from opframes.reconstruction import reconstruct_direct, reconstruct_neumann
 
 from families import DIAG2, rank_deficient_family, ratio_slopes, slope_scenario, tiny_slopes
@@ -114,6 +121,45 @@ def test_tolerance_must_be_positive(tol):
         require_frame(data, tol)
     with pytest.raises(ValueError, match="tol must be > 0"):
         classify(data, tol)
+
+
+def tolerance_takers():
+    """name -> call(tol) for every library function that takes a tolerance,
+    on the worked family, where every finite positive tol is accepted."""
+    family = diagonal_slope_family()
+    data = frame_operator(family)
+    y = random_vector(DIAG2, 1, np.random.default_rng(0))
+    additive = AdditivePerturbation(ModuleOperator.identity(DIAG2, 1), ScalarFamily.constant(1e-6))
+    one = ScalarFamily.constant(1.0)
+    relative = RelativePerturbation(one, one, 0.25, 0.25)
+    return {
+        "classify": lambda tol: classify(data, tol),
+        "below_bounded_check": lambda tol: below_bounded_check(family, tol),
+        "independence_check": lambda tol: independence_check(family, tol),
+        "is_dual_pair": lambda tol: is_dual_pair(family, canonical_dual(family), tol),
+        "reconstruct_neumann": lambda tol: reconstruct_neumann(data, y, tol=tol),
+        "additive_admissible": lambda tol: additive_admissible(family, additive, tol),
+        "relative_criterion_check": lambda tol: relative_criterion_check(family, family, relative, tol),
+        "is_positive": lambda tol: is_positive(AlgebraElement.identity(DIAG2), tol),
+    }
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", list(tolerance_takers()))
+def test_every_tolerance_must_be_positive_and_finite(name, tol):
+    call = tolerance_takers()[name]
+    call(1e-6)
+    with pytest.raises(ValueError, match="^tol must be > 0 and finite"):
+        call(tol)
+
+
+@pytest.mark.parametrize("max_iter", [-1, 2.5, True, None])
+def test_iteration_cap_must_be_a_count(max_iter):
+    data = frame_operator(diagonal_slope_family())
+    y = random_vector(DIAG2, 1, np.random.default_rng(0))
+    reconstruct_neumann(data, y, max_iter=0, tol=1.0)
+    with pytest.raises(ValueError, match="^max_iter must be an integer >= 0"):
+        reconstruct_neumann(data, y, max_iter=max_iter)
 
 
 def test_singular_frame_operator_is_not_a_frame():

@@ -22,6 +22,10 @@ from opframes.hilbert_module import (
     random_operator,
     random_vector,
     scalar_norm,
+    _flatten,
+    _from_slots,
+    _to_slots,
+    _unflatten,
 )
 from opframes.quadrature import counting, gauss_legendre
 
@@ -64,6 +68,50 @@ class TestConstruction:
         assert np.array_equal(ModuleVector.from_flat(FULL2, x.flatten()).stack, x.stack)
         m = random_operator(FULL2, 3, rng)
         assert np.array_equal(ModuleOperator.from_flat(FULL2, m.flatten()).blocks, m.blocks)
+
+
+def written_out_flattening(table):
+    """Element (i, j) of each (r, c, k, k) table at rows i*k.., columns j*k.. of its flattening."""
+    *lead, rows, cols, k, _ = table.shape
+    flat = np.zeros((*lead, rows * k, cols * k), dtype=table.dtype)
+    for i in range(rows):
+        for j in range(cols):
+            flat[..., i * k:(i + 1) * k, j * k:(j + 1) * k] = table[..., i, j, :, :]
+    return flat
+
+
+def conforming_table(descriptor, shape, rng):
+    """A random table of algebra elements, zero off the diagonal for a diagonal algebra."""
+    k = descriptor.dim
+    table = rng.standard_normal((*shape, k, k)) + 1j * rng.standard_normal((*shape, k, k))
+    return table * np.eye(k) if descriptor.is_diagonal else table
+
+
+class TestLayout:
+    """The layout helpers against a spelling of the layout written out here."""
+
+    @pytest.mark.parametrize("kind", ["full", "diagonal"])
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 5)])
+    @pytest.mark.parametrize("rows, cols", [(1, 3), (3, 3)])
+    def test_helpers_match_the_written_out_layout(self, kind, lead, rows, cols):
+        descriptor = AlgebraDescriptor(kind, 3)
+        k = descriptor.dim
+        table = conforming_table(descriptor, (*lead, rows, cols), np.random.default_rng(len(lead)))
+        flat = written_out_flattening(table)
+        assert np.array_equal(_flatten(table), flat)
+        assert np.array_equal(_unflatten(_flatten(table), k), table)
+        slots = _to_slots(descriptor, table)
+        if kind == "diagonal":
+            want = np.stack([flat[..., s::k, s::k] for s in range(k)])
+        else:
+            want = flat[None]
+        assert slots.shape == want.shape
+        assert np.array_equal(slots, want)
+        assert np.array_equal(_from_slots(descriptor, slots), table)
+
+    def test_vector_is_its_table_of_one_row(self):
+        x = random_vector(FULL2, 3, np.random.default_rng(9))
+        assert np.array_equal(x.flatten(), written_out_flattening(x.stack[None]))
 
 
 class TestInnerProduct:

@@ -70,8 +70,26 @@ class TestScalarFamily:
         with pytest.raises(ValueError):
             ScalarFamily(coefficients=[1.0], values=[1.0])
 
+    @pytest.mark.parametrize("make, table", [
+        (ScalarFamily.polynomial, []),
+        (ScalarFamily.sampled, []),
+        (ScalarFamily.sampled, [[1.0, 2.0]]),
+        (ScalarFamily.polynomial, [[1.0], [2.0]]),
+        (ScalarFamily.sampled, 1.0),
+    ])
+    def test_table_must_be_a_non_empty_list(self, make, table):
+        with pytest.raises(ValueError, match="^scale family needs a non-empty 1-d array"):
+            make(table)
+
 
 class TestAdditivePerturbation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_direction_rejected(self, bad):
+        blocks = np.zeros((1, 1, 2, 2), dtype=complex)
+        blocks[0, 0, 1, 1] = bad
+        with pytest.raises(ValueError, match="^perturbation operator must be finite$"):
+            AdditivePerturbation(ModuleOperator(DIAG2, blocks), ScalarFamily.constant(1.0))
+
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             AdditivePerturbation(ModuleOperator.zero(DIAG2, 1), ScalarFamily.constant(0.1))
@@ -163,6 +181,13 @@ class TestAdditiveEnvelope:
     def test_energy_must_stay_below_lower_bound(self):
         with pytest.raises(ValueError):
             additive_envelope(0.25, 1.0 / 3.0, 0.3)
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 2.0, np.nan), (np.nan, 2.0, 0.5), (1.0, np.nan, 0.5), (1.0, np.inf, 0.5),
+    ])
+    def test_non_finite_input_rejected(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            additive_envelope(*args)
 
     def test_worked_family_bounds_inside_envelope(self):
         fam = diagonal_slope_family()
