@@ -6,6 +6,12 @@ it.  Scenarios are JSON documents (schema version 1);
 reports go to standard output as JSON (default) or CSV.  Exit codes:
 0 success / frame, 2 family is not a frame, 1 error, 64 usage.  Every
 command decides "is a frame" by one rule at the classification tolerance.
+
+Every report starts with the scenario's echo, ``Scenario.raw``, which
+writes each number as the file does: a token (bytes) as it reads, and a
+table of numbers (a ``TokenBlock``) a row at a time from its text.  Numbers
+the commands compute are written as their reprs, as ``json.dumps`` writes
+them.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .catalog import diagonal_slope_family
 from .duals import canonical_dual, is_dual_pair
 from .exceptions import NoConvergence, NotAFrame
 from .frames import (
+    KERNEL_TOL,
     PARAMETRIC,
     below_bounded_check,
     classify,
@@ -43,7 +50,7 @@ from .perturbation import (
 )
 from .quadrature import gauss_legendre
 from .reconstruction import reconstruct_direct, reconstruct_neumann
-from .scenario import ScenarioError, _numeric_block, load_scenario
+from .scenario import ScenarioError, TokenBlock, _numeric_block, load_scenario
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -139,9 +146,8 @@ def _perturbation_section(scenario, frame_tol):
     tols = scenario.tolerances
     bounds = require_frame(frame_operator(scenario.family), frame_tol)
     if scenario.perturbation_kind == "additive":
-        admissible, energy, lower = additive_admissible(
-            scenario.family, scenario.additive, tols["admissibility"]
-        )
+        tol = tols["admissibility"]
+        admissible, energy, lower = additive_admissible(scenario.family, scenario.additive, tol)
         perturbed = perturb_additive(scenario.family, scenario.additive)
         empirical = optimal_bounds(frame_operator(perturbed))
         section = {
@@ -149,8 +155,10 @@ def _perturbation_section(scenario, frame_tol):
             "energy": energy,
             "lower_bound": lower,
             "admissible": admissible,
+            # 1 - tol - R/A, spelled so that its sign is the verdict R < (1 - tol) A
+            "margin": ((1.0 - tol) * lower - energy) / lower,
             "criterion": "perturbation energy below lower frame bound (R < A)",
-            "tolerance": tols["admissibility"],
+            "tolerance": tol,
             "empirical_bounds": [empirical[0], empirical[1]],
         }
         if admissible:
@@ -205,13 +213,33 @@ def _finite(flat):
     return total - total == 0.0
 
 
+def _rows(flat, count):
+    """``flat`` cut into ``count`` rows of equal length."""
+    width = len(flat) // count
+    return (flat[start:start + width] for start in range(0, len(flat), width))
+
+
+def _write_block(shape, rows, level, write):
+    """Write a numeric block at nesting ``level`` a row of its outermost axis at a
+    time, each row a tuple of its leaves' texts filling one layout template:
+    bytes for tokens, else str."""
+    row = _block_template(shape[1:], level + 1)
+    token_row = row.encode()
+    opening, inner = "[", "\n" + "  " * (level + 1)
+    for texts in rows:
+        text = (token_row % texts).decode() if type(texts[0]) is bytes else row % texts
+        write(opening + inner + text)
+        opening = ","
+    write("\n" + "  " * level + "]")
+
+
 def _write_json(value, level, write):
     """Write ``json.dumps(value, indent=2, sort_keys=True)`` for a subtree at nesting ``level``.
 
-    A finite numeric block is written a row of its outermost axis at a time,
-    each row filling one layout template with the reprs of its numbers, as
-    json spells them.  Types this encoder does not know, and non-finite
-    numbers, go to the stdlib.
+    A number token (bytes, from the scenario) is written as it reads, and a
+    TokenBlock from its tokens.  A numeric block of finite numbers, or of
+    tokens only, is written by ``_write_block``.  Types this encoder does not
+    know, and non-finite numbers, go to the stdlib.
     """
     kind = type(value)
     inner = "\n" + "  " * (level + 1)
@@ -224,6 +252,10 @@ def _write_json(value, level, write):
         write("true" if value else "false")
     elif kind is int or (kind is float and value - value == 0.0):
         write(repr(value))
+    elif kind is bytes:
+        write(value.decode())
+    elif kind is TokenBlock:
+        _write_block(value.shape, map(tuple, _rows(value.tokens(), value.shape[0])), level, write)
     elif kind is dict and value and set(map(type, value)) == {str}:
         opening = "{"
         for key in sorted(value):
@@ -233,22 +265,26 @@ def _write_json(value, level, write):
         write(close + "}")
     elif kind is list and value:
         block = _numeric_block(value)
+        if block is not None and block[2] == {bytes}:
+            _write_block(block[0], map(tuple, _rows(block[1], block[0][0])), level, write)
+            return
+        if block is not None and bytes not in block[2] and _finite(block[1]):
+            rows = (tuple(map(repr, row)) for row in _rows(block[1], block[0][0]))
+            _write_block(block[0], rows, level, write)
+            return
         opening = "["
-        if block is not None and _finite(block[1]):
-            shape, flat = block
-            row = _block_template(shape[1:], level + 1)
-            width = len(flat) // shape[0]
-            for start in range(0, len(flat), width):
-                write(opening + inner + row % tuple(map(repr, flat[start:start + width])))
-                opening = ","
-        else:
-            for item in value:
-                write(opening + inner)
-                _write_json(item, level + 1, write)
-                opening = ","
+        for item in value:
+            write(opening + inner)
+            _write_json(item, level + 1, write)
+            opening = ","
         write(close + "]")
     else:
         write(json.dumps(value, indent=2, sort_keys=True).replace("\n", close))
+
+
+def _text(leaf):
+    """A leaf of a numeric block as csv.writer writes it: a token as it reads."""
+    return leaf.decode() if type(leaf) is bytes else repr(leaf)
 
 
 def _write_csv(report, buffer):
@@ -256,21 +292,29 @@ def _write_csv(report, buffer):
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["field", "value"])
 
+    def write_block(prefix, shape, texts):
+        # the rows are joined directly where csv.writer would not quote the path
+        paths = map("".join, product(*([f"[{i}]" for i in range(d)] for d in shape)))
+        if any(c in prefix for c in ',"\r\n'):
+            writer.writerows(zip(map(prefix.__add__, paths), texts))
+        else:
+            buffer.write("".join(map("{}{},{}\n".format, repeat(prefix), paths, texts)))
+
     def walk(prefix, value):
         if isinstance(value, dict):
             for key in sorted(value):
                 walk(f"{prefix}.{key}" if prefix else key, value[key])
+        elif type(value) is TokenBlock:
+            write_block(prefix, value.shape, map(bytes.decode, value.tokens()))
         elif isinstance(value, (list, tuple)):
-            # a numeric block's rows are joined directly where csv.writer would not quote the path
-            block = None if any(c in prefix for c in ',"\r\n') else _numeric_block(value)
+            block = _numeric_block(value)
             if block is not None:
-                shape, flat = block
-                suffixes = product(*([f"[{i}]" for i in range(d)] for d in shape))
-                buffer.write("".join(map("{}{},{}\n".format, repeat(prefix),
-                                         map("".join, suffixes), map(repr, flat))))
+                write_block(prefix, block[0], map(_text, block[1]))
                 return
             for i, item in enumerate(value):
                 walk(f"{prefix}[{i}]", item)
+        elif type(value) is bytes:
+            writer.writerow([prefix, value.decode()])
         else:
             writer.writerow([prefix, "" if value is None else value])
 
@@ -353,12 +397,13 @@ def cmd_perturb(scenario, args):
 def cmd_independence(scenario, args):
     tol = _tol(args, scenario, "classification")
     bounded, sigma_min = below_bounded_check(scenario.family, tol)
-    independent, kernel_dim = independence_check(scenario.family)
+    independent, kernel_dim = independence_check(scenario.family, KERNEL_TOL)
     return {"independence": {
         "bounded_below": bounded,
         "sigma_min": sigma_min,
         "independent": independent,
         "kernel_dimension": kernel_dim,
+        "kernel_tolerance": KERNEL_TOL,
         "tolerance": tol,
     }}, EXIT_OK
 

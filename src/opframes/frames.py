@@ -40,6 +40,7 @@ from .hilbert_module import _to_slots, _unflatten
 from .quadrature import QuadratureRule, _integrate_products, _side_by_side
 
 PARAMETRIC = "parametric"
+KERNEL_TOL = 1e-12  # singular values <= KERNEL_TOL * sigma_max count toward the synthesis kernel
 SAMPLED = "sampled"
 
 
@@ -276,7 +277,7 @@ def below_bounded_check(family, tol: float = 1e-10) -> tuple[bool, float]:
     return _is_frame(sigma_min**2, sigma_max**2, tol), sigma_min
 
 
-def independence_check(family, tol: float = 1e-12) -> tuple[bool, int]:
+def independence_check(family, tol: float = KERNEL_TOL) -> tuple[bool, int]:
     """Numerical kernel of the synthesis map at quadrature resolution.
 
     The synthesis map sends the discretized l2 space (dimension N * n * k^2)

@@ -3,6 +3,13 @@
 Complex numbers are two-element [re, im] arrays; polynomial coefficient
 tables are listed lowest degree first.  Validation failures raise
 ScenarioError carrying the JSON path of the offending field.
+
+``load_scenario`` reads every number once and keeps its text for the
+report's echo.  A list of numbers only is decoded to floats and held as a
+``TokenBlock``: its float array and its JSON text.  A float anywhere else
+becomes its token, the bytes of its own text, which the parse converts
+where it needs the value.  ``Scenario.raw`` is the document as read, so the
+echo writes each number as the file does.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ import json
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from json.decoder import WHITESPACE, JSONObject
+from json.scanner import make_scanner
 
 import numpy as np
 
@@ -41,6 +50,34 @@ class ScenarioError(ValueError):
         self.field_path = field_path
 
 
+class TokenBlock:
+    """A rectangular table of numbers as read: its nested ``shape``, its numbers
+    as a flat float array ``values``, and its JSON text, in ``pieces`` of bytes
+    small enough for Python's small-object allocator."""
+
+    def __init__(self, shape, values, pieces):
+        self.shape = shape
+        self.values = values
+        self.pieces = pieces
+
+    def __len__(self):
+        return self.shape[0]
+
+    def tokens(self):
+        """Every number's token (bytes), in order."""
+        return b"".join(self.pieces).translate(_SEPARATORS).split()
+
+    def floats(self):
+        """The numbers as a flat float array: ``values``, or, once ``load_scenario``
+        has dropped it after the parse, the tokens read again."""
+        return np.array(self.tokens(), dtype=float) if self.values is None else self.values
+
+
+_SEPARATORS = bytes.maketrans(b"[],", b"   ")
+_NUMBER_TEXT = b"0123456789.eE+-[], \t\n\r"  # all a list of numbers only is written with
+_PIECE = 400  # characters, below the 512 bytes of the small-object allocator
+
+
 @dataclass(frozen=True)
 class Scenario:
     raw: dict
@@ -68,6 +105,12 @@ def _get(mapping, key, path, kind=None):
 
 
 def _number(value, path):
+    """A finite JSON number as float: an int, a float or a token (the bytes of its text)."""
+    if type(value) is bytes:
+        try:
+            value = float(value)
+        except ValueError:
+            raise ScenarioError(path, "expected a number") from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(path, "expected a number")
     if not abs(value) <= sys.float_info.max:  # NaN, infinities and ints beyond the float range
@@ -87,14 +130,18 @@ def _complex_pair(value, path):
     return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
+_LEAF_KINDS = frozenset((int, float, bytes))
+
+
 def _numeric_block(value):
-    """``(shape, flat)`` of a rectangular nested list whose leaves are all exactly
-    int or float (bool is not), flattened level by level; else None."""
+    """``(shape, flat, kinds)`` of a rectangular nested list whose leaves are all
+    exactly int, float or bytes (bool is not), flattened level by level, with
+    the set of leaf types; else None."""
     shape, level = [], [value]
     while True:
         kinds = set(map(type, level))
         if kinds != {list}:
-            return (tuple(shape), level) if shape and kinds <= {int, float} else None
+            return (tuple(shape), level, kinds) if shape and kinds <= _LEAF_KINDS else None
         lengths = set(map(len, level))
         if len(lengths) != 1 or 0 in lengths:
             return None
@@ -103,20 +150,26 @@ def _numeric_block(value):
 
 
 def _complex_blocks(value, shape, path):
-    """Nested lists of [re, im] pairs with the given block shape.
+    """Nested lists of [re, im] pairs, or their TokenBlock, with the given block shape.
 
-    A rectangular all-finite numeric block is converted in one step; anything
-    else (wrong shape, bool or string leaves, non-finite or huge numbers) goes
-    through the element walker, which names the offending field.
+    A rectangular all-finite numeric block is converted in one step, and a
+    TokenBlock's float array is used as it is; anything else (wrong shape,
+    bool or string leaves, non-finite or huge numbers) goes through the
+    element walker, which names the offending field.
     """
-    block = _numeric_block(value)
-    if block is not None and block[0] == (*shape, 2):
-        try:
-            flat = np.array(block[1], dtype=float)
-        except OverflowError:
-            flat = None
-        if flat is not None and np.isfinite(flat).all():
-            return flat.view(np.complex128).reshape(shape)
+    if type(value) is TokenBlock:
+        flat = value.floats().reshape(value.shape) if value.shape == (*shape, 2) else None
+    else:
+        block = _numeric_block(value)
+        flat = None
+        if block is not None and block[0] == (*shape, 2):
+            try:
+                flat = np.fromiter(map(float, block[1]), float, len(block[1]))  # a token's text too
+            except (OverflowError, ValueError):  # an int beyond float range, a token that is no number
+                pass
+    if flat is not None and np.isfinite(flat).all():
+        return flat.view(np.complex128).reshape(shape)
+    value = _nested(value)
     out = np.zeros(shape, dtype=np.complex128)
     def fill(node, idx, sub_path):
         if len(idx) == len(shape):
@@ -152,7 +205,7 @@ def _parse_family(doc, descriptor, n, rule, path):
     form = _get(doc, "form", path, str)
     k = descriptor.dim
     if form == "parametric":
-        table = _get(doc, "coefficients", path, list)
+        table = _table(doc, "coefficients", path)
         if not table:
             raise ScenarioError(f"{path}.coefficients", "need at least one coefficient")
         coeffs = _complex_blocks(table, (len(table), n, n, k, k), f"{path}.coefficients")
@@ -161,7 +214,7 @@ def _parse_family(doc, descriptor, n, rule, path):
         except ValueError as exc:
             raise ScenarioError(f"{path}.coefficients", str(exc)) from exc
     if form == "sampled":
-        table = _get(doc, "operators", path, list)
+        table = _table(doc, "operators", path)
         if len(table) != len(rule):
             raise ScenarioError(f"{path}.operators", f"need one operator per node ({len(rule)})")
         flats = _flatten(_complex_blocks(table, (len(rule), n, n, k, k), f"{path}.operators"))
@@ -173,10 +226,23 @@ def _parse_family(doc, descriptor, n, rule, path):
     raise ScenarioError(f"{path}.form", f"unknown family form {form!r}")
 
 
+def _table(doc, key, path):
+    """A list field, or the TokenBlock that ``load_scenario`` reads it as."""
+    value = _get(doc, key, path)
+    if type(value) is not TokenBlock and not isinstance(value, list):
+        raise ScenarioError(f"{path}.{key}", "expected list")
+    return value
+
+
+def _nested(table):
+    """A TokenBlock as the nested lists of its numbers; any other value as it is."""
+    return table.floats().reshape(table.shape).tolist() if type(table) is TokenBlock else table
+
+
 def _parse_scalar_family(doc, rule, path, real=False):
     form = _get(doc, "form", path, str)
     if form == "polynomial":
-        table = _get(doc, "coefficients", path, list)
+        table = _nested(_table(doc, "coefficients", path))
         if not table:
             raise ScenarioError(f"{path}.coefficients", "need at least one coefficient")
         coeffs = [
@@ -187,7 +253,7 @@ def _parse_scalar_family(doc, rule, path, real=False):
         ]
         return ScalarFamily.polynomial(coeffs)
     if form == "sampled":
-        table = _get(doc, "values", path, list)
+        table = _nested(_table(doc, "values", path))
         if len(table) != len(rule):
             raise ScenarioError(f"{path}.values", f"need one value per node ({len(rule)})")
         values = [
@@ -236,6 +302,8 @@ def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("", "scenario must be a JSON object")
     version = _get(doc, "schema_version", "")
+    if type(version) is bytes:
+        version = float(version)
     if version != SCHEMA_VERSION:
         raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
 
@@ -285,15 +353,96 @@ def parse_scenario(doc: dict) -> Scenario:
     )
 
 
+def _pieces(text, start, end):
+    """``text[start:end]`` as bytes in pieces of ``_PIECE`` characters; None if
+    it holds anything but numbers, brackets, commas and whitespace."""
+    raw = text[start:end].encode()
+    if raw.translate(None, _NUMBER_TEXT):
+        return None
+    return [raw[i:i + _PIECE] for i in range(0, len(raw), _PIECE)]
+
+
+def _token_block(scan, text, start):
+    """``(TokenBlock, end)`` of the list that starts at ``text[start]``, decoded
+    to floats by ``scan``, if it is a rectangular table of numbers only within
+    float range; else ``(None, end)``.
+
+    Its pieces are cut once the decoded lists are gone, so the small-object
+    allocator serves them from the memory those lists held.
+    """
+    value, end = scan(text, start)
+    block = _numeric_block(value)
+    del value
+    if block is None:
+        return None, end
+    try:
+        values = np.array(block[1], dtype=float)
+    except OverflowError:                     # an int beyond float range
+        return None, end
+    shape = block[0]
+    del block
+    pieces = _pieces(text, start, end)
+    return (None if pieces is None else TokenBlock(shape, values, pieces)), end
+
+
+class _Reader(json.JSONDecoder):
+    """The decoder of ``load_scenario``: objects member by member, a list of
+    numbers only as a TokenBlock (its floats from the C scanner), and any
+    other value with each float as its token."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks = []                      # every TokenBlock read
+        floats = self.scan_once
+        self.parse_float = str.encode
+        tokens = make_scanner(self)
+
+        def scan_once(text, idx):
+            head = text[idx:idx + 1]
+            if head == "{":
+                return JSONObject((text, idx + 1), self.strict, scan_once, None, None, self.memo)
+            if head == "[":
+                block, end = _token_block(floats, text, idx)
+                if block is not None:
+                    self.blocks.append(block)
+                    return block, end
+            return tokens(text, idx)
+
+        self.scan_once = scan_once
+
+    def decode(self, s):
+        """``json.loads(s)``, with no frame between this one and ``scan_once``,
+        so that a document nests as deep here as ``json.load`` reads it."""
+        if s.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
+        try:
+            doc, end = self.scan_once(s, WHITESPACE.match(s, 0).end())
+        except StopIteration as err:
+            raise json.JSONDecodeError("Expecting value", s, err.value) from None
+        end = WHITESPACE.match(s, end).end()
+        if end != len(s):
+            raise json.JSONDecodeError("Extra data", s, end)
+        return doc
+
+
 def load_scenario(path, nodes=None) -> Scenario:
     """Read and parse a scenario file.  ``nodes`` replaces the measure's node
     count (its ``count`` for a counting measure) before the one parse."""
+    reader = _Reader()
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            doc = reader.decode(handle.read())
         except json.JSONDecodeError as exc:
             raise ScenarioError("", f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ScenarioError("", "not valid JSON: nested too deeply") from None
     measure = doc.get("measure") if isinstance(doc, dict) else None
     if nodes is not None and isinstance(measure, dict):
         measure["count" if measure.get("kind") == "counting" else "nodes"] = nodes
-    return parse_scenario(doc)
+    scenario = parse_scenario(doc)
+    # The parse has its arrays and the echo needs only the text.  Emptying the
+    # list matters too: the reader's scanner refers to itself, so the reader
+    # lives on until the cycle collector runs, and must hold no TokenBlock.
+    while reader.blocks:
+        reader.blocks.pop().values = None
+    return scenario

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +10,9 @@ import pytest
 from opframes import cli
 from opframes import scenario as scenario_module
 from opframes.cli import main
-from opframes.frames import FrameOperatorData, OperatorFamily
+from opframes.frames import KERNEL_TOL, FrameOperatorData, OperatorFamily, independence_check
 
-from families import generated_doc, slope_scenario, tiny_slopes
+from families import generated_doc, ratio_slopes, slope_scenario, tiny_slopes
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 DIAGONAL = str(SCENARIOS / "diagonal_slope.json")
@@ -66,6 +69,36 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--scenario", str(bad))
         assert code == 1
         assert "family.coefficients[1][0][0][0][0]" in err
+
+    @staticmethod
+    def nested_notes(tmp_path, depth, inner):
+        """parseval.json with a ``notes`` field nested ``depth`` lists deep around ``inner``."""
+        text = Path(PARSEVAL).read_text().rstrip()
+        path = tmp_path / f"nested-{depth}.json"
+        path.write_text(text[:-1] + ', "notes": ' + "[" * depth + inner + "]" * depth + "}")
+        return path
+
+    def test_deeply_nested_scenario_is_refused(self, capsys, tmp_path):
+        path = self.nested_notes(tmp_path, 5000, "1.5")
+        code, out, err = run(capsys, "analyze", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err == "scenario error: : not valid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("inner", ["1.5", "[]"])
+    def test_nesting_the_decoder_accepts_is_echoed(self, tmp_path, fmt, inner):
+        """985 levels load in a fresh interpreter; the echo writes them back."""
+        path = self.nested_notes(tmp_path, 985, inner)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opframes.cli", "analyze", "--scenario", str(path), "--format", fmt],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if fmt == "json":  # the innermost value, indented below scenario, notes and 985 lists
+            assert "\n" + "  " * 987 + inner + "\n" in proc.stdout
+        elif inner == "1.5":
+            assert f"\nscenario.notes{'[0]' * 985},1.5\n" in proc.stdout
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "--scenario", str(tmp_path / "none.json"))
@@ -155,6 +188,8 @@ class TestPerturb:
         assert section["energy"] == pytest.approx(0.16, abs=1e-10)
         assert section["envelope"][0] == pytest.approx(0.01, abs=1e-10)
         assert section["within_envelope"] is True
+        assert section["margin"] == pytest.approx(1 - 1e-12 - 0.16 / 0.25, abs=1e-12)
+        assert section["margin"] > 0
 
     def test_inadmissible_case(self, capsys, tmp_path):
         doc = json.loads(Path(PERTURBED).read_text())
@@ -168,6 +203,22 @@ class TestPerturb:
         assert section["energy"] == pytest.approx(0.36, abs=1e-10)
         assert "not admissible" in section["diagnostics"]
         assert "0.36" in section["diagnostics"] and "0.25" in section["diagnostics"]
+        assert section["margin"] == pytest.approx(1 - 1e-12 - 0.36 / 0.25, abs=1e-12)
+        assert section["margin"] < 0
+
+    @pytest.mark.parametrize("share,admissible", [(0.5, True), (1 - 1e-12, None), (1.0, None),
+                                                   (2.0, False)])
+    def test_margin_sign_is_the_verdict(self, capsys, tmp_path, share, admissible):
+        # R = share * A with A = 1/4, on both sides of R < (1 - tol) A and at its edge
+        path = write_doc(tmp_path, slope_scenario(ratio_slopes(0.75), (share / 4.0) ** 0.5))
+        for command in ("perturb", "analyze"):
+            code, out, _ = run(capsys, command, "--scenario", path)
+            assert code == 0
+            section = json.loads(out)["perturbation"]
+            assert (section["margin"] > 0) is section["admissible"]
+            assert admissible in (None, section["admissible"])
+            ratio = section["energy"] / section["lower_bound"]
+            assert section["margin"] == pytest.approx(1 - section["tolerance"] - ratio, abs=1e-15)
 
     def test_relative_case(self, capsys):
         code, out, _ = run(capsys, "perturb", "--scenario", RELATIVE)
@@ -192,6 +243,19 @@ class TestIndependence:
         assert section["sigma_min"] == pytest.approx(0.5, abs=1e-10)
         assert section["independent"] is False
         assert section["kernel_dimension"] == 124
+        assert section["kernel_tolerance"] == KERNEL_TOL
+
+    def test_kernel_tolerance_is_the_one_used(self, capsys, tmp_path):
+        # --tol sets the below-boundedness tolerance only; the kernel is counted at KERNEL_TOL
+        path = write_doc(tmp_path, slope_scenario((1.0, 1e-8), 0.1))
+        code, out, _ = run(capsys, "independence", "--scenario", path, "--tol", "1e-6")
+        assert code == 0
+        section = json.loads(out)["independence"]
+        assert (section["tolerance"], section["kernel_tolerance"]) == (1e-6, 1e-12)
+        assert section["kernel_dimension"] == 124
+        family = scenario_module.load_scenario(path).family
+        assert independence_check(family, section["kernel_tolerance"]) == (False, 124)
+        assert independence_check(family, section["tolerance"]) == (False, 126)
 
 
 class TestVerifyExamples:

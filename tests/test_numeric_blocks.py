@@ -1,12 +1,14 @@
 """Bulk parse and emit of numeric blocks against the element-by-element paths.
 
 A numeric block is a rectangular nested list whose leaves are all exactly
-int or float.  ``scenario._complex_blocks`` converts one in a single step
-and falls back to its element walker on anything else; ``cli._emit``
-writes one from a layout template.  These tests hold both to the slow
-paths they replace: the walker (with the block helper switched off), the
-stdlib ``json.dumps(indent=2, sort_keys=True)`` and the row-by-row csv
-writer in ``oracles.csv_report``.
+int, float or a number's token (bytes).  ``scenario._complex_blocks``
+converts one in a single step and falls back to its element walker on
+anything else; ``cli._emit`` writes one from a layout template.  These
+tests hold both to the slow paths they replace: the walker (with the block
+helper switched off), the stdlib ``json.dumps(indent=2, sort_keys=True)``
+and the row-by-row csv writer in ``oracles.csv_report``.  The parse runs on
+Python documents and on their JSON text through ``load_scenario``, whose
+echo must write every number as the file does.
 """
 
 import contextlib
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from opframes import scenario
 from opframes.cli import _emit, main
+from opframes.quadrature import gauss_legendre
 
 from families import generated_doc
 from oracles import csv_report
@@ -146,6 +149,16 @@ def walker_outcome(doc, monkeypatch):
         return outcome(doc)
 
 
+def load_outcome(text, tmp_path):
+    """The outcome of the JSON text route: the file read by ``load_scenario``."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    try:
+        return "parsed", parsed_arrays(scenario.load_scenario(path))
+    except Exception as exc:
+        return "raised", (type(exc), str(exc), getattr(exc, "field_path", None))
+
+
 def mutated_cases():
     for name, doc in documents().items():
         for t in range(len(block_tables(doc))):
@@ -173,6 +186,54 @@ def test_mutated_documents_match_the_walker(name, table, mutation, monkeypatch):
         kind, (error, message, field_path) = got
         assert kind == "raised" and error is scenario.ScenarioError
         assert message == f"{field_path}: number must be finite"
+
+
+@pytest.mark.parametrize("name", sorted(documents()))
+def test_valid_documents_load_bit_identically(name, tmp_path, monkeypatch):
+    doc = documents()[name]
+    assert load_outcome(json.dumps(doc), tmp_path) == walker_outcome(doc, monkeypatch)
+    echo = scenario.load_scenario(tmp_path / "doc.json").raw     # its tables hold their text only
+    assert outcome(echo) == walker_outcome(doc, monkeypatch)
+
+
+@pytest.mark.parametrize("name,table,mutation", list(mutated_cases()))
+def test_mutated_texts_load_like_the_walker(name, table, mutation, tmp_path, monkeypatch):
+    """The parse differential on the JSON text route: numbers arrive as tokens,
+    a string stays a string, and the overflow case is the token 1e400."""
+    doc = documents()[name]
+    owner, key = block_tables(doc)[table]
+    block = owner[key][-1] if key in ("coefficients", "operators") else owner[key]
+    MUTATIONS[mutation](block)
+    text = json.dumps(doc)
+    if mutation == "overflow_float":
+        assert text.count("Infinity") == 1
+        text = text.replace("Infinity", "1e400")
+    got = load_outcome(text, tmp_path)
+    assert got == walker_outcome(doc, monkeypatch)
+    if mutation == "string_leaf":
+        kind, (error, message, field_path) = got
+        assert error is scenario.ScenarioError and message == f"{field_path}: expected a number"
+
+
+def plain(value):
+    """``value`` with each TokenBlock as the tuple of its fields, for comparison."""
+    if type(value) is scenario.TokenBlock:
+        return value.shape, value.values.tolist(), value.pieces
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return list(map(plain, value))
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(documents()))
+def test_parse_leaves_its_document_alone(name):
+    doc = documents()[name]
+    read = scenario._Reader().decode(json.dumps(doc))
+    for given in (doc, read):
+        before = copy.deepcopy(given)
+        scenario.parse_scenario(given)
+        assert plain(given) == plain(before)
 
 
 def test_off_diagonal_sampled_entry_names_its_node():
@@ -296,6 +357,27 @@ def test_csv_matches_row_walker(report):
     assert emitted(report, "csv") == csv_report(report)
 
 
+def tokenized(value):
+    """``value`` with each finite float in its lists and dicts, the containers a
+    JSON document holds, replaced by its token: the bytes of its repr."""
+    if type(value) is float and math.isfinite(value):
+        return repr(value).encode()
+    if type(value) is dict:
+        return {key: tokenized(item) for key, item in value.items()}
+    if type(value) is list:
+        return list(map(tokenized, value))
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUES)
+@example({"mixed": [[1, 2.5], [0.5, 3]], "deep": [[[[0.25]]]], "pair": [1e-300, -0.0]})
+def test_tokens_are_written_as_their_numbers(report):
+    tokens = tokenized(report)
+    assert emitted(tokens, "json") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert emitted(tokens, "csv") == csv_report(report)
+
+
 @pytest.mark.parametrize("command", SCENARIO_COMMANDS)
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
 def test_json_reports_keep_the_stdlib_layout(command, path, capsys):
@@ -303,3 +385,104 @@ def test_json_reports_keep_the_stdlib_layout(command, path, capsys):
     out = capsys.readouterr().out
     if out:
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# ------------------------------------------------------------------ echo
+
+LAYOUTS = {
+    "compact": {},
+    "indented": {"indent": 2, "sort_keys": True},
+    "tight": {"separators": (",", ":")},
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("name", sorted(documents()))
+def test_echo_matches_the_float_document(name, layout, tmp_path, capsys):
+    """The report's ``scenario`` section, JSON and CSV, against the stdlib writers
+    on the float-decoded document: its numbers are written in shortest repr
+    form, so echoing their tokens changes no byte."""
+    doc = documents()[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc, **LAYOUTS[layout]))
+    floats = json.loads(path.read_text())
+    main(["analyze", "--scenario", str(path)])
+    out = capsys.readouterr().out
+    assert out == json.dumps({**json.loads(out), "scenario": floats}, indent=2, sort_keys=True) + "\n"
+    main(["analyze", "--scenario", str(path), "--format", "csv"])
+    rows = [r for r in capsys.readouterr().out.splitlines(True) if r.startswith("scenario.")]
+    assert rows == csv_report({"scenario": floats}).splitlines(True)[1:]
+
+
+TOKENS = {  # path in the coefficient table -> the pair as written
+    (0, 0, 0, 0, 0): ("1.50", "1e0"),
+    (0, 0, 0, 0, 1): ("1e-400", "1e-400"),   # an off-diagonal entry that reads as zero
+    (0, 0, 0, 1, 1): ("1E+2", "0.0"),
+}
+
+
+def token_scenario(tmp_path):
+    """diagonal_slope.json with the pairs of TOKENS and ``measure.b`` written as 1e0."""
+    doc = json.loads((SCENARIOS / "diagonal_slope.json").read_text())
+    doc["measure"]["b"] = "@b"
+    for i, index in enumerate(TOKENS):
+        node = doc["family"]["coefficients"]
+        for j in index:
+            node = node[j]
+        node[:] = [f"@{i}re", f"@{i}im"]
+    text = json.dumps(doc, indent=2)
+    text = text.replace('"@b"', "1e0")
+    for i, (re_part, im_part) in enumerate(TOKENS.values()):
+        text = text.replace(f'"@{i}re"', re_part).replace(f'"@{i}im"', im_part)
+    path = tmp_path / "tokens.json"
+    path.write_text(text)
+    return path
+
+
+def test_echo_writes_each_number_as_written(tmp_path, capsys):
+    path = token_scenario(tmp_path)
+    sc = scenario.load_scenario(path)
+    assert type(sc.raw["family"]["coefficients"]) is scenario.TokenBlock
+    for index, (re_part, im_part) in TOKENS.items():
+        assert sc.family.coefficients[index] == complex(float(re_part), float(im_part))
+    assert sc.rule.nodes.tolist() == gauss_legendre(0.0, 1.0, 32).nodes.tolist()
+    as_written = json.loads(path.read_text(), parse_float=str)
+
+    assert main(["analyze", "--scenario", str(path)]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out, parse_float=str)
+    assert report["scenario"] == as_written
+    coefficients = report["scenario"]["family"]["coefficients"]
+    for index, pair in TOKENS.items():
+        node = coefficients
+        for j in index:
+            node = node[j]
+        assert tuple(node) == pair
+
+    assert main(["analyze", "--scenario", str(path), "--format", "csv"]) == 0
+    values = dict(row.split(",", 1) for row in capsys.readouterr().out.splitlines()[1:])
+    assert values["scenario.measure.b"] == "1e0"
+    for index, (re_part, im_part) in TOKENS.items():
+        field = "scenario.family.coefficients" + "".join(f"[{j}]" for j in index)
+        assert (values[field + "[0]"], values[field + "[1]"]) == (re_part, im_part)
+
+
+def test_echo_keeps_every_number_as_written(tmp_path, capsys):
+    """Tables of numbers, ragged and mixed lists, and numbers in nested objects
+    all echo their tokens, in JSON and in CSV."""
+    doc = json.loads((SCENARIOS / "diagonal_slope.json").read_text())
+    text = json.dumps(doc)[:-1] + (
+        ', "notes": {"ragged": [[1.50, 2], [3e0]], "mixed": ["x", 1.50, {"y": 2.50, "z": [1E+2]}],'
+        ' "flat": [1.0, -0.0, 10], "deep": [[[[0.250]]]], "empty": [[]]}}'
+    )
+    path = tmp_path / "notes.json"
+    path.write_text(text)
+    assert main(["analyze", "--scenario", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out, parse_float=str)
+    assert report["scenario"] == json.loads(text, parse_float=str)
+    assert main(["analyze", "--scenario", str(path), "--format", "csv"]) == 0
+    values = dict(row.split(",", 1) for row in capsys.readouterr().out.splitlines()[1:])
+    assert values["scenario.notes.ragged[0][0]"] == "1.50"
+    assert values["scenario.notes.mixed[2].z[0]"] == "1E+2"
+    assert values["scenario.notes.flat[1]"] == "-0.0"
+    assert values["scenario.notes.deep[0][0][0][0]"] == "0.250"

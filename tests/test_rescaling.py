@@ -37,7 +37,7 @@ GENERATED = {
 POWERS = {
     "lower_bound": 2, "upper_bound": 2, "spectrum": 2, "tight_value": 2, "energy": 2,
     "envelope": 2, "empirical_bounds": 2, "bounds": -2, "relaxation": -2, "sigma_min": 1,
-    "condition": 0, "tolerance": 0, "alpha": 0, "beta": 0,
+    "condition": 0, "tolerance": 0, "kernel_tolerance": 0, "alpha": 0, "beta": 0,
 }
 # Leaves at the rounding level or derived by cancellation, and the echo of the input.
 UNCHECKED = {

@@ -84,3 +84,32 @@ def test_compare_counts_changed_verdicts(tmp_path, capsys):
     assert "6 of 6 invocations differ" in out
     # a float move and a moved number in plain text are not verdicts
     assert "4 of 6 invocations changed an exit code or a boolean, string or integer leaf" in out
+
+
+def test_compare_counts_added_leaves_apart(tmp_path, capsys):
+    report = {"perturbation": {"admissible": True, "energy": 0.16}}
+    grown = {"perturbation": {**report["perturbation"], "margin": 0.36, "kind": "additive"}}
+    dir_a = record(tmp_path / "a", [("s perturb", json.dumps(report)), ("s csv", "field,value\n"),
+                                    ("s moved", json.dumps(report))])
+    dir_b = record(tmp_path / "b", [("s perturb", json.dumps(grown)),
+                                    ("s csv", "field,value\nindependence.kernel_tolerance,1e-12\n"),
+                                    ("s moved", json.dumps({"perturbation": {"margin": 0.36}}))])
+    assert same_answers.main(["--compare", str(dir_a), str(dir_b)]) == 1
+    out = capsys.readouterr().out
+    assert "leaves added: .perturbation.kind, .perturbation.margin" in out
+    assert "leaves added: independence.kernel_tolerance" in out
+    # a leaf that went away is a changed verdict, even beside an added one
+    assert "verdict leaves changed: .perturbation.admissible" in out
+    assert "3 of 3 invocations differ" in out
+    assert "1 of 3 invocations changed an exit code" in out
+    assert "2 of 3 invocations only added such leaves" in out
+
+
+def test_respellings_hold_the_same_document(tmp_path):
+    written = same_answers.respellings(tmp_path)
+    demos = sorted(same_answers.SCENARIOS.glob("*.json"))
+    assert len(written) == 2 * len(demos)
+    for name, path, calls in written:
+        source = same_answers.SCENARIOS / f"{name.split('.')[0]}.json"
+        assert calls == [] and json.loads(path.read_text()) == json.loads(source.read_text())
+        assert path.read_text() != source.read_text()

@@ -9,12 +9,16 @@ The first form calls ``opframes.cli.main`` in process for every invocation of th
 matrix and writes each one's exit code, stdout and stderr under OUTDIR.
 The matrix is every scenario command with its default flags and with each
 of ``--format csv``, ``--tol``, ``--nodes 64``, ``--nodes 256``, ``--seed``
-and ``--method`` that the command accepts, on every ``demos/scenarios/*.json``
-and on the scenario of each benchmark workload for seed 1 (whose own
-benchmark calls are added as they are), plus ``verify-examples`` with and
-without flags.  The demo scenarios use at most 32 nodes, so ``--nodes 256``
-is what takes them past 100 nodes, where ``gauss_legendre`` switches from
-the recurrence to closed-form expansions.
+and ``--method`` that the command accepts, on every ``demos/scenarios/*.json``,
+on two respellings of each written into OUTDIR (``json.dumps`` with
+``indent=2, sort_keys=True``, and with ``separators=(",", ":")``), and on the
+scenario of each benchmark workload for seed 1 (whose own benchmark calls
+are added as they are), plus ``verify-examples`` with and without flags.
+The reports echo every number as the scenario spells it, so the
+respellings hold that echo to the same answers in other layouts.  The demo
+scenarios use at most 32 nodes, so ``--nodes 256`` is what takes them past
+100 nodes, where ``gauss_legendre`` switches from the recurrence to
+closed-form expansions.
 The ``opframes`` that runs is whichever one is importable, so pointing
 PYTHONPATH at another checkout's ``src`` records that version's answers
 for the same inputs.
@@ -25,11 +29,13 @@ any numeric leaf of the report (JSON or CSV), with its two values, and the
 first non-numeric differences.  A summary counts the invocations that
 differ and those whose exit code or any boolean, string or integer leaf of
 the report changed (a verdict, classification, iteration count or kernel
-dimension).  It gives the largest move per scenario file, over all numeric
-leaves and over the leaves above ROUNDING_LEVEL in magnitude: residuals and
-recovery errors sit at the rounding level, where any change of summation
-order moves them by O(1) relative.  The exit code is 0 when every invocation is byte-identical,
-1 otherwise.
+dimension).  An invocation whose only such change is leaves present in B
+alone, such as a new margin, is listed with them and counted apart: no
+verdict moved.  It gives the largest move per scenario file, over all
+numeric leaves and over the leaves above ROUNDING_LEVEL in magnitude:
+residuals and recovery errors sit at the rounding level, where any change
+of summation order moves them by O(1) relative.  The exit code is 0 when
+every invocation is byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ VARIANTS = (
     ("--method", "direct"),
 )
 VERIFY = ((), ("--nodes", "64", "--tol", "1e-9"), ("--nodes", "1"), ("--tol", "1e-16"))
+LAYOUTS = {"indented": {"indent": 2, "sort_keys": True}, "tight": {"separators": (",", ":")}}
 SHOWN_DIFFERENCES = 3
 ROUNDING_LEVEL = 1e-9  # residuals and recovery errors stay below it
 
@@ -75,6 +82,18 @@ def bench_scenarios(workdir):
     return out
 
 
+def respellings(workdir):
+    """(name, path, no calls) of each demo scenario rewritten in the other LAYOUTS."""
+    out = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for layout, options in LAYOUTS.items():
+            target = workdir / f"{path.stem}.{layout}.json"
+            target.write_text(json.dumps(doc, **options), encoding="utf-8")
+            out.append((target.stem, target, []))
+    return out
+
+
 def matrix(workdir):
     """Ordered {invocation name: argv}; paths are relative to the checkout root when possible."""
     from opframes.cli import COMMANDS
@@ -84,6 +103,7 @@ def matrix(workdir):
         return str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else str(path)
 
     sources = [(p.stem, p, []) for p in sorted(SCENARIOS.glob("*.json"))]
+    sources += respellings(workdir)
     sources += bench_scenarios(workdir)
     invocations = {}
     for stem, path, own_calls in sources:
@@ -199,6 +219,12 @@ def verdict_changes(text_a, text_b):
     ]
 
 
+def added_leaves(text_a, text_b):
+    """Paths of report leaves in B only; none unless both outputs are reports."""
+    a, b = report_leaves(text_a), report_leaves(text_b)
+    return [] if a is None or b is None else sorted(set(b) - set(a))
+
+
 def is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -236,7 +262,7 @@ def cmd_compare(dir_a, dir_b):
     man_a = json.loads((dir_a / "manifest.json").read_text(encoding="utf-8"))
     man_b = json.loads((dir_b / "manifest.json").read_text(encoding="utf-8"))
     per_source = {}
-    changed = verdicts = 0
+    changed = verdicts = additions = 0
     for name in list(man_a) + [n for n in man_b if n not in man_a]:
         source = name.split()[0]
         if name not in man_a or name not in man_b:
@@ -263,9 +289,15 @@ def cmd_compare(dir_a, dir_b):
         if ea["exit"] != eb["exit"]:
             notes.append(f"exit {ea['exit']} -> {eb['exit']}")
         moved = verdict_changes(out_a, out_b)
-        if moved:
-            notes.append(f"verdict leaves changed: {', '.join(moved[:SHOWN_DIFFERENCES])}")
-        verdicts += bool(moved) or ea["exit"] != eb["exit"]
+        added = added_leaves(out_a, out_b)
+        if moved and set(moved) <= set(added) and ea["exit"] == eb["exit"]:
+            notes.append(f"leaves added: {', '.join(added[:SHOWN_DIFFERENCES])}")
+            additions += 1
+            other = [d for d in other if not d.endswith(" only in B")]
+        else:
+            if moved:
+                notes.append(f"verdict leaves changed: {', '.join(moved[:SHOWN_DIFFERENCES])}")
+            verdicts += bool(moved) or ea["exit"] != eb["exit"]
         notes += other[:SHOWN_DIFFERENCES]
         notes += [f"stderr {d}" for d in err_other[:SHOWN_DIFFERENCES]]
         if len(other) + len(err_other) > 2 * SHOWN_DIFFERENCES:
@@ -277,6 +309,7 @@ def cmd_compare(dir_a, dir_b):
     print(f"\n{changed} of {total} invocations differ")
     print(f"{verdicts} of {total} invocations changed an exit code or a boolean, string or integer"
           " leaf of a report")
+    print(f"{additions} of {total} invocations only added such leaves")
     print(f"largest relative move of a numeric leaf per scenario: all leaves, leaves above {ROUNDING_LEVEL:g}")
     for source, (worst, above) in per_source.items():
         print(f"  {source:24s} {worst:<10.3g} {above:.3g}")
