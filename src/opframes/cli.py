@@ -21,7 +21,7 @@ import csv
 import json
 import sys
 import time
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -239,47 +239,55 @@ def _write_json(value, level, write):
     A number token (bytes, from the scenario) is written as it reads, and a
     TokenBlock from its tokens.  A numeric block of finite numbers, or of
     tokens only, is written by ``_write_block``.  Types this encoder does not
-    know, and non-finite numbers, go to the stdlib.
+    know, and non-finite numbers, go to the stdlib.  Open containers are
+    kept on a stack, not in Python frames, so any depth the scenario
+    decoder reads can be written.
     """
-    kind = type(value)
-    inner = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level
-    if kind is str:
-        write(encode_basestring_ascii(value))
-    elif value is None:
-        write("null")
-    elif kind is bool:
-        write("true" if value else "false")
-    elif kind is int or (kind is float and value - value == 0.0):
-        write(repr(value))
-    elif kind is bytes:
-        write(value.decode())
-    elif kind is TokenBlock:
-        _write_block(value.shape, map(tuple, _rows(value.tokens(), value.shape[0])), level, write)
-    elif kind is dict and value and set(map(type, value)) == {str}:
-        opening = "{"
-        for key in sorted(value):
-            write(f"{opening}{inner}{encode_basestring_ascii(key)}: ")
-            _write_json(value[key], level + 1, write)
-            opening = ","
-        write(close + "}")
-    elif kind is list and value:
-        block = _numeric_block(value)
-        if block is not None and block[2] == {bytes}:
-            _write_block(block[0], map(tuple, _rows(block[1], block[0][0])), level, write)
+    stack = []                             # (items left, closing text) of each open container
+    while True:
+        kind = type(value)
+        depth = level + len(stack)
+        inner = "\n" + "  " * (depth + 1)
+        close = "\n" + "  " * depth
+        if kind is str:
+            write(encode_basestring_ascii(value))
+        elif value is None:
+            write("null")
+        elif kind is bool:
+            write("true" if value else "false")
+        elif kind is int or (kind is float and value - value == 0.0):
+            write(repr(value))
+        elif kind is bytes:
+            write(value.decode())
+        elif kind is TokenBlock:
+            _write_block(value.shape, map(tuple, _rows(value.tokens(), value.shape[0])), depth, write)
+        elif kind is dict and value and set(map(type, value)) == {str}:
+            keys = sorted(value)
+            marks = chain("{", repeat(","))
+            openings = [f"{mark}{inner}{encode_basestring_ascii(key)}: " for mark, key in zip(marks, keys)]
+            stack.append((zip(openings, map(value.__getitem__, keys)), close + "}"))
+        elif kind is list and value:
+            block = _numeric_block(value)
+            if block is not None and block[2] == {bytes}:
+                _write_block(block[0], map(tuple, _rows(block[1], block[0][0])), depth, write)
+            elif block is not None and bytes not in block[2] and _finite(block[1]):
+                rows = (tuple(map(repr, row)) for row in _rows(block[1], block[0][0]))
+                _write_block(block[0], rows, depth, write)
+            else:
+                openings = chain(["[" + inner], repeat("," + inner))
+                stack.append((zip(openings, value), close + "]"))
+        else:
+            write(json.dumps(value, indent=2, sort_keys=True).replace("\n", close))
+        while stack:                       # the next value, after closing every finished container
+            items, closing = stack[-1]
+            opening, value = next(items, (None, None))
+            if opening is not None:
+                write(opening)
+                break
+            write(closing)
+            stack.pop()
+        else:
             return
-        if block is not None and bytes not in block[2] and _finite(block[1]):
-            rows = (tuple(map(repr, row)) for row in _rows(block[1], block[0][0]))
-            _write_block(block[0], rows, level, write)
-            return
-        opening = "["
-        for item in value:
-            write(opening + inner)
-            _write_json(item, level + 1, write)
-            opening = ","
-        write(close + "]")
-    else:
-        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", close))
 
 
 def _text(leaf):

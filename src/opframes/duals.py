@@ -5,7 +5,8 @@ frame operator first, then the node operator.  In the right-multiplication
 picture the dual node matrix is ``s_inv @ M_w``, and the dual frame
 operator is ``s_inv`` itself, so the dual's optimal bounds are exactly
 (1/B, 1/A) of the primal.  Both the inverse and the resolution of the
-identity are taken per slot block (see ``frames``).
+identity are taken per slot block (see ``frames``); for parametric
+families both come from the coefficients, and no node operator is evaluated.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _check_tol
-from .frames import PARAMETRIC, OperatorFamily, frame_operator, optimal_bounds, require_frame
+from .frames import PARAMETRIC, OperatorFamily, _gram, frame_operator, optimal_bounds, require_frame
 from .hilbert_module import _from_slots, _to_slots
-from .quadrature import _integrate_products
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,14 @@ def is_dual_pair(primal: OperatorFamily, other: OperatorFamily, tol: float = 1e-
     The per-node composition in the right-multiplication picture is
     ``L_w @ M_w*``; the pair is dual when the weighted sum of those
     products is the identity to tolerance, in the largest spectral norm over the slots.
+    For two parametric families the sum is Y_L* Y_M from their slot factors.
     """
     _check_tol(tol)
     if primal.rule != other.rule:
         raise ValueError("families must share one quadrature rule")
     if primal.descriptor != other.descriptor or primal.n != other.n:
         raise ValueError("families must share descriptor and rank")
-    resolution = _integrate_products(primal.rule, other.blocks, primal.blocks)
+    resolution = _gram(other, primal)
     residual = float(np.max(np.linalg.norm(resolution - np.eye(resolution.shape[-1]), 2, axis=(1, 2))))
     lo, hi = optimal_bounds(frame_operator(other))
     return DualPairReport(

@@ -11,12 +11,21 @@ In the right-multiplication representation S acts as ``x @ s`` where
 two-sided inequality  A <x,x>  <=  <Sx,x>  <=  B <x,x>  are the extreme
 eigenvalues of the flattened ``s``: under the row flattening X of x one
 has <Sx,x> = X s X* and <x,x> = X X*, and placing an extremal eigenvector
-in a single row of X attains equality.  A family stores its node operators
-as slot blocks, (k, N, n, n) for a diagonal algebra and (1, N, nk, nk) for
+in a single row of X attains equality.  A family's node operators are
+slot blocks, (k, N, n, n) for a diagonal algebra and (1, N, nk, nk) for
 a full one, and every spectral quantity is one batched kernel over the
 slots: the spectrum of s is the union of its blocks' spectra.  Tables of
 algebra elements, slot blocks and the dense ``flats`` and ``flat`` convert
 into each other only through the helpers of ``hilbert_module``.
+
+A parametric family M(t) = sum_p C_p t^p, p < D, evaluates its node blocks
+only when they are read (``analysis``, ``synthesis``, and consumers that mix
+it with sampled data).  Each weighted Gram form sum_i w_i L_i M_i* depends on
+the rule only through Phi_ip = sqrt(w_i) t_i^p, so with the triangle R of a
+Householder QR of Phi the family's slot factor Y = (R (x) I_b)[C_p*], of
+D b rows per slot, is the source of s = Y* Y, of the singular values of the
+weighted analysis map, sigma(V) = sigma(Y), and of the dual-pair resolution
+Y_L* Y_M.  ``_gram`` chooses this route, or the node sum for sampled data.
 
 "Is a frame" has one rule, in ``require_frame``, ``classify`` and
 ``below_bounded_check`` alike: A > tol * B with B > 0.  It is relative, so
@@ -49,23 +58,36 @@ def _read_only(arr):
     return arr
 
 
+def _node_blocks(rule, descriptor, coefficients):
+    """Slot blocks (m, N, b, b) of the polynomial sum_p C_p t^p at the nodes of ``rule``."""
+    powers = rule.nodes[:, None] ** np.arange(len(coefficients))[None, :]
+    blocks = np.tensordot(powers, _to_slots(descriptor, coefficients), axes=([1], [1]))
+    return np.ascontiguousarray(blocks.swapaxes(0, 1))
+
+
 class OperatorFamily:
     """An indexed operator family, parametric in the node variable or sampled.
 
     Parametric families store polynomial coefficients, lowest degree first,
     as an array of shape (degree + 1, n, n, k, k); the node operator is the
     polynomial evaluated at that node.  The node operators are read-only
-    slot blocks (m, N, b, b), so the frame operator and the singular values
-    computed from them are cached on the family.
+    slot blocks (m, N, b, b).  A parametric family evaluates them only when
+    ``blocks`` is first read, which ``analysis``, ``synthesis`` and the
+    consumers that mix it with sampled data do: its frame operator,
+    singular values and dual-pair resolution come from its slot factor
+    (``_slot_factor``), which costs O(N D^2) for the rule and nothing per
+    node operator.  The factor, the frame operator and the singular values
+    are cached on the family.
     """
 
-    def __init__(self, rule, descriptor, n, blocks, coefficients=None):
+    def __init__(self, rule, descriptor, n, blocks=None, coefficients=None):
         self.rule = rule
         self.descriptor = descriptor
         self.n = n
         self.form = SAMPLED if coefficients is None else PARAMETRIC
-        self.coefficients = coefficients
-        self.blocks = _read_only(blocks)
+        self.coefficients = None if coefficients is None else _read_only(coefficients)
+        self._blocks = None if blocks is None else _read_only(blocks)
+        self._factor = None              # slot factor Y of a parametric family, set by _slot_factor
         self._frame = None               # FrameOperatorData, set by frame_operator
         self._sigma = None               # singular values, set by _singular_values
 
@@ -80,10 +102,7 @@ class OperatorFamily:
             )
         # each coefficient is itself a valid operator, so every node evaluation is one
         coefficients = _as_blocks(descriptor, coefficients, coefficients.shape, "operator blocks")
-        powers = rule.nodes[:, None] ** np.arange(len(coefficients))[None, :]
-        blocks = np.tensordot(powers, _to_slots(descriptor, coefficients), axes=([1], [1]))
-        blocks = np.ascontiguousarray(blocks.swapaxes(0, 1))
-        return cls(rule, descriptor, n, blocks, coefficients)
+        return cls(rule, descriptor, n, coefficients=coefficients)
 
     @classmethod
     def sampled(cls, rule: QuadratureRule, operators):
@@ -107,6 +126,14 @@ class OperatorFamily:
             raise ValueError(f"need {len(rule)} operators, got {len(flats)}")
         table = _as_blocks(descriptor, _unflatten(flats, k), (len(rule), n, n, k, k), "operator blocks")
         return cls(rule, descriptor, n, _to_slots(descriptor, table))
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """(m, N, b, b) read-only slot blocks of the node operators; a parametric
+        family evaluates its polynomial at the nodes on the first read."""
+        if self._blocks is None:
+            self._blocks = _read_only(_node_blocks(self.rule, self.descriptor, self.coefficients))
+        return self._blocks
 
     @property
     def flats(self) -> np.ndarray:
@@ -181,14 +208,54 @@ def synthesis(family: OperatorFamily, ys: L2Family) -> ModuleVector:
     return ModuleVector(family.descriptor, _from_slots(family.descriptor, acc)[0])
 
 
+def _slot_factor(family) -> np.ndarray:
+    """Per slot, a tall matrix F with F* F = s and the singular values of V, (m, r, b).
+
+    V stacks sqrt(w_i) M_i* over the nodes.  A sampled family's F is V
+    itself, r = N b.  A parametric family's is its slot factor, cached:
+    with the weighted Vandermonde matrix Phi_ip = sqrt(w_i) t_i^p (N x D)
+    and R the (min(N, D), D) triangle of its Householder QR,
+    Y = (R (x) I_b) [C_0*; ...; C_{D-1}*], since V = (Phi (x) I_b) [C_p*]
+    and Phi = Q R with orthonormal Q.  On a Gauss rule with N >= D the
+    products Y_L* Y_M are the integrals over the measure itself.
+    """
+    if family.form == SAMPLED:
+        roots = np.sqrt(family.rule.weights)
+        return _side_by_side(roots[:, None, None] * family.blocks).conj().swapaxes(1, 2)
+    if family._factor is None:
+        rule, slots = family.rule, _to_slots(family.descriptor, family.coefficients)
+        phi = np.sqrt(rule.weights)[:, None] * rule.nodes[:, None] ** np.arange(slots.shape[1])
+        triangle = np.linalg.qr(phi, mode="r")
+        factor = np.tensordot(slots.conj().swapaxes(-1, -2), triangle, axes=([1], [1]))
+        factor = np.moveaxis(factor, -1, 1).reshape(len(slots), -1, slots.shape[-1])
+        family._factor = _read_only(factor)
+    return family._factor
+
+
+def _gram(left: OperatorFamily, right: OperatorFamily) -> np.ndarray:
+    """sum_i w_i L_i R_i* per slot, (m, b, b), for two families on one rule.
+
+    The one place that picks a route: from the slot factors, Y_L* Y_R,
+    when both families are parametric, else the node sum
+    ``_integrate_products``, which weights one side only (with sqrt(w) on
+    both, a sampled frame operator moved by an ulp).  A factor of lower
+    degree is zero below its rows, so the sum runs over the shorter one.
+    """
+    if left.form == right.form == PARAMETRIC:
+        y_left, y_right = _slot_factor(left), _slot_factor(right)
+        rows = min(y_left.shape[1], y_right.shape[1])
+        return y_left[:, :rows].conj().swapaxes(1, 2) @ y_right[:, :rows]
+    return _integrate_products(left.rule, left.blocks, right.blocks)
+
+
 def frame_operator(family: OperatorFamily) -> FrameOperatorData:
-    """s = sum_i w_i M_i M_i* per slot with one batched eigh, computed once per family.
+    """s = sum_i w_i M_i M_i* per slot (``_gram``) with one batched eigh, computed once per family.
 
     The result is cached on the family and its arrays are read-only, so
     every consumer shares one factorization.
     """
     if family._frame is None:
-        blocks = _integrate_products(family.rule, family.blocks, family.blocks)
+        blocks = _gram(family, family)
         eigenpairs = np.linalg.eigh(blocks)
         family._frame = FrameOperatorData(family.descriptor, *map(_read_only, (blocks, *eigenpairs)))
     return family._frame
@@ -262,11 +329,14 @@ def classify(data: FrameOperatorData, tol: float = 1e-8) -> FrameReport:
 
 
 def _singular_values(family) -> np.ndarray:
-    """Singular values, descending, of V stacking sqrt(w_i) M_i* (so V* V = s), cached."""
+    """Singular values, descending, of V stacking sqrt(w_i) M_i* (so V* V = s), cached.
+
+    They are read from ``_slot_factor``: V itself for a sampled family, and
+    the D b x b slot factor Y for a parametric one, whose singular values
+    are V's because V = (Q (x) I) Y with orthonormal Q.
+    """
     if family._sigma is None:
-        roots = np.sqrt(family.rule.weights)
-        tall = _side_by_side(roots[:, None, None] * family.blocks).conj().swapaxes(1, 2)
-        sigma = np.linalg.svd(tall, compute_uv=False)
+        sigma = np.linalg.svd(_slot_factor(family), compute_uv=False)
         family._sigma = _read_only(np.sort(sigma, axis=None)[::-1] if len(sigma) > 1 else sigma[0])
     return family._sigma
 

@@ -19,9 +19,9 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .algebra import SINGULARITY_RATIO, _check_tol
-from .frames import PARAMETRIC, OperatorFamily, extremal_vector, frame_operator, require_frame
-from .hilbert_module import ModuleOperator, _to_slots, op_norm, random_vector
-from .quadrature import COUNTING, QuadratureRule, _integrate_products
+from .frames import PARAMETRIC, OperatorFamily, _gram, extremal_vector, frame_operator, require_frame
+from .hilbert_module import ModuleOperator, op_norm, random_vector
+from .quadrature import COUNTING, QuadratureRule
 
 
 class ScalarFamily:
@@ -131,23 +131,36 @@ class RelativePerturbation:
         return ra, rb
 
 
+def _combination(terms) -> OperatorFamily:
+    """The family sum_j c_j(w) F_j(w) over (ScalarFamily c_j, OperatorFamily F_j) pairs on one rule.
+
+    It is parametric, its coefficients the convolutions of the c_j with the
+    F_j, when every c_j is a polynomial and every F_j parametric; else it is
+    sampled, from the node blocks (evaluated where a F_j is parametric).
+    """
+    first = terms[0][1]
+    rule, descriptor, n = first.rule, first.descriptor, first.n
+    if all(c.form == "polynomial" and f.form == PARAMETRIC for c, f in terms):
+        degree = max(len(c.coefficients) + len(f.coefficients) - 1 for c, f in terms)
+        coeffs = np.zeros((degree,) + first.coefficients.shape[1:], dtype=np.complex128)
+        for c, f in terms:
+            for d, c_d in enumerate(c.coefficients):
+                coeffs[d:d + len(f.coefficients)] += c_d * f.coefficients
+        return OperatorFamily(rule, descriptor, n, coefficients=coeffs)
+    blocks = sum(c.at_nodes(rule)[:, None, None] * f.blocks for c, f in terms)
+    return OperatorFamily(rule, descriptor, n, blocks)
+
+
+_ONE, _MINUS_ONE = ScalarFamily.constant(1.0), ScalarFamily.constant(-1.0)
+
+
 def perturb_additive(family: OperatorFamily, pert: AdditivePerturbation) -> OperatorFamily:
     """The family {T_w + c_w K}; parametric + polynomial inputs stay parametric."""
     if pert.operator.descriptor != family.descriptor or pert.operator.n != family.n:
         raise ValueError("perturbation operator does not match the family shape")
-    k_blocks = pert.operator.blocks
-    if family.form == PARAMETRIC and pert.coefficient.form == "polynomial":
-        c = pert.coefficient.coefficients
-        deg = max(family.coefficients.shape[0], len(c))
-        coeffs = np.zeros((deg,) + family.coefficients.shape[1:], dtype=np.complex128)
-        coeffs[: family.coefficients.shape[0]] = family.coefficients
-        for d in range(len(c)):
-            coeffs[d] = coeffs[d] + c[d] * k_blocks
-        return OperatorFamily.parametric(family.rule, family.descriptor, family.n, coeffs)
-    c_nodes = pert.coefficient.at_nodes(family.rule)
-    k_blocks = _to_slots(family.descriptor, pert.operator.blocks)[:, None]
-    blocks = family.blocks + c_nodes[:, None, None] * k_blocks
-    return OperatorFamily(family.rule, family.descriptor, family.n, blocks)
+    constant = pert.operator.blocks[None]  # K as a family of degree 0
+    direction = OperatorFamily(family.rule, family.descriptor, family.n, coefficients=constant)
+    return _combination([(_ONE, family), (pert.coefficient, direction)])
 
 
 def additive_admissible(
@@ -196,22 +209,20 @@ def relative_criterion_check(
     Returns (passed, margin) with margin = lambda_min(Q) / lambda_max(P),
     P = alpha sum w (aM)(aM)* + beta sum w (bN)(bN)* the positive part of Q,
     each extreme taken over the blocks; it passes when margin >= -tol.  Both
-    scale with Q, so rescaling the problem never changes the verdict.
+    scale with Q, so rescaling the problem never changes the verdict.  With
+    parametric families and polynomial scales, aM, bN and D are parametric
+    too (``_combination``), and each sum comes from its slot factor.
     """
     _check_tol(tol)
     if family.rule != other.rule:
         raise ValueError("families must share one quadrature rule")
     if family.descriptor != other.descriptor or family.n != other.n:
         raise ValueError("families must share descriptor and rank")
-    rule = family.rule
-    scaled_t = pert.scale_primal.at_nodes(rule)[:, None, None] * family.blocks
-    scaled_l = pert.scale_other.at_nodes(rule)[:, None, None] * other.blocks
-    diff = scaled_t - scaled_l
-    positive = (
-        pert.alpha * _integrate_products(rule, scaled_t, scaled_t)
-        + pert.beta * _integrate_products(rule, scaled_l, scaled_l)
-    )
-    gap = _integrate_products(rule, diff, diff)
+    scaled_t = _combination([(pert.scale_primal, family)])
+    scaled_l = _combination([(pert.scale_other, other)])
+    diff = _combination([(_ONE, scaled_t), (_MINUS_ONE, scaled_l)])
+    positive = pert.alpha * _gram(scaled_t, scaled_t) + pert.beta * _gram(scaled_l, scaled_l)
+    gap = _gram(diff, diff)
     least = float(np.min(np.linalg.eigvalsh(positive - gap)[:, 0]))
     scale = float(np.max(np.linalg.eigvalsh(positive)[:, -1]))
     if scale > 0.0:

@@ -179,6 +179,36 @@ def node_operator(family, i):
     return ModuleOperator(family.descriptor, blocks)
 
 
+def node_flats(family):
+    """(N, nk, nk) node operators: a parametric family's polynomial summed term by
+    term at every node (``node_operator``), a sampled family's own."""
+    if family.form == "parametric":
+        return np.array([node_operator(family, i).flatten() for i in range(len(family))])
+    return np.array(family.flats)
+
+
+def slot_blocks(descriptor, flats):
+    """(m, ..., b, b) slot blocks of (..., nk, nk) flattenings: rows and columns
+    s, s + k, ... for slot s of a diagonal algebra, the whole flattening if full."""
+    k = descriptor.dim
+    if descriptor.is_diagonal:
+        return np.stack([flats[..., s::k, s::k] for s in range(k)])
+    return flats[None]
+
+
+def node_gram(left, right):
+    """The node route for sum_i w_i L_i R_i* per slot: ``fold_products`` of ``node_flats``."""
+    return slot_blocks(left.descriptor, fold_products(left.rule.weights, node_flats(left), node_flats(right)))
+
+
+def node_factor(family):
+    """The node route for the tall matrix V stacking sqrt(w_i) M_i* over the nodes,
+    per slot, (m, N b, b), from ``node_flats``."""
+    blocks = slot_blocks(family.descriptor, node_flats(family))
+    tall = np.sqrt(family.rule.weights)[:, None, None] * blocks.conj().swapaxes(-1, -2)
+    return tall.reshape(len(blocks), -1, blocks.shape[-1])
+
+
 def check_frame_inequality(family, lower, upper, xs, tol=1e-10):
     """The sampled frame inequality  lower <x,x> <= <Sx,x> <= upper <x,x>  on the
     given module vectors, with <x,x> = X X* and <Sx,x> = X s X* for the k x nk

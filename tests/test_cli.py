@@ -87,18 +87,40 @@ class TestAnalyze:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("inner", ["1.5", "[]"])
     def test_nesting_the_decoder_accepts_is_echoed(self, tmp_path, fmt, inner):
-        """985 levels load in a fresh interpreter; the echo writes them back."""
-        path = self.nested_notes(tmp_path, 985, inner)
+        """987 lists, the deepest nesting that loads in a fresh interpreter; the echo writes them back."""
+        wraps = 987 - inner.count("[")
+        path = self.nested_notes(tmp_path, wraps, inner)
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "opframes.cli", "analyze", "--scenario", str(path), "--format", fmt],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
-        if fmt == "json":  # the innermost value, indented below scenario, notes and 985 lists
-            assert "\n" + "  " * 987 + inner + "\n" in proc.stdout
+        if fmt == "json":  # the innermost value, indented below scenario, notes and the wrapping lists
+            assert "\n" + "  " * (wraps + 2) + inner + "\n" in proc.stdout
         elif inner == "1.5":
-            assert f"\nscenario.notes{'[0]' * 985},1.5\n" in proc.stdout
+            assert f"\nscenario.notes{'[0]' * wraps},1.5\n" in proc.stdout
+
+    def test_one_level_deeper_is_refused_by_name(self, tmp_path):
+        path = self.nested_notes(tmp_path, 987, "[]")  # 988 lists
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opframes.cli", "analyze", "--scenario", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "scenario error: : not valid JSON: nested too deeply\n"
+
+    def test_json_writer_keeps_no_frame_per_level(self):
+        depth = sys.getrecursionlimit() + 100
+        value = []
+        for _ in range(depth - 1):
+            value = [value]
+        parts = []
+        cli._write_json({"notes": value}, 0, parts.append)
+        lines = ["{", '  "notes": ['] + ["  " * i + "[" for i in range(2, depth)]
+        lines += ["  " * depth + "[]"] + ["  " * i + "]" for i in reversed(range(1, depth))] + ["}"]
+        assert "".join(parts) == "\n".join(lines)
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "--scenario", str(tmp_path / "none.json"))

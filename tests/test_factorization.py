@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from opframes import frames
 from opframes.algebra import AlgebraDescriptor
 from opframes.catalog import random_frame_family
 from opframes.cli import main
@@ -71,6 +72,22 @@ class TestOneFactorizationPerFamily:
         capsys.readouterr()
         assert len(calls) == 3
         assert len({a.tobytes() for a in calls}) == 3
+
+    @pytest.mark.parametrize("name,families", [("perturbed_additive.json", 3), ("perturbed_relative.json", 6)])
+    def test_analyze_runs_one_qr_per_family(self, monkeypatch, capsys, name, families):
+        # the relative criterion adds three: aT, bL and aT - bL, each with its own factor
+        eighs, qrs = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "qr")
+        factored, factor = [], frames._slot_factor
+
+        def recording(family):
+            factored.append(family)
+            return factor(family)
+
+        monkeypatch.setattr(frames, "_slot_factor", recording)
+        assert main(["analyze", "--scenario", str(SCENARIOS / name)]) == 0
+        capsys.readouterr()
+        assert len({id(f) for f in factored}) == len(qrs) == families
+        assert len(eighs) == 3
 
     def test_independence_runs_one_svd(self, monkeypatch, capsys):
         calls = count_calls(monkeypatch, "svd")

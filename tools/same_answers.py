@@ -13,12 +13,14 @@ and ``--method`` that the command accepts, on every ``demos/scenarios/*.json``,
 on two respellings of each written into OUTDIR (``json.dumps`` with
 ``indent=2, sort_keys=True``, and with ``separators=(",", ":")``), and on the
 scenario of each benchmark workload for seed 1 (whose own benchmark calls
-are added as they are), plus ``verify-examples`` with and without flags.
+are added as they are), plus ``analyze --nodes 300000`` on every demo
+scenario and ``verify-examples`` with and without flags.
 The reports echo every number as the scenario spells it, so the
 respellings hold that echo to the same answers in other layouts.  The demo
 scenarios use at most 32 nodes, so ``--nodes 256`` is what takes them past
 100 nodes, where ``gauss_legendre`` switches from the recurrence to
-closed-form expansions.
+closed-form expansions, and ``--nodes 300000`` compares answers where the
+node count is far above the degree of every integrand.
 The ``opframes`` that runs is whichever one is importable, so pointing
 PYTHONPATH at another checkout's ``src`` records that version's answers
 for the same inputs.
@@ -62,6 +64,7 @@ VARIANTS = (
     ("--seed", "3"),
     ("--method", "direct"),
 )
+LARGE = ("--nodes", "300000")  # analyze on each demo scenario only: the node count stops mattering
 VERIFY = ((), ("--nodes", "64", "--tol", "1e-9"), ("--nodes", "1"), ("--tol", "1e-16"))
 LAYOUTS = {"indented": {"indent": 2, "sort_keys": True}, "tight": {"separators": (",", ":")}}
 SHOWN_DIFFERENCES = 3
@@ -102,8 +105,8 @@ def matrix(workdir):
         path = Path(path)
         return str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else str(path)
 
-    sources = [(p.stem, p, []) for p in sorted(SCENARIOS.glob("*.json"))]
-    sources += respellings(workdir)
+    demos = [(p.stem, p, []) for p in sorted(SCENARIOS.glob("*.json"))]
+    sources = demos + respellings(workdir)
     sources += bench_scenarios(workdir)
     invocations = {}
     for stem, path, own_calls in sources:
@@ -120,6 +123,8 @@ def matrix(workdir):
             invocations[" ".join([stem, "bench", *extra])] = [
                 a if a != str(path) else rel(path) for a in argv
             ]
+    for stem, path, _ in demos:
+        invocations[" ".join([stem, "analyze", *LARGE])] = ["analyze", "--scenario", rel(path), *LARGE]
     for variant in VERIFY:
         invocations[" ".join(["verify-examples", *variant])] = ["verify-examples", *variant]
     return invocations
