@@ -9,19 +9,23 @@ command decides "is a frame" by one rule at the classification tolerance.
 
 Every report starts with the scenario's echo, ``Scenario.raw``, which
 writes each number as the file does: a token (bytes) as it reads, and a
-table of numbers (a ``TokenBlock``) a row at a time from its text.  Numbers
-the commands compute are written as their reprs, as ``json.dumps`` writes
-them.
+table of numbers (a ``TokenBlock``) from its text.  Numbers the commands
+compute are written as their reprs, as ``json.dumps`` writes them; the
+tables among them (the spectrum, the dual coefficients) stay float arrays
+until they are written.  Each numeric block, a TokenBlock, an array or a
+rectangular list of numbers, is written from one layout template built
+for the whole block and filled with its leaves' texts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -70,9 +74,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _pairs(arr):
-    """Complex ndarray -> nested lists with innermost [re, im] pairs."""
-    arr = np.asarray(arr, dtype=np.complex128)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+    """Complex ndarray -> its float view, shape (..., 2), with innermost [re, im] pairs."""
+    arr = np.ascontiguousarray(arr, dtype=np.complex128)
+    return arr.view(np.float64).reshape(arr.shape + (2,))
 
 
 def _frame_section(report):
@@ -81,7 +85,7 @@ def _frame_section(report):
         "upper_bound": report.upper_bound,
         "classification": report.classification,
         "tight_value": report.tight_value,
-        "spectrum": list(report.spectrum),
+        "spectrum": np.array(report.spectrum, dtype=float),
         "condition": report.condition if np.isfinite(report.condition) else None,
         "tolerance": report.tolerance,
         "diagnostics": report.diagnostics,
@@ -234,14 +238,18 @@ def _write_block(shape, rows, level, write):
 
 
 def _write_json(value, level, write):
-    """Write ``json.dumps(value, indent=2, sort_keys=True)`` for a subtree at nesting ``level``.
+    """Write ``json.dumps(value, indent=2, sort_keys=True)`` for a subtree at nesting ``level``,
+    an ndarray written as its ``tolist()``.
 
-    A number token (bytes, from the scenario) is written as it reads, and a
-    TokenBlock from its tokens.  A numeric block of finite numbers, or of
-    tokens only, is written by ``_write_block``.  Types this encoder does not
-    know, and non-finite numbers, go to the stdlib.  Open containers are
-    kept on a stack, not in Python frames, so any depth the scenario
-    decoder reads can be written.
+    A number token (bytes, from the scenario) is written as it reads.  Each
+    numeric block is written by ``_write_block`` from one layout template: a
+    TokenBlock from its tokens, a finite float array from the reprs of its
+    rows, and a rectangular list of finite numbers, or of tokens only, from
+    its leaves.  Any other array is written as its nested lists, so NaN
+    and Infinity come out as the stdlib writes them.  Types this encoder
+    does not know, and non-finite numbers, go to the stdlib.  Open
+    containers are kept on a stack, not in Python frames, so any depth the
+    scenario decoder reads can be written.
     """
     stack = []                             # (items left, closing text) of each open container
     while True:
@@ -276,6 +284,13 @@ def _write_json(value, level, write):
             else:
                 openings = chain(["[" + inner], repeat("," + inner))
                 stack.append((zip(openings, value), close + "]"))
+        elif kind is np.ndarray:
+            if value.ndim and value.size and value.dtype.kind == "f" and np.isfinite(value).all():
+                rows = value.reshape(len(value), -1).tolist()
+                _write_block(value.shape, (tuple(map(repr, row)) for row in rows), depth, write)
+            else:                          # non-finite, empty or not floats: as its nested lists
+                value = value.tolist()
+                continue
         else:
             write(json.dumps(value, indent=2, sort_keys=True).replace("\n", close))
         while stack:                       # the next value, after closing every finished container
@@ -295,32 +310,57 @@ def _text(leaf):
     return leaf.decode() if type(leaf) is bytes else repr(leaf)
 
 
+def _csv_block(prefix, shape, texts):
+    """The csv rows ``prefix[i0]...[im],text`` of a numeric block of ``shape``, as
+    csv.writer writes them, from one template built axis by axis.
+
+    ``texts`` are its leaves' texts in order: all str, or all bytes (tokens),
+    which fill the template encoded and are decoded once.  The path is
+    quoted exactly when csv.writer quotes ``prefix``, since the indices
+    never need it; a leaf's text never does.
+    """
+    field = io.StringIO()
+    csv.writer(field, lineterminator="\n").writerow([prefix, ""])
+    head = field.getvalue()[:-2]           # the prefix as csv.writer writes it
+    tail = '"' if head != prefix else ""   # it quoted the prefix: the path's closing quote
+    text = "\0" + tail + ",%s\n"
+    for size in reversed(shape):           # "\0" marks where the next outer index goes
+        text = "".join([text.replace("\0", f"\0[{i}]") for i in range(size)])
+    text = text.replace("\0", head.removesuffix(tail).replace("%", "%%"))
+    if texts and type(texts[0]) is bytes:  # surrogatepass: a key may hold any str
+        return (text.encode("utf-8", "surrogatepass") % tuple(texts)).decode("utf-8", "surrogatepass")
+    return text % tuple(texts)
+
+
 def _write_csv(report, buffer):
-    """Write ``field,value`` rows, one per leaf, as csv.writer writes them."""
+    """Write ``field,value`` rows, one per leaf, as csv.writer writes them; an
+    ndarray is written as its ``tolist()``.
+
+    Each numeric block, a TokenBlock, an array or a rectangular list of
+    numbers, is written by ``_csv_block`` from one template: a TokenBlock's
+    and a list of tokens' from the tokens, an array's and a list of numbers'
+    from reprs, and a list that mixes tokens and numbers from ``_text``.
+    """
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["field", "value"])
-
-    def write_block(prefix, shape, texts):
-        # the rows are joined directly where csv.writer would not quote the path
-        paths = map("".join, product(*([f"[{i}]" for i in range(d)] for d in shape)))
-        if any(c in prefix for c in ',"\r\n'):
-            writer.writerows(zip(map(prefix.__add__, paths), texts))
-        else:
-            buffer.write("".join(map("{}{},{}\n".format, repeat(prefix), paths, texts)))
 
     def walk(prefix, value):
         if isinstance(value, dict):
             for key in sorted(value):
                 walk(f"{prefix}.{key}" if prefix else key, value[key])
         elif type(value) is TokenBlock:
-            write_block(prefix, value.shape, map(bytes.decode, value.tokens()))
+            buffer.write(_csv_block(prefix, value.shape, value.tokens()))
         elif isinstance(value, (list, tuple)):
             block = _numeric_block(value)
             if block is not None:
-                write_block(prefix, block[0], map(_text, block[1]))
+                shape, flat, kinds = block
+                texts = flat if kinds == {bytes} else list(map(_text if bytes in kinds else repr, flat))
+                buffer.write(_csv_block(prefix, shape, texts))
                 return
             for i, item in enumerate(value):
                 walk(f"{prefix}[{i}]", item)
+        elif type(value) is np.ndarray:
+            buffer.write(_csv_block(prefix, value.shape, list(map(repr, value.ravel().tolist()))))
         elif type(value) is bytes:
             writer.writerow([prefix, value.decode()])
         else:
@@ -474,13 +514,24 @@ def _tolerance(text):
     return value
 
 
+def _seed(text):
+    """A ``--seed`` value: an integer >= 0, the seeds numpy's ``default_rng`` takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 # Each flag is defined once; a command accepts only the flags it lists below.
 _FLAGS = {
     "--scenario": dict(required=True, help="path to a JSON scenario file"),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--nodes": dict(type=int, default=None, help="override the quadrature node count"),
     "--tol": dict(type=_tolerance, default=None, help="override the governing tolerance"),
-    "--seed": dict(type=int, default=0, help="seed for the reconstruction test vector"),
+    "--seed": dict(type=_seed, default=0, help="seed for the reconstruction test vector"),
     "--timings": dict(action="store_true", help="include wall-clock timings in reports"),
     "--method": dict(choices=("direct", "neumann"), default="neumann"),
 }

@@ -363,6 +363,23 @@ class TestFlags:
             f"usage error: argument --tol: expected a positive finite number, got '{value}'\n"
         )
 
+    @pytest.mark.parametrize("value", ["-1", "-0x1", "1.5", "x", ""])
+    @pytest.mark.parametrize("command", sorted(c for c, flags in ACCEPTED.items() if "--seed" in flags))
+    def test_seed_must_be_a_nonnegative_integer(self, capsys, command, value):
+        # a negative seed once reached numpy and ended as "error: expected non-negative integer"
+        code, out, err = run(capsys, command, "--scenario", DIAGONAL, f"--seed={value}")
+        assert (code, out) == (64, "")
+        assert err.startswith(f"usage error: argument --seed: expected an integer >= 0, got '{value}'\n")
+
+    @pytest.mark.parametrize("command", sorted(c for c, flags in ACCEPTED.items() if "--seed" in flags))
+    def test_any_seed_numpy_takes_is_accepted(self, capsys, command):
+        default = run(capsys, command, "--scenario", DIAGONAL)
+        assert run(capsys, command, "--scenario", DIAGONAL, "--seed", "0") == default
+        big = 2**200 + 1
+        code, out, _ = run(capsys, command, "--scenario", DIAGONAL, "--seed", str(big))
+        assert code == 0
+        assert json.loads(out)["reconstruction"]["seed"] == big
+
     def test_timings_are_opt_in(self, capsys):
         code, out, _ = run(capsys, "analyze", "--scenario", DIAGONAL, "--timings")
         assert code == 0

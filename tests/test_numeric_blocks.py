@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opframes import scenario
+from opframes import cli, scenario
 from opframes.cli import _emit, main
 from opframes.quadrature import gauss_legendre
 
@@ -376,6 +376,110 @@ def test_tokens_are_written_as_their_numbers(report):
     tokens = tokenized(report)
     assert emitted(tokens, "json") == json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert emitted(tokens, "csv") == csv_report(report)
+
+
+# Reports as the commands build them: float arrays, TokenBlocks and lists of
+# tokens, under keys the CSV paths must escape or quote.  The oracles are
+# json.dumps and the csv.writer walk ``csv_report`` on ``stdlib_plain(report)``:
+# arrays as their lists, tokens as numbers.
+
+SPECIAL = [-0.0, 5e-324, 1e-05, 1e16, 1e308, -1e308, 0.1, 2.0, -3.0, 1e22]
+FINITE = st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=False) | st.integers(
+    -(2**53), 2**53
+).map(float)
+SHAPES = st.lists(st.integers(1, 3), min_size=1, max_size=6)
+
+
+def shaped(shape, numbers):
+    return st.lists(numbers, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+        lambda flat: np.array(flat, dtype=float).reshape(shape)
+    )
+
+
+def spoil(arr, index, value):
+    arr.flat[index % arr.size] = value
+    return arr
+
+
+FINITE_ARRAYS = SHAPES.flatmap(lambda shape: shaped(shape, FINITE))
+NONFINITE_ARRAYS = st.builds(
+    spoil, FINITE_ARRAYS, st.integers(0, 728), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+OTHER_ARRAYS = st.sampled_from([np.zeros((0,)), np.zeros((2, 0)), np.arange(6).reshape(2, 3)])
+
+
+def token_block(arr, cut):
+    """A TokenBlock of ``arr`` written by json.dumps, its text cut into pieces of ``cut`` bytes."""
+    text = json.dumps(arr.tolist()).encode()
+    pieces = [text[i:i + cut] for i in range(0, len(text), cut)]
+    return scenario.TokenBlock(arr.shape, arr.ravel(), pieces)
+
+
+TOKEN_BLOCKS = st.builds(token_block, FINITE_ARRAYS, st.integers(1, 400))
+TOKEN = (FINITE | st.integers(-(2**70), 2**70)).map(lambda number: repr(number).encode())
+MIXED = SHAPES.flatmap(lambda shape: st.lists(
+    TOKEN | st.integers(-(2**70), 2**70), min_size=math.prod(shape), max_size=math.prod(shape)
+).map(lambda flat: nest(flat, shape)))
+PATH_KEYS = st.text(alphabet="ab%s,\"\r\n é∑", max_size=6) | st.sampled_from(
+    ["%", "%s", "%%", "100%s %%", ",", '"', '""', "\r", "\n", "a,b", 'q"', "line\nbreak", "Ωmega ∑"]
+)
+REPORTS = st.recursive(
+    FINITE_ARRAYS | NONFINITE_ARRAYS | OTHER_ARRAYS | TOKEN_BLOCKS | MIXED
+    | TOKEN | NUMBERS | st.none() | st.booleans(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(PATH_KEYS, children, max_size=4),
+    max_leaves=12,
+).map(lambda value: {"report": value})
+
+
+def stdlib_plain(value):
+    """``value`` as the stdlib writers take it: an ndarray as its ``tolist()``, a
+    TokenBlock as its decoded text and a token as its number."""
+    if type(value) is np.ndarray:
+        return value.tolist()
+    if type(value) is scenario.TokenBlock:
+        return json.loads(b"".join(value.pieces))
+    if type(value) is bytes:
+        return json.loads(value)
+    if type(value) is dict:
+        return {key: stdlib_plain(item) for key, item in value.items()}
+    if type(value) is list:
+        return list(map(stdlib_plain, value))
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORTS)
+@example({"report": {"%s,\"\r\né": np.array([[-0.0, 5e-324], [1e-05, 1e16]]), "%%": [b"1e+308", 7]}})
+@example({"report": [np.array([[[math.nan]]]), np.zeros((1, 0)), token_block(np.array([1e308, 3.0]), 5)]})
+def test_writers_match_the_stdlib_on_built_reports(report):
+    plain = stdlib_plain(report)
+    assert emitted(report, "json") == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    assert emitted(report, "csv") == csv_report(plain)
+
+
+def leaf_count(value):
+    return sum(map(leaf_count, value)) if isinstance(value, (list, tuple)) else 1
+
+
+def test_computed_tables_reach_the_writers_as_arrays(tmp_path, monkeypatch):
+    """No table the commands compute is turned into nested lists on its way out:
+    the list-block helper sees only the two-number pairs of bounds."""
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(generated_doc("full", 2, 3, 8, "parametric", seed=7)))
+    received, reports = [], []
+    numeric_block, emit = cli._numeric_block, cli._emit
+    monkeypatch.setattr(cli, "_numeric_block", lambda value: received.append(value) or numeric_block(value))
+    monkeypatch.setattr(cli, "_emit", lambda report, fmt: reports.append(report) or emit(report, fmt))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", "--scenario", str(path)]) == 0
+        assert main(["dual", "--scenario", str(path), "--format", "csv"]) == 0
+    assert received and max(map(leaf_count, received)) <= 2
+    analyzed, dual = reports
+    assert type(analyzed["frame"]["spectrum"]) is np.ndarray
+    assert analyzed["frame"]["spectrum"].shape == (6,)
+    for section in (analyzed["dual"], dual["dual"]):
+        assert type(section["coefficients"]) is np.ndarray
+        assert section["coefficients"].shape[1:] == (3, 3, 2, 2, 2)  # degree, n, n, k, k, [re, im]
 
 
 @pytest.mark.parametrize("command", SCENARIO_COMMANDS)

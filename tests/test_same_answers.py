@@ -108,8 +108,25 @@ def test_compare_counts_added_leaves_apart(tmp_path, capsys):
 def test_respellings_hold_the_same_document(tmp_path):
     written = same_answers.respellings(tmp_path)
     demos = sorted(same_answers.SCENARIOS.glob("*.json"))
-    assert len(written) == 2 * len(demos)
+    assert len(written) == 3 * len(demos)
     for name, path, calls in written:
-        source = same_answers.SCENARIOS / f"{name.split('.')[0]}.json"
-        assert calls == [] and json.loads(path.read_text()) == json.loads(source.read_text())
+        stem, layout = name.split(".")
+        source = same_answers.SCENARIOS / f"{stem}.json"
+        doc = json.loads(path.read_text())
+        if layout == "notes":
+            assert doc.pop("notes") == same_answers.NOTES
+        assert calls == [] and doc == json.loads(source.read_text())
         assert path.read_text() != source.read_text()
+
+
+def test_notes_keys_reach_the_csv_paths_escaped_and_quoted(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    written = same_answers.respellings(tmp_path)
+    path = next(path for name, path, _ in written if name == "diagonal_slope.notes")
+    code, out, err = same_answers.run_one(["dual", "--scenario", str(path), "--format", "csv"])
+    assert code == 0 and err == ""
+    assert "scenario.notes.100%s %%[1][1],1e-05\n" in out
+    assert '"scenario.notes.a,b[1]",1e+16\n' in out
+    assert '"scenario.notes.say ""x""[0][0][0]",3\n' in out
+    assert '"scenario.notes.line\nbreak[1][0]",4.0\n' in out
+    assert "scenario.notes.Ωmega ∑[1],2.5\n" in out

@@ -10,8 +10,10 @@ matrix and writes each one's exit code, stdout and stderr under OUTDIR.
 The matrix is every scenario command with its default flags and with each
 of ``--format csv``, ``--tol``, ``--nodes 64``, ``--nodes 256``, ``--seed``
 and ``--method`` that the command accepts, on every ``demos/scenarios/*.json``,
-on two respellings of each written into OUTDIR (``json.dumps`` with
-``indent=2, sort_keys=True``, and with ``separators=(",", ":")``), and on the
+on three respellings of each written into OUTDIR (``json.dumps`` with
+``indent=2, sort_keys=True``, with ``separators=(",", ":")``, and the
+first with a ``notes`` member of small tables under keys that the CSV
+writer must escape or quote, NOTES), and on the
 scenario of each benchmark workload for seed 1 (whose own benchmark calls
 are added as they are), plus ``analyze --nodes 300000`` on every demo
 scenario and ``verify-examples`` with and without flags.
@@ -67,6 +69,13 @@ VARIANTS = (
 LARGE = ("--nodes", "300000")  # analyze on each demo scenario only: the node count stops mattering
 VERIFY = ((), ("--nodes", "64", "--tol", "1e-9"), ("--nodes", "1"), ("--tol", "1e-16"))
 LAYOUTS = {"indented": {"indent": 2, "sort_keys": True}, "tight": {"separators": (",", ":")}}
+NOTES = {  # a format mark, a comma, quotes, a line break and non-ASCII text in the CSV paths
+    "100%s %%": [[0.5, -0.0], [2, 1e-05]],
+    "a,b": [1.5, 1e16],
+    'say "x"': [[[3]]],
+    "line\nbreak": [[0.25], [4.0]],
+    "Ωmega ∑": [1, 2.5, 3],
+}
 SHOWN_DIFFERENCES = 3
 ROUNDING_LEVEL = 1e-9  # residuals and recovery errors stay below it
 
@@ -86,13 +95,16 @@ def bench_scenarios(workdir):
 
 
 def respellings(workdir):
-    """(name, path, no calls) of each demo scenario rewritten in the other LAYOUTS."""
+    """(name, path, no calls) of each demo scenario rewritten in the other LAYOUTS,
+    and indented with the NOTES member added."""
     out = []
     for path in sorted(SCENARIOS.glob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
-        for layout, options in LAYOUTS.items():
+        respelt = [(layout, doc, options) for layout, options in LAYOUTS.items()]
+        respelt.append(("notes", {**doc, "notes": NOTES}, LAYOUTS["indented"]))
+        for layout, content, options in respelt:
             target = workdir / f"{path.stem}.{layout}.json"
-            target.write_text(json.dumps(doc, **options), encoding="utf-8")
+            target.write_text(json.dumps(content, **options), encoding="utf-8")
             out.append((target.stem, target, []))
     return out
 
