@@ -1,14 +1,22 @@
 #!/usr/bin/env python3
-# Recovering x from y = S x: direct inversion vs the relaxation iteration.
+# Recovering x from y = S x: direct inversion vs the frame algorithm.
 #
 # For a frame with bounds (A, B), the iteration x <- x + lam (y - x s)
 # contracts the error by q = max(|1 - lam A|, |1 - lam B|).  With
 # lam = 1/B that is (B - A)/B; with lam = 2/(A + B) it improves to
-# (B - A)/(A + B).
+# (B - A)/(A + B).  Chebyshev acceleration contracts by
+# (sqrt B - sqrt A)/(sqrt B + sqrt A), and its a-priori step count is
+# reported beside the steps it took.
 
 import numpy as np
 
-from opframes import frame_operator, optimal_bounds, reconstruct_direct, reconstruct_neumann
+from opframes import (
+    frame_operator,
+    optimal_bounds,
+    reconstruct_chebyshev,
+    reconstruct_direct,
+    reconstruct_neumann,
+)
 from opframes.catalog import diagonal_slope_family
 from opframes.hilbert_module import apply, random_vector, scalar_norm
 
@@ -29,6 +37,9 @@ for relaxation, label in (("auto", "lam = 1/B     "), ("optimal", "lam = 2/(A+B)
     result = reconstruct_neumann(data, y, relaxation=relaxation, tol=1e-12)
     print(f"{label}: q = {result.contraction:.4f}, "
           f"{result.iterations} iterations, residual {result.final_residual:.2e}")
+result = reconstruct_chebyshev(data, y, tol=1e-12)
+print(f"Chebyshev     : q = {result.contraction:.4f}, {result.iterations} iterations "
+      f"({result.predicted_iterations} predicted), residual {result.final_residual:.2e}")
 
 # The certified factor is visible in the measured residual decay.
 result = reconstruct_neumann(data, y, tol=1e-12)

@@ -61,7 +61,7 @@ from .perturbation import (
     relative_envelope,
 )
 from .quadrature import MeasureSpace, QuadratureRule, counting, gauss_legendre, integrate, midpoint
-from .reconstruction import ReconstructionResult, reconstruct_direct, reconstruct_neumann
+from .reconstruction import ReconstructionResult, reconstruct_chebyshev, reconstruct_direct, reconstruct_neumann
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -53,7 +54,7 @@ from .perturbation import (
     relative_envelope,
 )
 from .quadrature import gauss_legendre
-from .reconstruction import reconstruct_direct, reconstruct_neumann
+from .reconstruction import reconstruct_chebyshev, reconstruct_direct, reconstruct_neumann
 from .scenario import ScenarioError, TokenBlock, _numeric_block, load_scenario
 
 EXIT_OK = 0
@@ -115,13 +116,16 @@ def _reconstruction_section(scenario, data, method, tol, seed):
     try:
         if method == "direct":
             result = reconstruct_direct(data, y)
-        else:
+        elif method == "neumann":
             result = reconstruct_neumann(data, y, tol=tol)
+        else:
+            result = reconstruct_chebyshev(data, y, tol=tol)
     except NoConvergence as exc:
         return {
             "method": method,
             "converged": False,
             "iterations": exc.iterations,
+            "predicted_iterations": exc.predicted_iterations,
             "final_residual": exc.residual,
             "tolerance": tol,
             "seed": seed,
@@ -131,6 +135,7 @@ def _reconstruction_section(scenario, data, method, tol, seed):
         "method": result.method,
         "converged": True,
         "iterations": result.iterations,
+        "predicted_iterations": result.predicted_iterations,
         "relaxation": result.relaxation,
         "contraction": result.contraction,
         "final_residual": result.final_residual,
@@ -413,7 +418,7 @@ def cmd_analyze(scenario, args):
         start = time.perf_counter()
         report["dual"] = _dual_section(scenario, class_tol, tols["dual"])
         report["reconstruction"] = _reconstruction_section(
-            scenario, data, "neumann", tols["reconstruction"], args.seed
+            scenario, data, "chebyshev", tols["reconstruction"], args.seed
         )
         if timings is not None:
             timings["dual_reconstruction_seconds"] = time.perf_counter() - start
@@ -533,7 +538,7 @@ _FLAGS = {
     "--tol": dict(type=_tolerance, default=None, help="override the governing tolerance"),
     "--seed": dict(type=_seed, default=0, help="seed for the reconstruction test vector"),
     "--timings": dict(action="store_true", help="include wall-clock timings in reports"),
-    "--method": dict(choices=("direct", "neumann"), default="neumann"),
+    "--method": dict(choices=("direct", "neumann", "chebyshev"), default="chebyshev"),
 }
 
 _SCENARIO_FLAGS = ("--scenario", "--format", "--nodes")
@@ -554,7 +559,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: it is configuration only,
+    and parsing leaves it as it was."""
     parser = _Parser(prog="opframes", description=__doc__)
     parser.add_argument("--version", action="version", version=f"opframes {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)

@@ -14,9 +14,11 @@ class SingularFrameOperator(NotAFrame):
 
 
 class NoConvergence(Exception):
-    """Iteration hit its step limit before reaching the requested residual."""
+    """Iteration hit its step limit before reaching the requested residual;
+    ``predicted_iterations`` is the count its a-priori bound asked for."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None, iterations=None, predicted_iterations=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.predicted_iterations = predicted_iterations

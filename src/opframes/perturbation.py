@@ -99,7 +99,7 @@ class AdditivePerturbation:
     def __post_init__(self):
         if not np.isfinite(self.operator.blocks).all():
             raise ValueError("perturbation operator must be finite")
-        if op_norm(self.operator) == 0.0:
+        if not self.operator.blocks.any():  # decided exactly, with no SVD of the operator
             raise ValueError("perturbation operator must be nonzero")
 
     def energy(self, rule: QuadratureRule) -> float:

@@ -15,6 +15,7 @@ echo writes each number as the file does.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -425,17 +426,47 @@ class _Reader(json.JSONDecoder):
         return doc
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")  # after decoding, an escaped pair is one character
+
+
+def _refuse_lone_surrogates(doc):
+    """Raise ScenarioError at the first key or string, in document order, that
+    holds a lone surrogate.  A JSON escape such as ``\\ud800`` spells one, and
+    no report could write it as UTF-8.  Number tables (TokenBlocks) hold
+    none and are not walked; open containers are kept on a stack, so any
+    depth the decoder reads is walked."""
+    stack = [("", doc)]
+    while stack:
+        path, value = stack.pop()
+        if type(value) is dict:
+            for key in value:
+                if _SURROGATE.search(key):
+                    shown = key.encode("utf-8", "backslashreplace").decode()
+                    raise ScenarioError(f"{path}.{shown}" if path else shown, "key holds a lone surrogate")
+            stack.extend((f"{path}.{key}" if path else key, item) for key, item in reversed(value.items()))
+        elif type(value) is list:
+            stack.extend((f"{path}[{i}]", value[i]) for i in reversed(range(len(value))))
+        elif type(value) is str and _SURROGATE.search(value):
+            raise ScenarioError(path, "string holds a lone surrogate")
+
+
 def load_scenario(path, nodes=None) -> Scenario:
     """Read and parse a scenario file.  ``nodes`` replaces the measure's node
-    count (its ``count`` for a counting measure) before the one parse."""
+    count (its ``count`` for a counting measure) before the one parse.  A key
+    or string with a lone surrogate is refused (``_refuse_lone_surrogates``);
+    only an escape can spell one, so a text without ``\\u`` is not walked."""
     reader = _Reader()
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = reader.decode(handle.read())
-        except json.JSONDecodeError as exc:
-            raise ScenarioError("", f"not valid JSON: {exc}") from exc
-        except RecursionError:
-            raise ScenarioError("", "not valid JSON: nested too deeply") from None
+        text = handle.read()
+    try:
+        doc = reader.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError("", f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError("", "not valid JSON: nested too deeply") from None
+    if "\\u" in text:
+        _refuse_lone_surrogates(doc)
+    del text
     measure = doc.get("measure") if isinstance(doc, dict) else None
     if nodes is not None and isinstance(measure, dict):
         measure["count" if measure.get("kind") == "counting" else "nodes"] = nodes

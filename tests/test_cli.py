@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from opframes import cli
 from opframes import scenario as scenario_module
 from opframes.cli import main
 from opframes.frames import KERNEL_TOL, FrameOperatorData, OperatorFamily, independence_check
+from opframes.reconstruction import CHEBYSHEV_SLACK
 
 from families import generated_doc, ratio_slopes, slope_scenario, tiny_slopes
 
@@ -122,6 +124,33 @@ class TestAnalyze:
         lines += ["  " * depth + "[]"] + ["  " * i + "]" for i in reversed(range(1, depth))] + ["}"]
         assert "".join(parts) == "\n".join(lines)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("notes,where", [
+        ('{"\\ud800x": [1.5, 2.5]}', "notes.\\ud800x: key"),
+        ('{"ok": ["a", "b\\udc00"]}', "notes.ok[1]: string"),
+    ])
+    def test_lone_surrogate_is_refused_by_name(self, tmp_path, fmt, notes, where):
+        # the JSON report once escaped it again (exit 0) and the CSV one failed to encode it (exit 1)
+        text = Path(DIAGONAL).read_text().rstrip()
+        path = tmp_path / "surrogate.json"
+        path.write_text(text[:-1] + ', "notes": ' + notes + "}")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opframes.cli", "analyze", "--scenario", str(path), "--format", fmt],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"scenario error: {where} holds a lone surrogate\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_escaped_surrogate_pair_is_one_character(self, capsys, tmp_path, fmt):
+        text = Path(DIAGONAL).read_text().rstrip()
+        path = tmp_path / "pair.json"
+        path.write_text(text[:-1] + ', "notes": {"\\ud83d\\ude00": ["\\u00e9"]}}')
+        code, out, err = run(capsys, "analyze", "--scenario", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert "\\ud83d\\ude00" in out if fmt == "json" else "scenario.notes.\U0001F600[0],\u00e9\n" in out
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "--scenario", str(tmp_path / "none.json"))
         assert code == 1
@@ -149,6 +178,37 @@ class TestAnalyze:
         assert frame["upper_bound"] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
+class TestParser:
+    ARGVS = (
+        ["analyze", "--scenario", DIAGONAL, "--seed", "3"],
+        ["analyze", "--scenario", DIAGONAL],
+        ["analyze", "--scenario", DIAGONAL, "--tol", "0"],
+        ["reconstruct", "--scenario", DIAGONAL, "--method", "direct"],
+        ["--help"],
+    )
+
+    def answers(self, capsys, fresh):
+        """(exit code, stdout, stderr) of each of ARGVS, run in turn in this process."""
+        out = []
+        for argv in self.ARGVS:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help exits from argparse
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    def test_one_parser_answers_as_fresh_ones_do(self, capsys):
+        cli.build_parser.cache_clear()
+        cached = self.answers(capsys, fresh=False)
+        assert cli.build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in cached] == [0, 0, 64, 0, 0]
+        assert self.answers(capsys, fresh=True) == cached
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "explode")
@@ -165,7 +225,53 @@ class TestUsage:
         assert "--scenario" in err
 
 
+SECTION_KEYS = {"method", "converged", "iterations", "predicted_iterations", "relaxation", "contraction",
+                "final_residual", "recovery_error", "tolerance", "seed"}
+
+
+def ill_conditioned(tmp_path):
+    """diagonal_slope.json with slot 1's slope x 0.1: bounds (1/400, 1/3), B/A = 133."""
+    doc = json.loads(Path(DIAGONAL).read_text())
+    doc["family"]["coefficients"][1][0][0][1][1][0] *= 0.1
+    return write_doc(tmp_path, doc, "ill_conditioned.json")
+
+
 class TestReconstruct:
+    @pytest.mark.parametrize("name", ["diagonal_slope.json", "parseval.json", "perturbed_additive.json"])
+    def test_analyze_runs_chebyshev(self, capsys, name):
+        code, out, _ = run(capsys, "analyze", "--scenario", str(SCENARIOS / name))
+        assert code == 0
+        report = json.loads(out)
+        section = report["reconstruction"]
+        assert set(section) == SECTION_KEYS
+        assert (section["method"], section["converged"], section["relaxation"]) == ("chebyshev", True, None)
+        assert type(section["predicted_iterations"]) is int
+        assert section["iterations"] <= section["predicted_iterations"] + CHEBYSHEV_SLACK
+        root_a, root_b = (math.sqrt(report["frame"][key]) for key in ("lower_bound", "upper_bound"))
+        assert section["contraction"] == pytest.approx((root_b - root_a) / (root_b + root_a), abs=1e-15)
+        assert section["recovery_error"] <= 1e-9
+
+    def test_analyze_converges_where_the_relaxation_stopped(self, capsys, tmp_path):
+        path = ill_conditioned(tmp_path)
+        code, out, _ = run(capsys, "analyze", "--scenario", path)
+        assert code == 0
+        section = json.loads(out)["reconstruction"]
+        assert section["converged"] is True
+        assert section["iterations"] <= section["predicted_iterations"] + CHEBYSHEV_SLACK < 200
+        assert section["recovery_error"] <= 1e-9
+        code, out, _ = run(capsys, "reconstruct", "--scenario", path, "--method", "neumann")
+        assert code == 0
+        section = json.loads(out)["reconstruction"]
+        assert set(section) == {"method", "converged", "iterations", "predicted_iterations",
+                                "final_residual", "tolerance", "seed"}
+        assert (section["method"], section["converged"], section["iterations"]) == ("neumann", False, 200)
+        assert section["predicted_iterations"] > 200
+
+    def test_chebyshev_is_the_default_method(self, capsys):
+        default = run(capsys, "reconstruct", "--scenario", DIAGONAL)
+        assert run(capsys, "reconstruct", "--scenario", DIAGONAL, "--method", "chebyshev") == default
+        assert json.loads(default[1])["reconstruction"]["method"] == "chebyshev"
+
     def test_neumann_iteration_count(self, capsys):
         code, out, _ = run(
             capsys, "reconstruct", "--scenario", DIAGONAL, "--method", "neumann", "--tol", "1e-12"
@@ -180,7 +286,9 @@ class TestReconstruct:
         code, out, _ = run(capsys, "reconstruct", "--scenario", DIAGONAL, "--method", "direct")
         assert code == 0
         section = json.loads(out)["reconstruction"]
+        assert set(section) == SECTION_KEYS
         assert section["iterations"] == 0
+        assert section["predicted_iterations"] is None
 
     def test_not_a_frame_exits_2(self, capsys):
         code, _, err = run(capsys, "reconstruct", "--scenario", BESSEL)

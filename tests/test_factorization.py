@@ -1,5 +1,6 @@
 """One factorization per family, and the batched kernels against left folds."""
 
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -88,6 +89,29 @@ class TestOneFactorizationPerFamily:
         capsys.readouterr()
         assert len({id(f) for f in factored}) == len(qrs) == families
         assert len(eighs) == 3
+
+    @pytest.mark.parametrize("method", ["direct", "neumann", "chebyshev"])
+    def test_reconstruct_runs_one_eigh_and_no_solve(self, monkeypatch, capsys, method):
+        # every reconstructor reads the cached eigenpairs; none factors s again
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve was called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        eighs = count_calls(monkeypatch, "eigh")
+        argv = ["reconstruct", "--scenario", str(SCENARIOS / "perturbed_additive.json"), "--method", method]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["reconstruction"]["converged"] is True
+        assert len(eighs) == 1
+
+    def test_analyze_runs_no_solve(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve was called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        eighs = count_calls(monkeypatch, "eigh")
+        assert main(["analyze", "--scenario", str(SCENARIOS / "perturbed_additive.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["reconstruction"]["method"] == "chebyshev"
+        assert len(eighs) == len({a.tobytes() for a in eighs}) == 3
 
     def test_independence_runs_one_svd(self, monkeypatch, capsys):
         calls = count_calls(monkeypatch, "svd")

@@ -35,7 +35,7 @@ from opframes.perturbation import (
     additive_admissible,
     relative_criterion_check,
 )
-from opframes.reconstruction import reconstruct_direct, reconstruct_neumann
+from opframes.reconstruction import reconstruct_chebyshev, reconstruct_direct, reconstruct_neumann
 
 from families import DIAG2, rank_deficient_family, ratio_slopes, slope_scenario, tiny_slopes
 
@@ -74,6 +74,8 @@ def floor_verdicts(family):
     return {
         "reconstruct_direct": accepts(lambda: reconstruct_direct(data, y)),
         "reconstruct_neumann": accepts(lambda: reconstruct_neumann(data, y, max_iter=3)),
+        # tol = 1: any frame is accepted at x_0, with no step at B/A near 1e13
+        "reconstruct_chebyshev": accepts(lambda: reconstruct_chebyshev(data, y, tol=1.0)),
         "additive_admissible": accepts(lambda: additive_admissible(family, pert)),
     }
 
@@ -138,6 +140,7 @@ def tolerance_takers():
         "independence_check": lambda tol: independence_check(family, tol),
         "is_dual_pair": lambda tol: is_dual_pair(family, canonical_dual(family), tol),
         "reconstruct_neumann": lambda tol: reconstruct_neumann(data, y, tol=tol),
+        "reconstruct_chebyshev": lambda tol: reconstruct_chebyshev(data, y, tol=tol),
         "additive_admissible": lambda tol: additive_admissible(family, additive, tol),
         "relative_criterion_check": lambda tol: relative_criterion_check(family, family, relative, tol),
         "is_positive": lambda tol: is_positive(AlgebraElement.identity(DIAG2), tol),
@@ -166,7 +169,7 @@ def test_singular_frame_operator_is_not_a_frame():
     assert issubclass(SingularFrameOperator, NotAFrame)
     data = frame_operator(rank_deficient_family())
     y = random_vector(DIAG2, 1, np.random.default_rng(1))
-    for reconstruct in (reconstruct_direct, reconstruct_neumann):
+    for reconstruct in (reconstruct_direct, reconstruct_neumann, reconstruct_chebyshev):
         with pytest.raises(SingularFrameOperator):
             reconstruct(data, y)
 

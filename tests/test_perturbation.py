@@ -5,7 +5,7 @@ from opframes.algebra import AlgebraDescriptor
 from opframes.catalog import diagonal_slope_family, random_frame_family
 from opframes.exceptions import NotAFrame
 from opframes.frames import OperatorFamily, frame_operator, optimal_bounds
-from opframes.hilbert_module import ModuleOperator
+from opframes.hilbert_module import ModuleOperator, op_norm
 from opframes.perturbation import (
     AdditivePerturbation,
     RelativePerturbation,
@@ -93,6 +93,18 @@ class TestAdditivePerturbation:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             AdditivePerturbation(ModuleOperator.zero(DIAG2, 1), ScalarFamily.constant(0.1))
+
+    @pytest.mark.parametrize("entry", [5e-324, 5e-324j])
+    @pytest.mark.parametrize("descriptor,index", [(DIAG2, (0, 0, 1, 1)), (FULL2, (0, 0, 0, 1))])
+    def test_smallest_subnormal_direction_is_nonzero(self, descriptor, index, entry):
+        # decided from the entries, as the SVD norm (5e-324) decided it before
+        blocks = np.zeros((1, 1, 2, 2), dtype=complex)
+        blocks[index] = entry
+        pert = AdditivePerturbation(ModuleOperator(descriptor, blocks), ScalarFamily.constant(1.0))
+        assert op_norm(pert.operator) == 5e-324
+        for signed_zero in (0.0, -0.0, complex(-0.0, -0.0)):
+            with pytest.raises(ValueError, match="^perturbation operator must be nonzero$"):
+                AdditivePerturbation(ModuleOperator(descriptor, blocks * 0 + signed_zero), ScalarFamily.constant(1.0))
 
     def test_energy_of_constant_coefficient(self):
         fam = diagonal_slope_family()

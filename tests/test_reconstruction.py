@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opframes.algebra import AlgebraDescriptor, AlgebraElement
 from opframes.catalog import diagonal_slope_family, identity_family, random_frame_family
@@ -13,14 +17,42 @@ from opframes.hilbert_module import (
     random_vector,
     scalar_norm,
 )
-from opframes.quadrature import gauss_legendre
-from opframes.reconstruction import reconstruct_direct, reconstruct_neumann
+from opframes.quadrature import counting, gauss_legendre
+from opframes.reconstruction import (
+    CHEBYSHEV_SLACK,
+    reconstruct_chebyshev,
+    reconstruct_direct,
+    reconstruct_neumann,
+)
 
-from families import rank_deficient_family, tiny_slopes
+from families import ROOT3, rank_deficient_family, tiny_slopes
 from oracles import dense_solve, fold_products, weighted_sum
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
+
+
+def prescribed_family(descriptor, n, spectrum, rng):
+    """A one-node family on the counting measure whose frame operator has the
+    given spectrum, slot by slot, in random eigenvectors."""
+    k = descriptor.dim
+    size = n if descriptor.is_diagonal else n * k
+    flat = np.zeros((n * k, n * k), dtype=complex)
+    for slot, values in enumerate(np.reshape(spectrum, (-1, size))):
+        noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        u = np.linalg.qr(noise)[0]
+        block = (u * np.sqrt(values)) @ u.conj().T
+        if descriptor.is_diagonal:
+            flat[slot::k, slot::k] = block
+        else:
+            flat[:] = block
+    return OperatorFamily.from_flats(counting(1), descriptor, n, flat[None])
+
+
+def chebyshev_bound(lower, upper, k):
+    """(delta / theta) 2 q^k / (1 + q^(2k)): the residual bound after k Chebyshev steps."""
+    q = (math.sqrt(upper) - math.sqrt(lower)) / (math.sqrt(upper) + math.sqrt(lower))
+    return (upper - lower) / (upper + lower) * 2.0 * q**k / (1.0 + q ** (2 * k))
 
 
 class TestDirect:
@@ -165,6 +197,124 @@ class TestNeumann:
             reconstruct_neumann(data, y, relaxation=0.0)
 
 
+class TestChebyshev:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from(["full", "diagonal"]),
+        k=st.integers(1, 3),
+        n=st.integers(1, 3),
+        log_ratio=st.floats(0.0, 4.0),
+        log_scale=st.floats(-6.0, 6.0),
+        tol=st.sampled_from([1e-14, 1e-11, 1e-8, 1e-6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_converges_within_the_predicted_count(self, kind, k, n, log_ratio, log_scale, tol, seed):
+        # B/A in [1, 1e4]; both ends are eigenvalues, the rest lie between them
+        rng = np.random.default_rng(seed)
+        descriptor = AlgebraDescriptor(kind, k)
+        ratio = 10.0**log_ratio
+        size = n * k                     # eigenvalues of s, over all slots; one is a tight frame
+        spectrum = np.concatenate([[1.0, ratio], rng.uniform(1.0, ratio, max(size - 2, 0))])[:size]
+        spectrum = 10.0**log_scale * rng.permutation(spectrum)
+        data = frame_operator(prescribed_family(descriptor, n, spectrum, rng))
+        lower, upper = optimal_bounds(data)
+        x = random_vector(descriptor, n, rng, unit=True)
+        result = reconstruct_chebyshev(data, apply(data.element, x), tol=tol)
+        assert result.iterations <= result.predicted_iterations + CHEBYSHEV_SLACK
+        assert result.final_residual <= tol
+        for step, residual in enumerate(result.residual_history):
+            assert residual <= chebyshev_bound(lower, upper, step) * (1.0 + 1e-9) + 1e-14
+        # ||x - x*|| <= ||r|| / A <= tol ||y|| / A <= tol B / A, plus the rounding of y;
+        # at tol = 1e-14 that is 2e-10 for every B/A up to 1e4
+        assert scalar_norm(result.vector - x) <= (tol + 1e-14) * upper / lower
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-14, 1e-300])
+    def test_predicted_count_is_the_least_the_bound_allows(self, tol):
+        data = frame_operator(diagonal_slope_family((1.0, ROOT3 / 20.0)))  # B/A = 133
+        lower, upper = optimal_bounds(data)
+        y = random_vector(DIAG2, 1, np.random.default_rng(12))
+        try:
+            predicted = reconstruct_chebyshev(data, y, tol=tol).predicted_iterations
+        except NoConvergence as exc:
+            predicted = exc.predicted_iterations
+        assert chebyshev_bound(lower, upper, predicted) <= tol * (1.0 + 1e-12)
+        assert chebyshev_bound(lower, upper, predicted - 1) > tol * (1.0 - 1e-12)
+
+    def test_converges_where_the_relaxation_cap_does_not(self):
+        # the worked family with slot 1's slope x 0.1: B/A = 133
+        data = frame_operator(diagonal_slope_family((1.0, ROOT3 / 20.0)))
+        lower, upper = optimal_bounds(data)
+        assert upper / lower == pytest.approx(400.0 / 3.0)
+        x = random_vector(DIAG2, 1, np.random.default_rng(13), unit=True)
+        y = apply(data.element, x)
+        result = reconstruct_chebyshev(data, y, tol=1e-12)
+        assert result.method == "chebyshev"
+        assert result.relaxation is None
+        assert result.contraction == pytest.approx((math.sqrt(400 / 3) - 1) / (math.sqrt(400 / 3) + 1))
+        assert result.iterations <= result.predicted_iterations + CHEBYSHEV_SLACK < 200
+        assert scalar_norm(result.vector - x) <= 1e-10
+        with pytest.raises(NoConvergence):
+            reconstruct_neumann(data, y, tol=1e-12)
+
+    @pytest.mark.parametrize("level", [1.0, 4.0, 1e-9])
+    def test_tight_frame_is_solved_at_the_start(self, level):
+        # delta = 0 exactly: every eigenvalue is the level
+        descriptor = AlgebraDescriptor("full", 2)
+        family = prescribed_family(descriptor, 2, np.full(4, level), np.random.default_rng(14))
+        data = frame_operator(family)
+        lower, upper = optimal_bounds(data)
+        x = random_vector(descriptor, 2, np.random.default_rng(15), unit=True)
+        result = reconstruct_chebyshev(data, apply(data.element, x), tol=1e-12)
+        assert (result.iterations, result.predicted_iterations) == (0, 0)
+        assert result.contraction == pytest.approx(0.0, abs=1e-15)
+        assert result.final_residual <= 1e-12
+        assert scalar_norm(result.vector - x) <= 1e-12
+
+    def test_parseval_frame_converges_at_once(self):
+        data = frame_operator(identity_family(DIAG2, 1))
+        y = random_vector(DIAG2, 1, np.random.default_rng(16))
+        result = reconstruct_chebyshev(data, y, tol=1e-12)
+        assert result.iterations == 0
+        assert np.allclose(result.vector.stack, y.stack, atol=1e-12)
+
+    def test_unreachable_tolerance_stops_at_the_cap(self):
+        data = frame_operator(diagonal_slope_family())
+        y = random_vector(DIAG2, 1, np.random.default_rng(17))
+        with pytest.raises(NoConvergence) as info:
+            reconstruct_chebyshev(data, y, tol=1e-300)
+        exc = info.value
+        assert exc.predicted_iterations > 0
+        assert exc.iterations == exc.predicted_iterations + CHEBYSHEV_SLACK
+        assert 0.0 < exc.residual < 1e-14
+
+    def test_zero_data_stops_at_once(self):
+        data = frame_operator(diagonal_slope_family(tiny_slopes()))
+        result = reconstruct_chebyshev(data, ModuleVector.zero(DIAG2, 1))
+        assert result.iterations == 0
+        assert result.final_residual == 0.0
+
+    def test_not_a_frame(self):
+        data = frame_operator(rank_deficient_family())
+        y = random_vector(DIAG2, 1, np.random.default_rng(18))
+        with pytest.raises(SingularFrameOperator):
+            reconstruct_chebyshev(data, y)
+
+
+class TestNoSecondFactorization:
+    def test_reconstructors_run_without_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve was called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        fam = random_frame_family(FULL2, 2, gauss_legendre(0.0, 1.0, 16), seed=22)
+        data = frame_operator(fam)
+        x = random_vector(FULL2, 2, np.random.default_rng(19))
+        y = apply(data.element, x)
+        for result in (reconstruct_direct(data, y), reconstruct_chebyshev(data, y),
+                       reconstruct_neumann(data, y, max_iter=2000)):
+            assert scalar_norm(result.vector - x) <= 1e-9 * scalar_norm(x)
+
+
 class TestConsistency:
     def test_direct_and_neumann_agree(self):
         rng = np.random.default_rng(8)
@@ -174,8 +324,8 @@ class TestConsistency:
             data = frame_operator(fam)
             y = random_vector(descriptor, 2, rng)
             direct = reconstruct_direct(data, y)
-            iterative = reconstruct_neumann(data, y, tol=1e-12)
-            assert scalar_norm(direct.vector - iterative.vector) <= 10 * 1e-12
+            for iterative in (reconstruct_neumann(data, y, tol=1e-12), reconstruct_chebyshev(data, y, tol=1e-12)):
+                assert scalar_norm(direct.vector - iterative.vector) <= 10 * 1e-12
 
     def test_reconstruction_identity_both_orders(self):
         # recovering x from the weighted T*T samples, applying the inverse

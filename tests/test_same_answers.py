@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = importlib.util.spec_from_file_location("same_answers", ROOT / "tools" / "same_answers.py")
 same_answers = importlib.util.module_from_spec(SPEC)
@@ -130,3 +132,18 @@ def test_notes_keys_reach_the_csv_paths_escaped_and_quoted(tmp_path, monkeypatch
     assert '"scenario.notes.say ""x""[0][0][0]",3\n' in out
     assert '"scenario.notes.line\nbreak[1][0]",4.0\n' in out
     assert "scenario.notes.Ωmega ∑[1],2.5\n" in out
+
+
+def test_ill_conditioned_scenario_converges(tmp_path, monkeypatch):
+    # B/A = 133: a relaxation with step 1/B stopped unconverged at its 200 steps
+    monkeypatch.chdir(ROOT)
+    [(name, path, calls)] = same_answers.ill_conditioned(tmp_path)
+    assert (name, calls) == ("diagonal_slope.ill_conditioned", [])
+    code, out, err = same_answers.run_one(["analyze", "--scenario", str(path)])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["frame"]["lower_bound"] == pytest.approx(1.0 / 400.0, rel=1e-12)
+    assert report["frame"]["upper_bound"] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert report["reconstruction"]["converged"] is True
+    code, out, _ = same_answers.run_one(["reconstruct", "--scenario", str(path), "--method", "neumann"])
+    assert code == 0 and json.loads(out)["reconstruction"]["converged"] is False

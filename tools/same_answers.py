@@ -13,7 +13,10 @@ and ``--method`` that the command accepts, on every ``demos/scenarios/*.json``,
 on three respellings of each written into OUTDIR (``json.dumps`` with
 ``indent=2, sort_keys=True``, with ``separators=(",", ":")``, and the
 first with a ``notes`` member of small tables under keys that the CSV
-writer must escape or quote, NOTES), and on the
+writer must escape or quote, NOTES), on one ill-conditioned scenario
+written into OUTDIR (``diagonal_slope.json`` with slot 1's slope times
+0.1, B/A = 133, where a relaxation with step 1/B needs about 3700 steps,
+so the frame algorithm's convergence is compared too), and on the
 scenario of each benchmark workload for seed 1 (whose own benchmark calls
 are added as they are), plus ``analyze --nodes 300000`` on every demo
 scenario and ``verify-examples`` with and without flags.
@@ -109,6 +112,16 @@ def respellings(workdir):
     return out
 
 
+def ill_conditioned(workdir):
+    """(name, path, no calls) of ``diagonal_slope.json`` with slot 1's slope
+    times 0.1, written indented into ``workdir``: bounds (1/400, 1/3)."""
+    doc = json.loads((SCENARIOS / "diagonal_slope.json").read_text(encoding="utf-8"))
+    doc["family"]["coefficients"][1][0][0][1][1][0] *= 0.1
+    target = workdir / "diagonal_slope.ill_conditioned.json"
+    target.write_text(json.dumps(doc, **LAYOUTS["indented"]), encoding="utf-8")
+    return [(target.stem, target, [])]
+
+
 def matrix(workdir):
     """Ordered {invocation name: argv}; paths are relative to the checkout root when possible."""
     from opframes.cli import COMMANDS
@@ -118,7 +131,7 @@ def matrix(workdir):
         return str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else str(path)
 
     demos = [(p.stem, p, []) for p in sorted(SCENARIOS.glob("*.json"))]
-    sources = demos + respellings(workdir)
+    sources = demos + respellings(workdir) + ill_conditioned(workdir)
     sources += bench_scenarios(workdir)
     invocations = {}
     for stem, path, own_calls in sources:
