@@ -21,7 +21,8 @@ turns x s = y into the elementwise x_hat mu = y_hat, and x = x_hat V*.
 
 Both iterations report the least k their bound allows as
 ``predicted_iterations``.  Chebyshev stops at that count plus
-CHEBYSHEV_SLACK; the relaxation at its ``max_iter``.  Every route refuses
+CHEBYSHEV_SLACK, and never after more than CHEBYSHEV_BUDGET steps; the
+relaxation stops at its ``max_iter``.  Every route refuses
 A <= SINGULARITY_RATIO * B and measures residuals relative to ||y||, as the
 largest spectral norm over the slots (the norm of their direct sum).  V is
 unitary, so an iteration's residual y_hat - x_hat mu has the norm of
@@ -46,6 +47,12 @@ from .hilbert_module import ModuleVector, _from_slots, _to_slots, scalar_norm
 # the count exceeded the prediction by at most 1 (tests/test_reconstruction.py
 # holds it to this slack on such frames).
 CHEBYSHEV_SLACK = 2
+# A fixed ceiling on the Chebyshev steps, whatever B/A and tol ask for, so that
+# every call ends in bounded time and memory (one residual per step).  The
+# a-priori count at B/A = 1e4 and tol = 1e-14 is 1647, so every frame up to
+# that ratio still converges; at B/A = 1e8 the count is about 1.4e5 and the
+# call ends in NoConvergence after this many steps.
+CHEBYSHEV_BUDGET = 2000
 
 
 @dataclass(frozen=True)
@@ -106,9 +113,9 @@ def reconstruct_chebyshev(
     """Chebyshev semi-iteration on [A, B] from x_0 = y / theta, to the requested residual.
 
     The residual is the norm of y - x_k s relative to ||y||.  Raises
-    NoConvergence after ``predicted_iterations`` + CHEBYSHEV_SLACK steps.  A
-    tight frame (delta = 0) is solved by x_0; its steps would be the
-    relaxation with lam = 1/theta.
+    NoConvergence after ``predicted_iterations`` + CHEBYSHEV_SLACK steps, or
+    after CHEBYSHEV_BUDGET steps if that is fewer.  A tight frame (delta = 0)
+    is solved by x_0; its steps would be the relaxation with lam = 1/theta.
     """
     _check_tol(tol)
     lo, hi = require_frame(data, SINGULARITY_RATIO, SingularFrameOperator)
@@ -121,7 +128,7 @@ def reconstruct_chebyshev(
     if log_need > 0.0:
         log_need += math.log1p(math.sqrt(-math.expm1(-2.0 * log_need)))
     predicted = _least_count(log_need, -math.log(q) if q > 0.0 else math.inf)
-    cap = predicted + CHEBYSHEV_SLACK
+    cap = min(predicted + CHEBYSHEV_SLACK, CHEBYSHEV_BUDGET)
 
     y_hat, mu, y_scale = _eigenbasis(data, y)
     x = y_hat / theta

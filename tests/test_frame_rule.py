@@ -9,6 +9,7 @@ any absolute tolerance.
 """
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from opframes.perturbation import (
     additive_admissible,
     relative_criterion_check,
 )
-from opframes.reconstruction import reconstruct_chebyshev, reconstruct_direct, reconstruct_neumann
+from opframes.reconstruction import CHEBYSHEV_BUDGET, reconstruct_chebyshev, reconstruct_direct, reconstruct_neumann
 
 from families import DIAG2, rank_deficient_family, ratio_slopes, slope_scenario, tiny_slopes
 
@@ -224,6 +225,21 @@ def test_commands_agree_with_analyze(name, tmp_path, capsys):
     code, captured = run("independence")
     assert code == 0
     assert json.loads(captured.out)["independence"]["bounded_below"] is is_frame
+
+
+def test_analyze_ends_within_the_step_budget(tmp_path, capsys):
+    # B/A = 1e8 at the classification boundary: the a-priori Chebyshev count is
+    # about 1.4e5 steps, and the call stops at the fixed budget instead
+    path = tmp_path / "above.json"
+    path.write_text(json.dumps(boundary_scenarios()["above"][0]))
+    start = time.perf_counter()
+    code = main(["analyze", "--scenario", str(path)])
+    elapsed = time.perf_counter() - start
+    section = json.loads(capsys.readouterr().out)["reconstruction"]
+    assert code == 0
+    assert (section["method"], section["converged"]) == ("chebyshev", False)
+    assert section["iterations"] == CHEBYSHEV_BUDGET < section["predicted_iterations"]
+    assert elapsed < 5.0, f"took {elapsed:.3f} s"
 
 
 @pytest.mark.parametrize("tol", [SINGULARITY_RATIO * (1.0 - 1e-3), 1e-14, 1e-300])

@@ -19,13 +19,14 @@ from opframes.hilbert_module import (
 )
 from opframes.quadrature import counting, gauss_legendre
 from opframes.reconstruction import (
+    CHEBYSHEV_BUDGET,
     CHEBYSHEV_SLACK,
     reconstruct_chebyshev,
     reconstruct_direct,
     reconstruct_neumann,
 )
 
-from families import ROOT3, rank_deficient_family, tiny_slopes
+from families import ROOT3, rank_deficient_family, ratio_slopes, tiny_slopes
 from oracles import dense_solve, fold_products, weighted_sum
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
@@ -286,6 +287,25 @@ class TestChebyshev:
         assert exc.predicted_iterations > 0
         assert exc.iterations == exc.predicted_iterations + CHEBYSHEV_SLACK
         assert 0.0 < exc.residual < 1e-14
+
+    @pytest.mark.parametrize("ratio, tol", [(3.0 / 400.0, 1e-300), (1e-8, 1e-12), (1e-13 * 1.001, 1e-12)])
+    def test_budget_ends_every_call(self, ratio, tol):
+        # B/A = 133 at an unreachable tol, and B/A = 1e8 and 1e13, which the
+        # classifier admits at tol 1e-8 and 1e-13, each asking for more steps
+        data = frame_operator(diagonal_slope_family(ratio_slopes(ratio)))
+        y = random_vector(DIAG2, 1, np.random.default_rng(19))
+        with pytest.raises(NoConvergence) as info:
+            reconstruct_chebyshev(data, y, tol=tol)
+        exc = info.value
+        assert exc.predicted_iterations > CHEBYSHEV_BUDGET
+        assert exc.iterations == CHEBYSHEV_BUDGET
+
+    def test_budget_covers_the_tested_ratios(self):
+        # the property above reaches B/A = 1e4 at tol = 1e-14
+        data = frame_operator(diagonal_slope_family(ratio_slopes(1e-4)))
+        x = random_vector(DIAG2, 1, np.random.default_rng(20), unit=True)
+        result = reconstruct_chebyshev(data, apply(data.element, x), tol=1e-14)
+        assert result.iterations <= result.predicted_iterations + CHEBYSHEV_SLACK <= CHEBYSHEV_BUDGET
 
     def test_zero_data_stops_at_once(self):
         data = frame_operator(diagonal_slope_family(tiny_slopes()))
