@@ -182,20 +182,21 @@ def hermitian_sqrt(a: AlgebraElement, tol: float = 1e-10) -> AlgebraElement:
 
 
 def inverse(a: AlgebraElement) -> AlgebraElement:
-    """Multiplicative inverse.  Raises SingularElement below the sigma cutoff."""
+    """Multiplicative inverse, W diag(1/sigma) U* from the one SVD a = U diag(sigma) W*
+    that also decides the cutoff.  Raises SingularElement below it."""
     if a.descriptor.is_diagonal:
         d = a.diag
         mags = np.abs(d)
         if float(np.min(mags)) <= SINGULARITY_RATIO * float(np.max(mags, initial=0.0)):
             raise SingularElement("diagonal element has a zero (to tolerance) entry")
         return AlgebraElement.diagonal(a.descriptor, 1.0 / d)
-    sigma = np.linalg.svd(a.entries, compute_uv=False)
+    left, sigma, right = np.linalg.svd(a.entries)
     if sigma[-1] <= SINGULARITY_RATIO * sigma[0]:
         raise SingularElement(
             f"element is singular to tolerance (sigma_min/sigma_max = "
             f"{sigma[-1] / sigma[0] if sigma[0] else 0.0:.3e})"
         )
-    return AlgebraElement(a.descriptor, np.linalg.inv(a.entries))
+    return AlgebraElement(a.descriptor, (right.conj().T / sigma) @ left.conj().T)
 
 
 def abs_element(a: AlgebraElement) -> AlgebraElement:

@@ -4,9 +4,10 @@ The canonical dual of a frame {T_w} is {T_w S^-1}: apply the inverse
 frame operator first, then the node operator.  In the right-multiplication
 picture the dual node matrix is ``s_inv @ M_w``, and the dual frame
 operator is ``s_inv`` itself, so the dual's optimal bounds are exactly
-(1/B, 1/A) of the primal.  Both the inverse and the resolution of the
-identity are taken per slot block (see ``frames``); for parametric
-families both come from the coefficients, and no node operator is evaluated.
+(1/B, 1/A) of the primal.  Both the inverse, W diag(sigma^-2) W* from the
+SVD that ``frame_operator`` caches, and the resolution of the identity are
+taken per slot block (see ``frames``); for parametric families both come
+from the coefficients, and no node operator is evaluated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _check_tol
-from .frames import PARAMETRIC, OperatorFamily, _gram, frame_operator, optimal_bounds, require_frame
+from .frames import FRAME_TOL, PARAMETRIC, OperatorFamily, _gram, frame_operator, optimal_bounds, require_frame
 from .hilbert_module import _from_slots, _to_slots
 
 
@@ -28,11 +29,12 @@ class DualPairReport:
     tolerance: float
 
 
-def canonical_dual(family: OperatorFamily, tol: float = 1e-10) -> OperatorFamily:
+def canonical_dual(family: OperatorFamily, tol: float = FRAME_TOL) -> OperatorFamily:
     """The family {T_w S^-1} of a frame at ``tol``; parametric input yields parametric output."""
     data = frame_operator(family)
     require_frame(data, tol)
-    s_inv = np.linalg.inv(data.blocks)[:, None]
+    vectors = data.block_eigenvectors
+    s_inv = ((vectors / data.block_eigenvalues[:, None, :]) @ vectors.conj().swapaxes(1, 2))[:, None]
     descriptor, n = family.descriptor, family.n
     if family.form == PARAMETRIC:
         dual_coeffs = _from_slots(descriptor, s_inv @ _to_slots(descriptor, family.coefficients))
@@ -64,6 +66,6 @@ def is_dual_pair(primal: OperatorFamily, other: OperatorFamily, tol: float = 1e-
     )
 
 
-def dual_bounds(family: OperatorFamily, tol: float = 1e-10) -> tuple[float, float]:
+def dual_bounds(family: OperatorFamily, tol: float = FRAME_TOL) -> tuple[float, float]:
     """Optimal bounds of the canonical dual; equals (1/B, 1/A) of the primal."""
     return optimal_bounds(frame_operator(canonical_dual(family, tol)))

@@ -23,16 +23,20 @@ only when they are read (``analysis``, ``synthesis``, and consumers that mix
 it with sampled data).  Each weighted Gram form sum_i w_i L_i M_i* depends on
 the rule only through Phi_ip = sqrt(w_i) t_i^p, so with the triangle R of a
 Householder QR of Phi the family's slot factor Y = (R (x) I_b)[C_p*], of
-D b rows per slot, is the source of s = Y* Y, of the singular values of the
-weighted analysis map, sigma(V) = sigma(Y), and of the dual-pair resolution
-Y_L* Y_M.  ``_gram`` chooses this route, or the node sum for sampled data.
+D b rows per slot, stands in for the weighted analysis map V: Y* Y = V* V = s,
+and Y_L* Y_M is the dual-pair resolution.  ``_gram`` chooses this route, or
+the node sum for sampled data.  Every spectral quantity of a family comes
+from one SVD per slot of its factor (``frame_operator``), never from the
+formed s, whose eigenvalues carry A with a relative error of about
+eps B/A; sigma_min^2 carries about eps sqrt(B/A).
 
 "Is a frame" has one rule, in ``require_frame``, ``classify`` and
-``below_bounded_check`` alike: A > tol * B with B > 0.  It is relative, so
-rescaling a family never changes the verdict; non-finite bounds fail it.
-A tol below ``algebra.SINGULARITY_RATIO``, the floor at which the
-reconstructors decide, raises ValueError, so no command can accept a
-family that the reconstructors refuse.
+``below_bounded_check`` alike: A > tol * B with B > 0, by default at
+FRAME_TOL.  It is relative, so rescaling a family never changes the
+verdict; non-finite bounds fail it.  A tol below
+``algebra.SINGULARITY_RATIO``, the floor at which the reconstructors
+decide, raises ValueError, so no command can accept a family that the
+reconstructors refuse.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _as_blocks, 
 from .hilbert_module import _to_slots, _unflatten
 from .quadrature import QuadratureRule, _integrate_products, _side_by_side
 
+FRAME_TOL = 1e-8  # the default tol of the frame rule, in the library and in scenarios
 PARAMETRIC = "parametric"
 KERNEL_TOL = 1e-12  # singular values <= KERNEL_TOL * sigma_max count toward the synthesis kernel
 SAMPLED = "sampled"
@@ -73,11 +78,11 @@ class OperatorFamily:
     polynomial evaluated at that node.  The node operators are read-only
     slot blocks (m, N, b, b).  A parametric family evaluates them only when
     ``blocks`` is first read, which ``analysis``, ``synthesis`` and the
-    consumers that mix it with sampled data do: its frame operator,
-    singular values and dual-pair resolution come from its slot factor
+    consumers that mix it with sampled data do: its frame operator, its
+    spectrum and its dual-pair resolution come from its slot factor
     (``_slot_factor``), which costs O(N D^2) for the rule and nothing per
-    node operator.  The factor, the frame operator and the singular values
-    are cached on the family.
+    node operator.  The factor and the frame operator are cached on the
+    family.
     """
 
     def __init__(self, rule, descriptor, n, blocks=None, coefficients=None):
@@ -89,7 +94,6 @@ class OperatorFamily:
         self._blocks = None if blocks is None else _read_only(blocks)
         self._factor = None              # slot factor Y of a parametric family, set by _slot_factor
         self._frame = None               # FrameOperatorData, set by frame_operator
-        self._sigma = None               # singular values, set by _singular_values
 
     @classmethod
     def parametric(cls, rule: QuadratureRule, descriptor: AlgebraDescriptor, n: int, coefficients):
@@ -152,7 +156,8 @@ class OperatorFamily:
 
 @dataclass(frozen=True, eq=False)
 class FrameOperatorData:
-    """Frame operator of a family as slot blocks, with the blocks' eigenpairs."""
+    """Frame operator of a family as slot blocks, with the blocks' eigenpairs
+    (from the slot factor, not from ``blocks``, so a residual with ``blocks`` checks them)."""
 
     descriptor: AlgebraDescriptor
     blocks: np.ndarray                   # (m, b, b) Hermitian, one per slot
@@ -161,7 +166,7 @@ class FrameOperatorData:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum of the flattened s, ascending (one slot's eigh is sorted already)."""
+        """Spectrum of the flattened s, ascending (one slot's row is sorted already)."""
         values = self.block_eigenvalues
         return _read_only(np.sort(values, axis=None) if len(values) > 1 else values.ravel())
 
@@ -209,7 +214,7 @@ def synthesis(family: OperatorFamily, ys: L2Family) -> ModuleVector:
 
 
 def _slot_factor(family) -> np.ndarray:
-    """Per slot, a tall matrix F with F* F = s and the singular values of V, (m, r, b).
+    """Per slot, a tall matrix F with F* F = s and the singular values of V, (m, r, b), r >= b.
 
     V stacks sqrt(w_i) M_i* over the nodes.  A sampled family's F is V
     itself, r = N b.  A parametric family's is its slot factor, cached:
@@ -249,14 +254,18 @@ def _gram(left: OperatorFamily, right: OperatorFamily) -> np.ndarray:
 
 
 def frame_operator(family: OperatorFamily) -> FrameOperatorData:
-    """s = sum_i w_i M_i M_i* per slot (``_gram``) with one batched eigh, computed once per family.
+    """s = sum_i w_i M_i M_i* per slot (``_gram``) and its eigenpairs, computed once per family.
 
-    The result is cached on the family and its arrays are read-only, so
-    every consumer shares one factorization.
+    The eigenpairs come from one SVD per slot: the triangle R of a QR of the
+    slot factor F has R* R = F* F = s, so with R = U diag(sigma) W* the
+    eigenvalues of s are sigma^2, ascending here, and its eigenvectors are
+    the columns of W.  The result is cached on the family and its arrays
+    are read-only, so every consumer shares one factorization.
     """
     if family._frame is None:
+        _, sigma, right = np.linalg.svd(np.linalg.qr(_slot_factor(family), mode="r"))
+        eigenpairs = sigma[:, ::-1] ** 2, right[:, ::-1].conj().swapaxes(1, 2)
         blocks = _gram(family, family)
-        eigenpairs = np.linalg.eigh(blocks)
         family._frame = FrameOperatorData(family.descriptor, *map(_read_only, (blocks, *eigenpairs)))
     return family._frame
 
@@ -289,7 +298,7 @@ def require_frame(data: FrameOperatorData, tol: float, error=NotAFrame) -> tuple
     return lower, upper
 
 
-def classify(data: FrameOperatorData, tol: float = 1e-8) -> FrameReport:
+def classify(data: FrameOperatorData, tol: float = FRAME_TOL) -> FrameReport:
     """Sort a family into frame / tight / parseval / bessel_only / not_bessel."""
     lower, upper = optimal_bounds(data)
     is_frame = _is_frame(lower, upper, tol)
@@ -328,23 +337,10 @@ def classify(data: FrameOperatorData, tol: float = 1e-8) -> FrameReport:
     )
 
 
-def _singular_values(family) -> np.ndarray:
-    """Singular values, descending, of V stacking sqrt(w_i) M_i* (so V* V = s), cached.
-
-    They are read from ``_slot_factor``: V itself for a sampled family, and
-    the D b x b slot factor Y for a parametric one, whose singular values
-    are V's because V = (Q (x) I) Y with orthonormal Q.
-    """
-    if family._sigma is None:
-        sigma = np.linalg.svd(_slot_factor(family), compute_uv=False)
-        family._sigma = _read_only(np.sort(sigma, axis=None)[::-1] if len(sigma) > 1 else sigma[0])
-    return family._sigma
-
-
-def below_bounded_check(family, tol: float = 1e-10) -> tuple[bool, float]:
-    """The frame rule on sigma_min^2 = A, sigma_max^2 = B of the weighted analysis map, and sigma_min."""
-    sigma_max, sigma_min = (float(v) for v in _singular_values(family)[[0, -1]])
-    return _is_frame(sigma_min**2, sigma_max**2, tol), sigma_min
+def below_bounded_check(family, tol: float = FRAME_TOL) -> tuple[bool, float]:
+    """The frame rule on A = sigma_min^2, B = sigma_max^2 of the weighted analysis map, and sigma_min."""
+    lower, upper = optimal_bounds(frame_operator(family))
+    return _is_frame(lower, upper, tol), lower**0.5
 
 
 def independence_check(family, tol: float = KERNEL_TOL) -> tuple[bool, int]:
@@ -357,14 +353,10 @@ def independence_check(family, tol: float = KERNEL_TOL) -> tuple[bool, int]:
     flattened space.
     """
     _check_tol(tol)
-    sigma = _singular_values(family)
+    sigma = np.sqrt(frame_operator(family).eigenvalues)  # ascending; all zero gives rank 0
     k = family.descriptor.dim
-    rows = len(family) * family.n * k
-    if sigma[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sigma > tol * sigma[0]))
-    kernel_dim = k * (rows - rank)
+    rank = int(np.sum(sigma > tol * sigma[-1]))
+    kernel_dim = k * (len(family) * family.n * k - rank)
     return kernel_dim == 0, kernel_dim
 
 

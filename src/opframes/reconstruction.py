@@ -1,8 +1,10 @@
 """Recovering x from frame-operator data y = S x, per slot block of s (``frames``).
 
-Every route works in the eigenbasis that ``frame_operator`` caches, so no
-second factorization is made.  With s = V diag(mu) V* per slot, y_hat = y V
-turns x s = y into the elementwise x_hat mu = y_hat, and x = x_hat V*.
+Every route works in the eigenbasis of s that ``frame_operator`` caches
+from the family's one SVD (V the right singular vectors of its slot factor,
+mu their singular values squared), so no second factorization is made.
+With s = V diag(mu) V* per slot, y_hat = y V turns x s = y into the
+elementwise x_hat mu = y_hat, and x = x_hat V*.
 
 * ``reconstruct_direct`` divides: x = ((y V) / mu) V*.
 * ``reconstruct_chebyshev`` is the frame algorithm with Chebyshev

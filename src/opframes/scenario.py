@@ -25,7 +25,7 @@ from json.scanner import make_scanner
 import numpy as np
 
 from .algebra import AlgebraDescriptor
-from .frames import OperatorFamily
+from .frames import FRAME_TOL, OperatorFamily
 from .hilbert_module import ModuleOperator, _flatten, _unflatten
 from .perturbation import AdditivePerturbation, RelativePerturbation, ScalarFamily
 from .quadrature import QuadratureRule, counting, gauss_legendre, midpoint
@@ -33,7 +33,7 @@ from .quadrature import QuadratureRule, counting, gauss_legendre, midpoint
 SCHEMA_VERSION = 1
 
 DEFAULT_TOLERANCES = {
-    "classification": 1e-8,
+    "classification": FRAME_TOL,
     "reconstruction": 1e-12,
     "dual": 1e-10,
     "criterion": 1e-10,

@@ -12,13 +12,7 @@ from opframes.algebra import AlgebraDescriptor
 from opframes.catalog import random_frame_family
 from opframes.cli import main
 from opframes.duals import canonical_dual, is_dual_pair
-from opframes.frames import (
-    OperatorFamily,
-    _singular_values,
-    frame_operator,
-    optimal_bounds,
-    synthesis,
-)
+from opframes.frames import OperatorFamily, frame_operator, optimal_bounds, synthesis
 from opframes.hilbert_module import L2Family
 from opframes.perturbation import RelativePerturbation, ScalarFamily, relative_criterion_check
 from opframes.quadrature import gauss_legendre, integrate_array
@@ -51,33 +45,53 @@ def relative_error(got, want):
 
 
 def count_calls(monkeypatch, name):
-    """Record the first argument of every np.linalg.<name> call."""
+    """Record the first argument of every np.linalg.<name> call, with its keywords."""
     calls = []
     real = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
-        calls.append(np.array(a))
+        calls.append((np.array(a), kwargs))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
+def factorizations(svds):
+    """The arguments of the SVDs that compute singular vectors: the spectral
+    factorizations.  A residual's norm takes singular values only."""
+    return [a for a, kwargs in svds if kwargs.get("compute_uv", True)]
+
+
+def refuse(monkeypatch, *names):
+    """Make every np.linalg.<name> raise, so a test fails if it is called."""
+    for name in names:
+        def raising(*args, _name=name, **kwargs):
+            raise AssertionError(f"np.linalg.{_name} was called")
+
+        monkeypatch.setattr(np.linalg, name, raising)
+
+
 class TestOneFactorizationPerFamily:
     # each scenario has three families: its own, the canonical dual, and the
     # perturbed family (additive) or the comparison family (relative)
     @pytest.mark.parametrize("name", ["perturbed_additive.json", "perturbed_relative.json"])
-    def test_analyze_runs_one_eigh_per_family(self, monkeypatch, capsys, name):
-        calls = count_calls(monkeypatch, "eigh")
+    def test_analyze_runs_one_svd_per_family(self, monkeypatch, capsys, name):
+        refuse(monkeypatch, "eigh")
+        calls = count_calls(monkeypatch, "svd")
         assert main(["analyze", "--scenario", str(SCENARIOS / name)]) == 0
         capsys.readouterr()
-        assert len(calls) == 3
-        assert len({a.tobytes() for a in calls}) == 3
+        svds = factorizations(calls)
+        assert len(svds) == 3
+        assert len({a.tobytes() for a in svds}) == 3
 
     @pytest.mark.parametrize("name,families", [("perturbed_additive.json", 3), ("perturbed_relative.json", 6)])
-    def test_analyze_runs_one_qr_per_family(self, monkeypatch, capsys, name, families):
-        # the relative criterion adds three: aT, bL and aT - bL, each with its own factor
-        eighs, qrs = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "qr")
+    def test_analyze_runs_one_slot_factor_per_family(self, monkeypatch, capsys, name, families):
+        # the relative criterion adds three: aT, bL and aT - bL, each with its own
+        # factor and none factored further; every parametric factor takes one QR
+        # of its Vandermonde matrix, and every SVD one QR of the factor before it
+        refuse(monkeypatch, "eigh")
+        calls, qrs = count_calls(monkeypatch, "svd"), count_calls(monkeypatch, "qr")
         factored, factor = [], frames._slot_factor
 
         def recording(family):
@@ -87,33 +101,40 @@ class TestOneFactorizationPerFamily:
         monkeypatch.setattr(frames, "_slot_factor", recording)
         assert main(["analyze", "--scenario", str(SCENARIOS / name)]) == 0
         capsys.readouterr()
-        assert len({id(f) for f in factored}) == len(qrs) == families
-        assert len(eighs) == 3
+        svds = factorizations(calls)
+        assert len({id(f) for f in factored}) == families
+        assert len(svds) == 3
+        assert len(qrs) == families + len(svds)
 
     @pytest.mark.parametrize("method", ["direct", "neumann", "chebyshev"])
-    def test_reconstruct_runs_one_eigh_and_no_solve(self, monkeypatch, capsys, method):
+    def test_reconstruct_runs_one_svd_and_no_inverse(self, monkeypatch, capsys, method):
         # every reconstructor reads the cached eigenpairs; none factors s again
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.solve was called")
-
-        monkeypatch.setattr(np.linalg, "solve", refuse)
-        eighs = count_calls(monkeypatch, "eigh")
+        refuse(monkeypatch, "eigh", "inv", "solve")
+        calls = count_calls(monkeypatch, "svd")
         argv = ["reconstruct", "--scenario", str(SCENARIOS / "perturbed_additive.json"), "--method", method]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["reconstruction"]["converged"] is True
-        assert len(eighs) == 1
+        assert len(factorizations(calls)) == 1
 
-    def test_analyze_runs_no_solve(self, monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.solve was called")
-
-        monkeypatch.setattr(np.linalg, "solve", refuse)
-        eighs = count_calls(monkeypatch, "eigh")
+    def test_analyze_runs_no_inverse(self, monkeypatch, capsys):
+        refuse(monkeypatch, "eigh", "inv", "solve")
+        calls = count_calls(monkeypatch, "svd")
         assert main(["analyze", "--scenario", str(SCENARIOS / "perturbed_additive.json")]) == 0
         assert json.loads(capsys.readouterr().out)["reconstruction"]["method"] == "chebyshev"
-        assert len(eighs) == len({a.tobytes() for a in eighs}) == 3
+        svds = factorizations(calls)
+        assert len(svds) == len({a.tobytes() for a in svds}) == 3
+
+    def test_dual_runs_one_svd_per_family_and_no_inverse(self, monkeypatch, capsys):
+        # the family's SVD gives s^-1 for the dual; the dual's own SVD gives its bounds
+        refuse(monkeypatch, "eigh", "inv", "solve")
+        calls = count_calls(monkeypatch, "svd")
+        assert main(["dual", "--scenario", str(SCENARIOS / "perturbed_additive.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["dual"]["is_dual"] is True
+        svds = factorizations(calls)
+        assert len(svds) == len({a.tobytes() for a in svds}) == 2
 
     def test_independence_runs_one_svd(self, monkeypatch, capsys):
+        refuse(monkeypatch, "eigh")
         calls = count_calls(monkeypatch, "svd")
         assert main(["independence", "--scenario", str(SCENARIOS / "perturbed_additive.json")]) == 0
         capsys.readouterr()
@@ -259,8 +280,10 @@ class TestSlotBlocksAgainstDenseFolds:
         rule, flats, family, _ = case
         tall = np.concatenate([np.sqrt(w) * f.conj().T for w, f in zip(rule.weights, flats)])
         want = np.linalg.svd(tall, compute_uv=False)
-        assert _singular_values(family).shape == want.shape
-        assert spread(_singular_values(family), want) <= RTOL
+        # the factorization's singular values, descending as LAPACK gives them
+        got = np.sqrt(frame_operator(family).eigenvalues)[::-1]
+        assert got.shape == want.shape
+        assert spread(got, want) <= RTOL
 
     def test_canonical_dual(self, case, descriptor, n):
         rule, flats, family, s = case

@@ -1,11 +1,13 @@
 """One frame rule: every entry point that decides "is a frame" agrees.
 
 The rule is A > tol * B (``frames.require_frame``).  classify, require_frame,
-canonical_dual and below_bounded_check take tol from the caller; the
-reconstructors and additive_admissible decide at SINGULARITY_RATIO.  The
-boundary families have A / B = tol * (1 -+ 1e-3); the tiny family is the
-worked one scaled to bounds (1e-9, 4e-9/3), well conditioned but below
-any absolute tolerance.
+canonical_dual and below_bounded_check take tol from the caller, by default
+FRAME_TOL; the reconstructors and additive_admissible decide at
+SINGULARITY_RATIO.  The boundary families have A / B = tol * (1 -+ 1e-3):
+diagonal slope families with 1 x 1 slots, and mixed full-algebra families
+whose 4 x 4 slot mixes every spectral value.  The tiny family is the worked
+one scaled to bounds (1e-9, 4e-9/3), well conditioned but below any
+absolute tolerance.
 """
 
 import json
@@ -15,13 +17,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opframes.algebra import SINGULARITY_RATIO, AlgebraElement, is_positive
+from opframes.algebra import SINGULARITY_RATIO, AlgebraDescriptor, AlgebraElement, is_positive
 from opframes.catalog import diagonal_slope_family
 from opframes.cli import main
-from opframes.duals import canonical_dual, is_dual_pair
+from opframes.duals import canonical_dual, dual_bounds, is_dual_pair
 from opframes.exceptions import NoConvergence, NotAFrame, SingularFrameOperator
 from opframes.frames import (
+    FRAME_TOL,
     FrameOperatorData,
+    OperatorFamily,
     below_bounded_check,
     classify,
     frame_operator,
@@ -36,9 +40,11 @@ from opframes.perturbation import (
     additive_admissible,
     relative_criterion_check,
 )
+from opframes.quadrature import counting
 from opframes.reconstruction import CHEBYSHEV_BUDGET, reconstruct_chebyshev, reconstruct_direct, reconstruct_neumann
+from opframes.scenario import DEFAULT_TOLERANCES
 
-from families import DIAG2, rank_deficient_family, ratio_slopes, slope_scenario, tiny_slopes
+from families import DIAG2, pairs, rank_deficient_family, ratio_slopes, slope_scenario, tiny_slopes
 
 FRAME_KINDS = ("frame", "tight", "parseval")
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -90,6 +96,92 @@ def test_entry_points_agree_at_the_boundary(side, tol, scale):
     if tol == SINGULARITY_RATIO:
         got.update(floor_verdicts(family))
     assert got == dict.fromkeys(got, side > 0)
+
+
+# ---------------------------------------------------------------- mixed full-algebra boundary
+
+FULL2 = AlgebraDescriptor("full", 2)
+MIXED_TOLS = [CLASSIFICATION_TOL, 1e-10, 1e-12, SINGULARITY_RATIO]
+MIXED_COUNT = 300
+
+
+def unitary(rng, size):
+    """A random unitary matrix: the Q of a complex Gaussian, its phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def mixed_boundary_operators(tol):
+    """MIXED_COUNT (M, is_frame) pairs: M = U diag(1, 0.7, 0.4, sqrt r) W with
+    random unitary U and W, r = tol (1 -+ 1e-3) alternately.  As the one node
+    operator of a family on A^2 over M_2(C), with weight 1, M gives s = M M*,
+    whose spectrum is (1, 0.49, 0.16, r) exactly, so A / B = r: a frame at tol
+    exactly when r > tol.  The unitaries spread r over every entry of s."""
+    rng = np.random.default_rng(int(round(-np.log10(tol))))
+    out = []
+    for i in range(MIXED_COUNT):
+        side = 1 if i % 2 else -1
+        values = np.array([1.0, 0.7, 0.4, np.sqrt(tol * (1.0 + side * 1e-3))])
+        out.append(((unitary(rng, 4) * values) @ unitary(rng, 4), side > 0))
+    return out
+
+
+def mixed_scenario(operator, tol):
+    """Scenario document of the one-node family of ``operator`` on a counting
+    measure, classified at tol.  Its reconstruction tolerance is 1, which
+    analyze meets at its first iterate: a frame with B/A near 1 / tol would
+    otherwise run the Chebyshev step budget, and only the frame verdict is
+    compared here."""
+    blocks = operator.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)  # row flattening -> (n, n, k, k)
+    return {
+        "schema_version": 1,
+        "algebra": {"kind": "full", "dim": 2},
+        "module_rank": 2,
+        "measure": {"kind": "counting", "count": 1},
+        "family": {"form": "sampled", "operators": pairs(blocks[None])},
+        "tolerances": {"classification": tol, "reconstruction": 1.0},
+    }
+
+
+@pytest.mark.parametrize("tol", MIXED_TOLS)
+def test_entry_points_are_right_on_mixed_boundary_families(tol):
+    # an eigensolver on the formed s = Y* Y gets A wrong by about eps B, which
+    # at tol = 1e-13 flips 35 of these 300 verdicts; the SVD of Y does not
+    wrong = []
+    for i, (operator, is_frame) in enumerate(mixed_boundary_operators(tol)):
+        family = OperatorFamily.from_flats(counting(1), FULL2, 2, operator[None])
+        got = verdicts(family, tol)
+        if got != dict.fromkeys(got, is_frame):
+            wrong.append((i, is_frame, got))
+    assert not wrong, f"{len(wrong)} of {MIXED_COUNT} wrong, first {wrong[0]}"
+
+
+@pytest.mark.parametrize("tol", MIXED_TOLS)
+def test_analyze_and_independence_are_right_on_mixed_boundary_families(tol, tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    wrong = []
+    for i, (operator, is_frame) in enumerate(mixed_boundary_operators(tol)):
+        path.write_text(json.dumps(mixed_scenario(operator, tol)))
+        code = main(["analyze", "--scenario", str(path)])
+        analyzed = json.loads(capsys.readouterr().out)["frame"]["classification"] in FRAME_KINDS
+        assert code == (0 if analyzed else 2)
+        assert main(["independence", "--scenario", str(path)]) == 0
+        bounded = json.loads(capsys.readouterr().out)["independence"]["bounded_below"]
+        if (analyzed, bounded) != (is_frame, is_frame):
+            wrong.append((i, is_frame, analyzed, bounded))
+    assert not wrong, f"{len(wrong)} of {MIXED_COUNT} wrong, first {wrong[0]}"
+
+
+def test_default_tolerances_agree():
+    # A / B = 1e-9 lies between 1e-10 and 1e-8, the defaults these entry points once differed by
+    family = diagonal_slope_family(ratio_slopes(1e-9))
+    assert DEFAULT_TOLERANCES["classification"] == FRAME_TOL
+    assert classify(frame_operator(family)).classification == "bessel_only"
+    assert below_bounded_check(family)[0] is False
+    with pytest.raises(NotAFrame):
+        canonical_dual(family)
+    with pytest.raises(NotAFrame):
+        dual_bounds(family)
 
 
 @pytest.mark.parametrize("tol", [CLASSIFICATION_TOL, SINGULARITY_RATIO])

@@ -147,3 +147,19 @@ def test_ill_conditioned_scenario_converges(tmp_path, monkeypatch):
     assert report["reconstruction"]["converged"] is True
     code, out, _ = same_answers.run_one(["reconstruct", "--scenario", str(path), "--method", "neumann"])
     assert code == 0 and json.loads(out)["reconstruction"]["converged"] is False
+
+
+def test_boundary_scenario_has_one_frame_verdict(tmp_path, monkeypatch):
+    # A / B = 1e-13 (1 + 1e-3) at classification tolerance 1e-13
+    monkeypatch.chdir(ROOT)
+    [(name, path, calls)] = same_answers.boundary(tmp_path)
+    assert (name, calls) == ("full_boundary", [])
+    assert json.loads(path.read_text())["tolerances"] == {"classification": 1e-13}
+    code, out, err = same_answers.run_one(["analyze", "--scenario", str(path)])
+    assert code == 0 and err == ""
+    frame = json.loads(out)["frame"]
+    assert frame["classification"] == "frame"
+    assert frame["lower_bound"] / frame["upper_bound"] == pytest.approx(1e-13 * (1 + 1e-3), rel=1e-6)
+    code, out, err = same_answers.run_one(["independence", "--scenario", str(path)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["independence"]["bounded_below"] is True

@@ -16,7 +16,10 @@ first with a ``notes`` member of small tables under keys that the CSV
 writer must escape or quote, NOTES), on one ill-conditioned scenario
 written into OUTDIR (``diagonal_slope.json`` with slot 1's slope times
 0.1, B/A = 133, where a relaxation with step 1/B needs about 3700 steps,
-so the frame algorithm's convergence is compared too), and on the
+so the frame algorithm's convergence is compared too), on one
+full-algebra boundary scenario written into OUTDIR (classification
+tolerance 1e-13 and A/B = 1e-13 (1 + 1e-3), so the frame verdict depends
+on how accurately A is computed; see ``boundary``), and on the
 scenario of each benchmark workload for seed 1 (whose own benchmark calls
 are added as they are), plus ``analyze --nodes 300000`` on every demo
 scenario and ``verify-examples`` with and without flags.
@@ -57,6 +60,8 @@ import sys
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "demos" / "scenarios"
 BENCH_SEED = 1
@@ -79,6 +84,7 @@ NOTES = {  # a format mark, a comma, quotes, a line break and non-ASCII text in 
     "line\nbreak": [[0.25], [4.0]],
     "Ωmega ∑": [1, 2.5, 3],
 }
+BOUNDARY_SEED = 2  # the boundary scenario's unitaries; eigenvalues of the formed s refuse this one
 SHOWN_DIFFERENCES = 3
 ROUNDING_LEVEL = 1e-9  # residuals and recovery errors stay below it
 
@@ -122,6 +128,36 @@ def ill_conditioned(workdir):
     return [(target.stem, target, [])]
 
 
+def boundary(workdir):
+    """(name, path, no calls) of a full-algebra scenario just above the frame-rule
+    floor, written indented into ``workdir``.  Its family on A^2 over M_2(C) is
+    the constant M = U diag(1, 0.7, 0.4, sqrt r) W, U and W random unitaries, so
+    s = M M* has bounds (r, 1) with r = 1e-13 (1 + 1e-3), and the scenario's
+    classification tolerance is 1e-13.  An eigensolver on the formed s moves A
+    by about eps B, some tenths of a percent of it here, enough to flip the
+    verdict; the SVD of the family's factor moves it by at most about 1e-9 of itself."""
+    rng = np.random.default_rng(BOUNDARY_SEED)
+
+    def unitary():
+        q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    flat = (unitary() * [1.0, 0.7, 0.4, math.sqrt(1e-13 * (1.0 + 1e-3))]) @ unitary()
+    blocks = flat.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)  # row flattening -> (n, n, k, k)
+    doc = {
+        "schema_version": 1,
+        "algebra": {"kind": "full", "dim": 2},
+        "module_rank": 2,
+        "measure": {"kind": "lebesgue_interval", "a": 0.0, "b": 1.0, "rule": "gauss_legendre", "nodes": 4},
+        "family": {"form": "parametric",
+                   "coefficients": np.stack([blocks.real, blocks.imag], axis=-1)[None].tolist()},
+        "tolerances": {"classification": 1e-13},
+    }
+    target = workdir / "full_boundary.json"
+    target.write_text(json.dumps(doc, **LAYOUTS["indented"]), encoding="utf-8")
+    return [(target.stem, target, [])]
+
+
 def matrix(workdir):
     """Ordered {invocation name: argv}; paths are relative to the checkout root when possible."""
     from opframes.cli import COMMANDS
@@ -131,7 +167,7 @@ def matrix(workdir):
         return str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else str(path)
 
     demos = [(p.stem, p, []) for p in sorted(SCENARIOS.glob("*.json"))]
-    sources = demos + respellings(workdir) + ill_conditioned(workdir)
+    sources = demos + respellings(workdir) + ill_conditioned(workdir) + boundary(workdir)
     sources += bench_scenarios(workdir)
     invocations = {}
     for stem, path, own_calls in sources:
