@@ -8,20 +8,9 @@ bound envelopes, all backed by complex linear algebra on slot blocks.
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    AlgebraDescriptor,
-    AlgebraElement,
-    abs_element,
-    adjoint,
-    hermitian_sqrt,
-    inverse,
-    is_positive,
-    loewner_leq,
-    multiply,
-    operator_norm,
-)
+from .algebra import AlgebraDescriptor, AlgebraElement, operator_norm
 from .duals import DualPairReport, canonical_dual, dual_bounds, is_dual_pair
-from .exceptions import NoConvergence, NotAFrame, SingularElement, SingularFrameOperator
+from .exceptions import NoConvergence, NotAFrame, SingularFrameOperator
 from .frames import (
     FrameOperatorData,
     FrameReport,
@@ -40,13 +29,9 @@ from .hilbert_module import (
     ModuleOperator,
     ModuleVector,
     apply,
-    compose,
     inner_product,
     l2_inner_product,
-    left_action,
-    op_adjoint,
     op_norm,
-    random_operator,
     random_vector,
     scalar_norm,
 )

@@ -1,10 +1,6 @@
 """Exception types raised by the numerical core."""
 
 
-class SingularElement(Exception):
-    """Algebra element is singular to working tolerance; no inverse returned."""
-
-
 class NotAFrame(Exception):
     """Operation requires a frame: lower bound A > tol * B (``frames.require_frame``)."""
 

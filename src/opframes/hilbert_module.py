@@ -88,16 +88,6 @@ class ModuleVector:
         if n < 1:
             raise ValueError("module rank n must be >= 1")
 
-    @classmethod
-    def from_components(cls, components):
-        components = list(components)
-        descriptor = components[0].descriptor
-        return cls(descriptor, np.stack([c.entries for c in components]))
-
-    @classmethod
-    def zero(cls, descriptor, n):
-        return cls(descriptor, np.zeros((n, descriptor.dim, descriptor.dim)))
-
     @property
     def n(self):
         return self.stack.shape[0]
@@ -106,16 +96,8 @@ class ModuleVector:
         """k x (n*k) matrix [x_1 x_2 ... x_n]."""
         return _flatten(self.stack[None])
 
-    @classmethod
-    def from_flat(cls, descriptor, flat):
-        return cls(descriptor, _unflatten(flat, descriptor.dim)[0])
-
     def scale(self, scalar):
         return ModuleVector(self.descriptor, complex(scalar) * self.stack)
-
-    def __add__(self, other):
-        _check_vectors(self, other)
-        return ModuleVector(self.descriptor, self.stack + other.stack)
 
     def __sub__(self, other):
         _check_vectors(self, other)
@@ -153,11 +135,6 @@ class ModuleOperator:
         return cls.from_flat(descriptor, np.eye(n * descriptor.dim))
 
     @classmethod
-    def zero(cls, descriptor, n):
-        k = descriptor.dim
-        return cls(descriptor, np.zeros((n, n, k, k)))
-
-    @classmethod
     def from_flat(cls, descriptor, flat):
         return cls(descriptor, _unflatten(flat, descriptor.dim))
 
@@ -169,30 +146,11 @@ class ModuleOperator:
         """(n*k) x (n*k) matrix with blocks[j, i] at block row j, block column i."""
         return _flatten(self.blocks)
 
-    def block(self, j, i) -> AlgebraElement:
-        return AlgebraElement(self.descriptor, self.blocks[j, i])
-
-    def __add__(self, other):
-        _check_operators(self, other)
-        return ModuleOperator(self.descriptor, self.blocks + other.blocks)
-
-    def __sub__(self, other):
-        _check_operators(self, other)
-        return ModuleOperator(self.descriptor, self.blocks - other.blocks)
-
-    def scale(self, scalar):
-        return ModuleOperator(self.descriptor, complex(scalar) * self.blocks)
-
-
-def _check_operators(m1, m2):
-    if m1.descriptor != m2.descriptor or m1.n != m2.n:
-        raise ValueError("operators must share descriptor and rank")
-
 
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """A-valued inner product sum_i x_i @ adjoint(y_i).
 
-    Linear in x, conjugate-linear in y; satisfies <x,y> = adjoint(<y,x>)
+    Linear in x, conjugate-linear in y; satisfies <x,y> = <y,x>*
     and <a.x, y> = a <x,y>.
     """
     _check_vectors(x, y)
@@ -213,28 +171,9 @@ def apply(op: ModuleOperator, x: ModuleVector) -> ModuleVector:
     return ModuleVector(x.descriptor, out)
 
 
-def op_adjoint(op: ModuleOperator) -> ModuleOperator:
-    """Blockwise conjugate transpose; the flattening is the plain conjugate transpose."""
-    return ModuleOperator(op.descriptor, op.blocks.transpose(1, 0, 3, 2).conj())
-
-
-def compose(first: ModuleOperator, second: ModuleOperator) -> ModuleOperator:
-    """Operator performing ``first`` then ``second``: x @ M1 @ M2."""
-    _check_operators(first, second)
-    blocks = np.einsum("jlab,libc->jiac", first.blocks, second.blocks)
-    return ModuleOperator(first.descriptor, blocks)
-
-
 def op_norm(op: ModuleOperator) -> float:
     """Operator norm on H, the largest singular value of the flattening."""
     return float(np.linalg.norm(op.flatten(), 2))
-
-
-def left_action(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
-    """Module action a . x, the element a applied to every component from the left."""
-    if a.descriptor != x.descriptor:
-        raise ValueError("element and vector descriptors do not match")
-    return ModuleVector(x.descriptor, np.einsum("ab,ibc->iac", a.entries, x.stack))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,11 +192,6 @@ class L2Family:
         object.__setattr__(
             self, "samples", _as_blocks(self.descriptor, arr, shape, "l2 samples")
         )
-
-    @classmethod
-    def from_vectors(cls, rule, vectors):
-        vectors = list(vectors)
-        return cls(rule, vectors[0].descriptor, np.stack([v.stack for v in vectors]))
 
     @property
     def n(self):
@@ -287,12 +221,3 @@ def random_vector(descriptor, n, rng, scale=1.0, unit=False) -> ModuleVector:
             raise ValueError("cannot normalize a zero draw")
         x = x.scale(1.0 / nrm)
     return x
-
-
-def random_operator(descriptor, n, rng, scale=1.0) -> ModuleOperator:
-    """Random operator with complex Gaussian blocks conforming to the descriptor."""
-    k = descriptor.dim
-    blocks = rng.standard_normal((n, n, k, k)) + 1j * rng.standard_normal((n, n, k, k))
-    if descriptor.is_diagonal:
-        blocks = blocks * np.eye(k)
-    return ModuleOperator(descriptor, scale * blocks)

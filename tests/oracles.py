@@ -67,6 +67,13 @@ def random_hermitian(rng, k, scale=1.0):
     return scale * (m + m.conj().T) / 2.0
 
 
+def random_operator(descriptor, n, rng, scale=1.0):
+    """Random module operator with complex Gaussian blocks conforming to the descriptor."""
+    k = descriptor.dim
+    blocks = rng.standard_normal((n, n, k, k)) + 1j * rng.standard_normal((n, n, k, k))
+    return ModuleOperator(descriptor, scale * (blocks * np.eye(k) if descriptor.is_diagonal else blocks))
+
+
 def random_psd(rng, k, scale=1.0):
     m = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     return scale * (m @ m.conj().T)

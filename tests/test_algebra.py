@@ -4,21 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from opframes.algebra import (
-    AlgebraDescriptor,
-    AlgebraElement,
-    abs_element,
-    adjoint,
-    hermitian_sqrt,
-    inverse,
-    is_positive,
-    loewner_leq,
-    multiply,
-    operator_norm,
-)
-from opframes.exceptions import SingularElement
+from opframes.algebra import AlgebraDescriptor, AlgebraElement, operator_norm
 
-from oracles import jacobi_eigh, random_psd
+from oracles import jacobi_eigh
 
 FULL2 = AlgebraDescriptor("full", 2)
 FULL3 = AlgebraDescriptor("full", 3)
@@ -31,7 +19,7 @@ def full(matrix, k=None):
 
 
 def diag(*values):
-    return AlgebraElement.diagonal(AlgebraDescriptor("diagonal", len(values)), values)
+    return AlgebraElement(AlgebraDescriptor("diagonal", len(values)), np.diag(values))
 
 
 class TestConstruction:
@@ -55,108 +43,13 @@ class TestConstruction:
             AlgebraElement(FULL2, np.zeros((3, 3)))
 
 
-class TestAdjoint:
-    def test_diagonal_conjugation(self):
-        a = diag(1j, 2.0)
-        assert np.array_equal(adjoint(a).entries, np.diag([-1j, 2.0 + 0j]))
-
-    def test_identity_self_adjoint(self):
-        e = AlgebraElement.identity(FULL3)
-        assert np.array_equal(adjoint(e).entries, e.entries)
-
-    def test_nilpotent_transpose(self):
-        a = full([[0, 1], [0, 0]])
-        assert np.array_equal(adjoint(a).entries, [[0, 0], [1, 0]])
-
-    def test_involution_is_exact(self):
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            a = full(m)
-            assert np.array_equal(adjoint(adjoint(a)).entries, a.entries)
-
-
-class TestMultiply:
-    def test_diagonal_product(self):
-        assert np.array_equal(multiply(diag(2, 3), diag(4, 5)).entries, np.diag([8.0 + 0j, 15.0]))
-
-    def test_identity_is_neutral(self):
-        rng = np.random.default_rng(1)
-        a = full(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        assert np.allclose(multiply(a, AlgebraElement.identity(FULL3)).entries, a.entries)
-
-    def test_nilpotent_square_is_zero(self):
-        a = full([[0, 1], [0, 0]])
-        assert np.array_equal(multiply(a, a).entries, np.zeros((2, 2)))
-
-    def test_descriptor_mismatch(self):
-        with pytest.raises(ValueError):
-            multiply(diag(1, 2), full(np.eye(2)))
-
-    def test_adjoint_reverses_products(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            a = full(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-            b = full(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-            lhs = adjoint(multiply(a, b)).entries
-            rhs = multiply(adjoint(b), adjoint(a)).entries
-            assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-class TestPositivity:
-    def test_integrated_gram_is_positive(self):
-        assert is_positive(diag(1.0 / 3.0, 0.25), 1e-12)
-
-    def test_zero_is_boundary_positive(self):
-        assert is_positive(AlgebraElement.zero(FULL2), 1e-12)
-
-    def test_small_negative_eigenvalue_fails(self):
-        assert not is_positive(diag(1.0, -1e-6), 1e-12)
-
-    def test_non_hermitian_fails(self):
-        assert not is_positive(full([[1.0, 1.0], [0.0, 1.0]]), 1e-10)
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            is_positive(diag(1.0, 1.0), 0.0)
-
-
-class TestLoewner:
-    def test_simple_comparison(self):
-        assert loewner_leq(diag(1, 2), diag(2, 3), 1e-10)
-
-    def test_reflexive(self):
-        a = diag(0.3, -0.7)
-        assert loewner_leq(a, a, 1e-10)
-
-    def test_incomparable_pair(self):
-        a, b = diag(1, 0), diag(0, 1)
-        assert not loewner_leq(a, b, 1e-10)
-        assert not loewner_leq(b, a, 1e-10)
-
-    def test_descriptor_mismatch(self):
-        with pytest.raises(ValueError):
-            loewner_leq(diag(1, 2), full(np.eye(2)), 1e-10)
-
-    def test_transitive_on_random_chains(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            base = random_psd(rng, 3)
-            a = full(base)
-            b = full(base + random_psd(rng, 3, 0.5))
-            c = full(b.entries + random_psd(rng, 3, 0.5))
-            assert loewner_leq(a, b, 1e-10)
-            assert loewner_leq(b, c, 1e-10)
-            assert loewner_leq(a, c, 1e-10)
-
-
 class TestOperatorNorm:
     def test_node_operator_at_endpoint(self):
         # diag(w, sqrt(3) w / 2) at w = 1: norm is max(1, sqrt(3)/2) = 1
         assert operator_norm(diag(1.0, np.sqrt(3.0) / 2.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero(self):
-        assert operator_norm(AlgebraElement.zero(FULL3)) == 0.0
+        assert operator_norm(AlgebraElement(FULL3, np.zeros((3, 3)))) == 0.0
 
     def test_hermitian_matches_jacobi_oracle(self):
         rng = np.random.default_rng(4)
@@ -168,89 +61,6 @@ class TestOperatorNorm:
             assert operator_norm(full(h)) == pytest.approx(expected, rel=1e-12)
 
 
-class TestHermitianSqrt:
-    def test_diagonal(self):
-        assert np.allclose(hermitian_sqrt(diag(4, 9)).entries, np.diag([2.0, 3.0]))
-
-    def test_identity(self):
-        e = AlgebraElement.identity(FULL2)
-        assert np.allclose(hermitian_sqrt(e).entries, np.eye(2))
-
-    def test_multiply_back_on_random_psd(self):
-        rng = np.random.default_rng(5)
-        for _ in range(15):
-            a = full(random_psd(rng, 4))
-            root = hermitian_sqrt(a)
-            assert is_positive(root, 1e-10)
-            err = operator_norm(multiply(root, root) - a)
-            assert err <= 1e-10 * (1.0 + operator_norm(a))
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            hermitian_sqrt(diag(1.0, -1.0))
-
-    def test_monotone_on_diagonal_pairs(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            lo = np.abs(rng.standard_normal(3))
-            hi = lo + np.abs(rng.standard_normal(3))
-            d = AlgebraDescriptor("diagonal", 3)
-            a = AlgebraElement.diagonal(d, lo)
-            b = AlgebraElement.diagonal(d, hi)
-            assert loewner_leq(a, b, 1e-12)
-            assert loewner_leq(hermitian_sqrt(a), hermitian_sqrt(b), 1e-12)
-
-
-class TestInverse:
-    def test_worked_scaling(self):
-        # this inverse is what turns the frame operator into the dual scalings
-        assert np.allclose(inverse(diag(1.0 / 3.0, 0.25)).entries, np.diag([3.0, 4.0]))
-
-    def test_identity(self):
-        e = AlgebraElement.identity(FULL3)
-        assert np.allclose(inverse(e).entries, np.eye(3))
-
-    def test_residual_on_well_conditioned(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            a = full(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) + 3 * np.eye(3))
-            residual = operator_norm(multiply(a, inverse(a)) - AlgebraElement.identity(FULL3))
-            assert residual <= 1e-12
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularElement):
-            inverse(diag(1.0, 0.0))
-        with pytest.raises(SingularElement):
-            inverse(full([[1.0, 2.0], [0.5, 1.0]]))
-
-    def test_double_inverse_bounded_condition(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            # controlled condition number via unitary conjugation of a diagonal
-            q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-            spectrum = 10.0 ** rng.uniform(-3, 3, size=4)  # cond <= 1e6
-            a = full(q @ np.diag(spectrum) @ q.conj().T)
-            back = inverse(inverse(a))
-            assert operator_norm(back - a) <= 1e-10 * operator_norm(a)
-
-
-class TestAbsElement:
-    def test_diagonal_moduli(self):
-        assert np.allclose(abs_element(diag(-2.0, 3.0j)).entries, np.diag([2.0, 3.0]))
-
-    def test_positive_fixed_point(self):
-        a = full(random_psd(np.random.default_rng(9), 3))
-        assert np.allclose(abs_element(a).entries, a.entries, atol=1e-10)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            a = full(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-            mod = abs_element(a)
-            assert is_positive(mod, 1e-8)
-            assert operator_norm(mod) == pytest.approx(operator_norm(a), rel=1e-10)
-
-
 complex_entries = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1e3, allow_nan=False, allow_infinity=False
 )
@@ -260,13 +70,7 @@ complex_entries = st.complex_numbers(
 @given(arrays(np.complex128, (3, 3), elements=complex_entries))
 def test_cstar_identity(entries):
     a = AlgebraElement(FULL3, entries)
-    lhs = operator_norm(multiply(adjoint(a), a))
+    lhs = operator_norm(AlgebraElement(FULL3, a.entries.conj().T @ a.entries))
     rhs = operator_norm(a) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
-
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(arrays(np.complex128, (3, 3), elements=complex_entries))
-def test_involution_exact(entries):
-    a = AlgebraElement(FULL3, entries)
-    assert np.array_equal(adjoint(adjoint(a)).entries, a.entries)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opframes.algebra import SINGULARITY_RATIO, AlgebraDescriptor, AlgebraElement, is_positive
+from opframes.algebra import SINGULARITY_RATIO, AlgebraDescriptor
 from opframes.catalog import diagonal_slope_family
 from opframes.cli import main
 from opframes.duals import canonical_dual, dual_bounds, is_dual_pair
@@ -236,7 +236,6 @@ def tolerance_takers():
         "reconstruct_chebyshev": lambda tol: reconstruct_chebyshev(data, y, tol=tol),
         "additive_admissible": lambda tol: additive_admissible(family, additive, tol),
         "relative_criterion_check": lambda tol: relative_criterion_check(family, family, relative, tol),
-        "is_positive": lambda tol: is_positive(AlgebraElement.identity(DIAG2), tol),
     }
 
 

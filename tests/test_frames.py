@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opframes.algebra import AlgebraDescriptor, AlgebraElement, operator_norm
+from opframes.algebra import AlgebraDescriptor, operator_norm
 from opframes.catalog import diagonal_slope_family, identity_family, random_frame_family
 from opframes.frames import (
     OperatorFamily,
@@ -21,14 +21,13 @@ from opframes.hilbert_module import (
     apply,
     inner_product,
     l2_inner_product,
-    random_operator,
     random_vector,
     scalar_norm,
 )
 from opframes.quadrature import counting, gauss_legendre
 
 from families import rank_deficient_family
-from oracles import check_frame_inequality, node_operator, norm_bounds_estimate, psd_within
+from oracles import check_frame_inequality, node_operator, norm_bounds_estimate, psd_within, random_operator
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
@@ -36,7 +35,7 @@ ROOT3 = np.sqrt(3.0)
 
 
 def identity_vector():
-    return ModuleVector.from_components([AlgebraElement.identity(DIAG2)])
+    return ModuleVector(DIAG2, np.eye(2)[None])
 
 
 def tight_ramp_family(rule=None):
@@ -87,7 +86,7 @@ class TestAnalysisSynthesis:
 
     def test_analysis_of_zero(self):
         fam = diagonal_slope_family()
-        out = analysis(fam, ModuleVector.zero(DIAG2, 1))
+        out = analysis(fam, ModuleVector(DIAG2, np.zeros((1, 2, 2))))
         assert np.array_equal(out.samples, np.zeros_like(out.samples))
 
     def test_analysis_gram_matches_frame_operator(self):
@@ -116,8 +115,8 @@ class TestAnalysisSynthesis:
         fam = random_frame_family(FULL2, 2, gauss_legendre(0.0, 1.0, 8), seed=7)
         for _ in range(10):
             x = random_vector(FULL2, 2, rng)
-            ys = L2Family.from_vectors(
-                fam.rule, [random_vector(FULL2, 2, rng) for _ in range(len(fam))]
+            ys = L2Family(
+                fam.rule, FULL2, np.stack([random_vector(FULL2, 2, rng).stack for _ in range(len(fam))])
             )
             lhs = l2_inner_product(analysis(fam, x), ys).entries
             rhs = inner_product(x, synthesis(fam, ys)).entries
@@ -272,7 +271,7 @@ class TestBelowBounded:
         assert sigma_min == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_family(self):
-        ops = [ModuleOperator.zero(DIAG2, 1) for _ in range(4)]
+        ops = [ModuleOperator(DIAG2, np.zeros((1, 1, 2, 2))) for _ in range(4)]
         fam = OperatorFamily.sampled(gauss_legendre(0.0, 1.0, 4), ops)
         bounded, sigma_min = below_bounded_check(fam)
         assert not bounded
@@ -317,7 +316,7 @@ class TestIndependence:
         assert not independent
         assert kernel_dim >= 8
         y = random_vector(FULL2, 2, rng)
-        pair = L2Family.from_vectors(fam.rule, [y, y.scale(-1.0)])
+        pair = L2Family(fam.rule, FULL2, np.stack([y.stack, y.scale(-1.0).stack]))
         assert scalar_norm(synthesis(fam, pair)) <= 1e-12 * scalar_norm(y)
 
 

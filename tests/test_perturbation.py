@@ -92,7 +92,7 @@ class TestAdditivePerturbation:
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
-            AdditivePerturbation(ModuleOperator.zero(DIAG2, 1), ScalarFamily.constant(0.1))
+            AdditivePerturbation(ModuleOperator(DIAG2, np.zeros((1, 1, 2, 2))), ScalarFamily.constant(0.1))
 
     @pytest.mark.parametrize("entry", [5e-324, 5e-324j])
     @pytest.mark.parametrize("descriptor,index", [(DIAG2, (0, 0, 1, 1)), (FULL2, (0, 0, 0, 1))])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opframes.algebra import AlgebraDescriptor, AlgebraElement, is_positive
+from opframes.algebra import AlgebraDescriptor, AlgebraElement
 from opframes.quadrature import (
     QuadratureRule,
     counting,
@@ -11,7 +11,7 @@ from opframes.quadrature import (
     midpoint,
 )
 
-from oracles import random_psd
+from oracles import _loewner_leq, random_psd
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 
@@ -71,7 +71,7 @@ class TestCounting:
 
     def test_integral_is_plain_sum(self):
         rule = counting(3)
-        samples = [AlgebraElement.diagonal(DIAG2, [i + 1.0, 1.0]) for i in range(3)]
+        samples = [AlgebraElement(DIAG2, np.diag([i + 1.0, 1.0])) for i in range(3)]
         total = integrate(rule, samples)
         assert np.allclose(total.entries, np.diag([6.0, 3.0]))
 
@@ -145,20 +145,20 @@ class TestIntegrate:
     def test_worked_quadratic_family(self):
         rule = gauss_legendre(0.0, 1.0, 2)
         samples = [
-            AlgebraElement.diagonal(DIAG2, [w**2, 0.75 * w**2]) for w in rule.nodes
+            AlgebraElement(DIAG2, np.diag([w**2, 0.75 * w**2])) for w in rule.nodes
         ]
         total = integrate(rule, samples)
         assert np.allclose(total.entries, np.diag([1.0 / 3.0, 0.25]), atol=1e-15)
 
     def test_zero_integrand(self):
         rule = gauss_legendre(0.0, 1.0, 5)
-        samples = [AlgebraElement.zero(DIAG2)] * 5
+        samples = [AlgebraElement(DIAG2, np.zeros((2, 2)))] * 5
         assert np.array_equal(integrate(rule, samples).entries, np.zeros((2, 2)))
 
     def test_length_mismatch(self):
         rule = gauss_legendre(0.0, 1.0, 5)
         with pytest.raises(ValueError):
-            integrate(rule, [AlgebraElement.zero(DIAG2)] * 4)
+            integrate(rule, [AlgebraElement(DIAG2, np.zeros((2, 2)))] * 4)
 
     def test_refinement_agreement_on_smooth_integrand(self):
         def value(rule):
@@ -175,19 +175,19 @@ class TestIntegrate:
         descriptor = AlgebraDescriptor("full", 3)
         samples = [AlgebraElement(descriptor, random_psd(rng, 3)) for _ in range(8)]
         for sample in samples:
-            assert is_positive(sample, 1e-12)
-        assert is_positive(integrate(rule, samples), 1e-10)
+            assert _loewner_leq(np.zeros((3, 3)), sample.entries, 1e-12)
+        assert _loewner_leq(np.zeros((3, 3)), integrate(rule, samples).entries, 1e-10)
 
     def test_linearity_exact_on_dyadic_data(self):
         # dyadic weights and samples make the fold exactly distributive
         from opframes.quadrature import MeasureSpace
 
         rule = QuadratureRule(MeasureSpace("counting", count=3), [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-        f = [AlgebraElement.diagonal(DIAG2, [0.5 * i, 0.25]) for i in range(3)]
-        g = [AlgebraElement.diagonal(DIAG2, [2.0, 4.0 * i]) for i in range(3)]
-        lhs = integrate(rule, [2.0 * fi + gi for fi, gi in zip(f, g)])
-        rhs = 2.0 * integrate(rule, f) + integrate(rule, g)
-        assert np.array_equal(lhs.entries, rhs.entries)
+        f = [AlgebraElement(DIAG2, np.diag([0.5 * i, 0.25])) for i in range(3)]
+        g = [AlgebraElement(DIAG2, np.diag([2.0, 4.0 * i])) for i in range(3)]
+        lhs = integrate(rule, [AlgebraElement(DIAG2, 2.0 * fi.entries + gi.entries) for fi, gi in zip(f, g)])
+        rhs = 2.0 * integrate(rule, f).entries + integrate(rule, g).entries
+        assert np.array_equal(lhs.entries, rhs)
 
     def test_linearity_close_on_random_data(self):
         rng = np.random.default_rng(12)
@@ -196,6 +196,6 @@ class TestIntegrate:
         f = [AlgebraElement(descriptor, rng.standard_normal((2, 2))) for _ in range(16)]
         g = [AlgebraElement(descriptor, rng.standard_normal((2, 2))) for _ in range(16)]
         alpha = 0.37 + 0.21j
-        lhs = integrate(rule, [alpha * fi + gi for fi, gi in zip(f, g)])
-        rhs = alpha * integrate(rule, f) + integrate(rule, g)
-        assert np.allclose(lhs.entries, rhs.entries, atol=1e-14)
+        lhs = integrate(rule, [AlgebraElement(descriptor, alpha * fi.entries + gi.entries) for fi, gi in zip(f, g)])
+        rhs = alpha * integrate(rule, f).entries + integrate(rule, g).entries
+        assert np.allclose(lhs.entries, rhs, atol=1e-14)
