@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import _check_tol
 from .frames import FRAME_TOL, PARAMETRIC, OperatorFamily, _gram, frame_operator, optimal_bounds, require_frame
-from .hilbert_module import _from_slots, _to_slots
+from .hilbert_module import _from_slots, _slot_norm, _to_slots
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def is_dual_pair(primal: OperatorFamily, other: OperatorFamily, tol: float = 1e-
     if primal.descriptor != other.descriptor or primal.n != other.n:
         raise ValueError("families must share descriptor and rank")
     resolution = _gram(other, primal)
-    residual = float(np.max(np.linalg.norm(resolution - np.eye(resolution.shape[-1]), 2, axis=(1, 2))))
+    residual = _slot_norm(resolution - np.eye(resolution.shape[-1]))
     lo, hi = optimal_bounds(frame_operator(other))
     return DualPairReport(
         is_dual=residual <= tol,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement, operator_norm
+from .algebra import AlgebraDescriptor, AlgebraElement
 from .quadrature import QuadratureRule, integrate_array
 
 
@@ -158,9 +158,16 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     return AlgebraElement(x.descriptor, gram)
 
 
+def _slot_norm(blocks):
+    """The largest spectral norm over slot blocks (m, rows, cols): the norm of their direct sum."""
+    return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
+
+
 def scalar_norm(x: ModuleVector) -> float:
-    """||x|| = ||<x,x>||^(1/2); equals the largest singular value of the flattening."""
-    return operator_norm(inner_product(x, x)) ** 0.5
+    """||x|| = ||<x,x>||^(1/2), read from the slot blocks of x.  <x,x> is never
+    formed: it overflows once the entries of x pass about 1e154 and underflows
+    below about 1e-154."""
+    return _slot_norm(_to_slots(x.descriptor, x.stack[None]))
 
 
 def apply(op: ModuleOperator, x: ModuleVector) -> ModuleVector:

@@ -42,7 +42,7 @@ import numpy as np
 from .algebra import SINGULARITY_RATIO, _check_tol
 from .exceptions import NoConvergence, SingularFrameOperator
 from .frames import FrameOperatorData, require_frame
-from .hilbert_module import ModuleVector, _from_slots, _to_slots, scalar_norm
+from .hilbert_module import ModuleVector, _from_slots, _slot_norm, _to_slots
 
 # Chebyshev steps allowed beyond the a-priori count, for a bound met only to
 # rounding.  On 4000 random frames with B/A in [1, 1e4] and tol in [1e-14, 1e-6]
@@ -72,16 +72,12 @@ class ReconstructionResult:
         return self.residual_history[-1]
 
 
-def _norm(r):
-    """The largest spectral norm over the slot blocks of r, (m, rows, b)."""
-    return float(np.max(np.linalg.svd(r, compute_uv=False)[:, 0]))
-
-
 def _eigenbasis(data, y):
     """(y_hat, mu, y_scale): the slot blocks of y in the eigenbasis of s, its
     eigenvalues broadcast over the rows, and ||y|| (1 when y = 0)."""
-    y_hat = _to_slots(y.descriptor, y.stack[None]) @ data.block_eigenvectors
-    return y_hat, data.block_eigenvalues[:, None, :], scalar_norm(y) or 1.0
+    y_slots = _to_slots(y.descriptor, y.stack[None])
+    y_hat = y_slots @ data.block_eigenvectors
+    return y_hat, data.block_eigenvalues[:, None, :], _slot_norm(y_slots) or 1.0
 
 
 def _vector(data, y, x_hat):
@@ -104,7 +100,7 @@ def reconstruct_direct(data: FrameOperatorData, y: ModuleVector) -> Reconstructi
     return ReconstructionResult(
         vector=x,
         iterations=0,
-        residual_history=(_norm(y_slots - x_slots @ data.blocks) / y_scale,),
+        residual_history=(_slot_norm(y_slots - x_slots @ data.blocks) / y_scale,),
         method="direct",
     )
 
@@ -135,7 +131,7 @@ def reconstruct_chebyshev(
     y_hat, mu, y_scale = _eigenbasis(data, y)
     x = y_hat / theta
     r = y_hat - x * mu
-    history = [_norm(r) / y_scale]
+    history = [_slot_norm(r) / y_scale]
     rho = delta / theta                  # Saad's rho_k = 1/sigma_k, sigma = theta/delta
     d = r / theta
     while history[-1] > tol:
@@ -148,7 +144,7 @@ def reconstruct_chebyshev(
             )
         x = x + d
         r = r - d * mu                   # drives the recurrence; the test reads the true residual
-        history.append(_norm(y_hat - x * mu) / y_scale)
+        history.append(_slot_norm(y_hat - x * mu) / y_scale)
         # rho' = 1/(2 sigma - rho) and 2 rho'/delta, spelled with no division by delta
         scale = 2.0 * theta - rho * delta
         rho, rho_prev = delta / scale, rho
@@ -196,7 +192,7 @@ def reconstruct_neumann(
     y_hat, mu, y_scale = _eigenbasis(data, y)
     x = lam * y_hat
     r = y_hat - x * mu
-    history = [_norm(r) / y_scale]
+    history = [_slot_norm(r) / y_scale]
     while history[-1] > tol:
         if len(history) > max_iter:
             raise NoConvergence(
@@ -207,7 +203,7 @@ def reconstruct_neumann(
             )
         x = x + lam * r
         r = y_hat - x * mu
-        history.append(_norm(r) / y_scale)
+        history.append(_slot_norm(r) / y_scale)
     return ReconstructionResult(
         vector=_vector(data, y, x),
         iterations=len(history) - 1,

@@ -1,5 +1,8 @@
-"""Every `opframes ...` line of the README's "Command line" block runs and exits 0."""
+"""The README's examples run: its "Quick start" python block prints the worked
+family's bounds and classification, and every `opframes ...` line of its
+"Command line" block exits 0."""
 
+import ast
 import shlex
 from pathlib import Path
 
@@ -10,11 +13,22 @@ from opframes.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def readme_commands():
+def readme_block(heading, language):
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text.split("## Command line", 1)[1]
-    block = section.split("```bash", 1)[1].split("```", 1)[0]
+    section = text.split(f"## {heading}", 1)[1]
+    return section.split(f"```{language}", 1)[1].split("```", 1)[0]
+
+
+def readme_commands():
+    block = readme_block("Command line", "bash")
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("opframes ")]
+
+
+def test_quick_start_prints_the_worked_bounds(capsys):
+    exec(compile(readme_block("Quick start", "python"), "README.md", "exec"), {})
+    bounds, classification = capsys.readouterr().out.splitlines()[:2]
+    assert ast.literal_eval(bounds) == pytest.approx((0.25, 1.0 / 3.0), rel=1e-12)
+    assert classification == "frame"
 
 
 def test_block_lists_every_command():

@@ -21,7 +21,7 @@ from opframes.cli import main
 from families import generated_doc
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
-SCALES = (1e-8, 1e-4, 1.0, 1e4, 1e8)
+SCALES = (1e-150, 1e-100, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e100, 1e150)
 COMMANDS = ("analyze", "perturb", "independence")
 GENERATED = {
     "sampled-full": ("full", 2, 2, 5, "sampled", 1),

@@ -163,3 +163,20 @@ def test_boundary_scenario_has_one_frame_verdict(tmp_path, monkeypatch):
     code, out, err = same_answers.run_one(["independence", "--scenario", str(path)])
     assert code == 0 and err == ""
     assert json.loads(out)["independence"]["bounded_below"] is True
+
+
+def test_huge_scale_scenario_reads_as_the_unscaled_one(tmp_path, monkeypatch):
+    # slopes times 1e150: <x,x> of a vector of the family's size overflows a double
+    monkeypatch.chdir(ROOT)
+    [(name, path, calls)] = same_answers.huge_scale(tmp_path)
+    assert (name, calls) == ("huge_scale", [])
+    code, out, err = same_answers.run_one(["analyze", "--scenario", str(path)])
+    assert code == 0 and err == ""
+    huge = json.loads(out)
+    assert huge["frame"]["lower_bound"] == pytest.approx(0.25e300, rel=1e-12)
+    assert huge["frame"]["upper_bound"] == pytest.approx(1e300 / 3.0, rel=1e-12)
+    code, out, _ = same_answers.run_one(["analyze", "--scenario", "demos/scenarios/diagonal_slope.json"])
+    assert code == 0
+    unscaled = json.loads(out)
+    assert huge["reconstruction"]["converged"] is True
+    assert huge["reconstruction"]["iterations"] == unscaled["reconstruction"]["iterations"] == 11

@@ -19,7 +19,10 @@ written into OUTDIR (``diagonal_slope.json`` with slot 1's slope times
 so the frame algorithm's convergence is compared too), on one
 full-algebra boundary scenario written into OUTDIR (classification
 tolerance 1e-13 and A/B = 1e-13 (1 + 1e-3), so the frame verdict depends
-on how accurately A is computed; see ``boundary``), and on the
+on how accurately A is computed; see ``boundary``), on one huge-scale
+scenario written into OUTDIR (``diagonal_slope.json`` with both slopes
+times 1e150, bounds (2.5e299, 1e300/3), where <x,x> of a vector of the
+family's size is past the largest double; see ``huge_scale``), and on the
 scenario of each benchmark workload for seed 1 (whose own benchmark calls
 are added as they are), plus ``analyze --nodes 300000`` on every demo
 scenario and ``verify-examples`` with and without flags.
@@ -84,6 +87,7 @@ NOTES = {  # a format mark, a comma, quotes, a line break and non-ASCII text in 
     "line\nbreak": [[0.25], [4.0]],
     "Ωmega ∑": [1, 2.5, 3],
 }
+HUGE_SCALE = 1e150  # the huge-scale scenario's slopes: s ~ 1e300, near the largest double
 BOUNDARY_SEED = 2  # the boundary scenario's unitaries; eigenvalues of the formed s refuse this one
 SHOWN_DIFFERENCES = 3
 ROUNDING_LEVEL = 1e-9  # residuals and recovery errors stay below it
@@ -158,6 +162,20 @@ def boundary(workdir):
     return [(target.stem, target, [])]
 
 
+def huge_scale(workdir):
+    """(name, path, no calls) of ``diagonal_slope.json`` with both slopes times
+    HUGE_SCALE, written indented into ``workdir``: bounds (2.5e299, 1e300/3).
+    Every answer but the bounds, spectra, energies and sigma_min reads as at
+    scale 1; the frame algorithm takes the same steps."""
+    doc = json.loads((SCENARIOS / "diagonal_slope.json").read_text(encoding="utf-8"))
+    slope = doc["family"]["coefficients"][1][0][0]
+    for s in range(len(slope)):
+        slope[s][s][0] *= HUGE_SCALE
+    target = workdir / "huge_scale.json"
+    target.write_text(json.dumps(doc, **LAYOUTS["indented"]), encoding="utf-8")
+    return [(target.stem, target, [])]
+
+
 def matrix(workdir):
     """Ordered {invocation name: argv}; paths are relative to the checkout root when possible."""
     from opframes.cli import COMMANDS
@@ -167,8 +185,8 @@ def matrix(workdir):
         return str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else str(path)
 
     demos = [(p.stem, p, []) for p in sorted(SCENARIOS.glob("*.json"))]
-    sources = demos + respellings(workdir) + ill_conditioned(workdir) + boundary(workdir)
-    sources += bench_scenarios(workdir)
+    sources = demos + respellings(workdir) + ill_conditioned(workdir)
+    sources += boundary(workdir) + huge_scale(workdir) + bench_scenarios(workdir)
     invocations = {}
     for stem, path, own_calls in sources:
         for command, (_, _, flags) in COMMANDS.items():
