@@ -16,7 +16,8 @@ made of entry (s, s) of every element, the form the spectral machinery
 works on; for the full algebra the whole flattening is the one slot.  Only
 this module knows the layout: a (..., r, c, k, k) table of algebra elements
 goes to its flattening in ``_flatten`` and to its slot blocks in
-``_to_slots``, and a vector is the table of one row, ``x.stack[None]``.
+``_to_slots``, a vector is the table of one row, ``x.stack[None]``, and
+``_slot_norm`` is the norm of a direct sum of slot blocks.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ class ModuleOperator:
 
 
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
-    """A-valued inner product sum_i x_i @ adjoint(y_i).
+    """A-valued inner product sum_i x_i @ y_i*.
 
     Linear in x, conjugate-linear in y; satisfies <x,y> = <y,x>*
     and <a.x, y> = a <x,y>.
