@@ -18,17 +18,20 @@ slots: the spectrum of s is the union of its blocks' spectra.  Tables of
 algebra elements, slot blocks and the dense ``flats`` and ``flat`` convert
 into each other only through the helpers of ``hilbert_module``.
 
-A parametric family M(t) = sum_p C_p t^p, p < D, evaluates its node blocks
-only when they are read (``analysis``, ``synthesis``, and consumers that mix
-it with sampled data).  Each weighted Gram form sum_i w_i L_i M_i* depends on
-the rule only through Phi_ip = sqrt(w_i) t_i^p, so with the triangle R of a
-Householder QR of Phi the family's slot factor Y = (R (x) I_b)[C_p*], of
-D b rows per slot, stands in for the weighted analysis map V: Y* Y = V* V = s,
-and Y_L* Y_M is the dual-pair resolution.  ``_gram`` chooses this route, or
-the node sum for sampled data.  Every spectral quantity of a family comes
-from one SVD per slot of its factor (``frame_operator``), never from the
-formed s, whose eigenvalues carry A with a relative error of about
-eps B/A; sigma_min^2 carries about eps sqrt(B/A).
+Every weighted Gram form sum_i w_i L_i M_i* is one product F_L* F_M of
+slot factors (``_gram``): per slot, F is a tall matrix with F* F = s.  A
+sampled family's is the weighted analysis map V, which stacks
+sqrt(w_i) M_i* over the nodes.  A parametric family M(t) = sum_p C_p t^p,
+p < D, depends on the rule only through Phi_ip = sqrt(w_i) t_i^p, so with
+the triangle R of a Householder QR of Phi its factor is
+Y = (R (x) I_b)[C_p*], of min(N, D) b rows per slot, and Y* Y = V* V.
+Either is cached on the family.  A parametric family evaluates its node
+blocks only when they are read (``analysis``, ``synthesis``, and a pair
+with a sampled family, which pairs the two node factors V).  Every
+spectral quantity of a family comes from one SVD per slot of its factor
+(``frame_operator``), never from the formed s, whose eigenvalues carry A
+with a relative error of about eps B/A; sigma_min^2 carries about
+eps sqrt(B/A).
 
 "Is a frame" has one rule, in ``require_frame``, ``classify`` and
 ``below_bounded_check`` alike: A > tol * B with B > 0, by default at
@@ -49,8 +52,8 @@ import numpy as np
 from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _check_tol
 from .exceptions import NotAFrame
 from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _as_blocks, _flatten, _from_slots
-from .hilbert_module import _to_slots, _unflatten
-from .quadrature import QuadratureRule, _integrate_products, _side_by_side
+from .hilbert_module import _side_by_side, _to_slots, _unflatten
+from .quadrature import QuadratureRule
 
 FRAME_TOL = 1e-8  # the default tol of the frame rule, in the library and in scenarios
 PARAMETRIC = "parametric"
@@ -81,8 +84,7 @@ class OperatorFamily:
     consumers that mix it with sampled data do: its frame operator, its
     spectrum and its dual-pair resolution come from its slot factor
     (``_slot_factor``), which costs O(N D^2) for the rule and nothing per
-    node operator.  The factor and the frame operator are cached on the
-    family.
+    node operator.  Either form caches its factor and its frame operator.
     """
 
     def __init__(self, rule, descriptor, n, blocks=None, coefficients=None):
@@ -92,7 +94,7 @@ class OperatorFamily:
         self.form = SAMPLED if coefficients is None else PARAMETRIC
         self.coefficients = None if coefficients is None else _read_only(coefficients)
         self._blocks = None if blocks is None else _read_only(blocks)
-        self._factor = None              # slot factor Y of a parametric family, set by _slot_factor
+        self._factor = None              # slot factor, V or Y, set by _slot_factor
         self._frame = None               # FrameOperatorData, set by frame_operator
 
     @classmethod
@@ -209,48 +211,53 @@ def synthesis(family: OperatorFamily, ys: L2Family) -> ModuleVector:
         raise ValueError("family and samples use different quadrature rules")
     if ys.descriptor != family.descriptor or ys.n != family.n:
         raise ValueError("samples do not match the family shape")
-    acc = _integrate_products(family.rule, _to_slots(family.descriptor, ys.samples[:, None]), family.blocks)
-    return ModuleVector(family.descriptor, _from_slots(family.descriptor, acc)[0])
+    roots = np.sqrt(family.rule.weights)[:, None, None]
+    rows = _side_by_side(roots * _to_slots(family.descriptor, ys.samples[:, None])) @ _node_factor(family)
+    return ModuleVector(family.descriptor, _from_slots(family.descriptor, rows)[0])
+
+
+def _node_factor(family) -> np.ndarray:
+    """V per slot, (m, N b, b): sqrt(w_i) M_i* stacked over the nodes, from the node blocks."""
+    roots = np.sqrt(family.rule.weights)[:, None, None]
+    return _side_by_side(roots * family.blocks).conj().swapaxes(1, 2)
 
 
 def _slot_factor(family) -> np.ndarray:
-    """Per slot, a tall matrix F with F* F = s and the singular values of V, (m, r, b), r >= b.
+    """Per slot, a tall matrix F with F* F = s and the singular values of V, (m, r, b), r >= b; cached.
 
-    V stacks sqrt(w_i) M_i* over the nodes.  A sampled family's F is V
-    itself, r = N b.  A parametric family's is its slot factor, cached:
-    with the weighted Vandermonde matrix Phi_ip = sqrt(w_i) t_i^p (N x D)
-    and R the (min(N, D), D) triangle of its Householder QR,
-    Y = (R (x) I_b) [C_0*; ...; C_{D-1}*], since V = (Phi (x) I_b) [C_p*]
-    and Phi = Q R with orthonormal Q.  On a Gauss rule with N >= D the
-    products Y_L* Y_M are the integrals over the measure itself.
+    A sampled family's F is V itself (``_node_factor``), r = N b.  A
+    parametric family's is Y: with the weighted Vandermonde matrix
+    Phi_ip = sqrt(w_i) t_i^p (N x D) and R the (min(N, D), D) triangle of its
+    Householder QR, Y = (R (x) I_b) [C_0*; ...; C_{D-1}*], since
+    V = (Phi (x) I_b) [C_p*] and Phi = Q R with orthonormal Q.  On a Gauss
+    rule with N >= D the products Y_L* Y_M are the integrals over the
+    measure itself.
     """
-    if family.form == SAMPLED:
-        roots = np.sqrt(family.rule.weights)
-        return _side_by_side(roots[:, None, None] * family.blocks).conj().swapaxes(1, 2)
     if family._factor is None:
-        rule, slots = family.rule, _to_slots(family.descriptor, family.coefficients)
-        phi = np.sqrt(rule.weights)[:, None] * rule.nodes[:, None] ** np.arange(slots.shape[1])
-        triangle = np.linalg.qr(phi, mode="r")
-        factor = np.tensordot(slots.conj().swapaxes(-1, -2), triangle, axes=([1], [1]))
-        factor = np.moveaxis(factor, -1, 1).reshape(len(slots), -1, slots.shape[-1])
+        if family.form == SAMPLED:
+            factor = _node_factor(family)
+        else:
+            rule, slots = family.rule, _to_slots(family.descriptor, family.coefficients)
+            phi = np.sqrt(rule.weights)[:, None] * rule.nodes[:, None] ** np.arange(slots.shape[1])
+            triangle = np.linalg.qr(phi, mode="r")
+            factor = np.tensordot(slots.conj().swapaxes(-1, -2), triangle, axes=([1], [1]))
+            factor = np.moveaxis(factor, -1, 1).reshape(len(slots), -1, slots.shape[-1])
         family._factor = _read_only(factor)
     return family._factor
 
 
 def _gram(left: OperatorFamily, right: OperatorFamily) -> np.ndarray:
-    """sum_i w_i L_i R_i* per slot, (m, b, b), for two families on one rule.
+    """sum_i w_i L_i R_i* per slot, (m, b, b), for two families on one rule: F_L* F_R.
 
-    The one place that picks a route: from the slot factors, Y_L* Y_R,
-    when both families are parametric, else the node sum
-    ``_integrate_products``, which weights one side only (with sqrt(w) on
-    both, a sampled frame operator moved by an ulp).  A factor of lower
-    degree is zero below its rows, so the sum runs over the shorter one.
+    Two families of one form pair their slot factors; a sampled family and
+    a parametric one pair their node factors V, whose rows both follow the
+    nodes.  A parametric factor of lower degree is zero below its rows, so
+    the product runs over the shorter factor.
     """
-    if left.form == right.form == PARAMETRIC:
-        y_left, y_right = _slot_factor(left), _slot_factor(right)
-        rows = min(y_left.shape[1], y_right.shape[1])
-        return y_left[:, :rows].conj().swapaxes(1, 2) @ y_right[:, :rows]
-    return _integrate_products(left.rule, left.blocks, right.blocks)
+    factor = _slot_factor if left.form == right.form else _node_factor
+    f_left, f_right = factor(left), factor(right)
+    rows = min(f_left.shape[1], f_right.shape[1])
+    return f_left[:, :rows].conj().swapaxes(1, 2) @ f_right[:, :rows]
 
 
 def frame_operator(family: OperatorFamily) -> FrameOperatorData:
@@ -259,11 +266,15 @@ def frame_operator(family: OperatorFamily) -> FrameOperatorData:
     The eigenpairs come from one SVD per slot: the triangle R of a QR of the
     slot factor F has R* R = F* F = s, so with R = U diag(sigma) W* the
     eigenvalues of s are sigma^2, ascending here, and its eigenvectors are
-    the columns of W.  The result is cached on the family and its arrays
-    are read-only, so every consumer shares one factorization.
+    the columns of W.  A sigma whose square is past the largest double
+    raises ValueError before s is formed.  The result is cached on the
+    family and its arrays are read-only, so every consumer shares one
+    factorization.
     """
     if family._frame is None:
         _, sigma, right = np.linalg.svd(np.linalg.qr(_slot_factor(family), mode="r"))
+        if np.max(sigma) > np.sqrt(np.finfo(float).max):  # a NaN passes on, to be classified as malformed
+            raise ValueError(f"singular value {np.max(sigma):.6g} squares past the float range of doubles")
         eigenpairs = sigma[:, ::-1] ** 2, right[:, ::-1].conj().swapaxes(1, 2)
         blocks = _gram(family, family)
         family._frame = FrameOperatorData(family.descriptor, *map(_read_only, (blocks, *eigenpairs)))

@@ -16,7 +16,8 @@ made of entry (s, s) of every element, the form the spectral machinery
 works on; for the full algebra the whole flattening is the one slot.  Only
 this module knows the layout: a (..., r, c, k, k) table of algebra elements
 goes to its flattening in ``_flatten`` and to its slot blocks in
-``_to_slots``, a vector is the table of one row, ``x.stack[None]``, and
+``_to_slots``, a vector is the table of one row, ``x.stack[None]``,
+``_side_by_side`` lays a slot's node matrices in one row, and
 ``_slot_norm`` is the norm of a direct sum of slot blocks.
 """
 
@@ -71,6 +72,11 @@ def _from_slots(descriptor, blocks):
     table = np.zeros((*blocks.shape[1:], k, k), dtype=blocks.dtype)
     np.moveaxis(table, (-2, -1), (0, 1))[range(k), range(k)] = blocks
     return table
+
+
+def _side_by_side(stack):
+    """Node matrices laid side by side in each slot: (m, N, r, c) -> (m, r, N * c)."""
+    return stack.swapaxes(1, 2).reshape(stack.shape[0], stack.shape[2], -1)
 
 
 @dataclass(frozen=True, eq=False)

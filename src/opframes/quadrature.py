@@ -3,12 +3,13 @@
 Two measures are supported: Lebesgue measure on a bounded interval and
 counting measure on {1..N}.  Gauss-Legendre nodes come in closed form from
 Bogaert's expansions above 100 nodes, in O(N), and from Newton's method on
-the Legendre recurrence up to 100.  Integrals of algebra-valued samples are
-finite weighted sums, taken as BLAS contractions over the node axis and
-batched over the slot axis of node operators (see ``hilbert_module``).
-Results are the same from run to run for one numpy/BLAS build and thread
-count, but they are not bit-equal to a left-to-right fold: the two differ
-in the last few bits (a few 1e-15 relative).
+the Legendre recurrence up to 100.  An integral of algebra-valued samples
+is a finite weighted sum, one BLAS contraction with the weights over the
+node axis; weighted Gram forms of operator families are products of their
+slot factors (see ``frames``).  Results are the same from run to run for
+one numpy/BLAS build and thread count, but they are not bit-equal to a
+left-to-right fold: the two differ in the last few bits (a few 1e-15
+relative).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .algebra import AlgebraElement
 
 LEBESGUE = "lebesgue_interval"
 COUNTING = "counting"
-_CHUNK_ENTRIES = 1 << 16  # complex entries per node chunk in _integrate_products (1 MB)
 
 
 @dataclass(frozen=True)
@@ -305,24 +305,3 @@ def integrate_array(rule: QuadratureRule, samples: np.ndarray) -> np.ndarray:
     if samples.shape[0] != len(rule):
         raise ValueError(f"sample count {samples.shape[0]} != node count {len(rule)}")
     return np.tensordot(rule.weights, samples, axes=1)
-
-
-def _side_by_side(stack):
-    """Node matrices laid side by side in each slot: (m, N, r, c) -> (m, r, N * c)."""
-    return stack.swapaxes(1, 2).reshape(stack.shape[0], stack.shape[2], -1)
-
-
-def _integrate_products(rule: QuadratureRule, left, right) -> np.ndarray:
-    """sum_i w_i L_i R_i* per slot, (m, N, r, b) and (m, N, c, b) -> (m, r, c),
-    as one batched GEMM per chunk of nodes.
-
-    Chunks bound the temporaries, and their size depends only on the
-    shapes, so results are as reproducible as ``integrate_array``'s.
-    """
-    step = max(1, _CHUNK_ENTRIES // right[:, 0].size)
-    acc = 0.0
-    for start in range(0, len(rule), step):
-        part = slice(start, start + step)
-        scaled = rule.weights[part, None, None] * right[:, part]
-        acc = acc + _side_by_side(left[:, part]) @ _side_by_side(scaled).conj().swapaxes(1, 2)
-    return acc

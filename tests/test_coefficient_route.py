@@ -13,6 +13,7 @@ from opframes import duals, frames, perturbation
 from opframes.algebra import AlgebraDescriptor
 from opframes.cli import COMMANDS, main
 from opframes.frames import OperatorFamily, frame_operator
+from opframes.hilbert_module import ModuleOperator
 from opframes.quadrature import gauss_legendre
 
 from families import generated_doc
@@ -149,7 +150,8 @@ def test_accuracy_is_the_inputs_own_conditioning(nodes):
 @pytest.mark.parametrize("nodes", [1, 2, 4, 9])
 @pytest.mark.parametrize("kind", ["diagonal", "full"])
 def test_factors_of_different_degrees_pair_on_any_node_count(kind, nodes):
-    """Y_L* Y_M over the shorter factor, against the node fold, with N below, at and above D."""
+    """F_L* F_M over the shorter factor for parametric families of degrees 1, 3 and 6
+    and two sampled families, every pair, against the node fold, with N below, at and above D."""
     k, n = SHAPES[kind]
     descriptor = AlgebraDescriptor(kind, k)
     rule = gauss_legendre(0.0, 1.0, nodes)
@@ -159,6 +161,9 @@ def test_factors_of_different_degrees_pair_on_any_node_count(kind, nodes):
     for degrees in (1, 3, 6):
         coeffs = rng.standard_normal((degrees, n, n, k, k)) + 1j * rng.standard_normal((degrees, n, n, k, k))
         families.append(OperatorFamily.parametric(rule, descriptor, n, coeffs * mask))
+    for _ in range(2):
+        table = rng.standard_normal((nodes, n, n, k, k)) + 1j * rng.standard_normal((nodes, n, n, k, k))
+        families.append(OperatorFamily.sampled(rule, [ModuleOperator(descriptor, t) for t in table * mask]))
     for left in families:
         for right in families:
             want = node_gram(left, right)

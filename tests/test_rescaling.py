@@ -11,6 +11,7 @@ sigma_min by c, to 1e-12 relative; the criterion margin stays put to
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,3 +125,16 @@ def test_rescaling_moves_no_verdict(capsys, tmp_path, name, c):
             assert report["frame"]["tight_value"] == pytest.approx(c * c, rel=RTOL)
             frame["classification"] = "tight"
         compare(base_report, report, c)
+
+
+@pytest.mark.parametrize("command", ["analyze", "independence"])
+def test_a_spectrum_past_the_float_range_is_refused_by_name(capsys, tmp_path, command):
+    # slopes times 1e160: sigma ~ 5e159 is a double, sigma^2 is not
+    path = tmp_path / "scaled-1e160.json"
+    path.write_text(json.dumps(scaled(documents()["diagonal_slope"], 1e160)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--scenario", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "") and err.startswith("error: ") and "float range" in err, err
+    assert [w.message for w in caught] == []

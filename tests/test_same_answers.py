@@ -180,3 +180,31 @@ def test_huge_scale_scenario_reads_as_the_unscaled_one(tmp_path, monkeypatch):
     unscaled = json.loads(out)
     assert huge["reconstruction"]["converged"] is True
     assert huge["reconstruction"]["iterations"] == unscaled["reconstruction"]["iterations"] == 11
+
+
+def answers(argv):
+    """Exit code and report leaves of one invocation, less the echo and the dual's
+    coefficients and form, which a sampled family has in other terms."""
+    code, out, _ = same_answers.run_one(argv)
+    skipped = (".scenario", ".dual.coefficients", ".dual.family_form")
+    leaves = same_answers.report_leaves(out) or {}
+    return code, {path: leaf for path, leaf in leaves.items() if not path.startswith(skipped)}
+
+
+def test_sampled_respellings_read_as_the_parametric_scenarios(tmp_path, monkeypatch):
+    # the polynomial at its rule's nodes: the same verdicts, and bounds and spectra to rounding
+    monkeypatch.chdir(ROOT)
+    written = same_answers.sampled(tmp_path)
+    assert len(written) == len(list(same_answers.SCENARIOS.glob("*.json")))
+    for name, path, calls in written:
+        stem, layout = name.split(".")
+        assert (layout, calls) == ("sampled", []) and json.loads(path.read_text())["family"]["form"] == "sampled"
+        for command in ("analyze", "perturb", "independence"):
+            code, got = answers([command, "--scenario", str(path)])
+            want_code, want = answers([command, "--scenario", str(same_answers.SCENARIOS / f"{stem}.json")])
+            assert code == want_code and got.keys() == want.keys(), (name, command)
+            for leaf, value in want.items():
+                if type(value) is not float:
+                    assert got[leaf] == value, (name, command, leaf)
+                elif "bound" in leaf or "spectrum" in leaf:
+                    assert got[leaf] == pytest.approx(value, rel=1e-12), (name, command, leaf)

@@ -8,12 +8,16 @@ Usage (from the root of a checkout):
 The first form calls ``opframes.cli.main`` in process for every invocation of the
 matrix and writes each one's exit code, stdout and stderr under OUTDIR.
 The matrix is every scenario command with its default flags and with each
-of ``--format csv``, ``--tol``, ``--nodes 64``, ``--nodes 256``, ``--seed``
-and ``--method`` that the command accepts, on every ``demos/scenarios/*.json``,
-on three respellings of each written into OUTDIR (``json.dumps`` with
-``indent=2, sort_keys=True``, with ``separators=(",", ":")``, and the
-first with a ``notes`` member of small tables under keys that the CSV
-writer must escape or quote, NOTES), on one ill-conditioned scenario
+of ``--format csv``, ``--tol``, ``--nodes 64``, ``--nodes 256``, ``--seed``,
+``--method direct`` and ``--method neumann`` that the command accepts, on
+every ``demos/scenarios/*.json``, on three respellings of each written into
+OUTDIR (``json.dumps`` with ``indent=2, sort_keys=True``, with
+``separators=(",", ":")``, and the first with a ``notes`` member of small
+tables under keys that the CSV writer must escape or quote, NOTES), on a
+sampled respelling of each written into OUTDIR (its family, and a relative
+comparison family, as node operators at its rule's nodes, evaluated with
+numpy alone, so every command also runs on sampled families; see
+``sampled``), on one ill-conditioned scenario
 written into OUTDIR (``diagonal_slope.json`` with slot 1's slope times
 0.1, B/A = 133, where a relaxation with step 1/B needs about 3700 steps,
 so the frame algorithm's convergence is compared too), on one
@@ -76,6 +80,7 @@ VARIANTS = (
     ("--nodes", "256"),
     ("--seed", "3"),
     ("--method", "direct"),
+    ("--method", "neumann"),
 )
 LARGE = ("--nodes", "300000")  # analyze on each demo scenario only: the node count stops mattering
 VERIFY = ((), ("--nodes", "64", "--tol", "1e-9"), ("--nodes", "1"), ("--tol", "1e-16"))
@@ -119,6 +124,29 @@ def respellings(workdir):
             target = workdir / f"{path.stem}.{layout}.json"
             target.write_text(json.dumps(content, **options), encoding="utf-8")
             out.append((target.stem, target, []))
+    return out
+
+
+def sampled(workdir):
+    """(name, path, no calls) of each demo scenario with its family, and a relative
+    comparison family, in sampled form, written indented into ``workdir``: the
+    polynomial evaluated at the nodes of the scenario's own rule."""
+    out = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        measure = doc["measure"]  # every demo scenario is on a Gauss-Legendre rule
+        unit = (np.polynomial.legendre.leggauss(measure["nodes"])[0] + 1.0) / 2.0
+        nodes = measure["a"] + (measure["b"] - measure["a"]) * unit
+        families = [doc["family"]]
+        if doc.get("perturbation", {}).get("kind") == "relative":
+            families.append(doc["perturbation"]["comparison_family"])
+        for family in families:
+            coefficients = np.array(family.pop("coefficients"))  # [re, im] pairs are linear in t too
+            powers = nodes[:, None] ** np.arange(len(coefficients))
+            family.update(form="sampled", operators=np.tensordot(powers, coefficients, axes=1).tolist())
+        target = workdir / f"{path.stem}.sampled.json"
+        target.write_text(json.dumps(doc, **LAYOUTS["indented"]), encoding="utf-8")
+        out.append((target.stem, target, []))
     return out
 
 
@@ -185,7 +213,7 @@ def matrix(workdir):
         return str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else str(path)
 
     demos = [(p.stem, p, []) for p in sorted(SCENARIOS.glob("*.json"))]
-    sources = demos + respellings(workdir) + ill_conditioned(workdir)
+    sources = demos + respellings(workdir) + sampled(workdir) + ill_conditioned(workdir)
     sources += boundary(workdir) + huge_scale(workdir) + bench_scenarios(workdir)
     invocations = {}
     for stem, path, own_calls in sources:
