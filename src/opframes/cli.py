@@ -9,12 +9,13 @@ command decides "is a frame" by one rule at the classification tolerance.
 
 Every report starts with the scenario's echo, ``Scenario.raw``, which
 writes each number as the file does: a token (bytes) as it reads, and a
-table of numbers (a ``TokenBlock``) from its text.  Numbers the commands
-compute are written as their reprs, as ``json.dumps`` writes them; the
-tables among them (the spectrum, the dual coefficients) stay float arrays
-until they are written.  Each numeric block, a TokenBlock, an array or a
-rectangular list of numbers, is written from one layout template built
-for the whole block and filled with its leaves' texts.
+table of numbers (a ``TokenBlock``, recognised when the file is read) from
+its text.  Numbers the commands compute are written as their reprs, as
+``json.dumps`` writes them; the tables among them (the spectrum, the dual
+coefficients) stay float arrays until they are written.  The writers have
+two numeric routes: a TokenBlock and a float array are each written from
+one layout template built for the whole block and filled with its leaves'
+texts.  Any list is a plain container, written item by item.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 from itertools import chain, repeat
@@ -55,7 +57,7 @@ from .perturbation import (
 )
 from .quadrature import gauss_legendre
 from .reconstruction import reconstruct_chebyshev, reconstruct_direct, reconstruct_neumann
-from .scenario import ScenarioError, TokenBlock, _numeric_block, load_scenario
+from .scenario import ScenarioError, TokenBlock, load_scenario
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -209,25 +211,6 @@ def _block_template(shape, level):
     return text
 
 
-def _finite(flat):
-    """Whether every number in ``flat`` is finite, read from their sum.
-
-    A sum that overflows on finite numbers answers False, which only sends
-    them through the element-by-element path.
-    """
-    try:
-        total = sum(flat)
-    except OverflowError:                  # an int beyond float range beside a float
-        return False
-    return total - total == 0.0
-
-
-def _rows(flat, count):
-    """``flat`` cut into ``count`` rows of equal length."""
-    width = len(flat) // count
-    return (flat[start:start + width] for start in range(0, len(flat), width))
-
-
 def _write_block(shape, rows, level, write):
     """Write a numeric block at nesting ``level`` a row of its outermost axis at a
     time, each row a tuple of its leaves' texts filling one layout template:
@@ -246,15 +229,14 @@ def _write_json(value, level, write):
     """Write ``json.dumps(value, indent=2, sort_keys=True)`` for a subtree at nesting ``level``,
     an ndarray written as its ``tolist()``.
 
-    A number token (bytes, from the scenario) is written as it reads.  Each
-    numeric block is written by ``_write_block`` from one layout template: a
-    TokenBlock from its tokens, a finite float array from the reprs of its
-    rows, and a rectangular list of finite numbers, or of tokens only, from
-    its leaves.  Any other array is written as its nested lists, so NaN
-    and Infinity come out as the stdlib writes them.  Types this encoder
-    does not know, and non-finite numbers, go to the stdlib.  Open
-    containers are kept on a stack, not in Python frames, so any depth the
-    scenario decoder reads can be written.
+    A number token (bytes, from the scenario) is written as it reads.  A
+    TokenBlock and a finite float array are written by ``_write_block`` from
+    one layout template, filled with the tokens or with the reprs of the
+    array's rows.  Any other array is written as its nested lists, so NaN
+    and Infinity come out as the stdlib writes them, and a list is written
+    item by item.  Types this encoder does not know, and non-finite
+    numbers, go to the stdlib.  Open containers are kept on a stack, not in
+    Python frames, so any depth the scenario decoder reads can be written.
     """
     stack = []                             # (items left, closing text) of each open container
     while True:
@@ -273,22 +255,16 @@ def _write_json(value, level, write):
         elif kind is bytes:
             write(value.decode())
         elif kind is TokenBlock:
-            _write_block(value.shape, map(tuple, _rows(value.tokens(), value.shape[0])), depth, write)
+            rows = zip(*[iter(value.tokens())] * math.prod(value.shape[1:]))  # its tokens row by row
+            _write_block(value.shape, rows, depth, write)
         elif kind is dict and value and set(map(type, value)) == {str}:
             keys = sorted(value)
             marks = chain("{", repeat(","))
             openings = [f"{mark}{inner}{encode_basestring_ascii(key)}: " for mark, key in zip(marks, keys)]
             stack.append((zip(openings, map(value.__getitem__, keys)), close + "}"))
         elif kind is list and value:
-            block = _numeric_block(value)
-            if block is not None and block[2] == {bytes}:
-                _write_block(block[0], map(tuple, _rows(block[1], block[0][0])), depth, write)
-            elif block is not None and bytes not in block[2] and _finite(block[1]):
-                rows = (tuple(map(repr, row)) for row in _rows(block[1], block[0][0]))
-                _write_block(block[0], rows, depth, write)
-            else:
-                openings = chain(["[" + inner], repeat("," + inner))
-                stack.append((zip(openings, value), close + "]"))
+            openings = chain(["[" + inner], repeat("," + inner))
+            stack.append((zip(openings, value), close + "]"))
         elif kind is np.ndarray:
             if value.ndim and value.size and value.dtype.kind == "f" and np.isfinite(value).all():
                 rows = value.reshape(len(value), -1).tolist()
@@ -308,11 +284,6 @@ def _write_json(value, level, write):
             stack.pop()
         else:
             return
-
-
-def _text(leaf):
-    """A leaf of a numeric block as csv.writer writes it: a token as it reads."""
-    return leaf.decode() if type(leaf) is bytes else repr(leaf)
 
 
 def _csv_block(prefix, shape, texts):
@@ -341,10 +312,10 @@ def _write_csv(report, buffer):
     """Write ``field,value`` rows, one per leaf, as csv.writer writes them; an
     ndarray is written as its ``tolist()``.
 
-    Each numeric block, a TokenBlock, an array or a rectangular list of
-    numbers, is written by ``_csv_block`` from one template: a TokenBlock's
-    and a list of tokens' from the tokens, an array's and a list of numbers'
-    from reprs, and a list that mixes tokens and numbers from ``_text``.
+    A TokenBlock and an array are written by ``_csv_block`` from one
+    template, filled with the tokens or with the reprs of the array's
+    leaves; a list or tuple is walked item by item, and a token is written
+    as it reads.
     """
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["field", "value"])
@@ -356,12 +327,6 @@ def _write_csv(report, buffer):
         elif type(value) is TokenBlock:
             buffer.write(_csv_block(prefix, value.shape, value.tokens()))
         elif isinstance(value, (list, tuple)):
-            block = _numeric_block(value)
-            if block is not None:
-                shape, flat, kinds = block
-                texts = flat if kinds == {bytes} else list(map(_text if bytes in kinds else repr, flat))
-                buffer.write(_csv_block(prefix, shape, texts))
-                return
             for i, item in enumerate(value):
                 walk(f"{prefix}[{i}]", item)
         elif type(value) is np.ndarray:
@@ -519,24 +484,27 @@ def _tolerance(text):
     return value
 
 
-def _seed(text):
-    """A ``--seed`` value: an integer >= 0, the seeds numpy's ``default_rng`` takes."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _integer(least):
+    """The type of a flag that takes an integer >= ``least``: ``--seed`` the seeds
+    numpy's ``default_rng`` takes (0 up), ``--nodes`` the node counts of a rule (1 up)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return value
+    return parse
 
 
 # Each flag is defined once; a command accepts only the flags it lists below.
 _FLAGS = {
     "--scenario": dict(required=True, help="path to a JSON scenario file"),
     "--format": dict(choices=("json", "csv"), default="json"),
-    "--nodes": dict(type=int, default=None, help="override the quadrature node count"),
+    "--nodes": dict(type=_integer(1), default=None, help="override the quadrature node count"),
     "--tol": dict(type=_tolerance, default=None, help="override the governing tolerance"),
-    "--seed": dict(type=_seed, default=0, help="seed for the reconstruction test vector"),
+    "--seed": dict(type=_integer(0), default=0, help="seed for the reconstruction test vector"),
     "--timings": dict(action="store_true", help="include wall-clock timings in reports"),
     "--method": dict(choices=("direct", "neumann", "chebyshev"), default="chebyshev"),
 }

@@ -30,9 +30,13 @@ class DualPairReport:
 
 
 def canonical_dual(family: OperatorFamily, tol: float = FRAME_TOL) -> OperatorFamily:
-    """The family {T_w S^-1} of a frame at ``tol``; parametric input yields parametric output."""
+    """The family {T_w S^-1} of a frame at ``tol``; parametric input yields parametric output.
+
+    Raises ValueError, before s^-1 is formed, when 1/A is past the largest double."""
     data = frame_operator(family)
-    require_frame(data, tol)
+    lower, _ = require_frame(data, tol)
+    if lower < 1.0 / np.finfo(float).max:
+        raise ValueError(f"lower frame bound {lower:.6g} inverts past the float range of doubles")
     vectors = data.block_eigenvectors
     s_inv = ((vectors / data.block_eigenvalues[:, None, :]) @ vectors.conj().swapaxes(1, 2))[:, None]
     descriptor, n = family.descriptor, family.n

@@ -266,15 +266,19 @@ def frame_operator(family: OperatorFamily) -> FrameOperatorData:
     The eigenpairs come from one SVD per slot: the triangle R of a QR of the
     slot factor F has R* R = F* F = s, so with R = U diag(sigma) W* the
     eigenvalues of s are sigma^2, ascending here, and its eigenvectors are
-    the columns of W.  A sigma whose square is past the largest double
-    raises ValueError before s is formed.  The result is cached on the
-    family and its arrays are read-only, so every consumer shares one
-    factorization.
+    the columns of W.  A largest sigma whose square is past the largest
+    double, or below the smallest normal one (so that every eigenvalue is
+    subnormal or zero), raises ValueError before s is formed.  The result
+    is cached on the family and its arrays are read-only, so every
+    consumer shares one factorization.
     """
     if family._frame is None:
         _, sigma, right = np.linalg.svd(np.linalg.qr(_slot_factor(family), mode="r"))
-        if np.max(sigma) > np.sqrt(np.finfo(float).max):  # a NaN passes on, to be classified as malformed
-            raise ValueError(f"singular value {np.max(sigma):.6g} squares past the float range of doubles")
+        top = np.max(sigma)                # a NaN passes on, to be classified as malformed
+        if top > np.sqrt(np.finfo(float).max):
+            raise ValueError(f"singular value {top:.6g} squares past the float range of doubles")
+        if 0.0 < top < np.sqrt(np.finfo(float).tiny):
+            raise ValueError(f"largest singular value {top:.6g} squares below the float range of doubles")
         eigenpairs = sigma[:, ::-1] ** 2, right[:, ::-1].conj().swapaxes(1, 2)
         blocks = _gram(family, family)
         family._frame = FrameOperatorData(family.descriptor, *map(_read_only, (blocks, *eigenpairs)))

@@ -186,8 +186,8 @@ def apply(op: ModuleOperator, x: ModuleVector) -> ModuleVector:
 
 
 def op_norm(op: ModuleOperator) -> float:
-    """Operator norm on H, the largest singular value of the flattening."""
-    return float(np.linalg.norm(op.flatten(), 2))
+    """Operator norm on H, the largest singular value of the flattening, read from its slot blocks."""
+    return _slot_norm(_to_slots(op.descriptor, op.blocks))
 
 
 @dataclass(frozen=True, eq=False)

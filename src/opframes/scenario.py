@@ -131,45 +131,41 @@ def _complex_pair(value, path):
     return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
-_LEAF_KINDS = frozenset((int, float, bytes))
-
-
 def _numeric_block(value):
-    """``(shape, flat, kinds)`` of a rectangular nested list whose leaves are all
-    exactly int, float or bytes (bool is not), flattened level by level, with
-    the set of leaf types; else None."""
+    """``(shape, floats)`` of a table of numbers, else None: the one place a
+    table is recognised.  A table is a rectangular nested list whose leaves
+    are all exactly int or float (bool is not), each within float range;
+    ``floats`` is the flat float array of its leaves, row by row."""
     shape, level = [], [value]
     while True:
         kinds = set(map(type, level))
         if kinds != {list}:
-            return (tuple(shape), level, kinds) if shape and kinds <= _LEAF_KINDS else None
+            break
         lengths = set(map(len, level))
         if len(lengths) != 1 or 0 in lengths:
             return None
         shape.append(lengths.pop())
         level = list(chain.from_iterable(level))
+    if not shape or not kinds <= {int, float}:
+        return None
+    try:
+        return tuple(shape), np.array(level, dtype=float)
+    except OverflowError:                     # an int beyond float range
+        return None
 
 
 def _complex_blocks(value, shape, path):
     """Nested lists of [re, im] pairs, or their TokenBlock, with the given block shape.
 
-    A rectangular all-finite numeric block is converted in one step, and a
-    TokenBlock's float array is used as it is; anything else (wrong shape,
-    bool or string leaves, non-finite or huge numbers) goes through the
-    element walker, which names the offending field.
+    A TokenBlock's float array is used as it is, and a table of numbers in
+    a Python document (``_numeric_block``) is converted in one step, if
+    either has the block shape and only finite numbers; anything else
+    (wrong shape, bool, string or token leaves, non-finite or huge numbers)
+    goes through the element walker, which names the offending field.
     """
-    if type(value) is TokenBlock:
-        flat = value.floats().reshape(value.shape) if value.shape == (*shape, 2) else None
-    else:
-        block = _numeric_block(value)
-        flat = None
-        if block is not None and block[0] == (*shape, 2):
-            try:
-                flat = np.fromiter(map(float, block[1]), float, len(block[1]))  # a token's text too
-            except (OverflowError, ValueError):  # an int beyond float range, a token that is no number
-                pass
-    if flat is not None and np.isfinite(flat).all():
-        return flat.view(np.complex128).reshape(shape)
+    block = (value.shape, value.floats()) if type(value) is TokenBlock else _numeric_block(value)
+    if block is not None and block[0] == (*shape, 2) and np.isfinite(block[1]).all():
+        return block[1].view(np.complex128).reshape(shape)
     value = _nested(value)
     out = np.zeros(shape, dtype=np.complex128)
     def fill(node, idx, sub_path):
@@ -376,14 +372,8 @@ def _token_block(scan, text, start):
     del value
     if block is None:
         return None, end
-    try:
-        values = np.array(block[1], dtype=float)
-    except OverflowError:                     # an int beyond float range
-        return None, end
-    shape = block[0]
-    del block
     pieces = _pieces(text, start, end)
-    return (None if pieces is None else TokenBlock(shape, values, pieces)), end
+    return (None if pieces is None else TokenBlock(*block, pieces)), end
 
 
 class _Reader(json.JSONDecoder):

@@ -479,6 +479,17 @@ class TestFlags:
         assert (code, out) == (64, "")
         assert err.startswith(f"usage error: argument --seed: expected an integer >= 0, got '{value}'\n")
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["analyze", "verify-examples"])
+    def test_nodes_must_be_a_positive_integer(self, capsys, command, value):
+        # a count below 1 once reached the scenario parse or the rule, and exited 1 blaming either
+        argv = [command, f"--nodes={value}"]
+        if "--scenario" in ACCEPTED[command]:
+            argv += ["--scenario", DIAGONAL]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err.startswith(f"usage error: argument --nodes: expected an integer >= 1, got '{value}'\n")
+
     @pytest.mark.parametrize("command", sorted(c for c, flags in ACCEPTED.items() if "--seed" in flags))
     def test_any_seed_numpy_takes_is_accepted(self, capsys, command):
         default = run(capsys, command, "--scenario", DIAGONAL)

@@ -1,14 +1,16 @@
 """Bulk parse and emit of numeric blocks against the element-by-element paths.
 
-A numeric block is a rectangular nested list whose leaves are all exactly
-int, float or a number's token (bytes).  ``scenario._complex_blocks``
-converts one in a single step and falls back to its element walker on
-anything else; ``cli._emit`` writes one from a layout template.  These
-tests hold both to the slow paths they replace: the walker (with the block
-helper switched off), the stdlib ``json.dumps(indent=2, sort_keys=True)``
-and the row-by-row csv writer in ``oracles.csv_report``.  The parse runs on
-Python documents and on their JSON text through ``load_scenario``, whose
-echo must write every number as the file does.
+A table of numbers is recognised in one place, ``scenario._numeric_block``:
+a rectangular nested list whose leaves are all exactly int or float.
+``scenario._complex_blocks`` converts one, or a TokenBlock read from a
+file, in a single step and falls back to its element walker on anything
+else.  ``cli._emit`` writes a TokenBlock or a float array from a layout
+template, and any list item by item.  These tests hold both to the slow
+paths they replace: the walker (with the table helper switched off), the
+stdlib ``json.dumps(indent=2, sort_keys=True)`` and the row-by-row csv
+writer in ``oracles.csv_report``.  The parse runs on Python documents and
+on their JSON text through ``load_scenario``, whose echo must write every
+number as the file does.
 """
 
 import contextlib
@@ -461,18 +463,28 @@ def leaf_count(value):
     return sum(map(leaf_count, value)) if isinstance(value, (list, tuple)) else 1
 
 
+def lists_in(value):
+    """Every list and tuple in a report, the nested ones too; arrays are not walked."""
+    if isinstance(value, dict):
+        return [found for item in value.values() for found in lists_in(item)]
+    if isinstance(value, (list, tuple)):
+        return [value, *(found for item in value for found in lists_in(item))]
+    return []
+
+
 def test_computed_tables_reach_the_writers_as_arrays(tmp_path, monkeypatch):
     """No table the commands compute is turned into nested lists on its way out:
-    the list-block helper sees only the two-number pairs of bounds."""
+    outside the scenario's echo, the only lists the writers see are the
+    two-number pairs of bounds."""
     path = tmp_path / "full.json"
     path.write_text(json.dumps(generated_doc("full", 2, 3, 8, "parametric", seed=7)))
-    received, reports = [], []
-    numeric_block, emit = cli._numeric_block, cli._emit
-    monkeypatch.setattr(cli, "_numeric_block", lambda value: received.append(value) or numeric_block(value))
+    reports, emit = [], cli._emit
     monkeypatch.setattr(cli, "_emit", lambda report, fmt: reports.append(report) or emit(report, fmt))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["analyze", "--scenario", str(path)]) == 0
         assert main(["dual", "--scenario", str(path), "--format", "csv"]) == 0
+    received = [found for report in reports for key, section in report.items() if key != "scenario"
+                for found in lists_in(section)]
     assert received and max(map(leaf_count, received)) <= 2
     analyzed, dual = reports
     assert type(analyzed["frame"]["spectrum"]) is np.ndarray

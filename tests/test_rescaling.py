@@ -127,14 +127,51 @@ def test_rescaling_moves_no_verdict(capsys, tmp_path, name, c):
         compare(base_report, report, c)
 
 
+def refusal(capsys, path, command):
+    """(exit code, stdout, stderr, warnings) of ``command`` on the scenario at ``path``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--scenario", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err, [w.message for w in caught]
+
+
+def assert_refused_by_name(answer):
+    code, out, err, caught = answer
+    assert (code, out) == (1, "") and err.startswith("error: ") and "float range" in err, err
+    assert caught == []
+
+
 @pytest.mark.parametrize("command", ["analyze", "independence"])
 def test_a_spectrum_past_the_float_range_is_refused_by_name(capsys, tmp_path, command):
     # slopes times 1e160: sigma ~ 5e159 is a double, sigma^2 is not
     path = tmp_path / "scaled-1e160.json"
     path.write_text(json.dumps(scaled(documents()["diagonal_slope"], 1e160)))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main([command, "--scenario", str(path)])
-    out, err = capsys.readouterr()
-    assert (code, out) == (1, "") and err.startswith("error: ") and "float range" in err, err
-    assert [w.message for w in caught] == []
+    assert_refused_by_name(refusal(capsys, path, command))
+
+
+@pytest.mark.parametrize("c", [1e-155, 1e-160, 1e-170])
+def test_a_spectrum_below_the_float_range_is_refused_by_name(capsys, tmp_path, c):
+    # slopes times c: sigma_max ~ 6e-156 or less, so every sigma^2 is subnormal, or 0 at 1e-170
+    path = tmp_path / f"scaled-{c:g}.json"
+    path.write_text(json.dumps(scaled(documents()["diagonal_slope"], c)))
+    analyzed, independence = (refusal(capsys, path, command) for command in ("analyze", "independence"))
+    assert_refused_by_name(analyzed)
+    assert independence == analyzed
+
+
+def test_a_dual_past_the_float_range_is_refused_by_name(capsys, tmp_path):
+    # slopes times (1e-150, 3e-155): A/B = 6.75e-10, a frame at 1e-10, and 1/A ~ 4e309
+    doc = json.loads(json.dumps(documents()["diagonal_slope"]))
+    table = np.asarray(doc["family"]["coefficients"], dtype=float)
+    table[..., 0, 0, :] *= 1e-150
+    table[..., 1, 1, :] *= 3e-155
+    doc["family"]["coefficients"] = table.tolist()
+    doc["tolerances"] = {"classification": 1e-10}
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    for command in ("analyze", "dual"):
+        assert_refused_by_name(refusal(capsys, path, command))
+    code, out, err, caught = refusal(capsys, path, "independence")  # the frame itself is in range
+    assert (code, err, caught) == (0, "", [])
+    assert json.loads(out)["independence"]["bounded_below"] is True

@@ -13,7 +13,8 @@ of ``--format csv``, ``--tol``, ``--nodes 64``, ``--nodes 256``, ``--seed``,
 every ``demos/scenarios/*.json``, on three respellings of each written into
 OUTDIR (``json.dumps`` with ``indent=2, sort_keys=True``, with
 ``separators=(",", ":")``, and the first with a ``notes`` member of small
-tables under keys that the CSV writer must escape or quote, NOTES), on a
+tables under keys that the CSV writer must escape or quote, and of lists
+that are no table and so reach the writers as lists of tokens, NOTES), on a
 sampled respelling of each written into OUTDIR (its family, and a relative
 comparison family, as node operators at its rule's nodes, evaluated with
 numpy alone, so every command also runs on sampled families; see
@@ -91,6 +92,8 @@ NOTES = {  # a format mark, a comma, quotes, a line break and non-ASCII text in 
     'say "x"': [[[3]]],
     "line\nbreak": [[0.25], [4.0]],
     "Ωmega ∑": [1, 2.5, 3],
+    "ragged": [[1.5, 2], [3.0]],           # no table: its rows differ in length
+    "mixed": ["x", [0.5, 1e-05]],          # no table: a string beside a row of numbers
 }
 HUGE_SCALE = 1e150  # the huge-scale scenario's slopes: s ~ 1e300, near the largest double
 BOUNDARY_SEED = 2  # the boundary scenario's unitaries; eigenvalues of the formed s refuse this one
