@@ -5,8 +5,9 @@
 # contracts the error by q = max(|1 - lam A|, |1 - lam B|).  With
 # lam = 1/B that is (B - A)/B; with lam = 2/(A + B) it improves to
 # (B - A)/(A + B).  Chebyshev acceleration contracts by
-# (sqrt B - sqrt A)/(sqrt B + sqrt A), and its a-priori step count is
-# reported beside the steps it took.
+# (sqrt B - sqrt A)/(sqrt B + sqrt A).  Both iterations run one loop (the
+# relaxation is Chebyshev's recurrence on the one point 1/lam), and each
+# reports its a-priori step count beside the steps it took.
 
 import numpy as np
 
@@ -35,8 +36,8 @@ print(f"direct: residual {direct.final_residual:.2e}, "
 
 for relaxation, label in (("auto", "lam = 1/B     "), ("optimal", "lam = 2/(A+B) ")):
     result = reconstruct_neumann(data, y, relaxation=relaxation, tol=1e-12)
-    print(f"{label}: q = {result.contraction:.4f}, "
-          f"{result.iterations} iterations, residual {result.final_residual:.2e}")
+    print(f"{label}: q = {result.contraction:.4f}, {result.iterations} iterations "
+          f"({result.predicted_iterations} predicted), residual {result.final_residual:.2e}")
 result = reconstruct_chebyshev(data, y, tol=1e-12)
 print(f"Chebyshev     : q = {result.contraction:.4f}, {result.iterations} iterations "
       f"({result.predicted_iterations} predicted), residual {result.final_residual:.2e}")

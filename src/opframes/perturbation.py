@@ -154,10 +154,15 @@ def _combination(terms) -> OperatorFamily:
 _ONE, _MINUS_ONE = ScalarFamily.constant(1.0), ScalarFamily.constant(-1.0)
 
 
-def perturb_additive(family: OperatorFamily, pert: AdditivePerturbation) -> OperatorFamily:
-    """The family {T_w + c_w K}; parametric + polynomial inputs stay parametric."""
+def _check_fits(family, pert):
+    """Refuse an additive operator of another algebra or rank than the family."""
     if pert.operator.descriptor != family.descriptor or pert.operator.n != family.n:
         raise ValueError("perturbation operator does not match the family shape")
+
+
+def perturb_additive(family: OperatorFamily, pert: AdditivePerturbation) -> OperatorFamily:
+    """The family {T_w + c_w K}; parametric + polynomial inputs stay parametric."""
+    _check_fits(family, pert)
     constant = pert.operator.blocks[None]  # K as a family of degree 0
     direction = OperatorFamily(family.rule, family.descriptor, family.n, coefficients=constant)
     return _combination([(_ONE, family), (pert.coefficient, direction)])
@@ -170,10 +175,12 @@ def additive_admissible(
 
     Returns (admissible, R, A) with the criterion R < (1 - tol) A, relative to
     A so that rescaling the problem never changes the verdict; refuses
-    A <= SINGULARITY_RATIO * B, as the reconstructors do.  The energy criterion
+    A <= SINGULARITY_RATIO * B, as the reconstructors do, and an operator that
+    ``perturb_additive`` refuses.  The energy criterion
     is what the envelope consumes; integral |c|^2 < A / ||K|| is not used.
     """
     _check_tol(tol)
+    _check_fits(family, pert)
     lo, _ = require_frame(frame_operator(family), SINGULARITY_RATIO)
     energy = pert.energy(family.rule)
     return energy < (1.0 - tol) * lo, energy, lo

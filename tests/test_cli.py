@@ -12,7 +12,7 @@ from opframes import cli
 from opframes import scenario as scenario_module
 from opframes.cli import main
 from opframes.frames import KERNEL_TOL, FrameOperatorData, OperatorFamily, independence_check
-from opframes.reconstruction import CHEBYSHEV_SLACK
+from opframes.reconstruction import CHEBYSHEV_BUDGET, CHEBYSHEV_SLACK
 
 from families import generated_doc, ratio_slopes, slope_scenario, tiny_slopes
 
@@ -264,8 +264,8 @@ class TestReconstruct:
         section = json.loads(out)["reconstruction"]
         assert set(section) == {"method", "converged", "iterations", "predicted_iterations",
                                 "final_residual", "tolerance", "seed"}
-        assert (section["method"], section["converged"], section["iterations"]) == ("neumann", False, 200)
-        assert section["predicted_iterations"] > 200
+        assert (section["method"], section["converged"], section["iterations"]) == ("neumann", False, CHEBYSHEV_BUDGET)
+        assert section["predicted_iterations"] > CHEBYSHEV_BUDGET
 
     def test_chebyshev_is_the_default_method(self, capsys):
         default = run(capsys, "reconstruct", "--scenario", DIAGONAL)

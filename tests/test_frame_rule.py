@@ -80,8 +80,8 @@ def floor_verdicts(family):
     pert = AdditivePerturbation(ModuleOperator.identity(DIAG2, 1), ScalarFamily.constant(1e-6))
     return {
         "reconstruct_direct": accepts(lambda: reconstruct_direct(data, y)),
-        "reconstruct_neumann": accepts(lambda: reconstruct_neumann(data, y, max_iter=3)),
         # tol = 1: any frame is accepted at x_0, with no step at B/A near 1e13
+        "reconstruct_neumann": accepts(lambda: reconstruct_neumann(data, y, tol=1.0)),
         "reconstruct_chebyshev": accepts(lambda: reconstruct_chebyshev(data, y, tol=1.0)),
         "additive_admissible": accepts(lambda: additive_admissible(family, pert)),
     }
@@ -246,15 +246,6 @@ def test_every_tolerance_must_be_positive_and_finite(name, tol):
     call(1e-6)
     with pytest.raises(ValueError, match="^tol must be > 0 and finite"):
         call(tol)
-
-
-@pytest.mark.parametrize("max_iter", [-1, 2.5, True, None])
-def test_iteration_cap_must_be_a_count(max_iter):
-    data = frame_operator(diagonal_slope_family())
-    y = random_vector(DIAG2, 1, np.random.default_rng(0))
-    reconstruct_neumann(data, y, max_iter=0, tol=1.0)
-    with pytest.raises(ValueError, match="^max_iter must be an integer >= 0"):
-        reconstruct_neumann(data, y, max_iter=max_iter)
 
 
 def test_singular_frame_operator_is_not_a_frame():

@@ -138,12 +138,13 @@ class TestAdditivePerturbation:
         assert np.max(np.abs(via_poly.flats - via_samples.flats)) <= 1e-14
 
     def test_shape_mismatch(self):
+        # the energy criterion reads only c, so a verdict needs this check too
         fam = diagonal_slope_family()
-        with pytest.raises(ValueError):
-            perturb_additive(
-                fam,
-                AdditivePerturbation(ModuleOperator.identity(FULL2, 1), ScalarFamily.constant(0.1)),
-            )
+        for descriptor, n in ((FULL2, 1), (AlgebraDescriptor("full", 3), 2), (DIAG2, 2)):
+            pert = AdditivePerturbation(ModuleOperator.identity(descriptor, n), ScalarFamily.constant(0.01))
+            for call in (perturb_additive, additive_admissible):
+                with pytest.raises(ValueError, match="^perturbation operator does not match the family shape"):
+                    call(fam, pert)
 
 
 class TestAdmissibility:

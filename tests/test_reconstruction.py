@@ -57,6 +57,12 @@ def chebyshev_bound(lower, upper, k):
     return (upper - lower) / (upper + lower) * 2.0 * q**k / (1.0 + q ** (2 * k))
 
 
+def relaxation_bound(lower, upper, relaxation, k):
+    """q^(k+1), q = max(|1 - lam A|, |1 - lam B|): the residual bound after k relaxation steps."""
+    lam = 1.0 / upper if relaxation == "auto" else 2.0 / (lower + upper)
+    return max(abs(1.0 - lam * lower), abs(1.0 - lam * upper)) ** (k + 1)
+
+
 class TestDirect:
     def test_recovers_identity_from_worked_data(self):
         data = frame_operator(diagonal_slope_family())
@@ -160,13 +166,13 @@ class TestNeumann:
             reconstruct_neumann(data, y)
 
     def test_no_convergence_reports_residual(self):
-        fam = random_frame_family(FULL2, 2, gauss_legendre(0.0, 1.0, 16), seed=10)
-        data = frame_operator(fam)
-        y = random_vector(FULL2, 2, np.random.default_rng(6))
+        # B/A = 133: the a-priori count at tol 1e-12 is past the budget
+        data = frame_operator(diagonal_slope_family((1.0, ROOT3 / 20.0)))
+        y = random_vector(DIAG2, 1, np.random.default_rng(6))
         with pytest.raises(NoConvergence) as info:
-            reconstruct_neumann(data, y, tol=1e-14, max_iter=1)
+            reconstruct_neumann(data, y, tol=1e-12)
         assert info.value.residual is not None
-        assert info.value.iterations == 1
+        assert info.value.iterations == CHEBYSHEV_BUDGET
 
     def test_residual_is_relative_at_any_scale(self):
         # bounds (1e-9, 4e-9/3): a residual taken relative to ||y|| + 1 would
@@ -187,15 +193,15 @@ class TestNeumann:
     def test_relaxation_range_validated(self):
         data = frame_operator(diagonal_slope_family())
         y = random_vector(DIAG2, 1, np.random.default_rng(7))
-        with pytest.raises(ValueError):
-            reconstruct_neumann(data, y, relaxation=7.0)
-        with pytest.raises(ValueError):
-            reconstruct_neumann(data, y, relaxation=0.0)
+        for relaxation in (7.0, 0.0, 1.0, True, "Auto"):
+            with pytest.raises(ValueError, match="^relaxation must be 'auto' .* or 'optimal' "):
+                reconstruct_neumann(data, y, relaxation=relaxation)
 
 
 class TestChebyshev:
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=180, derandomize=True, deadline=None)
     @given(
+        method=st.sampled_from(["chebyshev", "auto", "optimal"]),
         kind=st.sampled_from(["full", "diagonal"]),
         k=st.integers(1, 3),
         n=st.integers(1, 3),
@@ -204,22 +210,30 @@ class TestChebyshev:
         tol=st.sampled_from([1e-14, 1e-11, 1e-8, 1e-6]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_converges_within_the_predicted_count(self, kind, k, n, log_ratio, log_scale, tol, seed):
-        # B/A in [1, 1e4]; both ends are eigenvalues, the rest lie between them
+    def test_converges_within_the_predicted_count(self, method, kind, k, n, log_ratio, log_scale, tol, seed):
+        # B/A in [1, 1e4] for Chebyshev and in [1, 10^1.6] for the relaxation, whose
+        # count at tol = 1e-14 then stays within the budget; both ends are
+        # eigenvalues, the rest lie between them
         rng = np.random.default_rng(seed)
         descriptor = AlgebraDescriptor(kind, k)
-        ratio = 10.0**log_ratio
+        ratio = 10.0 ** (log_ratio if method == "chebyshev" else 0.4 * log_ratio)
         size = n * k                     # eigenvalues of s, over all slots; one is a tight frame
         spectrum = np.concatenate([[1.0, ratio], rng.uniform(1.0, ratio, max(size - 2, 0))])[:size]
         spectrum = 10.0**log_scale * rng.permutation(spectrum)
         data = frame_operator(prescribed_family(descriptor, n, spectrum, rng))
         lower, upper = optimal_bounds(data)
         x = random_vector(descriptor, n, rng, unit=True)
-        result = reconstruct_chebyshev(data, apply(data.element, x), tol=tol)
-        assert result.iterations <= result.predicted_iterations + CHEBYSHEV_SLACK
+        y = apply(data.element, x)
+        if method == "chebyshev":
+            result = reconstruct_chebyshev(data, y, tol=tol)
+            bound = lambda step: chebyshev_bound(lower, upper, step)
+        else:
+            result = reconstruct_neumann(data, y, relaxation=method, tol=tol)
+            bound = lambda step: relaxation_bound(lower, upper, method, step)
+        assert result.iterations <= result.predicted_iterations + CHEBYSHEV_SLACK <= CHEBYSHEV_BUDGET
         assert result.final_residual <= tol
         for step, residual in enumerate(result.residual_history):
-            assert residual <= chebyshev_bound(lower, upper, step) * (1.0 + 1e-9) + 1e-14
+            assert residual <= bound(step) * (1.0 + 1e-9) + 1e-14
         # ||x - x*|| <= ||r|| / A <= tol ||y|| / A <= tol B / A, plus the rounding of y;
         # at tol = 1e-14 that is 2e-10 for every B/A up to 1e4
         assert scalar_norm(result.vector - x) <= (tol + 1e-14) * upper / lower
@@ -325,9 +339,31 @@ class TestNoSecondFactorization:
         data = frame_operator(fam)
         x = random_vector(FULL2, 2, np.random.default_rng(19))
         y = apply(data.element, x)
-        for result in (reconstruct_direct(data, y), reconstruct_chebyshev(data, y),
-                       reconstruct_neumann(data, y, max_iter=2000)):
+        for result in (reconstruct_direct(data, y), reconstruct_chebyshev(data, y), reconstruct_neumann(data, y)):
             assert scalar_norm(result.vector - x) <= 1e-9 * scalar_norm(x)
+
+
+def poisoned(vector, value):
+    stack = vector.stack.copy()
+    stack[0, 0, 0] = value
+    return ModuleVector(vector.descriptor, stack)
+
+
+@pytest.mark.parametrize("reconstruct", [reconstruct_direct, reconstruct_chebyshev, reconstruct_neumann])
+def test_data_vector_must_fit_the_frame_operator(reconstruct):
+    # a full k = 1, n = 2 vector broadcasts against the slots of this diagonal
+    # k = 2, n = 2 frame, so only the check stops a wrong answer
+    data = frame_operator(random_frame_family(DIAG2, 2, gauss_legendre(0.0, 1.0, 16), seed=23))
+    rng = np.random.default_rng(24)
+    y = random_vector(DIAG2, 2, rng)
+    for other in (ModuleVector(AlgebraDescriptor("full", 1), np.ones((2, 1, 1))),
+                  random_vector(DIAG2, 1, rng), random_vector(FULL2, 2, rng)):
+        with pytest.raises(ValueError, match="^data vector does not match the frame operator shape"):
+            reconstruct(data, other)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^data vector has an entry that is not finite"):
+            reconstruct(data, poisoned(y, value))
+    assert reconstruct(data, y).final_residual <= 1e-12
 
 
 class TestConsistency:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from opframes.reconstruction import CHEBYSHEV_BUDGET
+
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = importlib.util.spec_from_file_location("same_answers", ROOT / "tools" / "same_answers.py")
 same_answers = importlib.util.module_from_spec(SPEC)
@@ -135,18 +137,24 @@ def test_notes_keys_reach_the_csv_paths_escaped_and_quoted(tmp_path, monkeypatch
 
 
 def test_ill_conditioned_scenario_converges(tmp_path, monkeypatch):
-    # B/A = 133: a relaxation with step 1/B stopped unconverged at its 200 steps
+    # B/A = 133: a relaxation with step 1/B needs about 3700 steps and stops
+    # unconverged at the budget; B/A = 33 1/3: it asks for at most 907 and converges
     monkeypatch.chdir(ROOT)
-    [(name, path, calls)] = same_answers.ill_conditioned(tmp_path)
-    assert (name, calls) == ("diagonal_slope.ill_conditioned", [])
-    code, out, err = same_answers.run_one(["analyze", "--scenario", str(path)])
-    assert code == 0 and err == ""
-    report = json.loads(out)
-    assert report["frame"]["lower_bound"] == pytest.approx(1.0 / 400.0, rel=1e-12)
-    assert report["frame"]["upper_bound"] == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert report["reconstruction"]["converged"] is True
-    code, out, _ = same_answers.run_one(["reconstruct", "--scenario", str(path), "--method", "neumann"])
-    assert code == 0 and json.loads(out)["reconstruction"]["converged"] is False
+    written = same_answers.ill_conditioned(tmp_path)
+    assert [(name, calls) for name, _, calls in written] == [
+        ("diagonal_slope.ill_conditioned", []), ("diagonal_slope.ill_conditioned_33", [])]
+    for (_, path, _), lower, relaxed in zip(written, (1.0 / 400.0, 1.0 / 100.0), (False, True)):
+        code, out, err = same_answers.run_one(["analyze", "--scenario", str(path)])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["frame"]["lower_bound"] == pytest.approx(lower, rel=1e-12)
+        assert report["frame"]["upper_bound"] == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert report["reconstruction"]["converged"] is True
+        code, out, _ = same_answers.run_one(["reconstruct", "--scenario", str(path), "--method", "neumann"])
+        section = json.loads(out)["reconstruction"]
+        assert code == 0 and section["converged"] is relaxed
+        # more steps than a 200-step cap would allow
+        assert 200 < section["iterations"] <= CHEBYSHEV_BUDGET
 
 
 def test_boundary_scenario_has_one_frame_verdict(tmp_path, monkeypatch):

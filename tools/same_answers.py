@@ -18,10 +18,12 @@ that are no table and so reach the writers as lists of tokens, NOTES), on a
 sampled respelling of each written into OUTDIR (its family, and a relative
 comparison family, as node operators at its rule's nodes, evaluated with
 numpy alone, so every command also runs on sampled families; see
-``sampled``), on one ill-conditioned scenario
+``sampled``), on two ill-conditioned scenarios
 written into OUTDIR (``diagonal_slope.json`` with slot 1's slope times
-0.1, B/A = 133, where a relaxation with step 1/B needs about 3700 steps,
-so the frame algorithm's convergence is compared too), on one
+0.1, B/A = 133, where a relaxation with step 1/B needs about 3700 steps
+and so stops unconverged at the 2000-step budget, and times 0.2,
+B/A = 33 1/3, where it asks for at most 907 steps and converges, so the frame
+algorithm's convergence and its stopping rule are compared too), on one
 full-algebra boundary scenario written into OUTDIR (classification
 tolerance 1e-13 and A/B = 1e-13 (1 + 1e-3), so the frame verdict depends
 on how accurately A is computed; see ``boundary``), on one huge-scale
@@ -155,12 +157,16 @@ def sampled(workdir):
 
 def ill_conditioned(workdir):
     """(name, path, no calls) of ``diagonal_slope.json`` with slot 1's slope
-    times 0.1, written indented into ``workdir``: bounds (1/400, 1/3)."""
-    doc = json.loads((SCENARIOS / "diagonal_slope.json").read_text(encoding="utf-8"))
-    doc["family"]["coefficients"][1][0][0][1][1][0] *= 0.1
-    target = workdir / "diagonal_slope.ill_conditioned.json"
-    target.write_text(json.dumps(doc, **LAYOUTS["indented"]), encoding="utf-8")
-    return [(target.stem, target, [])]
+    times 0.1 and times 0.2, written indented into ``workdir``: bounds
+    (1/400, 1/3), B/A = 133, and (1/100, 1/3), B/A = 33 1/3."""
+    out = []
+    for factor, suffix in ((0.1, ""), (0.2, "_33")):
+        doc = json.loads((SCENARIOS / "diagonal_slope.json").read_text(encoding="utf-8"))
+        doc["family"]["coefficients"][1][0][0][1][1][0] *= factor
+        target = workdir / f"diagonal_slope.ill_conditioned{suffix}.json"
+        target.write_text(json.dumps(doc, **LAYOUTS["indented"]), encoding="utf-8")
+        out.append((target.stem, target, []))
+    return out
 
 
 def boundary(workdir):
