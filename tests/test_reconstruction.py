@@ -197,6 +197,31 @@ class TestNeumann:
             with pytest.raises(ValueError, match="^relaxation must be 'auto' .* or 'optimal' "):
                 reconstruct_neumann(data, y, relaxation=relaxation)
 
+    @pytest.mark.parametrize("relaxation", ["auto", "optimal"])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300])
+    def test_predicted_count_is_the_least_the_bound_allows(self, relaxation, tol):
+        data = frame_operator(diagonal_slope_family((1.0, ROOT3 / 20.0)))  # B/A = 133
+        lower, upper = optimal_bounds(data)
+        y = random_vector(DIAG2, 1, np.random.default_rng(21))
+        try:
+            predicted = reconstruct_neumann(data, y, relaxation=relaxation, tol=tol).predicted_iterations
+        except NoConvergence as exc:
+            predicted = exc.predicted_iterations
+        assert relaxation_bound(lower, upper, relaxation, predicted) <= tol * (1.0 + 1e-12)
+        assert relaxation_bound(lower, upper, relaxation, predicted - 1) > tol * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("relaxation", ["auto", "optimal"])
+    def test_unreachable_tolerance_stops_at_the_cap(self, relaxation):
+        # B/A = 4/3: the count at tol 1e-300 is a few hundred, inside the budget
+        data = frame_operator(diagonal_slope_family())
+        y = random_vector(DIAG2, 1, np.random.default_rng(22))
+        with pytest.raises(NoConvergence) as info:
+            reconstruct_neumann(data, y, relaxation=relaxation, tol=1e-300)
+        exc = info.value
+        assert 0 < exc.predicted_iterations + CHEBYSHEV_SLACK < CHEBYSHEV_BUDGET
+        assert exc.iterations == exc.predicted_iterations + CHEBYSHEV_SLACK
+        assert 0.0 < exc.residual < 1e-14
+
 
 class TestChebyshev:
     @settings(max_examples=180, derandomize=True, deadline=None)
