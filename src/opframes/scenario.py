@@ -5,16 +5,20 @@ tables are listed lowest degree first.  Validation failures raise
 ScenarioError carrying the JSON path of the offending field.
 
 ``load_scenario`` reads every number once and keeps its text for the
-report's echo.  A list of numbers only is decoded to floats and held as a
-``TokenBlock``: its float array and its JSON text.  A float anywhere else
-becomes its token, the bytes of its own text, which the parse converts
-where it needs the value.  ``Scenario.raw`` is the document as read, so the
-echo writes each number as the file does.
+report's echo.  A rectangular table of numbers is recognised from its text
+(``_token_block``), decoded to one flat float array without nested lists,
+and held as a ``TokenBlock``: its shape, its float array and its JSON text.
+A float anywhere else becomes its token, the bytes of its own text, which
+the parse converts where it needs the value.  ``Scenario.raw`` is the
+document as read, so the echo writes each number as the file does.  A
+table in a Python document given to ``parse_scenario`` is recognised by
+``_numeric_block``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -52,9 +56,10 @@ class ScenarioError(ValueError):
 
 
 class TokenBlock:
-    """A rectangular table of numbers as read: its nested ``shape``, its numbers
-    as a flat float array ``values``, and its JSON text, in ``pieces`` of bytes
-    small enough for Python's small-object allocator."""
+    """A rectangular table of numbers as read from a file (``_token_block``):
+    its nested ``shape``, its numbers as a flat float array ``values``, and
+    its JSON text, in ``pieces`` of bytes small enough for Python's
+    small-object allocator."""
 
     def __init__(self, shape, values, pieces):
         self.shape = shape
@@ -75,7 +80,8 @@ class TokenBlock:
 
 
 _SEPARATORS = bytes.maketrans(b"[],", b"   ")
-_NUMBER_TEXT = b"0123456789.eE+-[], \t\n\r"  # all a list of numbers only is written with
+_BRACKETS = bytes.maketrans(b"[]", b"  ")
+_NUMBERS = b"0123456789.eE+- \t\n\r"  # a table's text is these, brackets and commas
 _PIECE = 400  # characters, below the 512 bytes of the small-object allocator
 
 
@@ -132,8 +138,9 @@ def _complex_pair(value, path):
 
 
 def _numeric_block(value):
-    """``(shape, floats)`` of a table of numbers, else None: the one place a
-    table is recognised.  A table is a rectangular nested list whose leaves
+    """``(shape, floats)`` of a table of numbers in a Python document, else
+    None (a file's tables are recognised from their text, by
+    ``_token_block``).  A table is a rectangular nested list whose leaves
     are all exactly int or float (bool is not), each within float range;
     ``floats`` is the flat float array of its leaves, row by row."""
     shape, level = [], [value]
@@ -350,35 +357,68 @@ def parse_scenario(doc: dict) -> Scenario:
     )
 
 
-def _pieces(text, start, end):
-    """``text[start:end]`` as bytes in pieces of ``_PIECE`` characters; None if
-    it holds anything but numbers, brackets, commas and whitespace."""
-    raw = text[start:end].encode()
-    if raw.translate(None, _NUMBER_TEXT):
-        return None
-    return [raw[i:i + _PIECE] for i in range(0, len(raw), _PIECE)]
+def _table_shape(skeleton, depth):
+    """The shape of a rectangular table from its ``skeleton``, the brackets
+    and commas of its text, which opens ``depth`` lists; else None.
 
-
-def _token_block(scan, text, start):
-    """``(TokenBlock, end)`` of the list that starts at ``text[start]``, decoded
-    to floats by ``scan``, if it is a rectangular table of numbers only within
-    float range; else ``(None, end)``.
-
-    Its pieces are cut once the decoded lists are gone, so the small-object
-    allocator serves them from the memory those lists held.
+    Each axis's length is read from the first row at its level, and the
+    skeleton must be exactly that shape's.  A number or an empty row leaves
+    no mark in a skeleton, so the caller counts the numbers too.
     """
-    value, end = scan(text, start)
-    block = _numeric_block(value)
-    del value
-    if block is None:
-        return None, end
-    pieces = _pieces(text, start, end)
-    return (None if pieces is None else TokenBlock(*block, pieces)), end
+    shape, width, close = [], 0, 0          # width: the span of a row one level in
+    for level in reversed(range(depth)):
+        close = skeleton.find(b"]" * (depth - level), close)  # where its first row closes
+        if close < 0:
+            return None
+        span = close + depth - 2 * level    # [ row , row , ... ] of ``width`` each
+        shape.append((span - 1) // (width + 1))
+        width = span
+    row = b""
+    for size in shape:
+        row = b"[" + b",".join([row] * size) + b"]"
+    return tuple(reversed(shape)) if row == skeleton else None
+
+
+def _token_block(floats, text, start):
+    """``(TokenBlock, end)`` of the list that starts at ``text[start]`` if it is
+    a rectangular table of numbers only, each within float range; else None.
+
+    The table is read from its text, never as nested lists.  Its text runs
+    to the next key or closing brace, less trailing commas and whitespace,
+    and holds only numbers, brackets, commas and whitespace.  Its skeleton
+    gives the shape (``_table_shape``); with its brackets blanked it is one
+    flat list, which ``floats``, the C scanner, decodes, so JSON's own number
+    grammar decides every leaf.  A declined list goes to the reader's route
+    for other values, which raises the same errors as ever.
+    """
+    stops = [i for i in (text.find('"', start), text.find("}", start)) if i >= 0]
+    span = text[start:min(stops, default=len(text))].rstrip(", \t\n\r")
+    raw = span.encode("ascii", "replace")    # any other character fails the check below
+    skeleton = raw.translate(None, _NUMBERS)
+    if skeleton.translate(None, b"[],"):
+        return None
+    depth = len(skeleton) - len(skeleton.lstrip(b"["))
+    # No nested list is decoded, so probe the nesting the decoder allows: this
+    # raises RecursionError where scanning the table's own lists would.
+    floats("[" * depth + "]" * depth, 0)
+    shape = _table_shape(skeleton, depth)
+    if shape is None:
+        return None
+    try:
+        flat, _ = floats(f"[{raw.translate(_BRACKETS).decode()}]", 0)
+        values = np.array(flat, dtype=float)
+    except (StopIteration, ValueError, OverflowError):  # not JSON, or an int beyond float range
+        return None
+    if len(flat) != math.prod(shape):        # an empty row
+        return None
+    del flat                                 # its floats' memory serves the pieces
+    pieces = [raw[i:i + _PIECE] for i in range(0, len(raw), _PIECE)]
+    return TokenBlock(shape, values, pieces), start + len(raw)
 
 
 class _Reader(json.JSONDecoder):
-    """The decoder of ``load_scenario``: objects member by member, a list of
-    numbers only as a TokenBlock (its floats from the C scanner), and any
+    """The decoder of ``load_scenario``: objects member by member, a table of
+    numbers as a TokenBlock read from its text (``_token_block``), and any
     other value with each float as its token."""
 
     def __init__(self):
@@ -393,10 +433,10 @@ class _Reader(json.JSONDecoder):
             if head == "{":
                 return JSONObject((text, idx + 1), self.strict, scan_once, None, None, self.memo)
             if head == "[":
-                block, end = _token_block(floats, text, idx)
+                block = _token_block(floats, text, idx)
                 if block is not None:
-                    self.blocks.append(block)
-                    return block, end
+                    self.blocks.append(block[0])
+                    return block
             return tokens(text, idx)
 
         self.scan_once = scan_once

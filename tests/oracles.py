@@ -272,6 +272,28 @@ def csv_report(report):
     return buffer.getvalue()
 
 
+def table_shape(value):
+    """The shape of ``value``, as ``json.loads`` decodes it, if it is a table of
+    numbers: a list whose items are all numbers or all tables of one shape,
+    none of them empty, and whose numbers are ints or floats (not bools)
+    that convert to float.  A number has the shape (); anything else None.
+    The reference for the scenario reader's recognition of tables."""
+    if type(value) is float:
+        return ()
+    if type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            return None
+        return ()
+    if type(value) is not list:
+        return None
+    shapes = {table_shape(item) for item in value}
+    if len(shapes) != 1 or None in shapes:
+        return None
+    return (len(value), *shapes.pop())
+
+
 def gauss_legendre_reference(n, bits=128):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], as two
     ascending lists of mpmath numbers good to far more than 30 digits.

@@ -1,16 +1,19 @@
 """Bulk parse and emit of numeric blocks against the element-by-element paths.
 
-A table of numbers is recognised in one place, ``scenario._numeric_block``:
-a rectangular nested list whose leaves are all exactly int or float.
-``scenario._complex_blocks`` converts one, or a TokenBlock read from a
-file, in a single step and falls back to its element walker on anything
-else.  ``cli._emit`` writes a TokenBlock or a float array from a layout
-template, and any list item by item.  These tests hold both to the slow
-paths they replace: the walker (with the table helper switched off), the
-stdlib ``json.dumps(indent=2, sort_keys=True)`` and the row-by-row csv
-writer in ``oracles.csv_report``.  The parse runs on Python documents and
-on their JSON text through ``load_scenario``, whose echo must write every
-number as the file does.
+A table of numbers is a rectangular nested list whose leaves are all
+exactly int or float.  In a file, ``load_scenario`` recognises one from its
+text (``scenario._token_block``) and holds it as a TokenBlock; in a Python
+document, ``scenario._numeric_block`` recognises it.
+``scenario._complex_blocks`` converts either in a single step and falls
+back to its element walker on anything else.  ``cli._emit`` writes a
+TokenBlock or a float array from a layout template, and any list item by
+item.  These tests hold both to the slow paths they replace: the walker
+(with the table helper switched off), the stdlib ``json.loads`` and
+``json.dumps(indent=2, sort_keys=True)``, the table check
+``oracles.table_shape`` and the row-by-row csv writer in
+``oracles.csv_report``.  The parse runs on Python documents and on their
+JSON text, in several layouts and spellings, through ``load_scenario``,
+whose echo must write every number as the file does.
 """
 
 import contextlib
@@ -30,10 +33,17 @@ from opframes.cli import _emit, main
 from opframes.quadrature import gauss_legendre
 
 from families import generated_doc
-from oracles import csv_report
+from oracles import csv_report, table_shape
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 SCENARIO_COMMANDS = ("analyze", "reconstruct", "dual", "perturb", "independence")
+LAYOUTS = {  # ways to write a document as JSON text
+    "compact": json.dumps,
+    "indented": lambda doc: json.dumps(doc, indent=2, sort_keys=True),
+    "tight": lambda doc: json.dumps(doc, separators=(",", ":")),
+    "tabs": lambda doc: json.dumps(doc, indent="\t"),
+    "crlf": lambda doc: json.dumps(doc, indent=2).replace("\n", "\r\n"),
+}
 
 
 def documents():
@@ -190,10 +200,11 @@ def test_mutated_documents_match_the_walker(name, table, mutation, monkeypatch):
         assert message == f"{field_path}: number must be finite"
 
 
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("name", sorted(documents()))
-def test_valid_documents_load_bit_identically(name, tmp_path, monkeypatch):
+def test_valid_documents_load_bit_identically(name, layout, tmp_path, monkeypatch):
     doc = documents()[name]
-    assert load_outcome(json.dumps(doc), tmp_path) == walker_outcome(doc, monkeypatch)
+    assert load_outcome(LAYOUTS[layout](doc), tmp_path) == walker_outcome(doc, monkeypatch)
     echo = scenario.load_scenario(tmp_path / "doc.json").raw     # its tables hold their text only
     assert outcome(echo) == walker_outcome(doc, monkeypatch)
 
@@ -215,6 +226,115 @@ def test_mutated_texts_load_like_the_walker(name, table, mutation, tmp_path, mon
     if mutation == "string_leaf":
         kind, (error, message, field_path) = got
         assert error is scenario.ScenarioError and message == f"{field_path}: expected a number"
+
+
+SPELLINGS = ["-0", "-0.0", "1.50", "1E+2", "10"]  # numbers as only a file writes them
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("name", sorted(documents()))
+def test_spelled_numbers_load_and_echo_as_written(name, spelling, tmp_path, monkeypatch):
+    """A table's first number spelled as the file may spell it: the parse gives
+    the walker's bits on the stdlib decode (``-0`` is the int 0), and the
+    echo writes the spelling, in JSON and in CSV."""
+    doc = documents()[name]
+    owner, key = block_tables(doc)[0]
+    block = owner[key][-1] if key in ("coefficients", "operators") else owner[key]
+    set_leaf(0, "@leaf")(block)
+    text = json.dumps(doc).replace('"@leaf"', spelling)
+    assert load_outcome(text, tmp_path) == walker_outcome(json.loads(text), monkeypatch)
+    raw = scenario.load_scenario(tmp_path / "doc.json").raw
+    read_owner, read_key = block_tables(raw)[0]
+    assert type(read_owner[read_key]) is scenario.TokenBlock
+    as_written = json.loads(text, parse_float=str, parse_int=str)
+    assert json.loads(emitted(raw, "json"), parse_float=str, parse_int=str) == as_written
+    assert emitted(raw, "csv") == csv_report(as_written)
+
+
+@pytest.mark.parametrize("table", [
+    "[01]", "[+1]", "[1.]", "[.5]", "[1 2]", "[1,,2]", "[1,]", "[[1,2]3]",
+    "[[0.5, 1] 2, [3, 4]]",                     # a stray number between two rows
+    "[[1],[]]", "[[]]", "[]", "[[1, 2], 3, [4, 5]]",
+])
+def test_table_texts_load_as_json_reads_them(table, tmp_path, monkeypatch):
+    """A table's text that only a file can hold: invalid JSON is refused with
+    the decoder's message, line and column, and valid JSON that is no table
+    reaches the walker."""
+    doc = documents()["additive_full"]
+    doc["perturbation"]["operator"] = "@table"
+    text = json.dumps(doc, indent=2).replace('"@table"', table)
+    try:
+        expected = walker_outcome(json.loads(text), monkeypatch)
+    except json.JSONDecodeError as exc:
+        expected = "raised", (scenario.ScenarioError, f": not valid JSON: {exc}", "")
+    assert load_outcome(text, tmp_path) == expected
+
+
+def leaves(value):
+    return [leaf for item in value for leaf in leaves(item)] if type(value) is list else [value]
+
+
+def depth(value):
+    return 1 + max(map(depth, value), default=0) if type(value) is list else 0
+
+
+def holds_block(value):
+    if type(value) is list:
+        return any(map(holds_block, value))
+    return type(value) is scenario.TokenBlock
+
+
+LEAVES = (
+    st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e308, 10**400, -(10**309)])
+)
+RECTANGULAR = st.lists(st.integers(1, 3), min_size=1, max_size=6).flatmap(
+    lambda shape: st.lists(LEAVES, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+        lambda flat: nest(flat, shape)
+    )
+)
+RAGGED = st.recursive(LEAVES, lambda children: st.lists(children, max_size=3), max_leaves=12).filter(
+    lambda value: 1 <= depth(value) <= 6
+)
+
+
+def shift_leaf(table):
+    """``table`` with the last number of its first row moved to its last row:
+    ragged, with as many numbers as its first rows promise."""
+    rows = [table]
+    while type(rows[0][0]) is list:
+        rows = [row for parent in rows for row in parent]
+    rows[-1].append(rows[0].pop())
+    return table
+
+
+SHIFTED = RECTANGULAR.filter(lambda table: type(table[-1]) is list).map(shift_leaf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RECTANGULAR | RAGGED | SHIFTED, st.sampled_from(sorted(LAYOUTS)))
+@example([[1], []], "compact")
+@example([[1, 2], [3], [4, 5, 6]], "indented")
+@example([[[1, 2]], [[3], [4]]], "tabs")
+@example([[]], "tight")
+@example([[1, 2.5], [3, 4]], "crlf")
+def test_tables_are_recognised_as_json_reads_them(value, layout):
+    """The reader of ``load_scenario`` holds a list as a TokenBlock exactly when
+    the stdlib decode of its text is a table (``oracles.table_shape``), with
+    that shape, the floats of its leaves bit for bit and the list's own text;
+    a list that is no table holds no TokenBlock."""
+    text = LAYOUTS[layout]({"notes": value, "after": 1})
+    read = scenario._Reader().decode(text)
+    decoded = json.loads(text)["notes"]
+    shape = table_shape(decoded)
+    if not shape:
+        assert not holds_block(read["notes"])
+        return
+    block = read["notes"]
+    assert type(block) is scenario.TokenBlock and block.shape == shape
+    assert block.values.tobytes() == np.array([float(x) for x in leaves(decoded)]).tobytes()
+    assert json.loads(b"".join(block.pieces)) == decoded and read["after"] == 1
 
 
 def plain(value):
@@ -505,13 +625,6 @@ def test_json_reports_keep_the_stdlib_layout(command, path, capsys):
 
 # ------------------------------------------------------------------ echo
 
-LAYOUTS = {
-    "compact": {},
-    "indented": {"indent": 2, "sort_keys": True},
-    "tight": {"separators": (",", ":")},
-}
-
-
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("name", sorted(documents()))
 def test_echo_matches_the_float_document(name, layout, tmp_path, capsys):
@@ -520,7 +633,7 @@ def test_echo_matches_the_float_document(name, layout, tmp_path, capsys):
     form, so echoing their tokens changes no byte."""
     doc = documents()[name]
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc, **LAYOUTS[layout]))
+    path.write_text(LAYOUTS[layout](doc))
     floats = json.loads(path.read_text())
     main(["analyze", "--scenario", str(path)])
     out = capsys.readouterr().out
