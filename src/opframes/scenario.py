@@ -18,7 +18,6 @@ table in a Python document given to ``parse_scenario`` is recognised by
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -81,7 +80,7 @@ class TokenBlock:
 
 _SEPARATORS = bytes.maketrans(b"[],", b"   ")
 _BRACKETS = bytes.maketrans(b"[]", b"  ")
-_NUMBERS = b"0123456789.eE+- \t\n\r"  # a table's text is these, brackets and commas
+_NUMBER = bytes.maketrans(b"123456789.eE+-", b"0" * 14)  # each byte of a number as 0
 _PIECE = 400  # characters, below the 512 bytes of the small-object allocator
 
 
@@ -357,26 +356,38 @@ def parse_scenario(doc: dict) -> Scenario:
     )
 
 
+def _skeleton(raw):
+    """``raw``, the bytes of a list's text, less its whitespace and with each
+    run of number bytes written as one ``0``."""
+    marks = np.frombuffer(raw.translate(_NUMBER, b" \t\n\r"), np.uint8)
+    other = marks != ord("0")
+    keep = np.empty(len(marks), bool)
+    keep[0] = True
+    np.logical_or(other[1:], other[:-1], out=keep[1:])   # no 0 right after a 0
+    return marks[keep].tobytes()
+
+
 def _table_shape(skeleton, depth):
-    """The shape of a rectangular table from its ``skeleton``, the brackets
-    and commas of its text, which opens ``depth`` lists; else None.
+    """The shape of a rectangular table from its ``skeleton`` (``_skeleton``),
+    which opens ``depth`` lists; else None.
 
     Each axis's length is read from the first row at its level, and the
-    skeleton must be exactly that shape's.  A number or an empty row leaves
-    no mark in a skeleton, so the caller counts the numbers too.
+    skeleton must be exactly that shape's, no axis empty.  So every row is
+    full, and every number sits in a row of the last axis, between ``[`` or
+    ``,`` and ``,`` or ``]``.
     """
-    shape, width, close = [], 0, 0          # width: the span of a row one level in
+    shape, width, close = [], 1, 0          # width: the span of an item one level in
     for level in reversed(range(depth)):
         close = skeleton.find(b"]" * (depth - level), close)  # where its first row closes
         if close < 0:
             return None
-        span = close + depth - 2 * level    # [ row , row , ... ] of ``width`` each
+        span = close + depth - 2 * level    # [ item , item , ... ] of ``width`` each
         shape.append((span - 1) // (width + 1))
         width = span
-    row = b""
+    row = b"0"
     for size in shape:
         row = b"[" + b",".join([row] * size) + b"]"
-    return tuple(reversed(shape)) if row == skeleton else None
+    return tuple(reversed(shape)) if row == skeleton and all(shape) else None
 
 
 def _token_block(floats, text, start):
@@ -384,19 +395,20 @@ def _token_block(floats, text, start):
     a rectangular table of numbers only, each within float range; else None.
 
     The table is read from its text, never as nested lists.  Its text runs
-    to the next key or closing brace, less trailing commas and whitespace,
-    and holds only numbers, brackets, commas and whitespace.  Its skeleton
-    gives the shape (``_table_shape``); with its brackets blanked it is one
-    flat list, which ``floats``, the C scanner, decodes, so JSON's own number
-    grammar decides every leaf.  A declined list goes to the reader's route
-    for other values, which raises the same errors as ever.
+    to the next key or closing brace, less trailing commas and whitespace.
+    Its skeleton (``_skeleton``) must be exactly a shape's (``_table_shape``),
+    which leaves no room for any other character.  With its brackets
+    blanked the text is one flat list, which ``floats``, the C scanner,
+    decodes, so JSON's own number grammar decides every leaf and each ``0``
+    of the skeleton is one number.  A declined list goes to the reader's
+    route for other values, which raises the same errors as ever.
     """
-    stops = [i for i in (text.find('"', start), text.find("}", start)) if i >= 0]
-    span = text[start:min(stops, default=len(text))].rstrip(", \t\n\r")
-    raw = span.encode("ascii", "replace")    # any other character fails the check below
-    skeleton = raw.translate(None, _NUMBERS)
-    if skeleton.translate(None, b"[],"):
-        return None
+    key = text.find('"', start)
+    key = len(text) if key < 0 else key
+    brace = text.find("}", start, key)
+    span = text[start:key if brace < 0 else brace].rstrip(", \t\n\r")
+    raw = span.encode("ascii", "replace")    # any other character is kept in the skeleton
+    skeleton = _skeleton(raw)
     depth = len(skeleton) - len(skeleton.lstrip(b"["))
     # No nested list is decoded, so probe the nesting the decoder allows: this
     # raises RecursionError where scanning the table's own lists would.
@@ -408,8 +420,6 @@ def _token_block(floats, text, start):
         flat, _ = floats(f"[{raw.translate(_BRACKETS).decode()}]", 0)
         values = np.array(flat, dtype=float)
     except (StopIteration, ValueError, OverflowError):  # not JSON, or an int beyond float range
-        return None
-    if len(flat) != math.prod(shape):        # an empty row
         return None
     del flat                                 # its floats' memory serves the pieces
     pieces = [raw[i:i + _PIECE] for i in range(0, len(raw), _PIECE)]

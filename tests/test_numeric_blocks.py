@@ -254,6 +254,7 @@ def test_spelled_numbers_load_and_echo_as_written(name, spelling, tmp_path, monk
 @pytest.mark.parametrize("table", [
     "[01]", "[+1]", "[1.]", "[.5]", "[1 2]", "[1,,2]", "[1,]", "[[1,2]3]",
     "[[0.5, 1] 2, [3, 4]]",                     # a stray number between two rows
+    "[[1,]2]", "[[]1]", "[[1],2[]]", "[[1,]]2",  # a number on the wrong side of a bracket
     "[[1],[]]", "[[]]", "[]", "[[1, 2], 3, [4, 5]]",
 ])
 def test_table_texts_load_as_json_reads_them(table, tmp_path, monkeypatch):
@@ -312,6 +313,31 @@ def shift_leaf(table):
 SHIFTED = RECTANGULAR.filter(lambda table: type(table[-1]) is list).map(shift_leaf)
 
 
+def assert_read_as_json(text):
+    """The reader of ``load_scenario`` decodes ``text``, whose ``notes`` may be a
+    table, as ``json.loads`` does: it raises the same error at the same
+    place, and holds a list as a TokenBlock exactly when the stdlib decode of
+    its text is a table (``oracles.table_shape``), with that shape, the
+    floats of its leaves bit for bit and the list's own text; a list that
+    is no table holds no TokenBlock."""
+    try:
+        decoded = json.loads(text)["notes"]
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as got:
+            scenario._Reader().decode(text)
+        assert (got.value.msg, got.value.pos) == (exc.msg, exc.pos)
+        return
+    read = scenario._Reader().decode(text)
+    shape = table_shape(decoded)
+    if not shape:
+        assert not holds_block(read["notes"])
+        return
+    block = read["notes"]
+    assert type(block) is scenario.TokenBlock and block.shape == shape
+    assert block.values.tobytes() == np.array([float(x) for x in leaves(decoded)]).tobytes()
+    assert json.loads(b"".join(block.pieces)) == decoded and read.get("after", 1) == 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(RECTANGULAR | RAGGED | SHIFTED, st.sampled_from(sorted(LAYOUTS)))
 @example([[1], []], "compact")
@@ -320,21 +346,28 @@ SHIFTED = RECTANGULAR.filter(lambda table: type(table[-1]) is list).map(shift_le
 @example([[]], "tight")
 @example([[1, 2.5], [3, 4]], "crlf")
 def test_tables_are_recognised_as_json_reads_them(value, layout):
-    """The reader of ``load_scenario`` holds a list as a TokenBlock exactly when
-    the stdlib decode of its text is a table (``oracles.table_shape``), with
-    that shape, the floats of its leaves bit for bit and the list's own text;
-    a list that is no table holds no TokenBlock."""
-    text = LAYOUTS[layout]({"notes": value, "after": 1})
-    read = scenario._Reader().decode(text)
-    decoded = json.loads(text)["notes"]
-    shape = table_shape(decoded)
-    if not shape:
-        assert not holds_block(read["notes"])
-        return
-    block = read["notes"]
-    assert type(block) is scenario.TokenBlock and block.shape == shape
-    assert block.values.tobytes() == np.array([float(x) for x in leaves(decoded)]).tobytes()
-    assert json.loads(b"".join(block.pieces)) == decoded and read["after"] == 1
+    """Valid JSON, tables or not, in every layout (``assert_read_as_json``)."""
+    assert_read_as_json(LAYOUTS[layout]({"notes": value, "after": 1}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(RECTANGULAR, st.sampled_from(sorted(LAYOUTS)), st.integers(0, 10**6), st.integers(0, 10**6),
+       st.booleans())
+@example([[1, 2]], "compact", 3, 5, True)                   # [[1, ]2]
+@example([[1], [2]], "tight", 3, 6, False)                  # [[1],2[]]
+def test_moved_brackets_read_as_json_reads_them(table, layout, which, to, last):
+    """A table's text with one bracket moved elsewhere in it, as the list last
+    in its object or before another key: the reader raises ``json.loads``'s
+    error or reads it as that does (``assert_read_as_json``).  A number
+    moved across a bracket keeps the skeleton of brackets and commas and
+    the count of numbers."""
+    text = LAYOUTS[layout](table)
+    brackets = [i for i, char in enumerate(text) if char in "[]"]
+    at = brackets[which % len(brackets)]
+    text = text[:at] + text[at + 1:]
+    to %= len(text) + 1
+    text = text[:to] + LAYOUTS[layout](table)[at] + text[to:]
+    assert_read_as_json('{"notes": %s%s}' % (text, "" if last else ', "after": 1'))
 
 
 def plain(value):
