@@ -45,14 +45,13 @@ def random_frame_family(
     rule: QuadratureRule,
     degree: int = 2,
     seed=0,
-    min_lower_bound: float = 1e-2,
 ) -> OperatorFamily:
     """Random polynomial family that is certified to be a frame.
 
     An identity anchor in the constant coefficient keeps every node
     operator away from singularity; the random polynomial part is scaled
     down with degree.  Draws are retried (deterministically) until the
-    lower frame bound clears ``min_lower_bound``.
+    lower frame bound clears 1e-2.
     """
     rng = np.random.default_rng(seed)
     k = descriptor.dim
@@ -69,6 +68,6 @@ def random_frame_family(
             coeffs[0, i, i] += eye
         family = OperatorFamily.parametric(rule, descriptor, n, coeffs)
         lower, _ = optimal_bounds(frame_operator(family))
-        if lower >= min_lower_bound:
+        if lower >= 1e-2:
             return family
     raise RuntimeError("could not draw a frame family with the requested lower bound")

@@ -225,9 +225,9 @@ def _write_block(shape, rows, level, write):
     write("\n" + "  " * level + "]")
 
 
-def _write_json(value, level, write):
-    """Write ``json.dumps(value, indent=2, sort_keys=True)`` for a subtree at nesting ``level``,
-    an ndarray written as its ``tolist()``.
+def _write_json(value, write):
+    """Write ``json.dumps(value, indent=2, sort_keys=True)``, an ndarray written as
+    its ``tolist()``.
 
     A number token (bytes, from the scenario) is written as it reads.  A
     TokenBlock and a finite float array are written by ``_write_block`` from
@@ -241,7 +241,7 @@ def _write_json(value, level, write):
     stack = []                             # (items left, closing text) of each open container
     while True:
         kind = type(value)
-        depth = level + len(stack)
+        depth = len(stack)
         inner = "\n" + "  " * (depth + 1)
         close = "\n" + "  " * depth
         if kind is str:
@@ -349,7 +349,7 @@ def _emit(report, fmt):
     sort_keys=True)`` writes it, or csv.  Nothing is written if encoding fails."""
     parts = _Parts()
     if fmt == "json":
-        _write_json(report, 0, parts.write)
+        _write_json(report, parts.write)
         parts.write("\n")
     else:
         _write_csv(report, parts)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _check_tol
-from .frames import FRAME_TOL, PARAMETRIC, OperatorFamily, _gram, frame_operator, optimal_bounds, require_frame
+from .frames import FRAME_TOL, PARAMETRIC, OperatorFamily, _gram, _require_fit, frame_operator, optimal_bounds
+from .frames import require_frame
 from .hilbert_module import _from_slots, _slot_norm, _to_slots
 
 
@@ -55,10 +56,7 @@ def is_dual_pair(primal: OperatorFamily, other: OperatorFamily, tol: float = 1e-
     For two parametric families the sum is Y_L* Y_M from their slot factors.
     """
     _check_tol(tol)
-    if primal.rule != other.rule:
-        raise ValueError("families must share one quadrature rule")
-    if primal.descriptor != other.descriptor or primal.n != other.n:
-        raise ValueError("families must share descriptor and rank")
+    _require_fit(primal, other)
     resolution = _gram(other, primal)
     residual = _slot_norm(resolution - np.eye(resolution.shape[-1]))
     lo, hi = optimal_bounds(frame_operator(other))

@@ -246,6 +246,14 @@ def _slot_factor(family) -> np.ndarray:
     return family._factor
 
 
+def _require_fit(family: OperatorFamily, other: OperatorFamily) -> None:
+    """Raise ValueError unless two families share one quadrature rule, descriptor and rank."""
+    if family.rule != other.rule:
+        raise ValueError("families must share one quadrature rule")
+    if family.descriptor != other.descriptor or family.n != other.n:
+        raise ValueError("families must share descriptor and rank")
+
+
 def _gram(left: OperatorFamily, right: OperatorFamily) -> np.ndarray:
     """sum_i w_i L_i R_i* per slot, (m, b, b), for two families on one rule: F_L* F_R.
 

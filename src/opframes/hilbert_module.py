@@ -222,13 +222,13 @@ def l2_inner_product(xs: L2Family, ys: L2Family) -> AlgebraElement:
     return AlgebraElement(xs.descriptor, integrate_array(xs.rule, grams))
 
 
-def random_vector(descriptor, n, rng, scale=1.0, unit=False) -> ModuleVector:
+def random_vector(descriptor, n, rng, unit=False) -> ModuleVector:
     """Random vector with complex Gaussian entries conforming to the descriptor."""
     k = descriptor.dim
     stack = rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k))
     if descriptor.is_diagonal:
         stack = stack * np.eye(k)
-    x = ModuleVector(descriptor, scale * stack)
+    x = ModuleVector(descriptor, stack)
     if unit:
         nrm = scalar_norm(x)
         if nrm == 0.0:

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .algebra import SINGULARITY_RATIO, _check_tol
-from .frames import PARAMETRIC, OperatorFamily, _gram, extremal_vector, frame_operator, require_frame
+from .frames import PARAMETRIC, OperatorFamily, _gram, _require_fit, extremal_vector, frame_operator, require_frame
 from .hilbert_module import ModuleOperator, op_norm, random_vector
 from .quadrature import COUNTING, QuadratureRule
 
@@ -221,10 +221,7 @@ def relative_criterion_check(
     too (``_combination``), and each sum comes from its slot factor.
     """
     _check_tol(tol)
-    if family.rule != other.rule:
-        raise ValueError("families must share one quadrature rule")
-    if family.descriptor != other.descriptor or family.n != other.n:
-        raise ValueError("families must share descriptor and rank")
+    _require_fit(family, other)
     scaled_t = _combination([(pert.scale_primal, family)])
     scaled_l = _combination([(pert.scale_other, other)])
     diff = _combination([(_ONE, scaled_t), (_MINUS_ONE, scaled_l)])

@@ -6,13 +6,13 @@ ScenarioError carrying the JSON path of the offending field.
 
 ``load_scenario`` reads every number once and keeps its text for the
 report's echo.  A rectangular table of numbers is recognised from its text
-(``_token_block``), decoded to one flat float array without nested lists,
-and held as a ``TokenBlock``: its shape, its float array and its JSON text.
-A float anywhere else becomes its token, the bytes of its own text, which
-the parse converts where it needs the value.  ``Scenario.raw`` is the
-document as read, so the echo writes each number as the file does.  A
-table in a Python document given to ``parse_scenario`` is recognised by
-``_numeric_block``.
+(``_token_block``), decoded to one flat float array (``_decode``), and held
+as a ``TokenBlock``: its shape, its float array and its JSON text.  A float
+anywhere else becomes its token, the bytes of its own text, which the parse
+converts where it needs the value.  ``Scenario.raw`` is the document as
+read, so the echo writes each number as the file does.  Every table field
+reaches its array through ``_number_array``; a Python document given to
+``parse_scenario`` is converted there element by element.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from json.decoder import WHITESPACE, JSONObject
 from json.scanner import make_scanner
 
@@ -74,10 +73,12 @@ class TokenBlock:
 
     def floats(self):
         """The numbers as a flat float array: ``values``, or, once ``load_scenario``
-        has dropped it after the parse, the tokens read again."""
-        return np.array(self.tokens(), dtype=float) if self.values is None else self.values
+        has dropped it after the parse, its text decoded again as it was read
+        (``_decode``)."""
+        return _decode(b"".join(self.pieces)) if self.values is None else self.values
 
 
+_SCAN = json.JSONDecoder().scan_once    # the C scanner, numbers read as by ``json.loads``
 _SEPARATORS = bytes.maketrans(b"[],", b"   ")
 _BRACKETS = bytes.maketrans(b"[]", b"  ")
 _NUMBER = bytes.maketrans(b"123456789.eE+-", b"0" * 14)  # each byte of a number as 0
@@ -136,47 +137,26 @@ def _complex_pair(value, path):
     return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
-def _numeric_block(value):
-    """``(shape, floats)`` of a table of numbers in a Python document, else
-    None (a file's tables are recognised from their text, by
-    ``_token_block``).  A table is a rectangular nested list whose leaves
-    are all exactly int or float (bool is not), each within float range;
-    ``floats`` is the flat float array of its leaves, row by row."""
-    shape, level = [], [value]
-    while True:
-        kinds = set(map(type, level))
-        if kinds != {list}:
-            break
-        lengths = set(map(len, level))
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        shape.append(lengths.pop())
-        level = list(chain.from_iterable(level))
-    if not shape or not kinds <= {int, float}:
-        return None
-    try:
-        return tuple(shape), np.array(level, dtype=float)
-    except OverflowError:                     # an int beyond float range
-        return None
+def _number_array(value, shape, path, real=False):
+    """Nested lists of [re, im] pairs, or of real numbers if ``real``, or
+    their TokenBlock, as an array of the given shape.
 
-
-def _complex_blocks(value, shape, path):
-    """Nested lists of [re, im] pairs, or their TokenBlock, with the given block shape.
-
-    A TokenBlock's float array is used as it is, and a table of numbers in
-    a Python document (``_numeric_block``) is converted in one step, if
-    either has the block shape and only finite numbers; anything else
-    (wrong shape, bool, string or token leaves, non-finite or huge numbers)
-    goes through the element walker, which names the offending field.
+    A TokenBlock of that shape (with an axis of 2 for the pairs) and only
+    finite numbers is converted in one step; anything else (wrong shape,
+    bool, string or token leaves, non-finite or huge numbers, a Python
+    document) goes through the element walker, which names the offending
+    field.
     """
-    block = (value.shape, value.floats()) if type(value) is TokenBlock else _numeric_block(value)
-    if block is not None and block[0] == (*shape, 2) and np.isfinite(block[1]).all():
-        return block[1].view(np.complex128).reshape(shape)
+    if type(value) is TokenBlock and value.shape == (shape if real else (*shape, 2)):
+        flat = value.floats()
+        if np.isfinite(flat).all():
+            return (flat if real else flat.view(np.complex128)).reshape(shape)
     value = _nested(value)
-    out = np.zeros(shape, dtype=np.complex128)
+    out = np.zeros(shape, dtype=float if real else np.complex128)
+    leaf = _number if real else _complex_pair
     def fill(node, idx, sub_path):
         if len(idx) == len(shape):
-            out[idx] = _complex_pair(node, sub_path)
+            out[idx] = leaf(node, sub_path)
             return
         expected = shape[len(idx)]
         if not isinstance(node, list) or len(node) != expected:
@@ -211,7 +191,7 @@ def _parse_family(doc, descriptor, n, rule, path):
         table = _table(doc, "coefficients", path)
         if not table:
             raise ScenarioError(f"{path}.coefficients", "need at least one coefficient")
-        coeffs = _complex_blocks(table, (len(table), n, n, k, k), f"{path}.coefficients")
+        coeffs = _number_array(table, (len(table), n, n, k, k), f"{path}.coefficients")
         try:
             return OperatorFamily.parametric(rule, descriptor, n, coeffs)
         except ValueError as exc:
@@ -220,7 +200,7 @@ def _parse_family(doc, descriptor, n, rule, path):
         table = _table(doc, "operators", path)
         if len(table) != len(rule):
             raise ScenarioError(f"{path}.operators", f"need one operator per node ({len(rule)})")
-        flats = _flatten(_complex_blocks(table, (len(rule), n, n, k, k), f"{path}.operators"))
+        flats = _flatten(_number_array(table, (len(rule), n, n, k, k), f"{path}.operators"))
         try:
             return OperatorFamily.from_flats(rule, descriptor, n, flats)
         except ValueError as exc:  # an off-diagonal entry: name the first node that has one
@@ -243,35 +223,25 @@ def _nested(table):
 
 
 def _parse_scalar_family(doc, rule, path, real=False):
+    """A ScalarFamily of [re, im] pairs, or of real numbers if ``real``: its
+    ``coefficients`` or per-node ``values`` as one table (``_number_array``)."""
     form = _get(doc, "form", path, str)
-    if form == "polynomial":
-        table = _nested(_table(doc, "coefficients", path))
-        if not table:
-            raise ScenarioError(f"{path}.coefficients", "need at least one coefficient")
-        coeffs = [
-            _number(c, f"{path}.coefficients[{i}]")
-            if real
-            else _complex_pair(c, f"{path}.coefficients[{i}]")
-            for i, c in enumerate(table)
-        ]
-        return ScalarFamily.polynomial(coeffs)
-    if form == "sampled":
-        table = _nested(_table(doc, "values", path))
-        if len(table) != len(rule):
-            raise ScenarioError(f"{path}.values", f"need one value per node ({len(rule)})")
-        values = [
-            _number(c, f"{path}.values[{i}]") if real else _complex_pair(c, f"{path}.values[{i}]")
-            for i, c in enumerate(table)
-        ]
-        return ScalarFamily.sampled(values)
-    raise ScenarioError(f"{path}.form", f"unknown scalar form {form!r}")
+    if form not in ("polynomial", "sampled"):
+        raise ScenarioError(f"{path}.form", f"unknown scalar form {form!r}")
+    key = "coefficients" if form == "polynomial" else "values"
+    table = _table(doc, key, path)
+    if form == "polynomial" and not table:
+        raise ScenarioError(f"{path}.coefficients", "need at least one coefficient")
+    if form == "sampled" and len(table) != len(rule):
+        raise ScenarioError(f"{path}.values", f"need one value per node ({len(rule)})")
+    return ScalarFamily(**{key: _number_array(table, (len(table),), f"{path}.{key}", real)})
 
 
 def _parse_perturbation(doc, descriptor, n, rule, path):
     kind = _get(doc, "kind", path, str)
     k = descriptor.dim
     if kind == "additive":
-        blocks = _complex_blocks(_get(doc, "operator", path), (n, n, k, k), f"{path}.operator")
+        blocks = _number_array(_get(doc, "operator", path), (n, n, k, k), f"{path}.operator")
         try:
             op = ModuleOperator(descriptor, blocks)
             pert = AdditivePerturbation(op, _parse_scalar_family(
@@ -390,18 +360,26 @@ def _table_shape(skeleton, depth):
     return tuple(reversed(shape)) if row == skeleton and all(shape) else None
 
 
-def _token_block(floats, text, start):
+def _decode(raw):
+    """A table's text ``raw`` (bytes) as the flat float array of its numbers:
+    with its brackets blanked it is one flat list, which the C scanner
+    decodes, so JSON's own number grammar decides every leaf (``-0`` is the
+    int 0) and no nested list is built."""
+    flat, _ = _SCAN(f"[{raw.translate(_BRACKETS).decode()}]", 0)
+    return np.array(flat, dtype=float)
+
+
+def _token_block(text, start):
     """``(TokenBlock, end)`` of the list that starts at ``text[start]`` if it is
     a rectangular table of numbers only, each within float range; else None.
 
     The table is read from its text, never as nested lists.  Its text runs
     to the next key or closing brace, less trailing commas and whitespace.
     Its skeleton (``_skeleton``) must be exactly a shape's (``_table_shape``),
-    which leaves no room for any other character.  With its brackets
-    blanked the text is one flat list, which ``floats``, the C scanner,
-    decodes, so JSON's own number grammar decides every leaf and each ``0``
-    of the skeleton is one number.  A declined list goes to the reader's
-    route for other values, which raises the same errors as ever.
+    which leaves no room for any other character, and its numbers are
+    decoded as one flat list (``_decode``), so each ``0`` of the skeleton is
+    one number.  A declined list goes to the reader's route for other
+    values, which raises the same errors as ever.
     """
     key = text.find('"', start)
     key = len(text) if key < 0 else key
@@ -412,16 +390,14 @@ def _token_block(floats, text, start):
     depth = len(skeleton) - len(skeleton.lstrip(b"["))
     # No nested list is decoded, so probe the nesting the decoder allows: this
     # raises RecursionError where scanning the table's own lists would.
-    floats("[" * depth + "]" * depth, 0)
+    _SCAN("[" * depth + "]" * depth, 0)
     shape = _table_shape(skeleton, depth)
     if shape is None:
         return None
     try:
-        flat, _ = floats(f"[{raw.translate(_BRACKETS).decode()}]", 0)
-        values = np.array(flat, dtype=float)
+        values = _decode(raw)                # its floats' memory, freed, serves the pieces
     except (StopIteration, ValueError, OverflowError):  # not JSON, or an int beyond float range
         return None
-    del flat                                 # its floats' memory serves the pieces
     pieces = [raw[i:i + _PIECE] for i in range(0, len(raw), _PIECE)]
     return TokenBlock(shape, values, pieces), start + len(raw)
 
@@ -434,7 +410,6 @@ class _Reader(json.JSONDecoder):
     def __init__(self):
         super().__init__()
         self.blocks = []                      # every TokenBlock read
-        floats = self.scan_once
         self.parse_float = str.encode
         tokens = make_scanner(self)
 
@@ -443,7 +418,7 @@ class _Reader(json.JSONDecoder):
             if head == "{":
                 return JSONObject((text, idx + 1), self.strict, scan_once, None, None, self.memo)
             if head == "[":
-                block = _token_block(floats, text, idx)
+                block = _token_block(text, idx)
                 if block is not None:
                     self.blocks.append(block[0])
                     return block

@@ -119,7 +119,7 @@ class TestAnalyze:
         for _ in range(depth - 1):
             value = [value]
         parts = []
-        cli._write_json({"notes": value}, 0, parts.append)
+        cli._write_json({"notes": value}, parts.append)
         lines = ["{", '  "notes": ['] + ["  " * i + "[" for i in range(2, depth)]
         lines += ["  " * depth + "[]"] + ["  " * i + "]" for i in reversed(range(1, depth))] + ["}"]
         assert "".join(parts) == "\n".join(lines)

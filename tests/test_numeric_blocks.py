@@ -2,18 +2,18 @@
 
 A table of numbers is a rectangular nested list whose leaves are all
 exactly int or float.  In a file, ``load_scenario`` recognises one from its
-text (``scenario._token_block``) and holds it as a TokenBlock; in a Python
-document, ``scenario._numeric_block`` recognises it.
-``scenario._complex_blocks`` converts either in a single step and falls
-back to its element walker on anything else.  ``cli._emit`` writes a
-TokenBlock or a float array from a layout template, and any list item by
+text (``scenario._token_block``) and holds it as a TokenBlock.
+``scenario._number_array`` converts a TokenBlock of the right shape in a
+single step and sends anything else, a Python document handed to
+``parse_scenario`` included, to its element walker.  ``cli._emit`` writes
+a TokenBlock or a float array from a layout template, and any list item by
 item.  These tests hold both to the slow paths they replace: the walker
-(with the table helper switched off), the stdlib ``json.loads`` and
+(the parse of the Python document), the stdlib ``json.loads`` and
 ``json.dumps(indent=2, sort_keys=True)``, the table check
 ``oracles.table_shape`` and the row-by-row csv writer in
-``oracles.csv_report``.  The parse runs on Python documents and on their
-JSON text, in several layouts and spellings, through ``load_scenario``,
-whose echo must write every number as the file does.
+``oracles.csv_report``.  The parse runs on the documents' JSON text, in
+several layouts and spellings, through ``load_scenario``, whose echo must
+write every number as the file does and parse again to the same arrays.
 """
 
 import contextlib
@@ -58,7 +58,7 @@ def documents():
 
 
 def block_tables(doc):
-    """(owner, key) of every table that _complex_blocks parses."""
+    """(owner, key) of every operator table that _number_array parses."""
     tables = []
     for owner in (doc["family"], (doc.get("perturbation") or {}).get("comparison_family")):
         if owner is not None:
@@ -139,7 +139,7 @@ MUTATIONS = {
 
 
 def parsed_arrays(sc):
-    """Every array that _complex_blocks fed, as (shape, dtype, bytes) so -0.0 counts."""
+    """Every operator array that _number_array fed, as (shape, dtype, bytes) so -0.0 counts."""
     arrays = [sc.family.flats, sc.family.coefficients]
     if sc.comparison_family is not None:
         arrays += [sc.comparison_family.flats, sc.comparison_family.coefficients]
@@ -149,16 +149,11 @@ def parsed_arrays(sc):
 
 
 def outcome(doc):
+    """The outcome of ``parse_scenario``; a Python document's tables reach the walker."""
     try:
         return "parsed", parsed_arrays(scenario.parse_scenario(doc))
     except Exception as exc:  # the walker's own exception types are part of the contract
         return "raised", (type(exc), str(exc), getattr(exc, "field_path", None))
-
-
-def walker_outcome(doc, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(scenario, "_numeric_block", lambda value: None)
-        return outcome(doc)
 
 
 def load_outcome(text, tmp_path):
@@ -178,39 +173,19 @@ def mutated_cases():
                 yield pytest.param(name, t, mutation, id=f"{name}-{t}-{mutation}")
 
 
-@pytest.mark.parametrize("name", sorted(documents()))
-def test_valid_documents_parse_bit_identically(name, monkeypatch):
-    doc = documents()[name]
-    fast = outcome(doc)
-    assert fast[0] == "parsed"
-    assert fast == walker_outcome(doc, monkeypatch)
-
-
-@pytest.mark.parametrize("name,table,mutation", list(mutated_cases()))
-def test_mutated_documents_match_the_walker(name, table, mutation, monkeypatch):
-    doc = documents()[name]
-    owner, key = block_tables(doc)[table]
-    block = owner[key][-1] if key in ("coefficients", "operators") else owner[key]
-    MUTATIONS[mutation](block)
-    got = outcome(doc)
-    assert got == walker_outcome(doc, monkeypatch)
-    if mutation in ("nan_leaf", "overflow_float", "huge_int"):
-        kind, (error, message, field_path) = got
-        assert kind == "raised" and error is scenario.ScenarioError
-        assert message == f"{field_path}: number must be finite"
-
-
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("name", sorted(documents()))
-def test_valid_documents_load_bit_identically(name, layout, tmp_path, monkeypatch):
+def test_valid_documents_load_bit_identically(name, layout, tmp_path):
     doc = documents()[name]
-    assert load_outcome(LAYOUTS[layout](doc), tmp_path) == walker_outcome(doc, monkeypatch)
+    got = load_outcome(LAYOUTS[layout](doc), tmp_path)
+    assert got[0] == "parsed"
+    assert got == outcome(doc)
     echo = scenario.load_scenario(tmp_path / "doc.json").raw     # its tables hold their text only
-    assert outcome(echo) == walker_outcome(doc, monkeypatch)
+    assert outcome(echo) == got
 
 
 @pytest.mark.parametrize("name,table,mutation", list(mutated_cases()))
-def test_mutated_texts_load_like_the_walker(name, table, mutation, tmp_path, monkeypatch):
+def test_mutated_texts_load_like_the_walker(name, table, mutation, tmp_path):
     """The parse differential on the JSON text route: numbers arrive as tokens,
     a string stays a string, and the overflow case is the token 1e400."""
     doc = documents()[name]
@@ -222,10 +197,14 @@ def test_mutated_texts_load_like_the_walker(name, table, mutation, tmp_path, mon
         assert text.count("Infinity") == 1
         text = text.replace("Infinity", "1e400")
     got = load_outcome(text, tmp_path)
-    assert got == walker_outcome(doc, monkeypatch)
+    assert got == outcome(doc)
     if mutation == "string_leaf":
         kind, (error, message, field_path) = got
         assert error is scenario.ScenarioError and message == f"{field_path}: expected a number"
+    if mutation in ("nan_leaf", "overflow_float", "huge_int"):
+        kind, (error, message, field_path) = got
+        assert kind == "raised" and error is scenario.ScenarioError
+        assert message == f"{field_path}: number must be finite"
 
 
 SPELLINGS = ["-0", "-0.0", "1.50", "1E+2", "10"]  # numbers as only a file writes them
@@ -233,17 +212,20 @@ SPELLINGS = ["-0", "-0.0", "1.50", "1E+2", "10"]  # numbers as only a file write
 
 @pytest.mark.parametrize("spelling", SPELLINGS)
 @pytest.mark.parametrize("name", sorted(documents()))
-def test_spelled_numbers_load_and_echo_as_written(name, spelling, tmp_path, monkeypatch):
+def test_spelled_numbers_load_and_echo_as_written(name, spelling, tmp_path):
     """A table's first number spelled as the file may spell it: the parse gives
-    the walker's bits on the stdlib decode (``-0`` is the int 0), and the
-    echo writes the spelling, in JSON and in CSV."""
+    the walker's bits on the stdlib decode (``-0`` is the int 0), a second
+    parse of the echo, whose tables hold their text only, gives them again,
+    and the echo writes the spelling, in JSON and in CSV."""
     doc = documents()[name]
     owner, key = block_tables(doc)[0]
     block = owner[key][-1] if key in ("coefficients", "operators") else owner[key]
     set_leaf(0, "@leaf")(block)
     text = json.dumps(doc).replace('"@leaf"', spelling)
-    assert load_outcome(text, tmp_path) == walker_outcome(json.loads(text), monkeypatch)
+    first = load_outcome(text, tmp_path)
+    assert first == outcome(json.loads(text))
     raw = scenario.load_scenario(tmp_path / "doc.json").raw
+    assert outcome(raw) == first
     read_owner, read_key = block_tables(raw)[0]
     assert type(read_owner[read_key]) is scenario.TokenBlock
     as_written = json.loads(text, parse_float=str, parse_int=str)
@@ -257,7 +239,7 @@ def test_spelled_numbers_load_and_echo_as_written(name, spelling, tmp_path, monk
     "[[1,]2]", "[[]1]", "[[1],2[]]", "[[1,]]2",  # a number on the wrong side of a bracket
     "[[1],[]]", "[[]]", "[]", "[[1, 2], 3, [4, 5]]",
 ])
-def test_table_texts_load_as_json_reads_them(table, tmp_path, monkeypatch):
+def test_table_texts_load_as_json_reads_them(table, tmp_path):
     """A table's text that only a file can hold: invalid JSON is refused with
     the decoder's message, line and column, and valid JSON that is no table
     reaches the walker."""
@@ -265,7 +247,7 @@ def test_table_texts_load_as_json_reads_them(table, tmp_path, monkeypatch):
     doc["perturbation"]["operator"] = "@table"
     text = json.dumps(doc, indent=2).replace('"@table"', table)
     try:
-        expected = walker_outcome(json.loads(text), monkeypatch)
+        expected = outcome(json.loads(text))
     except json.JSONDecodeError as exc:
         expected = "raised", (scenario.ScenarioError, f": not valid JSON: {exc}", "")
     assert load_outcome(text, tmp_path) == expected
@@ -404,36 +386,49 @@ def test_off_diagonal_sampled_entry_names_its_node():
 
 @pytest.mark.parametrize("walker", [False, True], ids=["bulk", "walker"])
 @pytest.mark.parametrize("field", ["measure.b", "family.coefficients[1][0][0][0][0][1]"])
-def test_huge_int_exits_with_its_field_path(field, walker, tmp_path, monkeypatch, capsys):
+def test_huge_int_exits_with_its_field_path(field, walker, tmp_path, capsys):
+    """A file's huge int exits by name; in a Python document the walker names it."""
     doc = json.loads((SCENARIOS / "diagonal_slope.json").read_text())
     if field == "measure.b":
         doc["measure"]["b"] = 10**400
     else:
         doc["family"]["coefficients"][1][0][0][0][0][1] = 10**400
+    if walker:
+        with pytest.raises(scenario.ScenarioError) as caught:
+            scenario.parse_scenario(doc)
+        assert (str(caught.value), caught.value.field_path) == (f"{field}: number must be finite", field)
+        return
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
-    if walker:
-        monkeypatch.setattr(scenario, "_numeric_block", lambda value: None)
     assert main(["analyze", "--scenario", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"scenario error: {field}: number must be finite\n"
 
 
-def test_fast_path_keeps_the_sign_of_zero():
+def test_fast_path_keeps_the_sign_of_zero(tmp_path):
     doc = documents()["sampled_full"]
     negative_zeros(doc["family"]["operators"][0])
-    entry = scenario.parse_scenario(doc).family.flats[0, 0, 0]
-    assert np.signbit(entry.real) and np.signbit(entry.imag)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    read = scenario.load_scenario(path)
+    assert type(read.raw["family"]["operators"]) is scenario.TokenBlock
+    for sc in (read, scenario.parse_scenario(read.raw)):
+        entry = sc.family.flats[0, 0, 0]
+        assert np.signbit(entry.real) and np.signbit(entry.imag)
 
 
-@pytest.mark.parametrize("name", ["diagonal_slope", "sampled_full"])
-def test_valid_blocks_bypass_the_walker(name, monkeypatch):
-    def walker_pair(value, path):
-        raise AssertionError(f"walker reached {path}")
+@pytest.mark.parametrize("name", ["diagonal_slope", "sampled_full", "relative_diagonal", "additive_full"])
+def test_valid_blocks_bypass_the_walker(name, tmp_path, monkeypatch):
+    """Every table of a file, operator or scalar, is converted without the walker."""
+    def walker(value, path=None):
+        raise AssertionError(f"walker reached {path or 'a table'}")
 
-    monkeypatch.setattr(scenario, "_complex_pair", walker_pair)
-    scenario.parse_scenario(documents()[name])
+    monkeypatch.setattr(scenario, "_nested", walker)
+    monkeypatch.setattr(scenario, "_complex_pair", walker)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(documents()[name]))
+    scenario.load_scenario(path)
 
 
 # ------------------------------------------------------------------ emit
