@@ -14,6 +14,8 @@ item.  These tests hold both to the slow paths they replace: the walker
 ``oracles.csv_report``.  The parse runs on the documents' JSON text, in
 several layouts and spellings, through ``load_scenario``, whose echo must
 write every number as the file does and parse again to the same arrays.
+A Python document's parse, the walker's, is held to numpy's own conversion
+of its tables and to the field path of each bad leaf, row or pair.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 
 from opframes import cli, scenario
 from opframes.cli import _emit, main
+from opframes.hilbert_module import _flatten
 from opframes.quadrature import gauss_legendre
 
 from families import generated_doc
@@ -171,6 +174,117 @@ def mutated_cases():
         for t in range(len(block_tables(doc))):
             for mutation in MUTATIONS:
                 yield pytest.param(name, t, mutation, id=f"{name}-{t}-{mutation}")
+
+
+def as_array(table, real=False):
+    """numpy's own conversion of a Python table of [re, im] pairs, or of real numbers."""
+    array = np.array(table, dtype=float)
+    return array.astype(np.complex128) if real else array.view(np.complex128)[..., 0]
+
+
+def table_arrays(sc, doc):
+    """(parsed, numpy's conversion) of every table of ``doc``, operator and scalar."""
+    pert = doc.get("perturbation") or {}
+    pairs = []
+    for family, owner in ((sc.family, doc["family"]), (sc.comparison_family, pert.get("comparison_family"))):
+        if owner is not None and owner["form"] == "parametric":
+            pairs.append((family.coefficients, as_array(owner["coefficients"])))
+        elif owner is not None:
+            pairs.append((family.flats, _flatten(as_array(owner["operators"]))))
+    scalars = []
+    if sc.additive is not None:
+        pairs.append((sc.additive.operator.blocks, as_array(pert["operator"])))
+        scalars.append((sc.additive.coefficient, pert["coefficient"], False))
+    if sc.relative is not None:
+        scalars.append((sc.relative.scale_primal, pert["scale_primal"], True))
+        scalars.append((sc.relative.scale_other, pert["scale_other"], True))
+    for parsed, owner, real in scalars:
+        key = "coefficients" if owner["form"] == "polynomial" else "values"
+        pairs.append((getattr(parsed, key), as_array(owner[key], real)))
+    return pairs
+
+
+def assert_bits_equal(pairs):
+    for parsed, expected in pairs:
+        assert (parsed.shape, parsed.dtype, parsed.tobytes()) == (expected.shape, expected.dtype, expected.tobytes())
+
+
+def table_path(doc, table):
+    owner, key = block_tables(doc)[table]
+    if owner is doc["family"]:
+        return f"family.{key}"
+    return "perturbation.operator" if key == "operator" else f"perturbation.comparison_family.{key}"
+
+
+def first_pair_paths(block, path):
+    """The field paths of the list that ``first_pair(block)`` returns and of its pair."""
+    row = block
+    while isinstance(row[0][0], list):
+        row, path = row[0], f"{path}[0]"
+    return path, f"{path}[0]"
+
+
+LEAF_MUTATIONS = {  # mutation: (the index it sets in the first pair, the walker's reason)
+    "bool_leaf": (0, "expected a number"),
+    "string_leaf": (1, "expected a number"),
+    "null_leaf": (0, "expected a number"),
+    "nan_leaf": (1, "number must be finite"),
+    "overflow_float": (0, "number must be finite"),
+    "huge_int": (1, "number must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(documents()))
+def test_valid_documents_parse_bit_identically(name):
+    """A Python document's tables reach the walker, whose arrays hold numpy's
+    own conversion of each table, operator and scalar, bit for bit; the
+    document is left as it was."""
+    doc = documents()[name]
+    before = repr(doc)
+    sc = scenario.parse_scenario(doc)
+    assert repr(doc) == before
+    assert_bits_equal(table_arrays(sc, doc))
+
+
+@pytest.mark.parametrize("name,table,mutation", list(mutated_cases()))
+def test_mutated_documents_match_the_walker(name, table, mutation):
+    """A mutated Python document, which only the walker reads: a bad leaf, row
+    or pair raises at its own field path, an off-diagonal entry of a diagonal
+    algebra at its node or table, and what the walker accepts (a tuple pair,
+    negative zeros, an off-diagonal entry of a full algebra) parses to
+    numpy's conversion of the tables.  The document is left as it was."""
+    doc = documents()[name]
+    owner, key = block_tables(doc)[table]
+    path = table_path(doc, table)
+    if key in ("coefficients", "operators"):
+        block, block_path = owner[key][-1], f"{path}[{len(owner[key]) - 1}]"
+    else:
+        block, block_path = owner[key], path
+    row_path, pair_path = first_pair_paths(block, block_path)
+    row_length = len(first_pair(block)[0])
+    MUTATIONS[mutation](block)
+    before = repr(doc)
+    got = outcome(doc)
+    assert repr(doc) == before
+    expected = {
+        "ragged_row": (row_path, f"expected a list of length {row_length}"),
+        "long_row": (row_path, f"expected a list of length {row_length}"),
+        "three_part_pair": (pair_path, "expected a [re, im] pair"),
+        "number_for_pair": (pair_path, "expected a [re, im] pair"),
+        "extra_entry": (block_path, f"expected a list of length {doc['module_rank']}"),
+        **{m: (f"{pair_path}[{index}]", reason) for m, (index, reason) in LEAF_MUTATIONS.items()},
+    }
+    if mutation in expected:
+        field, reason = expected[mutation]
+        assert got == ("raised", (scenario.ScenarioError, f"{field}: {reason}", field))
+    elif mutation == "off_diagonal" and doc["algebra"]["kind"] == "diagonal":
+        field = {"operators": block_path, "coefficients": path, "operator": "perturbation"}[key]
+        kind, (error, message, field_path) = got
+        assert (kind, error, field_path) == ("raised", scenario.ScenarioError, field)
+        assert message.startswith(f"{field}: ")
+    else:
+        assert got[0] == "parsed"
+        assert_bits_equal(table_arrays(scenario.parse_scenario(doc), doc))
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
