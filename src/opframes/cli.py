@@ -15,7 +15,11 @@ its text.  Numbers the commands compute are written as their reprs, as
 coefficients) stay float arrays until they are written.  The writers have
 two numeric routes: a TokenBlock and a float array are each written from
 one layout template built for the whole block and filled with its leaves'
-texts.  Any list is a plain container, written item by item.
+texts.  A float array's leaves that are +0.0 in every row of its outermost
+axis, such as the off-diagonal entries of a diagonal family's dual, are
+written into that template once, and only the other leaves are repr'd;
+the bytes are those of a leaf-by-leaf writer.  Any list is a plain
+container, written item by item.
 """
 
 from __future__ import annotations
@@ -211,15 +215,35 @@ def _block_template(shape, level):
     return text
 
 
-def _write_block(shape, rows, level, write):
+def _array_rows(value):
+    """An array's leaves, row by row of its outermost axis, as the writers fill
+    a row template with them: ``(slots, kept)``.
+
+    ``slots`` has one text per leaf position of a row: "0.0" where a float64
+    leaf is +0.0 in every row (all its bits 0, so -0.0 keeps its own text),
+    "%s" elsewhere.  They are written into the template once, and ``kept``,
+    a 2-d array of the remaining leaves, is repr'd to fill its %s.
+    """
+    rows = value.reshape(math.prod(value.shape[:1]), math.prod(value.shape[1:]))
+    zero = np.zeros(rows.shape[1], bool)
+    if rows.dtype == np.float64:
+        zero = ~rows.view(np.uint64).any(axis=0)
+    slots = tuple(np.where(zero, "0.0", "%s").tolist())
+    return slots, rows[:, ~zero] if zero.any() else rows
+
+
+def _write_block(shape, rows, level, write, slots=None):
     """Write a numeric block at nesting ``level`` a row of its outermost axis at a
     time, each row a tuple of its leaves' texts filling one layout template:
-    bytes for tokens, else str."""
+    bytes for tokens, else str.  A float array's ``slots`` (``_array_rows``)
+    are written into the template first, its always-zero leaves once."""
     row = _block_template(shape[1:], level + 1)
+    if slots is not None:
+        row %= slots
     token_row = row.encode()
     opening, inner = "[", "\n" + "  " * (level + 1)
     for texts in rows:
-        text = (token_row % texts).decode() if type(texts[0]) is bytes else row % texts
+        text = row % texts if slots is not None else (token_row % texts).decode()
         write(opening + inner + text)
         opening = ","
     write("\n" + "  " * level + "]")
@@ -232,9 +256,11 @@ def _write_json(value, write):
     A number token (bytes, from the scenario) is written as it reads.  A
     TokenBlock and a finite float array are written by ``_write_block`` from
     one layout template, filled with the tokens or with the reprs of the
-    array's rows.  Any other array is written as its nested lists, so NaN
-    and Infinity come out as the stdlib writes them, and a list is written
-    item by item.  Types this encoder does not know, and non-finite
+    array's rows; the array's leaves that are +0.0 in every row are written
+    into the template once, as "0.0", the text their repr would give, so
+    the bytes do not change.  Any other array is written as its nested
+    lists, so NaN and Infinity come out as the stdlib writes them, and a
+    list is written item by item.  Types this encoder does not know, and non-finite
     numbers, go to the stdlib.  Open containers are kept on a stack, not in
     Python frames, so any depth the scenario decoder reads can be written.
     """
@@ -267,8 +293,9 @@ def _write_json(value, write):
             stack.append((zip(openings, value), close + "]"))
         elif kind is np.ndarray:
             if value.ndim and value.size and value.dtype.kind == "f" and np.isfinite(value).all():
-                rows = value.reshape(len(value), -1).tolist()
-                _write_block(value.shape, (tuple(map(repr, row)) for row in rows), depth, write)
+                slots, kept = _array_rows(value)
+                rows = (tuple(map(repr, row)) for row in kept.tolist())
+                _write_block(value.shape, rows, depth, write, slots)
             else:                          # non-finite, empty or not floats: as its nested lists
                 value = value.tolist()
                 continue
@@ -286,21 +313,29 @@ def _write_json(value, write):
             return
 
 
-def _csv_block(prefix, shape, texts):
+def _csv_block(prefix, shape, texts, slots=None):
     """The csv rows ``prefix[i0]...[im],text`` of a numeric block of ``shape``, as
     csv.writer writes them, from one template built axis by axis.
 
     ``texts`` are its leaves' texts in order: all str, or all bytes (tokens),
-    which fill the template encoded and are decoded once.  The path is
-    quoted exactly when csv.writer quotes ``prefix``, since the indices
-    never need it; a leaf's text never does.
+    which fill the template encoded and are decoded once.  A float array's
+    ``slots`` (``_array_rows``) are written into the rows of one index of
+    its outermost axis before that axis and the prefix are, so its
+    always-zero leaves are written once and the prefix's % is escaped for
+    the one fill that follows.  The path is quoted exactly when csv.writer
+    quotes ``prefix``, since the indices never need it; a leaf's text never
+    does.
     """
     field = io.StringIO()
     csv.writer(field, lineterminator="\n").writerow([prefix, ""])
     head = field.getvalue()[:-2]           # the prefix as csv.writer writes it
     tail = '"' if head != prefix else ""   # it quoted the prefix: the path's closing quote
     text = "\0" + tail + ",%s\n"
-    for size in reversed(shape):           # "\0" marks where the next outer index goes
+    for size in reversed(shape[1:]):       # "\0" marks where the next outer index goes
+        text = "".join([text.replace("\0", f"\0[{i}]") for i in range(size)])
+    if slots is not None:
+        text %= slots
+    for size in shape[:1]:
         text = "".join([text.replace("\0", f"\0[{i}]") for i in range(size)])
     text = text.replace("\0", head.removesuffix(tail).replace("%", "%%"))
     if texts and type(texts[0]) is bytes:  # surrogatepass: a key may hold any str
@@ -314,7 +349,8 @@ def _write_csv(report, buffer):
 
     A TokenBlock and an array are written by ``_csv_block`` from one
     template, filled with the tokens or with the reprs of the array's
-    leaves; a list or tuple is walked item by item, and a token is written
+    leaves, but for the always-zero leaves of a float array (``_array_rows``),
+    which are written into the template once; a list or tuple is walked item by item, and a token is written
     as it reads.
     """
     writer = csv.writer(buffer, lineterminator="\n")
@@ -330,7 +366,8 @@ def _write_csv(report, buffer):
             for i, item in enumerate(value):
                 walk(f"{prefix}[{i}]", item)
         elif type(value) is np.ndarray:
-            buffer.write(_csv_block(prefix, value.shape, list(map(repr, value.ravel().tolist()))))
+            slots, kept = _array_rows(value)
+            buffer.write(_csv_block(prefix, value.shape, list(map(repr, kept.ravel().tolist())), slots))
         elif type(value) is bytes:
             writer.writerow([prefix, value.decode()])
         else:

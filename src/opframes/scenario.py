@@ -242,11 +242,11 @@ def _parse_perturbation(doc, descriptor, n, rule, path):
     k = descriptor.dim
     if kind == "additive":
         blocks = _number_array(_get(doc, "operator", path), (n, n, k, k), f"{path}.operator")
+        coefficient = _parse_scalar_family(
+            _get(doc, "coefficient", path, dict), rule, f"{path}.coefficient"
+        )
         try:
-            op = ModuleOperator(descriptor, blocks)
-            pert = AdditivePerturbation(op, _parse_scalar_family(
-                _get(doc, "coefficient", path, dict), rule, f"{path}.coefficient"
-            ))
+            pert = AdditivePerturbation(ModuleOperator(descriptor, blocks), coefficient)
         except ValueError as exc:
             raise ScenarioError(path, str(exc)) from exc
         return "additive", pert, None

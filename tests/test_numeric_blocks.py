@@ -6,8 +6,9 @@ text (``scenario._token_block``) and holds it as a TokenBlock.
 ``scenario._number_array`` converts a TokenBlock of the right shape in a
 single step and sends anything else, a Python document handed to
 ``parse_scenario`` included, to its element walker.  ``cli._emit`` writes
-a TokenBlock or a float array from a layout template, and any list item by
-item.  These tests hold both to the slow paths they replace: the walker
+a TokenBlock or a float array from a layout template, a float array's
+leaves that are +0.0 in every row written into the template once, and any
+list item by item.  These tests hold both to the slow paths they replace: the walker
 (the parse of the Python document), the stdlib ``json.loads`` and
 ``json.dumps(indent=2, sort_keys=True)``, the table check
 ``oracles.table_shape`` and the row-by-row csv writer in
@@ -719,6 +720,58 @@ def test_writers_match_the_stdlib_on_built_reports(report):
     assert emitted(report, "csv") == csv_report(plain)
 
 
+# Float tables with leaves that are +0.0 in every row of the outermost axis,
+# as the canonical dual of a family over a diagonal algebra has: the writers
+# put those leaves into the row template once (``cli._array_rows``), and a
+# -0.0 or a subnormal among them must keep its own text.
+
+def with_zero_leaves(arr, zero, spoils):
+    """``arr`` with the leaf positions ``zero`` of a row +0.0 in every row, then
+    each (index, value) of ``spoils`` written over its leaf."""
+    arr.reshape(len(arr), -1)[:, np.array(zero, bool)] = 0.0
+    for index, value in spoils:
+        arr.flat[index % arr.size] = value
+    return arr
+
+
+ZERO_LEAF_ARRAYS = SHAPES.flatmap(lambda shape: st.builds(
+    with_zero_leaves,
+    shaped(shape, FINITE),
+    st.lists(st.booleans(), min_size=math.prod(shape[1:]), max_size=math.prod(shape[1:])),
+    st.lists(st.tuples(st.integers(0, 728), st.sampled_from([0.0, -0.0, 5e-324])), max_size=3),
+))
+
+
+def diagonal_table(*spoils):
+    """A (degree, n, n, k, k, [re, im]) table whose off-diagonal k x k entries are
+    all +0.0, like a diagonal family's dual coefficients, with ``spoils`` set."""
+    arr = np.zeros((3, 2, 2, 4, 4, 2))
+    diagonal = np.arange(4)
+    arr[:, :, :, diagonal, diagonal] = np.random.default_rng(0).standard_normal((3, 2, 2, 4, 2))
+    for index, value in spoils:
+        arr[index] = value
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(PATH_KEYS, ZERO_LEAF_ARRAYS, min_size=1, max_size=3))
+@example({"%s": diagonal_table(), "%%": diagonal_table(((1, 0, 0, 0, 1, 0), -0.0)),
+          "100%s %%": diagonal_table(((2, 1, 1, 2, 3, 1), 5e-324))})
+@example({"%": np.zeros((3, 2, 2)), "a": np.array([[0.0, 1.5, -0.0, 0.0]]), "%%s": np.zeros(3)})
+@example({"%s": np.array([[0.0, -0.0], [0.0, 5e-324], [0.0, 0.0]]), "": np.array([[0.0, 2.0]] * 2)})
+def test_always_zero_leaves_are_written_into_the_template(tables):
+    for arr in tables.values():
+        slots, kept = cli._array_rows(arr)
+        rows = arr.reshape(len(arr), -1)
+        zero = ((rows == 0.0) & ~np.signbit(rows)).all(axis=0)
+        assert slots == tuple("0.0" if z else "%s" for z in zero)
+        assert kept.tolist() == rows[:, ~zero].tolist()
+    report = {"report": tables}
+    plain = stdlib_plain(report)
+    assert emitted(report, "json") == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    assert emitted(report, "csv") == csv_report(plain)
+
+
 def leaf_count(value):
     return sum(map(leaf_count, value)) if isinstance(value, (list, tuple)) else 1
 
@@ -752,6 +805,25 @@ def test_computed_tables_reach_the_writers_as_arrays(tmp_path, monkeypatch):
     for section in (analyzed["dual"], dual["dual"]):
         assert type(section["coefficients"]) is np.ndarray
         assert section["coefficients"].shape[1:] == (3, 3, 2, 2, 2)  # degree, n, n, k, k, [re, im]
+
+
+def test_diagonal_dual_reports_match_the_stdlib_writers(tmp_path, monkeypatch):
+    """A diagonal family's dual coefficients, most of whose leaves are +0.0 in
+    every row, are written as the stdlib writers write their lists."""
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps(generated_doc("diagonal", 5, 2, 8, "parametric", seed=3)))
+    reports, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, fmt: reports.append(report) or emit(report, fmt))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["analyze", "--scenario", str(path)]) == 0
+    analyzed = out.getvalue()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["dual", "--scenario", str(path), "--format", "csv"]) == 0
+    assert analyzed == json.dumps(stdlib_plain(reports[0]), indent=2, sort_keys=True) + "\n"
+    assert out.getvalue() == csv_report(stdlib_plain(reports[1]))
+    coefficients = reports[0]["dual"]["coefficients"]
+    assert coefficients.shape == (3, 2, 2, 5, 5, 2)        # degree 2
+    assert cli._array_rows(coefficients)[0].count("0.0") >= 2 * 2 * 20 * 2  # off the diagonal
 
 
 @pytest.mark.parametrize("command", SCENARIO_COMMANDS)

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,21 @@ class TestParse:
 
 
 class TestValidation:
+    def test_bad_additive_coefficient_names_its_leaf(self):
+        doc = json.loads((SCENARIOS / "perturbed_additive.json").read_text())
+        doc["perturbation"]["coefficient"]["coefficients"][0] = "x"
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(doc)
+        assert info.value.field_path == "perturbation.coefficient.coefficients[0]"
+        assert str(info.value).count("perturbation") == 1
+
+    def test_rejected_additive_operator_is_reported_at_the_block(self):
+        doc = json.loads((SCENARIOS / "perturbed_additive.json").read_text())
+        doc["perturbation"]["operator"] = pairs(np.zeros((1, 1, 2, 2)))
+        with pytest.raises(ScenarioError, match="perturbation operator must be nonzero") as info:
+            parse_scenario(doc)
+        assert info.value.field_path == "perturbation"
+
     def test_wrong_schema_version(self):
         doc = base_doc()
         doc["schema_version"] = 2
