@@ -35,8 +35,9 @@ lower, _ = optimal_bounds(frame_operator(family))
 print(f"\nbounded below: {bounded}, sigma_min = {sigma_min:.6f}, sigma_min^2 = {sigma_min**2:.6f} = A")
 
 # Independence asks whether the synthesis map has a trivial kernel.
-# With 32 nodes mapping onto a 4-dimensional flattened module the kernel
-# is forced to be large; a single invertible node operator is independent.
+# With 32 nodes mapping onto a 2-dimensional module the kernel, counted in
+# the module, is forced to be large; a single invertible node operator is
+# independent.
 independent, kernel_dim = independence_check(family)
 print(f"32-node family:  independent = {independent}, kernel dimension = {kernel_dim}")
 

@@ -37,6 +37,20 @@ class AlgebraDescriptor:
         return self.kind == "diagonal"
 
 
+def _as_blocks(descriptor, arr, shape, what):
+    """``arr`` as a read-only complex array of ``shape`` of elements of ``descriptor``, else ValueError."""
+    arr = np.asarray(arr, dtype=np.complex128)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    if descriptor.is_diagonal:
+        mask = ~np.eye(descriptor.dim, dtype=bool)
+        if np.any(arr[..., mask] != 0):
+            raise ValueError(f"{what}: diagonal descriptor requires zero off-diagonal entries")
+    out = arr.copy(order="K")  # in its own memory order, so a flattening stays a view
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
     """A k x k complex matrix tagged with its algebra descriptor.
@@ -50,14 +64,7 @@ class AlgebraElement:
 
     def __post_init__(self):
         k = self.descriptor.dim
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        if entries.shape != (k, k):
-            raise ValueError(f"entries must have shape {(k, k)}, got {entries.shape}")
-        if self.descriptor.is_diagonal and np.any(entries != np.diag(np.diag(entries))):
-            raise ValueError("diagonal descriptor requires zero off-diagonal entries")
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _as_blocks(self.descriptor, self.entries, (k, k), "entries"))
 
     @property
     def diag(self):

@@ -51,8 +51,9 @@ from .frames import (
     optimal_bounds,
     require_frame,
 )
-from .hilbert_module import ModuleVector, _from_slots, _to_slots, random_vector, scalar_norm
+from .hilbert_module import ModuleVector, random_vector, scalar_norm
 from .perturbation import (
+    AdditivePerturbation,
     additive_envelope,
     additive_admissible,
     perturb_additive,
@@ -117,8 +118,7 @@ def _dual_section(scenario, frame_tol, tol):
 def _reconstruction_section(scenario, data, method, tol, seed):
     rng = np.random.default_rng(seed)
     x_true = random_vector(scenario.descriptor, scenario.module_rank, rng, unit=True)
-    y_slots = _to_slots(scenario.descriptor, x_true.stack[None]) @ data.blocks
-    y = ModuleVector(scenario.descriptor, _from_slots(scenario.descriptor, y_slots)[0])
+    y = ModuleVector.from_slots(scenario.descriptor, x_true.slots @ data.blocks)
     try:
         if method == "direct":
             result = reconstruct_direct(data, y)
@@ -159,11 +159,12 @@ def _within(envelope, empirical):
 
 def _perturbation_section(scenario, frame_tol):
     tols = scenario.tolerances
+    pert = scenario.perturbation
     bounds = require_frame(frame_operator(scenario.family), frame_tol)
-    if scenario.perturbation_kind == "additive":
+    if isinstance(pert, AdditivePerturbation):
         tol = tols["admissibility"]
-        admissible, energy, lower = additive_admissible(scenario.family, scenario.additive, tol)
-        perturbed = perturb_additive(scenario.family, scenario.additive)
+        admissible, energy, lower = additive_admissible(scenario.family, pert, tol)
+        perturbed = perturb_additive(scenario.family, pert)
         empirical = optimal_bounds(frame_operator(perturbed))
         section = {
             "kind": "additive",
@@ -188,14 +189,14 @@ def _perturbation_section(scenario, frame_tol):
             )
         return section
     passed, margin = relative_criterion_check(
-        scenario.family, scenario.comparison_family, scenario.relative, tols["criterion"]
+        scenario.family, scenario.comparison_family, pert, tols["criterion"]
     )
-    envelope = relative_envelope(bounds, scenario.relative, scenario.rule)
+    envelope = relative_envelope(bounds, pert, scenario.rule)
     empirical = optimal_bounds(frame_operator(scenario.comparison_family))
     return {
         "kind": "relative",
-        "alpha": scenario.relative.alpha,
-        "beta": scenario.relative.beta,
+        "alpha": pert.alpha,
+        "beta": pert.beta,
         "criterion_passed": passed,
         "verdict": "exact",
         "margin": margin,
@@ -424,7 +425,7 @@ def cmd_analyze(scenario, args):
         )
         if timings is not None:
             timings["dual_reconstruction_seconds"] = time.perf_counter() - start
-        if scenario.perturbation_kind is not None:
+        if scenario.perturbation is not None:
             report["perturbation"] = _perturbation_section(scenario, class_tol)
     return report, EXIT_OK if is_frame else EXIT_NOT_FRAME
 
@@ -443,7 +444,7 @@ def cmd_dual(scenario, args):
 
 
 def cmd_perturb(scenario, args):
-    if scenario.perturbation_kind is None:
+    if scenario.perturbation is None:
         raise ValueError("scenario has no perturbation block")
     section = _perturbation_section(scenario, scenario.tolerances["classification"])
     return {"perturbation": section}, EXIT_OK

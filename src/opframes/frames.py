@@ -49,9 +49,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _check_tol
+from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_tol
 from .exceptions import NotAFrame
-from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _as_blocks, _flatten, _from_slots
+from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _check_fit, _flatten, _from_slots
 from .hilbert_module import _side_by_side, _to_slots, _unflatten
 from .quadrature import QuadratureRule
 
@@ -116,8 +116,8 @@ class OperatorFamily:
         if len(operators) != len(rule):
             raise ValueError(f"need {len(rule)} operators, got {len(operators)}")
         first = operators[0]
-        if any(op.descriptor != first.descriptor or op.n != first.n for op in operators):
-            raise ValueError("all sampled operators must share descriptor and rank")
+        for op in operators:
+            _check_fit(op, first, "all sampled operators must share descriptor and rank")
         table = np.stack([op.blocks for op in operators])  # each one validated already
         return cls(rule, first.descriptor, first.n, _to_slots(first.descriptor, table))
 
@@ -199,9 +199,8 @@ class FrameReport:
 
 def analysis(family: OperatorFamily, x: ModuleVector) -> L2Family:
     """Apply every node operator to x; node and weight metadata travel along."""
-    if x.descriptor != family.descriptor or x.n != family.n:
-        raise ValueError("vector does not match the family shape")
-    rows = _to_slots(family.descriptor, x.stack[None])[:, None] @ family.blocks
+    _check_fit(x, family, "vector does not match the family shape")
+    rows = x.slots[:, None] @ family.blocks
     return L2Family(family.rule, family.descriptor, _from_slots(family.descriptor, rows)[:, 0])
 
 
@@ -209,11 +208,10 @@ def synthesis(family: OperatorFamily, ys: L2Family) -> ModuleVector:
     """Weighted sum of adjoint node operators applied to the samples."""
     if ys.rule != family.rule:
         raise ValueError("family and samples use different quadrature rules")
-    if ys.descriptor != family.descriptor or ys.n != family.n:
-        raise ValueError("samples do not match the family shape")
+    _check_fit(ys, family, "samples do not match the family shape")
     roots = np.sqrt(family.rule.weights)[:, None, None]
     rows = _side_by_side(roots * _to_slots(family.descriptor, ys.samples[:, None])) @ _node_factor(family)
-    return ModuleVector(family.descriptor, _from_slots(family.descriptor, rows)[0])
+    return ModuleVector.from_slots(family.descriptor, rows)
 
 
 def _node_factor(family) -> np.ndarray:
@@ -231,14 +229,17 @@ def _slot_factor(family) -> np.ndarray:
     Householder QR, Y = (R (x) I_b) [C_0*; ...; C_{D-1}*], since
     V = (Phi (x) I_b) [C_p*] and Phi = Q R with orthonormal Q.  On a Gauss
     rule with N >= D the products Y_L* Y_M are the integrals over the
-    measure itself.
+    measure itself.  A Phi with an entry past the float range raises ValueError.
     """
     if family._factor is None:
         if family.form == SAMPLED:
             factor = _node_factor(family)
         else:
             rule, slots = family.rule, _to_slots(family.descriptor, family.coefficients)
-            phi = np.sqrt(rule.weights)[:, None] * rule.nodes[:, None] ** np.arange(slots.shape[1])
+            with np.errstate(over="ignore"):
+                phi = np.sqrt(rule.weights)[:, None] * rule.nodes[:, None] ** np.arange(slots.shape[1])
+            if not np.isfinite(phi).all():
+                raise ValueError("a node power sqrt(w_i) t_i^p of the rule is past the float range of doubles")
             triangle = np.linalg.qr(phi, mode="r")
             factor = np.tensordot(slots.conj().swapaxes(-1, -2), triangle, axes=([1], [1]))
             factor = np.moveaxis(factor, -1, 1).reshape(len(slots), -1, slots.shape[-1])
@@ -250,8 +251,7 @@ def _require_fit(family: OperatorFamily, other: OperatorFamily) -> None:
     """Raise ValueError unless two families share one quadrature rule, descriptor and rank."""
     if family.rule != other.rule:
         raise ValueError("families must share one quadrature rule")
-    if family.descriptor != other.descriptor or family.n != other.n:
-        raise ValueError("families must share descriptor and rank")
+    _check_fit(family, other, "families must share descriptor and rank")
 
 
 def _gram(left: OperatorFamily, right: OperatorFamily) -> np.ndarray:
@@ -276,16 +276,17 @@ def frame_operator(family: OperatorFamily) -> FrameOperatorData:
     eigenvalues of s are sigma^2, ascending here, and its eigenvectors are
     the columns of W.  A largest sigma whose square is past the largest
     double, or below the smallest normal one (so that every eigenvalue is
-    subnormal or zero), raises ValueError before s is formed.  The result
-    is cached on the family and its arrays are read-only, so every
-    consumer shares one factorization.
+    subnormal or zero, or a nonzero family's factor underflowed to 0), raises
+    ValueError before s is formed.  The result is cached on the family and
+    its arrays are read-only, so every consumer shares one factorization.
     """
     if family._frame is None:
         _, sigma, right = np.linalg.svd(np.linalg.qr(_slot_factor(family), mode="r"))
         top = np.max(sigma)                # a NaN passes on, to be classified as malformed
         if top > np.sqrt(np.finfo(float).max):
             raise ValueError(f"singular value {top:.6g} squares past the float range of doubles")
-        if 0.0 < top < np.sqrt(np.finfo(float).tiny):
+        nonzero = top > 0.0 or (family.blocks if family.form == SAMPLED else family.coefficients).any()
+        if nonzero and top < np.sqrt(np.finfo(float).tiny):  # a factor that underflowed to 0 too
             raise ValueError(f"largest singular value {top:.6g} squares below the float range of doubles")
         eigenpairs = sigma[:, ::-1] ** 2, right[:, ::-1].conj().swapaxes(1, 2)
         blocks = _gram(family, family)
@@ -369,17 +370,20 @@ def below_bounded_check(family, tol: float = FRAME_TOL) -> tuple[bool, float]:
 def independence_check(family, tol: float = KERNEL_TOL) -> tuple[bool, int]:
     """Numerical kernel of the synthesis map at quadrature resolution.
 
-    The synthesis map sends the discretized l2 space (dimension N * n * k^2)
-    onto the flattened module (dimension n * k^2); the family is independent
-    exactly when the numerical kernel (singular values <= tol * sigma_max)
-    is trivial.  Returns the kernel dimension, counted in the full
-    flattened space.
+    The synthesis map sends the discretized l2 space, N copies of the module,
+    onto the module; the family is independent exactly when the numerical
+    kernel (singular values <= tol * sigma_max) is trivial.  Returns the
+    kernel dimension in the module, whose vectors have ``rows`` rows of b
+    entries in each of m slots (``ModuleVector.slots``), rows = 1 on a
+    diagonal algebra and k on a full one: rows (N m b - rank).
     """
     _check_tol(tol)
-    sigma = np.sqrt(frame_operator(family).eigenvalues)  # ascending; all zero gives rank 0
-    k = family.descriptor.dim
+    data = frame_operator(family)
+    sigma = np.sqrt(data.eigenvalues)  # ascending; all zero gives rank 0
     rank = int(np.sum(sigma > tol * sigma[-1]))
-    kernel_dim = k * (len(family) * family.n * k - rank)
+    rows = 1 if family.descriptor.is_diagonal else family.descriptor.dim
+    slots, size = data.blocks.shape[:2]
+    kernel_dim = rows * (len(family) * slots * size - rank)
     return kernel_dim == 0, kernel_dim
 
 
@@ -396,4 +400,4 @@ def extremal_vector(data: FrameOperatorData, which: str = "min") -> ModuleVector
     rows = 1 if data.descriptor.is_diagonal else data.descriptor.dim
     blocks = np.zeros((len(data.blocks), rows, data.blocks.shape[-1]), dtype=np.complex128)
     blocks[slot, 0] = data.block_eigenvectors[slot][:, col].conj()
-    return ModuleVector(data.descriptor, _from_slots(data.descriptor, blocks)[0])
+    return ModuleVector.from_slots(data.descriptor, blocks)

@@ -16,9 +16,11 @@ made of entry (s, s) of every element, the form the spectral machinery
 works on; for the full algebra the whole flattening is the one slot.  Only
 this module knows the layout: a (..., r, c, k, k) table of algebra elements
 goes to its flattening in ``_flatten`` and to its slot blocks in
-``_to_slots``, a vector is the table of one row, ``x.stack[None]``,
-``_side_by_side`` lays a slot's node matrices in one row, and
-``_slot_norm`` is the norm of a direct sum of slot blocks.
+``_to_slots``, a vector's slot blocks are ``ModuleVector.slots`` and back
+``ModuleVector.from_slots``, ``_side_by_side`` lays a slot's node matrices
+in one row, and ``_slot_norm`` is the norm of a direct sum of slot blocks.
+Two values on A^n fit together when they share a descriptor and a rank,
+which ``_check_fit`` decides for every caller.
 """
 
 from __future__ import annotations
@@ -27,21 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement
+from .algebra import AlgebraDescriptor, AlgebraElement, _as_blocks
 from .quadrature import QuadratureRule, integrate_array
 
 
-def _as_blocks(descriptor, arr, shape, what):
-    arr = np.asarray(arr, dtype=np.complex128)
-    if arr.shape != shape:
-        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
-    if descriptor.is_diagonal:
-        mask = ~np.eye(descriptor.dim, dtype=bool)
-        if np.any(arr[..., mask] != 0):
-            raise ValueError(f"{what}: diagonal descriptor requires zero off-diagonal entries")
-    out = arr.copy(order="K")  # in its own memory order, so a flattening stays a view
-    out.setflags(write=False)
-    return out
+def _check_fit(a, b, message):
+    """Raise ValueError(message) unless two values on A^n share one descriptor and rank n."""
+    if a.descriptor != b.descriptor or a.n != b.n:
+        raise ValueError(message)
 
 
 def _flatten(table):
@@ -89,9 +84,7 @@ class ModuleVector:
     def __post_init__(self):
         n = np.asarray(self.stack).shape[0] if np.asarray(self.stack).ndim == 3 else 0
         k = self.descriptor.dim
-        object.__setattr__(
-            self, "stack", _as_blocks(self.descriptor, self.stack, (n, k, k), "vector components")
-        )
+        object.__setattr__(self, "stack", _as_blocks(self.descriptor, self.stack, (n, k, k), "vector components"))
         if n < 1:
             raise ValueError("module rank n must be >= 1")
 
@@ -103,17 +96,22 @@ class ModuleVector:
         """k x (n*k) matrix [x_1 x_2 ... x_n]."""
         return _flatten(self.stack[None])
 
+    @property
+    def slots(self) -> np.ndarray:
+        """Slot blocks of x: (k, 1, n) for a diagonal algebra, (1, k, n*k) for a full one."""
+        return _to_slots(self.descriptor, self.stack[None])
+
+    @classmethod
+    def from_slots(cls, descriptor, slots):
+        """The vector whose slot blocks are ``slots``; inverse of ``slots``."""
+        return cls(descriptor, _from_slots(descriptor, slots)[0])
+
     def scale(self, scalar):
         return ModuleVector(self.descriptor, complex(scalar) * self.stack)
 
     def __sub__(self, other):
-        _check_vectors(self, other)
+        _check_fit(self, other, "vectors must share descriptor and rank")
         return ModuleVector(self.descriptor, self.stack - other.stack)
-
-
-def _check_vectors(x, y):
-    if x.descriptor != y.descriptor or x.n != y.n:
-        raise ValueError("vectors must share descriptor and rank")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +129,7 @@ class ModuleOperator:
         arr = np.asarray(self.blocks)
         n = arr.shape[0] if arr.ndim == 4 else 0
         k = self.descriptor.dim
-        object.__setattr__(
-            self, "blocks", _as_blocks(self.descriptor, self.blocks, (n, n, k, k), "operator blocks")
-        )
+        object.__setattr__(self, "blocks", _as_blocks(self.descriptor, self.blocks, (n, n, k, k), "operator blocks"))
         if n < 1:
             raise ValueError("module rank n must be >= 1")
 
@@ -160,7 +156,7 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     Linear in x, conjugate-linear in y; satisfies <x,y> = <y,x>*
     and <a.x, y> = a <x,y>.
     """
-    _check_vectors(x, y)
+    _check_fit(x, y, "vectors must share descriptor and rank")
     gram = np.einsum("iab,icb->ac", x.stack, y.stack.conj())
     return AlgebraElement(x.descriptor, gram)
 
@@ -174,13 +170,12 @@ def scalar_norm(x: ModuleVector) -> float:
     """||x|| = ||<x,x>||^(1/2), read from the slot blocks of x.  <x,x> is never
     formed: it overflows once the entries of x pass about 1e154 and underflows
     below about 1e-154."""
-    return _slot_norm(_to_slots(x.descriptor, x.stack[None]))
+    return _slot_norm(x.slots)
 
 
 def apply(op: ModuleOperator, x: ModuleVector) -> ModuleVector:
     """Right action x @ M."""
-    if op.descriptor != x.descriptor or op.n != x.n:
-        raise ValueError("operator and vector shapes do not match")
+    _check_fit(op, x, "operator and vector shapes do not match")
     out = np.einsum("jab,jibc->iac", x.stack, op.blocks)
     return ModuleVector(x.descriptor, out)
 
@@ -202,10 +197,8 @@ class L2Family:
         arr = np.asarray(self.samples)
         if arr.ndim != 4 or arr.shape[0] != len(self.rule):
             raise ValueError("need one (n, k, k) sample per quadrature node")
-        shape = arr.shape
-        object.__setattr__(
-            self, "samples", _as_blocks(self.descriptor, arr, shape, "l2 samples")
-        )
+        k = self.descriptor.dim
+        object.__setattr__(self, "samples", _as_blocks(self.descriptor, arr, (*arr.shape[:2], k, k), "l2 samples"))
 
     @property
     def n(self):
@@ -216,8 +209,7 @@ def l2_inner_product(xs: L2Family, ys: L2Family) -> AlgebraElement:
     """Integral of the pointwise inner products against the shared rule."""
     if xs.rule != ys.rule:
         raise ValueError("families must share one quadrature rule")
-    if xs.descriptor != ys.descriptor or xs.samples.shape != ys.samples.shape:
-        raise ValueError("families must share descriptor and shape")
+    _check_fit(xs, ys, "families must share descriptor and shape")
     grams = np.einsum("siab,sicb->sac", xs.samples, ys.samples.conj())
     return AlgebraElement(xs.descriptor, integrate_array(xs.rule, grams))
 

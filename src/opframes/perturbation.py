@@ -20,7 +20,7 @@ from numpy.polynomial import polynomial as P
 
 from .algebra import SINGULARITY_RATIO, _check_tol
 from .frames import PARAMETRIC, OperatorFamily, _gram, _require_fit, extremal_vector, frame_operator, require_frame
-from .hilbert_module import ModuleOperator, op_norm, random_vector
+from .hilbert_module import ModuleOperator, _check_fit, op_norm, random_vector
 from .quadrature import COUNTING, QuadratureRule
 
 
@@ -152,17 +152,12 @@ def _combination(terms) -> OperatorFamily:
 
 
 _ONE, _MINUS_ONE = ScalarFamily.constant(1.0), ScalarFamily.constant(-1.0)
-
-
-def _check_fits(family, pert):
-    """Refuse an additive operator of another algebra or rank than the family."""
-    if pert.operator.descriptor != family.descriptor or pert.operator.n != family.n:
-        raise ValueError("perturbation operator does not match the family shape")
+_MISFIT = "perturbation operator does not match the family shape"
 
 
 def perturb_additive(family: OperatorFamily, pert: AdditivePerturbation) -> OperatorFamily:
     """The family {T_w + c_w K}; parametric + polynomial inputs stay parametric."""
-    _check_fits(family, pert)
+    _check_fit(pert.operator, family, _MISFIT)
     constant = pert.operator.blocks[None]  # K as a family of degree 0
     direction = OperatorFamily(family.rule, family.descriptor, family.n, coefficients=constant)
     return _combination([(_ONE, family), (pert.coefficient, direction)])
@@ -180,7 +175,7 @@ def additive_admissible(
     is what the envelope consumes; integral |c|^2 < A / ||K|| is not used.
     """
     _check_tol(tol)
-    _check_fits(family, pert)
+    _check_fit(pert.operator, family, _MISFIT)
     lo, _ = require_frame(frame_operator(family), SINGULARITY_RATIO)
     energy = pert.energy(family.rule)
     return energy < (1.0 - tol) * lo, energy, lo

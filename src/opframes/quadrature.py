@@ -100,17 +100,16 @@ def _legendre(n: int, theta: np.ndarray):
     """P_n(cos θ) and dP_n/dθ for θ in (0, π/2], by the three-term recurrence in
     Reinsch's form: it carries r_k = P_{k-1} - P_k and 1 - x = 2 sin²(θ/2), so
     near x = 1, where P_k and P_{k-1} agree to many digits, no digits cancel.
+    Only n <= 100 comes here, so the coefficient table is at most 100 x 50.
     """
     u = 2.0 * np.sin(theta / 2) ** 2
     p, r, t = np.ones(theta.size), np.zeros(theta.size), np.empty(theta.size)  # r_0 is multiplied by b_0 = 0
-    rows = max(1, (1 << 14) // theta.size)  # steps per block of coefficients (128 KB)
-    for start in range(0, n, rows):
-        k = np.arange(start, min(n, start + rows), dtype=float)
-        for au, b in zip(np.multiply.outer((2 * k + 1) / (k + 1), u), (k / (k + 1)).tolist()):
-            np.multiply(au, p, out=t)
-            r *= b
-            r += t  # r_{k+1} = k/(k+1) r_k + (2k+1)/(k+1) (1 - x) P_k
-            p -= r  # P_{k+1} = P_k - r_{k+1}
+    k = np.arange(n, dtype=float)
+    for au, b in zip(np.multiply.outer((2 * k + 1) / (k + 1), u), (k / (k + 1)).tolist()):
+        np.multiply(au, p, out=t)
+        r *= b
+        r += t  # r_{k+1} = k/(k+1) r_k + (2k+1)/(k+1) (1 - x) P_k
+        p -= r  # P_{k+1} = P_k - r_{k+1}
     return p, -n * (u * p + r) / np.sin(theta)  # n (x P_n - P_{n-1}) / sin θ
 
 
@@ -261,10 +260,8 @@ def gauss_legendre(a: float, b: float, n: int) -> QuadratureRule:
     recurrence reads 2.27e-16 and 4.2e-15 at worst, the expansions 1.4e-16 and
     7.9e-16.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
+    space = MeasureSpace(LEBESGUE, a, b)  # refuses a >= b and infinite ends before the nodes are computed
     n = _node_count(n)
-    space = MeasureSpace(LEBESGUE, a, b)  # refuses infinite ends before the nodes are computed
     x, w = _bogaert_half(n) if n > _NEWTON_MAX else _newton_half(n)
     x[n // 2 :] = 0.0  # the middle node of an odd rule, if any
     nodes, w = np.concatenate((-x[: n // 2], x[::-1])), np.concatenate((w[: n // 2], w[::-1]))
@@ -273,10 +270,8 @@ def gauss_legendre(a: float, b: float, n: int) -> QuadratureRule:
 
 def midpoint(a: float, b: float, n: int) -> QuadratureRule:
     """Composite midpoint rule on [a, b]; O(n^-2) error on smooth integrands."""
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
+    space = MeasureSpace(LEBESGUE, a, b)  # refuses a >= b and infinite ends before they reach the nodes
     n = _node_count(n)
-    space = MeasureSpace(LEBESGUE, a, b)  # refuses infinite ends before they reach the nodes
     h = (b - a) / n
     nodes = a + h * (np.arange(n) + 0.5)
     return QuadratureRule(space, nodes, np.full(n, h))

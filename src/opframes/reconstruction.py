@@ -45,7 +45,7 @@ import numpy as np
 from .algebra import SINGULARITY_RATIO, _check_tol
 from .exceptions import NoConvergence, SingularFrameOperator
 from .frames import FrameOperatorData, require_frame
-from .hilbert_module import ModuleVector, _from_slots, _slot_norm, _to_slots
+from .hilbert_module import ModuleVector, _slot_norm
 
 # Steps allowed beyond the a-priori count, for a bound met only to rounding.
 # On 4000 random frames with B/A in [1, 1e4] and tol in [1e-14, 1e-6] Chebyshev
@@ -82,7 +82,7 @@ def _eigenbasis(data, y):
     """(y_hat, mu, y_scale): the slot blocks of y in the eigenbasis of s, its
     eigenvalues broadcast over the rows, and ||y|| (1 when y = 0).  Refuses a y
     of another algebra or rank than s, or with an entry that is not finite."""
-    y_slots = _to_slots(y.descriptor, y.stack[None])
+    y_slots = y.slots
     if y.descriptor != data.descriptor or y_slots.shape[-1] != data.blocks.shape[-1]:
         raise ValueError("data vector does not match the frame operator shape")
     if not np.isfinite(y.stack).all():
@@ -94,7 +94,7 @@ def _eigenbasis(data, y):
 def _vector(data, y, x_hat):
     """The module vector whose slot blocks are x_hat V*."""
     x_slots = x_hat @ data.block_eigenvectors.conj().swapaxes(1, 2)
-    return ModuleVector(y.descriptor, _from_slots(y.descriptor, x_slots)[0])
+    return ModuleVector.from_slots(y.descriptor, x_slots)
 
 
 def _least_count(log_need, log_rate):
@@ -146,11 +146,10 @@ def reconstruct_direct(data: FrameOperatorData, y: ModuleVector) -> Reconstructi
     require_frame(data, SINGULARITY_RATIO, SingularFrameOperator)
     y_hat, mu, y_scale = _eigenbasis(data, y)
     x = _vector(data, y, y_hat / mu)
-    y_slots, x_slots = (_to_slots(y.descriptor, v.stack[None]) for v in (y, x))
     return ReconstructionResult(
         vector=x,
         iterations=0,
-        residual_history=(_slot_norm(y_slots - x_slots @ data.blocks) / y_scale,),
+        residual_history=(_slot_norm(y.slots - x.slots @ data.blocks) / y_scale,),
         method="direct",
     )
 

@@ -93,10 +93,8 @@ class Scenario:
     rule: QuadratureRule
     family: OperatorFamily
     tolerances: dict
-    perturbation_kind: str | None = None
-    additive: AdditivePerturbation | None = None
-    relative: RelativePerturbation | None = None
-    comparison_family: OperatorFamily | None = None
+    perturbation: AdditivePerturbation | RelativePerturbation | None = None
+    comparison_family: OperatorFamily | None = None  # the relative perturbation's {L_w}
 
 
 def _get(mapping, key, path, kind=None):
@@ -249,7 +247,7 @@ def _parse_perturbation(doc, descriptor, n, rule, path):
             pert = AdditivePerturbation(ModuleOperator(descriptor, blocks), coefficient)
         except ValueError as exc:
             raise ScenarioError(path, str(exc)) from exc
-        return "additive", pert, None
+        return pert, None
     if kind == "relative":
         comparison = _parse_family(
             _get(doc, "comparison_family", path, dict), descriptor, n, rule,
@@ -267,7 +265,7 @@ def _parse_perturbation(doc, descriptor, n, rule, path):
             pert = RelativePerturbation(scale_a, scale_b, alpha, beta)
         except ValueError as exc:
             raise ScenarioError(path, str(exc)) from exc
-        return "relative", pert, comparison
+        return pert, comparison
     raise ScenarioError(f"{path}.kind", f"unknown perturbation kind {kind!r}")
 
 
@@ -277,7 +275,7 @@ def parse_scenario(doc: dict) -> Scenario:
     version = _get(doc, "schema_version", "")
     if type(version) is bytes:
         version = float(version)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # True == 1, but is no version
         raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
 
     algebra = _get(doc, "algebra", "", dict)
@@ -302,15 +300,11 @@ def parse_scenario(doc: dict) -> Scenario:
                 raise ScenarioError(f"tolerances.{key}", "tolerance must be positive")
             tolerances[key] = value
 
-    pert_kind, additive, relative, comparison = None, None, None, None
+    perturbation, comparison = None, None
     if "perturbation" in doc and doc["perturbation"] is not None:
-        pert_kind, pert, comparison = _parse_perturbation(
+        perturbation, comparison = _parse_perturbation(
             _get(doc, "perturbation", "", dict), descriptor, n, rule, "perturbation"
         )
-        if pert_kind == "additive":
-            additive = pert
-        else:
-            relative = pert
 
     return Scenario(
         raw=doc,
@@ -319,9 +313,7 @@ def parse_scenario(doc: dict) -> Scenario:
         rule=rule,
         family=family,
         tolerances=tolerances,
-        perturbation_kind=pert_kind,
-        additive=additive,
-        relative=relative,
+        perturbation=perturbation,
         comparison_family=comparison,
     )
 

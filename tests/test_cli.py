@@ -372,7 +372,7 @@ class TestIndependence:
         assert section["bounded_below"] is True
         assert section["sigma_min"] == pytest.approx(0.5, abs=1e-10)
         assert section["independent"] is False
-        assert section["kernel_dimension"] == 124
+        assert section["kernel_dimension"] == 62
         assert section["kernel_tolerance"] == KERNEL_TOL
 
     def test_kernel_tolerance_is_the_one_used(self, capsys, tmp_path):
@@ -382,10 +382,10 @@ class TestIndependence:
         assert code == 0
         section = json.loads(out)["independence"]
         assert (section["tolerance"], section["kernel_tolerance"]) == (1e-6, 1e-12)
-        assert section["kernel_dimension"] == 124
+        assert section["kernel_dimension"] == 62
         family = scenario_module.load_scenario(path).family
-        assert independence_check(family, section["kernel_tolerance"]) == (False, 124)
-        assert independence_check(family, section["tolerance"]) == (False, 126)
+        assert independence_check(family, section["kernel_tolerance"]) == (False, 62)
+        assert independence_check(family, section["tolerance"]) == (False, 63)
 
 
 class TestVerifyExamples:

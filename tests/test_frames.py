@@ -303,10 +303,10 @@ class TestIndependence:
         assert kernel_dim == 0
 
     def test_worked_family_large_kernel(self):
-        fam = diagonal_slope_family()  # 32 nodes, flattened dimension 4
+        fam = diagonal_slope_family()  # 32 nodes, module dimension 2
         independent, kernel_dim = independence_check(fam)
         assert not independent
-        assert kernel_dim == (len(fam) - 1) * 4
+        assert kernel_dim == (len(fam) - 1) * 2
 
     def test_repeated_node_kernel_vector(self):
         rng = np.random.default_rng(8)

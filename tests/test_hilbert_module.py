@@ -89,6 +89,25 @@ class TestLayout:
         assert np.array_equal(slots, want)
         assert np.array_equal(_from_slots(descriptor, slots), table)
 
+    @pytest.mark.parametrize("kind", ["full", "diagonal"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vector_slots_round_trip(self, kind, seed):
+        descriptor = AlgebraDescriptor(kind, 3)
+        k, n = descriptor.dim, 1 + seed
+        rng = np.random.default_rng(seed)
+        table = conforming_table(descriptor, (n,), rng)
+        table.real[rng.random(table.shape) < 0.3] = -0.0  # signed zeros must come back too
+        if kind == "diagonal":  # off its diagonal an element holds no slot entry, so no sign either
+            table = np.where(np.eye(k, dtype=bool), table, 0.0)
+        x = ModuleVector(descriptor, table)
+        flat = written_out_flattening(x.stack[None])
+        want = np.stack([flat[s::k, s::k] for s in range(k)]) if kind == "diagonal" else flat[None]
+        assert x.slots.shape == ((k, 1, n) if kind == "diagonal" else (1, k, n * k))
+        assert np.array_equal(x.slots, _to_slots(descriptor, x.stack[None]))
+        assert np.array_equal(x.slots, want)
+        back = ModuleVector.from_slots(descriptor, x.slots)
+        assert back.stack.tobytes() == x.stack.tobytes()
+
     def test_vector_is_its_table_of_one_row(self):
         x = random_vector(FULL2, 3, np.random.default_rng(9))
         assert np.array_equal(x.flatten(), written_out_flattening(x.stack[None]))
@@ -190,6 +209,14 @@ class TestL2:
         fam = L2Family(rule, DIAG2, np.stack([apply(slope_operator(w), x).stack for w in rule.nodes]))
         gram = l2_inner_product(fam, fam)
         assert np.allclose(gram.entries, np.diag([1.0 / 3.0, 0.25]), atol=1e-15)
+
+    @pytest.mark.parametrize("descriptor", [DIAG2, FULL2], ids=["diagonal", "full"])
+    def test_samples_of_another_algebra_size_are_refused(self, descriptor):
+        # a diagonal descriptor indexed 3 x 3 samples with its 2 x 2 mask and raised IndexError;
+        # a full one took them, and l2_inner_product compared their shapes
+        rule = gauss_legendre(0.0, 1.0, 2)
+        with pytest.raises(ValueError, match=r"^l2 samples must have shape \(2, 1, 2, 2\), got \(2, 1, 3, 3\)$"):
+            L2Family(rule, descriptor, np.zeros((2, 1, 3, 3)))
 
     def test_zero_partner(self):
         rule = gauss_legendre(0.0, 1.0, 3)

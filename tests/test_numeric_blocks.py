@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 from opframes import cli, scenario
 from opframes.cli import _emit, main
 from opframes.hilbert_module import _flatten
+from opframes.perturbation import AdditivePerturbation, RelativePerturbation
 from opframes.quadrature import gauss_legendre
 
 from families import generated_doc
@@ -147,8 +148,8 @@ def parsed_arrays(sc):
     arrays = [sc.family.flats, sc.family.coefficients]
     if sc.comparison_family is not None:
         arrays += [sc.comparison_family.flats, sc.comparison_family.coefficients]
-    if sc.additive is not None:
-        arrays.append(sc.additive.operator.blocks)
+    if isinstance(sc.perturbation, AdditivePerturbation):
+        arrays.append(sc.perturbation.operator.blocks)
     return [None if a is None else (a.shape, a.dtype, a.tobytes()) for a in arrays]
 
 
@@ -193,12 +194,12 @@ def table_arrays(sc, doc):
         elif owner is not None:
             pairs.append((family.flats, _flatten(as_array(owner["operators"]))))
     scalars = []
-    if sc.additive is not None:
-        pairs.append((sc.additive.operator.blocks, as_array(pert["operator"])))
-        scalars.append((sc.additive.coefficient, pert["coefficient"], False))
-    if sc.relative is not None:
-        scalars.append((sc.relative.scale_primal, pert["scale_primal"], True))
-        scalars.append((sc.relative.scale_other, pert["scale_other"], True))
+    if isinstance(sc.perturbation, AdditivePerturbation):
+        pairs.append((sc.perturbation.operator.blocks, as_array(pert["operator"])))
+        scalars.append((sc.perturbation.coefficient, pert["coefficient"], False))
+    if isinstance(sc.perturbation, RelativePerturbation):
+        scalars.append((sc.perturbation.scale_primal, pert["scale_primal"], True))
+        scalars.append((sc.perturbation.scale_other, pert["scale_other"], True))
     for parsed, owner, real in scalars:
         key = "coefficients" if owner["form"] == "polynomial" else "values"
         pairs.append((getattr(parsed, key), as_array(owner[key], real)))

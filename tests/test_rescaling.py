@@ -175,3 +175,19 @@ def test_a_dual_past_the_float_range_is_refused_by_name(capsys, tmp_path):
     code, out, err, caught = refusal(capsys, path, "independence")  # the frame itself is in range
     assert (code, err, caught) == (0, "", [])
     assert json.loads(out)["independence"]["bounded_below"] is True
+
+
+# past: t^2 at a node is past the largest double; numpy warned of overflow and
+# the SVD failed to converge.  below: the slot factor underflowed to 0, and
+# analyze read bessel_only with bounds (0, 0) where A/B is 0.75.
+FAR_INTERVALS = {"past": (1e300, 1e300 * (1 + 2**-52)), "below": (0.0, 1e-300)}
+
+
+@pytest.mark.parametrize("command", ["analyze", "independence", "dual"])
+@pytest.mark.parametrize("interval", list(FAR_INTERVALS))
+def test_a_far_interval_is_refused_by_name(capsys, tmp_path, interval, command):
+    doc = json.loads(json.dumps(documents()["diagonal_slope"]))
+    doc["measure"]["a"], doc["measure"]["b"] = FAR_INTERVALS[interval]
+    path = tmp_path / f"{interval}.json"
+    path.write_text(json.dumps(doc))
+    assert_refused_by_name(refusal(capsys, path, command))

@@ -190,6 +190,18 @@ def test_huge_scale_scenario_reads_as_the_unscaled_one(tmp_path, monkeypatch):
     assert huge["reconstruction"]["iterations"] == unscaled["reconstruction"]["iterations"] == 11
 
 
+def test_far_interval_scenarios_are_refused_by_name(tmp_path, monkeypatch):
+    # the refusals themselves are tests/test_rescaling.py's; here, that the matrix reaches them
+    monkeypatch.chdir(ROOT)
+    written = same_answers.far_intervals(tmp_path)
+    assert [(name, calls) for name, _, calls in written] == [("far_past", []), ("far_below", [])]
+    for name, path, _ in written:
+        measure = json.loads(path.read_text())["measure"]
+        assert (measure["a"], measure["b"]) == same_answers.FAR_INTERVALS[name]
+        code, out, err = same_answers.run_one(["analyze", "--scenario", str(path)])
+        assert (code, out) == (1, "") and err.startswith("error: ") and "float range" in err, err
+
+
 def answers(argv):
     """Exit code and report leaves of one invocation, less the echo and the dual's
     coefficients and form, which a sampled family has in other terms."""

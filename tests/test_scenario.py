@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from opframes.perturbation import AdditivePerturbation, RelativePerturbation
 from opframes.scenario import ScenarioError, load_scenario, parse_scenario
 
 from families import pairs
@@ -38,7 +39,7 @@ class TestParse:
         assert scenario.module_rank == 1
         assert len(scenario.rule) == 32
         assert scenario.family.form == "parametric"
-        assert scenario.perturbation_kind is None
+        assert scenario.perturbation is None
 
     def test_parses_counting_measure(self):
         doc = base_doc()
@@ -64,8 +65,8 @@ class TestParse:
             "coefficient": {"form": "polynomial", "coefficients": [[0.4, 0.0]]},
         }
         scenario = parse_scenario(doc)
-        assert scenario.perturbation_kind == "additive"
-        assert scenario.additive.energy(scenario.rule) == pytest.approx(0.16)
+        assert isinstance(scenario.perturbation, AdditivePerturbation)
+        assert scenario.perturbation.energy(scenario.rule) == pytest.approx(0.16)
 
     def test_parses_relative_perturbation(self):
         doc = base_doc()
@@ -78,8 +79,8 @@ class TestParse:
             "beta": 0.3,
         }
         scenario = parse_scenario(doc)
-        assert scenario.perturbation_kind == "relative"
-        assert scenario.relative.alpha == 0.4
+        assert isinstance(scenario.perturbation, RelativePerturbation)
+        assert scenario.perturbation.alpha == 0.4
         assert scenario.comparison_family is not None
 
 
@@ -105,6 +106,17 @@ class TestValidation:
         with pytest.raises(ScenarioError) as info:
             parse_scenario(doc)
         assert info.value.field_path == "schema_version"
+
+    def test_bool_schema_version_is_refused(self, tmp_path):
+        # True == 1 in Python, so a bool passed as version 1
+        doc = base_doc()
+        doc["schema_version"] = True
+        path = tmp_path / "bool_version.json"
+        path.write_text(json.dumps(doc))
+        for parse in (lambda: parse_scenario(doc), lambda: load_scenario(path)):
+            with pytest.raises(ScenarioError, match="^schema_version: expected 1, got True$") as info:
+                parse()
+            assert info.value.field_path == "schema_version"
 
     def test_missing_field_names_path(self):
         doc = base_doc()

@@ -29,10 +29,15 @@ tolerance 1e-13 and A/B = 1e-13 (1 + 1e-3), so the frame verdict depends
 on how accurately A is computed; see ``boundary``), on one huge-scale
 scenario written into OUTDIR (``diagonal_slope.json`` with both slopes
 times 1e150, bounds (2.5e299, 1e300/3), where <x,x> of a vector of the
-family's size is past the largest double; see ``huge_scale``), and on the
-scenario of each benchmark workload for seed 1 (whose own benchmark calls
-are added as they are), plus ``analyze --nodes 300000`` on every demo
-scenario and ``verify-examples`` with and without flags.
+family's size is past the largest double; see ``huge_scale``), on two
+far-interval scenarios written into OUTDIR (``diagonal_slope.json`` on
+[1e300, 1e300 (1 + 2^-52)], where t^2 at a node is past the largest double,
+and on [0, 1e-300], where the family's factor underflows to 0; every
+command refuses both with a message that names the float range; see
+``far_intervals``), and on the scenario of each benchmark workload for
+seed 1 (whose own benchmark calls are added as they are), plus
+``analyze --nodes 300000`` on every demo scenario and ``verify-examples``
+with and without flags.
 The reports echo every number as the scenario spells it, so the
 respellings hold that echo to the same answers in other layouts.  The demo
 scenarios use at most 32 nodes, so ``--nodes 256`` is what takes them past
@@ -98,6 +103,7 @@ NOTES = {  # a format mark, a comma, quotes, a line break and non-ASCII text in 
     "mixed": ["x", [0.5, 1e-05]],          # no table: a string beside a row of numbers
 }
 HUGE_SCALE = 1e150  # the huge-scale scenario's slopes: s ~ 1e300, near the largest double
+FAR_INTERVALS = {"far_past": (1e300, 1e300 * (1 + 2**-52)), "far_below": (0.0, 1e-300)}
 BOUNDARY_SEED = 2  # the boundary scenario's unitaries; eigenvalues of the formed s refuse this one
 SHOWN_DIFFERENCES = 3
 ROUNDING_LEVEL = 1e-9  # residuals and recovery errors stay below it
@@ -213,6 +219,20 @@ def huge_scale(workdir):
     return [(target.stem, target, [])]
 
 
+def far_intervals(workdir):
+    """(name, path, no calls) of ``diagonal_slope.json`` on each of FAR_INTERVALS,
+    written indented into ``workdir``: past the float range at [1e300, ...],
+    below it at [0, 1e-300]."""
+    out = []
+    for name, (a, b) in FAR_INTERVALS.items():
+        doc = json.loads((SCENARIOS / "diagonal_slope.json").read_text(encoding="utf-8"))
+        doc["measure"]["a"], doc["measure"]["b"] = a, b
+        target = workdir / f"{name}.json"
+        target.write_text(json.dumps(doc, **LAYOUTS["indented"]), encoding="utf-8")
+        out.append((target.stem, target, []))
+    return out
+
+
 def matrix(workdir):
     """Ordered {invocation name: argv}; paths are relative to the checkout root when possible."""
     from opframes.cli import COMMANDS
@@ -223,7 +243,7 @@ def matrix(workdir):
 
     demos = [(p.stem, p, []) for p in sorted(SCENARIOS.glob("*.json"))]
     sources = demos + respellings(workdir) + sampled(workdir) + ill_conditioned(workdir)
-    sources += boundary(workdir) + huge_scale(workdir) + bench_scenarios(workdir)
+    sources += boundary(workdir) + huge_scale(workdir) + far_intervals(workdir) + bench_scenarios(workdir)
     invocations = {}
     for stem, path, own_calls in sources:
         for command, (_, _, flags) in COMMANDS.items():
