@@ -25,7 +25,8 @@ sqrt(w_i) M_i* over the nodes.  A parametric family M(t) = sum_p C_p t^p,
 p < D, depends on the rule only through Phi_ip = sqrt(w_i) t_i^p, so with
 the triangle R of a Householder QR of Phi its factor is
 Y = (R (x) I_b)[C_p*], of min(N, D) b rows per slot, and Y* Y = V* V.
-Either is cached on the family.  A parametric family evaluates its node
+Either is cached on the family; the triangle R is computed once per rule
+and degree and cached on the rule.  A parametric family evaluates its node
 blocks only when they are read (``analysis``, ``synthesis``, and a pair
 with a sampled family, which pairs the two node factors V).  Every
 spectral quantity of a family comes from one SVD per slot of its factor
@@ -227,20 +228,19 @@ def _slot_factor(family) -> np.ndarray:
     parametric family's is Y: with the weighted Vandermonde matrix
     Phi_ip = sqrt(w_i) t_i^p (N x D) and R the (min(N, D), D) triangle of its
     Householder QR, Y = (R (x) I_b) [C_0*; ...; C_{D-1}*], since
-    V = (Phi (x) I_b) [C_p*] and Phi = Q R with orthonormal Q.  On a Gauss
+    V = (Phi (x) I_b) [C_p*] and Phi = Q R with orthonormal Q.  R comes from
+    ``QuadratureRule.vandermonde_triangle``, computed once per rule and
+    degree, so the parametric families on one rule share it.  On a Gauss
     rule with N >= D the products Y_L* Y_M are the integrals over the
-    measure itself.  A Phi with an entry past the float range raises ValueError.
+    measure itself.  A Phi with an entry past the float range raises
+    ValueError, on every call.
     """
     if family._factor is None:
         if family.form == SAMPLED:
             factor = _node_factor(family)
         else:
-            rule, slots = family.rule, _to_slots(family.descriptor, family.coefficients)
-            with np.errstate(over="ignore"):
-                phi = np.sqrt(rule.weights)[:, None] * rule.nodes[:, None] ** np.arange(slots.shape[1])
-            if not np.isfinite(phi).all():
-                raise ValueError("a node power sqrt(w_i) t_i^p of the rule is past the float range of doubles")
-            triangle = np.linalg.qr(phi, mode="r")
+            slots = _to_slots(family.descriptor, family.coefficients)
+            triangle = family.rule.vandermonde_triangle(slots.shape[1])
             factor = np.tensordot(slots.conj().swapaxes(-1, -2), triangle, axes=([1], [1]))
             factor = np.moveaxis(factor, -1, 1).reshape(len(slots), -1, slots.shape[-1])
         family._factor = _read_only(factor)

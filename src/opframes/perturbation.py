@@ -65,7 +65,11 @@ class ScalarFamily:
         return self._polynomial_at(rule.nodes)
 
     def _polynomial_at(self, points):
-        powers = points[:, None] ** np.arange(len(self.coefficients))[None, :]
+        """The polynomial at ``points``; a power t^p past the float range raises ValueError."""
+        with np.errstate(over="ignore"):
+            powers = points[:, None] ** np.arange(len(self.coefficients))[None, :]
+        if not np.isfinite(powers).all():
+            raise ValueError("a power t^p of a polynomial scale family is past the float range of doubles")
         return powers @ self.coefficients
 
     def real_range(self, rule: QuadratureRule) -> tuple[float, float]:

@@ -6,10 +6,11 @@ Bogaert's expansions above 100 nodes, in O(N), and from Newton's method on
 the Legendre recurrence up to 100.  An integral of algebra-valued samples
 is a finite weighted sum, one BLAS contraction with the weights over the
 node axis; weighted Gram forms of operator families are products of their
-slot factors (see ``frames``).  Results are the same from run to run for
-one numpy/BLAS build and thread count, but they are not bit-equal to a
-left-to-right fold: the two differ in the last few bits (a few 1e-15
-relative).
+slot factors (see ``frames``), and a rule caches the triangle of its
+weighted Vandermonde matrix for each degree they ask for.  Results are the
+same from run to run for one numpy/BLAS build and thread count, but they
+are not bit-equal to a left-to-right fold: the two differ in the last few
+bits (a few 1e-15 relative).
 """
 
 from __future__ import annotations
@@ -75,9 +76,30 @@ class QuadratureRule:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_triangles", {})  # vandermonde_triangle's, by degree
 
     def __len__(self):
         return len(self.nodes)
+
+    def vandermonde_triangle(self, terms: int) -> np.ndarray:
+        """The (min(N, D), D) triangle R of a Householder QR of the weighted
+        Vandermonde matrix Phi_ip = sqrt(w_i) t_i^p, p < D = ``terms``, for
+        polynomials of degree D - 1.
+
+        It is computed once per degree and cached on the rule, read-only, so
+        every parametric family on the rule shares it (``frames._slot_factor``).
+        A Phi with an entry past the float range raises ValueError, on every
+        call: a failure is never cached.
+        """
+        triangle = self._triangles.get(terms)
+        if triangle is None:
+            with np.errstate(over="ignore"):
+                phi = np.sqrt(self.weights)[:, None] * self.nodes[:, None] ** np.arange(terms)
+            if not np.isfinite(phi).all():
+                raise ValueError("a node power sqrt(w_i) t_i^p of the rule is past the float range of doubles")
+            triangle = self._triangles[terms] = np.linalg.qr(phi, mode="r")
+            triangle.setflags(write=False)
+        return triangle
 
     def __eq__(self, other):
         if not isinstance(other, QuadratureRule):

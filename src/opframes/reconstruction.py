@@ -33,6 +33,13 @@ largest spectral norm over the slots (the norm of their direct sum).  V is
 unitary, so an iteration's residual y_hat - x_hat mu has the norm of
 y - x s; the direct route, whose eigenbasis residual is zero to rounding,
 measures y - x s with the blocks of s.
+
+An iteration norms its steps' residuals in runs, one SVD of their stacked
+slot blocks per run: steps 0 to ``predicted_iterations``, then the steps
+left before the cap.  It returns the first step whose residual is not
+above tol, with its iterate, so the stopping rule and every number are
+those of norming one step at a time; a run may compute steps past that
+one, which it does not report.
 """
 
 from __future__ import annotations
@@ -61,6 +68,9 @@ CHEBYSHEV_SLACK = 2
 # relaxation with lam = 1/B has its count at tol = 1e-12 within it up to B/A
 # of about 73.
 CHEBYSHEV_BUDGET = 2000
+# The most steps whose residuals one SVD norms, so that a run holds a bounded
+# number of iterates and residual blocks at once.
+RUN_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -102,42 +112,67 @@ def _least_count(log_need, log_rate):
     return 0 if log_need <= 0.0 else math.ceil(log_need / log_rate)
 
 
+def _norms(residuals, y_scale):
+    """The norms of a run of residuals relative to y_scale, as floats, from one
+    SVD of their stacked slot blocks (LAPACK factors each block as it would
+    alone).  A run with an entry that is not finite is normed a step at a
+    time, as the steps are read, so that a block past the stopping step that
+    a lone SVD would refuse is never normed."""
+    blocks = np.stack(residuals)
+    if np.isfinite(blocks).all():
+        return (np.linalg.svd(blocks, compute_uv=False)[..., 0].max(axis=1) / y_scale).tolist()
+    return (_slot_norm(block) / y_scale for block in blocks)
+
+
 def _iterate(data, y, tol, theta, delta, predicted, **fields):
     """Chebyshev's recurrence on [theta - delta, theta + delta] from x_0 = y / theta,
     to the relative residual tol; ``fields`` complete the result.
 
-    Raises NoConvergence after ``predicted`` + CHEBYSHEV_SLACK steps, or after
-    CHEBYSHEV_BUDGET steps if that is fewer.  With delta = 0 every step is
-    x <- x + (y - x s) / theta.
+    The result is the first step whose residual is not above tol (a NaN
+    stops it too), with that step's iterate.  The steps' residuals are
+    normed in runs, one SVD per run (``_norms``): steps 0 to ``predicted``,
+    then the at most CHEBYSHEV_SLACK steps left before the cap, each run cut
+    into pieces of at most RUN_STEPS steps.  The recurrence is the same a
+    step at a time, so the iterates do not depend on where a run ends.
+    Raises NoConvergence after ``predicted`` + CHEBYSHEV_SLACK steps, or
+    after CHEBYSHEV_BUDGET steps if that is fewer.  With delta = 0 every
+    step is x <- x + (y - x s) / theta.
     """
     cap = min(predicted + CHEBYSHEV_SLACK, CHEBYSHEV_BUDGET)
     y_hat, mu, y_scale = _eigenbasis(data, y)
     x = y_hat / theta
     r = y_hat - x * mu
-    history = [_slot_norm(r) / y_scale]
     rho = delta / theta                  # Saad's rho_k = 1/sigma_k, sigma = theta/delta
     d = r / theta
-    while history[-1] > tol:
-        if len(history) > cap:
-            raise NoConvergence(
-                f"residual {history[-1]:.3e} > {tol:.3e} after {cap} iterations",
-                residual=history[-1],
-                iterations=cap,
-                predicted_iterations=predicted,
-            )
-        x = x + d
-        r = r - d * mu                   # drives the recurrence; the test reads the true residual
-        history.append(_slot_norm(y_hat - x * mu) / y_scale)
-        # rho' = 1/(2 sigma - rho) and 2 rho'/delta, spelled with no division by delta
-        scale = 2.0 * theta - rho * delta
-        rho, rho_prev = delta / scale, rho
-        d = (rho * rho_prev) * d + (2.0 / scale) * r
-    return ReconstructionResult(
-        vector=_vector(data, y, x),
-        iterations=len(history) - 1,
-        residual_history=tuple(history),
+    history, iterates, residuals, step = [], [x], [r], 0
+    stop = min(predicted, cap)
+    for end in sorted({*range(RUN_STEPS, stop, RUN_STEPS), stop, cap}):
+        while step < end:
+            step += 1
+            x = x + d
+            r = r - d * mu               # drives the recurrence; the test reads the true residual
+            iterates.append(x)
+            residuals.append(y_hat - x * mu)
+            # rho' = 1/(2 sigma - rho) and 2 rho'/delta, spelled with no division by delta
+            scale = 2.0 * theta - rho * delta
+            rho, rho_prev = delta / scale, rho
+            d = (rho * rho_prev) * d + (2.0 / scale) * r
+        for x_k, residual in zip(iterates, _norms(residuals, y_scale)):
+            history.append(residual)
+            if not residual > tol:
+                return ReconstructionResult(
+                    vector=_vector(data, y, x_k),
+                    iterations=len(history) - 1,
+                    residual_history=tuple(history),
+                    predicted_iterations=predicted,
+                    **fields,
+                )
+        iterates, residuals = [], []
+    raise NoConvergence(
+        f"residual {history[-1]:.3e} > {tol:.3e} after {cap} iterations",
+        residual=history[-1],
+        iterations=cap,
         predicted_iterations=predicted,
-        **fields,
     )
 
 

@@ -10,10 +10,12 @@ in θ = arccos x from an asymptotic guess, in double precision).
 
 import csv
 import io
+import math
 
 import numpy as np
 
 from opframes.hilbert_module import ModuleOperator, ModuleVector
+from opframes.reconstruction import CHEBYSHEV_BUDGET, CHEBYSHEV_SLACK
 
 
 def jacobi_eigh(matrix, tol=1e-14, max_sweeps=100):
@@ -102,6 +104,56 @@ def dense_solve(s, y):
     """x with x s = y by one np.linalg.solve on the dense (nk, nk) frame operator s;
     y and x are k x nk flattenings."""
     return np.linalg.solve(s.T, y.T).T
+
+
+def spectral_norm(blocks):
+    """The largest spectral norm over slot blocks (m, rows, cols), by one SVD."""
+    return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
+
+
+def frame_iteration(data, y, method, tol):
+    """The frame algorithm from the cached eigenpairs of s, one step at a time,
+    each step's residual normed by its own SVD: Chebyshev's recurrence on [A, B]
+    ("chebyshev"), or the relaxation with step 1/B ("auto") or 2/(A + B)
+    ("optimal"), with the a-priori count and the cap of ``reconstruction``.
+
+    Returns (the stack of x, or None when the cap stops it, the residual
+    history relative to ||y||, the a-priori count).
+    """
+    values = data.block_eigenvalues
+    lo, hi = float(np.min(values[..., 0])), float(np.max(values[..., -1]))
+    if method == "chebyshev":
+        theta, delta = (hi + lo) / 2.0, (hi - lo) / 2.0
+        root_sum = math.sqrt(hi) + math.sqrt(lo)
+        q = 2.0 * delta / root_sum / root_sum
+        log_need = math.log(delta) - math.log(theta) - math.log(tol) if delta > 0.0 else -math.inf
+        if log_need > 0.0:
+            log_need += math.log1p(math.sqrt(-math.expm1(-2.0 * log_need)))
+        rate = -math.log(q) if q > 0.0 else math.inf
+        predicted = 0 if log_need <= 0.0 else math.ceil(log_need / rate)
+    else:
+        theta, delta = (hi if method == "auto" else (hi + lo) / 2.0), 0.0
+        lam = 1.0 / theta
+        q = max(abs(1.0 - lam * lo), abs(1.0 - lam * hi))
+        predicted = max(0, math.ceil(-math.log(tol) / -math.log(q)) - 1) if q > 0.0 else 0
+    cap = min(predicted + CHEBYSHEV_SLACK, CHEBYSHEV_BUDGET)
+    vectors = data.block_eigenvectors
+    y_hat, mu = y.slots @ vectors, values[:, None, :]
+    y_scale = spectral_norm(y.slots) or 1.0
+    x = y_hat / theta
+    r = y_hat - x * mu
+    history = [spectral_norm(r) / y_scale]
+    rho, d = delta / theta, r / theta
+    while history[-1] > tol:
+        if len(history) > cap:
+            return None, history, predicted
+        x = x + d
+        r = r - d * mu
+        history.append(spectral_norm(y_hat - x * mu) / y_scale)
+        scale = 2.0 * theta - rho * delta
+        rho, rho_prev = delta / scale, rho
+        d = (rho * rho_prev) * d + (2.0 / scale) * r
+    return ModuleVector.from_slots(y.descriptor, x @ vectors.conj().swapaxes(1, 2)).stack, history, predicted
 
 
 def fold_integral(weights, samples):

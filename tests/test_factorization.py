@@ -15,7 +15,9 @@ from opframes.duals import canonical_dual, is_dual_pair
 from opframes.frames import OperatorFamily, frame_operator, optimal_bounds, synthesis
 from opframes.hilbert_module import L2Family
 from opframes.perturbation import RelativePerturbation, ScalarFamily, relative_criterion_check
+from opframes.hilbert_module import _to_slots
 from opframes.quadrature import gauss_legendre, integrate_array
+from opframes.scenario import load_scenario
 
 from oracles import criterion_terms, fold_integral, fold_products
 
@@ -88,8 +90,9 @@ class TestOneFactorizationPerFamily:
     @pytest.mark.parametrize("name,families", [("perturbed_additive.json", 3), ("perturbed_relative.json", 6)])
     def test_analyze_runs_one_slot_factor_per_family(self, monkeypatch, capsys, name, families):
         # the relative criterion adds three: aT, bL and aT - bL, each with its own
-        # factor and none factored further; every parametric factor takes one QR
-        # of its Vandermonde matrix, and every SVD one QR of the factor before it
+        # factor and none factored further; the parametric factors of one degree on
+        # one rule share one QR of their Vandermonde matrix, and every SVD takes
+        # one QR of the factor before it
         refuse(monkeypatch, "eigh")
         calls, qrs = count_calls(monkeypatch, "svd"), count_calls(monkeypatch, "qr")
         factored, factor = [], frames._slot_factor
@@ -104,7 +107,9 @@ class TestOneFactorizationPerFamily:
         svds = factorizations(calls)
         assert len({id(f) for f in factored}) == families
         assert len(svds) == 3
-        assert len(qrs) == families + len(svds)
+        vandermondes = {(id(f.rule), len(f.coefficients)) for f in factored if f.form == frames.PARAMETRIC}
+        assert len(vandermondes) == 1
+        assert len(qrs) == len(vandermondes) + len(svds) == 4
 
     @pytest.mark.parametrize("method", ["direct", "neumann", "chebyshev"])
     def test_reconstruct_runs_one_svd_and_no_inverse(self, monkeypatch, capsys, method):
@@ -143,6 +148,59 @@ class TestOneFactorizationPerFamily:
     def test_frame_operator_is_cached_on_the_family(self):
         family = random_family(DESCRIPTORS[0], seed=1)
         assert frame_operator(family) is frame_operator(family)
+
+
+def uncached_triangle(rule, degree):
+    """The triangle of a QR of Phi_ip = sqrt(w_i) t_i^p, formed here and cached nowhere."""
+    return np.linalg.qr(np.sqrt(rule.weights)[:, None] * rule.nodes[:, None] ** np.arange(degree), mode="r")
+
+
+class TestVandermondeTriangle:
+    # the parametric families on one rule share one QR of Phi per degree
+    @pytest.mark.parametrize("descriptor", DESCRIPTORS)
+    def test_families_on_one_rule_share_one_triangle(self, monkeypatch, descriptor):
+        rule = gauss_legendre(0.0, 1.0, 37)
+        first, second = (random_family(descriptor, seed).with_rule(rule) for seed in (1, 2))
+        qrs = count_calls(monkeypatch, "qr")
+        frame_operator(first), frame_operator(second)
+        assert [a.shape for a, _ in qrs].count((37, 3)) == 1  # Phi is N x D; the factors' QRs are not
+        assert rule.vandermonde_triangle(3) is rule.vandermonde_triangle(3)
+        assert not rule.vandermonde_triangle(3).flags.writeable
+
+    def test_every_rule_has_its_own(self, tmp_path):
+        # with_rule moves a family to another rule object, equal or not, and
+        # --nodes parses the scenario on a rule of its own
+        rule = gauss_legendre(0.0, 1.0, 37)
+        family = random_frame_family(DESCRIPTORS[0], 2, rule, seed=3)
+        for other in (gauss_legendre(0.0, 1.0, 37), gauss_legendre(0.0, 1.0, 64)):
+            moved = family.with_rule(other)
+            assert moved.rule is other and other.vandermonde_triangle(3) is not rule.vandermonde_triangle(3)
+        scenarios = [load_scenario(SCENARIOS / "diagonal_slope.json", nodes) for nodes in (None, None, 64)]
+        triangles = [s.rule.vandermonde_triangle(2) for s in scenarios]
+        assert len({id(t) for t in triangles}) == 3 and triangles[2].shape == (2, 2)
+
+    @pytest.mark.parametrize("descriptor", DESCRIPTORS)
+    @pytest.mark.parametrize("degree, nodes", [(2, 37), (4, 3), (1, 1)])
+    def test_slot_factor_is_that_of_an_uncached_triangle(self, descriptor, degree, nodes):
+        # nodes < degree too, where the triangle is min(N, D) x D
+        rule = gauss_legendre(0.0, 1.0, nodes)
+        family = random_frame_family(descriptor, 2, rule, degree=degree - 1, seed=4)
+        slots = _to_slots(descriptor, family.coefficients)
+        want = np.tensordot(slots.conj().swapaxes(-1, -2), uncached_triangle(rule, degree), axes=([1], [1]))
+        want = np.moveaxis(want, -1, 1).reshape(len(slots), -1, slots.shape[-1])
+        got = frames._slot_factor(family)
+        assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_far_interval_raises_on_every_call(self):
+        rule = gauss_legendre(1e300, 1e300 * (1 + 2**-52), 4)
+        for seed in (5, 6):  # two families on the rule, each factored twice
+            family = random_family(DESCRIPTORS[1], seed).with_rule(rule)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="^a node power sqrt.* past the float range of doubles$"):
+                    frames._slot_factor(family)
+        assert rule.vandermonde_triangle(1).shape == (1, 1)  # t^0: in range, and cached alone
+        with pytest.raises(ValueError, match="float range"):
+            rule.vandermonde_triangle(3)
 
 
 class TestReadOnly:

@@ -22,13 +22,14 @@ from opframes.quadrature import counting, gauss_legendre
 from opframes.reconstruction import (
     CHEBYSHEV_BUDGET,
     CHEBYSHEV_SLACK,
+    RUN_STEPS,
     reconstruct_chebyshev,
     reconstruct_direct,
     reconstruct_neumann,
 )
 
 from families import ROOT3, rank_deficient_family, ratio_slopes, tiny_slopes
-from oracles import dense_solve, fold_products, weighted_sum
+from oracles import dense_solve, fold_products, frame_iteration, weighted_sum
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
@@ -352,6 +353,102 @@ class TestChebyshev:
         y = random_vector(DIAG2, 1, np.random.default_rng(18))
         with pytest.raises(SingularFrameOperator):
             reconstruct_chebyshev(data, y)
+
+
+def iterate(data, y, method, tol):
+    if method == "chebyshev":
+        return reconstruct_chebyshev(data, y, tol=tol)
+    return reconstruct_neumann(data, y, relaxation=method, tol=tol)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def assert_as_one_step_at_a_time(data, y, method, tol):
+    """The result, or the NoConvergence, of ``method`` is that of the per-step oracle, bit for bit."""
+    stack, history, predicted = frame_iteration(data, y, method, tol)
+    if stack is None:
+        with pytest.raises(NoConvergence) as info:
+            iterate(data, y, method, tol)
+        exc = info.value
+        assert (exc.iterations, exc.predicted_iterations) == (len(history) - 1, predicted)
+        assert bits(exc.residual) == bits(history[-1])
+        return None
+    result = iterate(data, y, method, tol)
+    assert (result.iterations, result.predicted_iterations) == (len(history) - 1, predicted)
+    assert np.array_equal(bits(result.residual_history), bits(history))
+    assert np.array_equal(result.vector.stack.view(np.uint64), stack.view(np.uint64))
+    return result
+
+
+class TestRunsOfResiduals:
+    # the steps' residuals are normed in runs, one SVD per run; the per-step
+    # loop of tests/oracles.py norms each by its own SVD
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(
+        method=st.sampled_from(["chebyshev", "auto", "optimal"]),
+        kind=st.sampled_from(["full", "diagonal"]),
+        k=st.integers(1, 3),
+        n=st.integers(1, 3),
+        log_ratio=st.floats(0.0, 4.0),
+        log_scale=st.floats(-6.0, 6.0),
+        tol=st.sampled_from([1e-300, 1e-14, 1e-12, 1e-8, 1e-3]),
+        solvable=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_svd_per_step(self, method, kind, k, n, log_ratio, log_scale, tol, solvable, seed):
+        # a diagonal algebra's slot blocks have one row, a full one's k; y is S x, or any vector
+        rng = np.random.default_rng(seed)
+        descriptor = AlgebraDescriptor(kind, k)
+        ratio = 10.0 ** (log_ratio if method == "chebyshev" else 0.4 * log_ratio)
+        size = n * k
+        spectrum = np.concatenate([[1.0, ratio], rng.uniform(1.0, ratio, max(size - 2, 0))])[:size]
+        data = frame_operator(prescribed_family(descriptor, n, 10.0**log_scale * rng.permutation(spectrum), rng))
+        y = random_vector(descriptor, n, rng)
+        assert_as_one_step_at_a_time(data, apply(data.element, y) if solvable else y, method, tol)
+
+    @pytest.mark.parametrize("method, slopes", [("auto", (1.0, ROOT3 / 20.0)), ("chebyshev", ratio_slopes(1e-8))])
+    def test_budget_stops_as_one_step_at_a_time(self, method, slopes):
+        # B/A = 133 for the relaxation with step 1/B and 1e8 for Chebyshev, at tol 1e-12
+        data = frame_operator(diagonal_slope_family(slopes))
+        y = random_vector(DIAG2, 1, np.random.default_rng(25))
+        assert assert_as_one_step_at_a_time(data, y, method, 1e-12) is None
+
+    @pytest.mark.parametrize("method", ["chebyshev", "auto"])
+    @pytest.mark.parametrize("kind", ["full", "diagonal"])
+    def test_a_residual_past_the_float_range_stops_as_one_step_at_a_time(self, method, kind):
+        # entries near the largest double: ||y|| and x_0 mu overflow, so the solve
+        # stops at step 0 with a relative residual of NaN or 0; the steps after it,
+        # which a run computes too, may hold NaN, which an SVD refuses
+        descriptor = AlgebraDescriptor(kind, 2)
+        rng = np.random.default_rng(26)
+        data = frame_operator(prescribed_family(descriptor, 2, [1.0, 3.0, 2.0, 2.5], rng))
+        y = random_vector(descriptor, 2, rng)
+        y = ModuleVector(descriptor, y.stack / np.abs(y.stack).max() * 1.7e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_as_one_step_at_a_time(data, y, method, 1e-12)
+
+    @pytest.mark.parametrize("method, slopes, runs", [
+        ("chebyshev", (1.0, ROOT3 / 20.0), 1),  # B/A = 133, converged within the a-priori count
+        ("auto", (1.0, ROOT3 / 2.0), 1),  # B/A = 4/3
+        ("chebyshev", ratio_slopes(1e-8), math.ceil(CHEBYSHEV_BUDGET / RUN_STEPS)),  # the budget, in pieces
+    ])
+    def test_one_svd_per_run_of_steps(self, monkeypatch, method, slopes, runs):
+        data = frame_operator(diagonal_slope_family(slopes))
+        y = random_vector(DIAG2, 1, np.random.default_rng(27))
+        normed, svd = [], np.linalg.svd  # the steps of each stacked SVD
+
+        def counting(a, *args, **kwargs):
+            normed.extend([len(a)] if np.ndim(a) == 4 else [])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        try:
+            steps = iterate(data, y, method, 1e-12).iterations
+        except NoConvergence as exc:
+            steps = exc.iterations
+        assert len(normed) == runs and max(normed) <= RUN_STEPS + 1 and sum(normed) >= steps + 1
 
 
 class TestNoSecondFactorization:

@@ -191,3 +191,22 @@ def test_a_far_interval_is_refused_by_name(capsys, tmp_path, interval, command):
     path = tmp_path / f"{interval}.json"
     path.write_text(json.dumps(doc))
     assert_refused_by_name(refusal(capsys, path, command))
+
+
+# perturbed_additive.json in sampled form on the past interval: its node
+# operators are in range, but t^2 of the additive coefficient 0.4 + c t^2 is
+# not, and with c = 0, inf * 0 is NaN; numpy warned of overflow and of an
+# invalid matmul, and the SVD failed to converge
+@pytest.mark.parametrize("command", ["analyze", "perturb"])
+@pytest.mark.parametrize("c", [1e-300, 0.0])
+def test_a_far_polynomial_coefficient_is_refused_by_name(capsys, tmp_path, c, command):
+    doc = documents()["perturbed_additive"]
+    unit = (np.polynomial.legendre.leggauss(doc["measure"]["nodes"])[0] + 1.0) / 2.0  # its rule's nodes on [0, 1]
+    coefficients = np.array(doc["family"]["coefficients"])
+    doc["family"] = {"form": "sampled",
+                     "operators": np.tensordot(unit[:, None] ** np.arange(len(coefficients)), coefficients, 1).tolist()}
+    doc["measure"]["a"], doc["measure"]["b"] = FAR_INTERVALS["past"]
+    doc["perturbation"]["coefficient"]["coefficients"] = [[0.4, 0.0], [0.0, 0.0], [c, 0.0]]
+    path = tmp_path / "far_additive.json"
+    path.write_text(json.dumps(doc))
+    assert_refused_by_name(refusal(capsys, path, command))

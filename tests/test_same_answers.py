@@ -194,12 +194,20 @@ def test_far_interval_scenarios_are_refused_by_name(tmp_path, monkeypatch):
     # the refusals themselves are tests/test_rescaling.py's; here, that the matrix reaches them
     monkeypatch.chdir(ROOT)
     written = same_answers.far_intervals(tmp_path)
-    assert [(name, calls) for name, _, calls in written] == [("far_past", []), ("far_below", [])]
+    names = ["far_past", "far_below", "far_past_additive"]
+    assert [(name, calls) for name, _, calls in written] == [(name, []) for name in names]
     for name, path, _ in written:
-        measure = json.loads(path.read_text())["measure"]
-        assert (measure["a"], measure["b"]) == same_answers.FAR_INTERVALS[name]
-        code, out, err = same_answers.run_one(["analyze", "--scenario", str(path)])
-        assert (code, out) == (1, "") and err.startswith("error: ") and "float range" in err, err
+        doc = json.loads(path.read_text())
+        measure = doc["measure"]
+        assert (measure["a"], measure["b"]) == same_answers.FAR_INTERVALS[name.removesuffix("_additive")]
+        commands = ["analyze"]
+        if name == same_answers.FAR_ADDITIVE:  # a sampled family in range, its additive coefficient not
+            assert doc["family"]["form"] == "sampled"
+            assert doc["perturbation"]["coefficient"]["coefficients"] == same_answers.FAR_COEFFICIENT
+            commands.append("perturb")
+        for command in commands:
+            code, out, err = same_answers.run_one([command, "--scenario", str(path)])
+            assert (code, out) == (1, "") and err.startswith("error: ") and "float range" in err, err
 
 
 def answers(argv):

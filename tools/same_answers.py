@@ -33,7 +33,12 @@ family's size is past the largest double; see ``huge_scale``), on two
 far-interval scenarios written into OUTDIR (``diagonal_slope.json`` on
 [1e300, 1e300 (1 + 2^-52)], where t^2 at a node is past the largest double,
 and on [0, 1e-300], where the family's factor underflows to 0; every
-command refuses both with a message that names the float range; see
+command refuses both with a message that names the float range), on one
+far-interval additive scenario written into OUTDIR (the sampled respelling
+of ``perturbed_additive.json`` on the first interval with the coefficient
+0.4 + 1e-300 t^2, whose t^2 is past the largest double where the node
+operators are not, so ``analyze`` and ``perturb`` refuse it by the float
+range and the commands that do not read the coefficient answer; see
 ``far_intervals``), and on the scenario of each benchmark workload for
 seed 1 (whose own benchmark calls are added as they are), plus
 ``analyze --nodes 300000`` on every demo scenario and ``verify-examples``
@@ -104,6 +109,8 @@ NOTES = {  # a format mark, a comma, quotes, a line break and non-ASCII text in 
 }
 HUGE_SCALE = 1e150  # the huge-scale scenario's slopes: s ~ 1e300, near the largest double
 FAR_INTERVALS = {"far_past": (1e300, 1e300 * (1 + 2**-52)), "far_below": (0.0, 1e-300)}
+FAR_ADDITIVE = "far_past_additive"  # a sampled additive scenario on the far_past interval
+FAR_COEFFICIENT = [[0.4, 0.0], [0.0, 0.0], [1e-300, 0.0]]  # its coefficient 0.4 + 1e-300 t^2
 BOUNDARY_SEED = 2  # the boundary scenario's unitaries; eigenvalues of the formed s refuse this one
 SHOWN_DIFFERENCES = 3
 ROUNDING_LEVEL = 1e-9  # residuals and recovery errors stay below it
@@ -138,23 +145,30 @@ def respellings(workdir):
     return out
 
 
+def sampled_doc(path):
+    """The demo scenario at ``path`` with its family, and a relative comparison
+    family, in sampled form: the polynomial evaluated at the nodes of the
+    scenario's own rule."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    measure = doc["measure"]  # every demo scenario is on a Gauss-Legendre rule
+    unit = (np.polynomial.legendre.leggauss(measure["nodes"])[0] + 1.0) / 2.0
+    nodes = measure["a"] + (measure["b"] - measure["a"]) * unit
+    families = [doc["family"]]
+    if doc.get("perturbation", {}).get("kind") == "relative":
+        families.append(doc["perturbation"]["comparison_family"])
+    for family in families:
+        coefficients = np.array(family.pop("coefficients"))  # [re, im] pairs are linear in t too
+        powers = nodes[:, None] ** np.arange(len(coefficients))
+        family.update(form="sampled", operators=np.tensordot(powers, coefficients, axes=1).tolist())
+    return doc
+
+
 def sampled(workdir):
-    """(name, path, no calls) of each demo scenario with its family, and a relative
-    comparison family, in sampled form, written indented into ``workdir``: the
-    polynomial evaluated at the nodes of the scenario's own rule."""
+    """(name, path, no calls) of each demo scenario in sampled form (``sampled_doc``),
+    written indented into ``workdir``."""
     out = []
     for path in sorted(SCENARIOS.glob("*.json")):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        measure = doc["measure"]  # every demo scenario is on a Gauss-Legendre rule
-        unit = (np.polynomial.legendre.leggauss(measure["nodes"])[0] + 1.0) / 2.0
-        nodes = measure["a"] + (measure["b"] - measure["a"]) * unit
-        families = [doc["family"]]
-        if doc.get("perturbation", {}).get("kind") == "relative":
-            families.append(doc["perturbation"]["comparison_family"])
-        for family in families:
-            coefficients = np.array(family.pop("coefficients"))  # [re, im] pairs are linear in t too
-            powers = nodes[:, None] ** np.arange(len(coefficients))
-            family.update(form="sampled", operators=np.tensordot(powers, coefficients, axes=1).tolist())
+        doc = sampled_doc(path)
         target = workdir / f"{path.stem}.sampled.json"
         target.write_text(json.dumps(doc, **LAYOUTS["indented"]), encoding="utf-8")
         out.append((target.stem, target, []))
@@ -221,12 +235,20 @@ def huge_scale(workdir):
 
 def far_intervals(workdir):
     """(name, path, no calls) of ``diagonal_slope.json`` on each of FAR_INTERVALS,
-    written indented into ``workdir``: past the float range at [1e300, ...],
-    below it at [0, 1e-300]."""
-    out = []
+    past the float range at [1e300, ...] and below it at [0, 1e-300], and of
+    FAR_ADDITIVE, written indented into ``workdir``: the sampled respelling of
+    ``perturbed_additive.json`` (``sampled_doc``) moved to the first interval,
+    with the additive coefficient FAR_COEFFICIENT, whose power t^2 is past the
+    float range while the family's node operators are not."""
+    docs = {}
     for name, (a, b) in FAR_INTERVALS.items():
-        doc = json.loads((SCENARIOS / "diagonal_slope.json").read_text(encoding="utf-8"))
-        doc["measure"]["a"], doc["measure"]["b"] = a, b
+        docs[name] = json.loads((SCENARIOS / "diagonal_slope.json").read_text(encoding="utf-8"))
+        docs[name]["measure"]["a"], docs[name]["measure"]["b"] = a, b
+    doc = docs[FAR_ADDITIVE] = sampled_doc(SCENARIOS / "perturbed_additive.json")
+    doc["measure"]["a"], doc["measure"]["b"] = FAR_INTERVALS["far_past"]
+    doc["perturbation"]["coefficient"]["coefficients"] = FAR_COEFFICIENT
+    out = []
+    for name, doc in docs.items():
         target = workdir / f"{name}.json"
         target.write_text(json.dumps(doc, **LAYOUTS["indented"]), encoding="utf-8")
         out.append((target.stem, target, []))
