@@ -23,12 +23,13 @@ slot factors (``_gram``): per slot, F is a tall matrix with F* F = s.  A
 sampled family's is the weighted analysis map V, which stacks
 sqrt(w_i) M_i* over the nodes.  A parametric family M(t) = sum_p C_p t^p,
 p < D, depends on the rule only through Phi_ip = sqrt(w_i) t_i^p, so with
-the triangle R of a Householder QR of Phi its factor is
-Y = (R (x) I_b)[C_p*], of min(N, D) b rows per slot, and Y* Y = V* V.
-Either is cached on the family; the triangle R is computed once per rule
-and degree and cached on the rule.  A parametric family evaluates its node
-blocks only when they are read (``analysis``, ``synthesis``, and a pair
-with a sampled family, which pairs the two node factors V).  Every
+the triangle R of a Householder QR of Phi its factor is Y = (R (x) I_b)[C_p*],
+of min(N, D) b rows per slot, and Y* Y = V* V.  Either is cached on the
+family; the triangle R is computed once per rule and degree and cached on
+the rule.  A parametric family evaluates its node blocks only when they are
+read (``analysis``, ``synthesis``, and a pair with a sampled family, which
+pairs the two node factors V).  Phi and the node blocks take their t^p from
+``quadrature.node_powers``, which refuses one past the float range.  Every
 spectral quantity of a family comes from one SVD per slot of its factor
 (``frame_operator``), never from the formed s, whose eigenvalues carry A
 with a relative error of about eps B/A; sigma_min^2 carries about
@@ -54,7 +55,7 @@ from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_to
 from .exceptions import NotAFrame
 from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _check_fit, _flatten, _from_slots
 from .hilbert_module import _side_by_side, _to_slots, _unflatten
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, node_powers
 
 FRAME_TOL = 1e-8  # the default tol of the frame rule, in the library and in scenarios
 PARAMETRIC = "parametric"
@@ -68,8 +69,8 @@ def _read_only(arr):
 
 
 def _node_blocks(rule, descriptor, coefficients):
-    """Slot blocks (m, N, b, b) of the polynomial sum_p C_p t^p at the nodes of ``rule``."""
-    powers = rule.nodes[:, None] ** np.arange(len(coefficients))[None, :]
+    """Slot blocks (m, N, b, b) of sum_p C_p t^p at the nodes of ``rule``, t^p from ``node_powers``."""
+    powers = node_powers(rule.nodes, len(coefficients))
     blocks = np.tensordot(powers, _to_slots(descriptor, coefficients), axes=([1], [1]))
     return np.ascontiguousarray(blocks.swapaxes(0, 1))
 
@@ -232,8 +233,8 @@ def _slot_factor(family) -> np.ndarray:
     ``QuadratureRule.vandermonde_triangle``, computed once per rule and
     degree, so the parametric families on one rule share it.  On a Gauss
     rule with N >= D the products Y_L* Y_M are the integrals over the
-    measure itself.  A Phi with an entry past the float range raises
-    ValueError, on every call.
+    measure itself.  Phi's float-range refusal (``quadrature.node_powers``)
+    is raised on every call.
     """
     if family._factor is None:
         if family.form == SAMPLED:

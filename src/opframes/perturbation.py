@@ -21,11 +21,11 @@ from numpy.polynomial import polynomial as P
 from .algebra import SINGULARITY_RATIO, _check_tol
 from .frames import PARAMETRIC, OperatorFamily, _gram, _require_fit, extremal_vector, frame_operator, require_frame
 from .hilbert_module import ModuleOperator, _check_fit, op_norm, random_vector
-from .quadrature import COUNTING, QuadratureRule
+from .quadrature import COUNTING, QuadratureRule, node_powers
 
 
 class ScalarFamily:
-    """A scalar function of the node variable: polynomial or per-node samples."""
+    """A scalar function of the node variable: a polynomial, valued through ``node_powers``, or per-node samples."""
 
     def __init__(self, *, coefficients=None, values=None):
         if (coefficients is None) == (values is None):
@@ -62,15 +62,7 @@ class ScalarFamily:
             if len(self.values) != len(rule):
                 raise ValueError(f"need {len(rule)} samples, got {len(self.values)}")
             return self.values
-        return self._polynomial_at(rule.nodes)
-
-    def _polynomial_at(self, points):
-        """The polynomial at ``points``; a power t^p past the float range raises ValueError."""
-        with np.errstate(over="ignore"):
-            powers = points[:, None] ** np.arange(len(self.coefficients))[None, :]
-        if not np.isfinite(powers).all():
-            raise ValueError("a power t^p of a polynomial scale family is past the float range of doubles")
-        return powers @ self.coefficients
+        return node_powers(rule.nodes, len(self.coefficients)) @ self.coefficients
 
     def real_range(self, rule: QuadratureRule) -> tuple[float, float]:
         """Exact (inf, sup) of the real values over the node set or the interval.
@@ -86,8 +78,8 @@ class ScalarFamily:
             a, b = rule.space.a, rule.space.b
             slopes = (P.polyder(self.coefficients.real), P.polyder(self.coefficients.imag))
             # extra points inside [a, b] never move the inf or the sup
-            critical = np.concatenate([P.polyroots(c).real for c in slopes])
-            vals = self._polynomial_at(np.concatenate([[a, b], np.clip(critical, a, b)]))
+            critical = np.clip(np.concatenate([P.polyroots(c).real for c in slopes]), a, b)
+            vals = node_powers(np.concatenate([[a, b], critical]), len(self.coefficients)) @ self.coefficients
         if np.max(np.abs(vals.imag), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(vals))):
             raise ValueError("scale family must be real-valued")
         return float(np.min(vals.real)), float(np.max(vals.real))

@@ -7,10 +7,11 @@ the Legendre recurrence up to 100.  An integral of algebra-valued samples
 is a finite weighted sum, one BLAS contraction with the weights over the
 node axis; weighted Gram forms of operator families are products of their
 slot factors (see ``frames``), and a rule caches the triangle of its
-weighted Vandermonde matrix for each degree they ask for.  Results are the
-same from run to run for one numpy/BLAS build and thread count, but they
-are not bit-equal to a left-to-right fold: the two differ in the last few
-bits (a few 1e-15 relative).
+weighted Vandermonde matrix for each degree they ask for.  Every power t^p
+of the node variable comes from ``node_powers``, which refuses one past the
+float range.  Results are the same from run to run for one numpy/BLAS build
+and thread count, but they are not bit-equal to a left-to-right fold: the
+two differ in the last few bits (a few 1e-15 relative).
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ class MeasureSpace:
                 raise ValueError(f"counting measure requires N >= 1, got {self.count}")
         else:
             raise ValueError(f"unknown measure kind {self.kind!r}")
+
+
+def node_powers(points: np.ndarray, terms: int, scale=1.0) -> np.ndarray:
+    """(len(points), terms) matrix scale * t^p, p < ``terms``, over the points t; ``scale``
+    broadcasts, and 1.0 is exact.  An entry past the float range raises ValueError."""
+    with np.errstate(over="ignore"):
+        powers = scale * points[:, None] ** np.arange(terms)
+    if not np.isfinite(powers).all():
+        raise ValueError("a node power t^p is past the float range of doubles")
+    return powers
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,15 +99,11 @@ class QuadratureRule:
 
         It is computed once per degree and cached on the rule, read-only, so
         every parametric family on the rule shares it (``frames._slot_factor``).
-        A Phi with an entry past the float range raises ValueError, on every
-        call: a failure is never cached.
+        Phi comes from ``node_powers``, whose refusal is never cached.
         """
         triangle = self._triangles.get(terms)
         if triangle is None:
-            with np.errstate(over="ignore"):
-                phi = np.sqrt(self.weights)[:, None] * self.nodes[:, None] ** np.arange(terms)
-            if not np.isfinite(phi).all():
-                raise ValueError("a node power sqrt(w_i) t_i^p of the rule is past the float range of doubles")
+            phi = node_powers(self.nodes, terms, np.sqrt(self.weights)[:, None])
             triangle = self._triangles[terms] = np.linalg.qr(phi, mode="r")
             triangle.setflags(write=False)
         return triangle

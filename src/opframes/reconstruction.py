@@ -28,11 +28,13 @@ Both iterations report the least k their bound allows as
 ``predicted_iterations``, stop at that count plus CHEBYSHEV_SLACK, and
 never after more than CHEBYSHEV_BUDGET steps.  Every route refuses
 A <= SINGULARITY_RATIO * B and a y that is not a finite vector of the
-module s acts on, and measures residuals relative to ||y||, as the
-largest spectral norm over the slots (the norm of their direct sum).  V is
-unitary, so an iteration's residual y_hat - x_hat mu has the norm of
-y - x s; the direct route, whose eigenbasis residual is zero to rounding,
-measures y - x s with the blocks of s.
+module s acts on, and refuses y by name, with no numpy warning, when ||y||,
+an iterate, the solution or a residual is past the float range.  It
+measures residuals relative to ||y||, as the largest spectral norm over the
+slots (the norm of their direct sum).  V is unitary, so an iteration's
+residual y_hat - x_hat mu has the norm of y - x s; the direct route, whose
+eigenbasis residual is zero to rounding, measures y - x s with the blocks
+of s.
 
 An iteration norms its steps' residuals in runs, one SVD of their stacked
 slot blocks per run: steps 0 to ``predicted_iterations``, then the steps
@@ -71,6 +73,8 @@ CHEBYSHEV_BUDGET = 2000
 # The most steps whose residuals one SVD norms, so that a run holds a bounded
 # number of iterates and residual blocks at once.
 RUN_STEPS = 256
+# The refusal of a y whose iterate, solution or residual is past the float range.
+_PAST_RANGE = "data vector drives the solve past the float range of doubles"
 
 
 @dataclass(frozen=True)
@@ -91,20 +95,31 @@ class ReconstructionResult:
 def _eigenbasis(data, y):
     """(y_hat, mu, y_scale): the slot blocks of y in the eigenbasis of s, its
     eigenvalues broadcast over the rows, and ||y|| (1 when y = 0).  Refuses a y
-    of another algebra or rank than s, or with an entry that is not finite."""
+    of another algebra or rank than s, with an entry that is not finite, or
+    whose norm is past the float range."""
     y_slots = y.slots
     if y.descriptor != data.descriptor or y_slots.shape[-1] != data.blocks.shape[-1]:
         raise ValueError("data vector does not match the frame operator shape")
     if not np.isfinite(y.stack).all():
         raise ValueError("data vector has an entry that is not finite")
+    y_scale = _slot_norm(y_slots)
+    if not math.isfinite(y_scale):
+        raise ValueError("data vector has a norm past the float range of doubles")
     y_hat = y_slots @ data.block_eigenvectors
-    return y_hat, data.block_eigenvalues[:, None, :], _slot_norm(y_slots) or 1.0
+    return y_hat, data.block_eigenvalues[:, None, :], y_scale or 1.0
+
+
+def _in_range(blocks):
+    """``blocks``, unless an entry is not finite: the solve left the float range."""
+    if not np.isfinite(blocks).all():
+        raise ValueError(_PAST_RANGE)
+    return blocks
 
 
 def _vector(data, y, x_hat):
-    """The module vector whose slot blocks are x_hat V*."""
+    """The module vector whose slot blocks are x_hat V*, refused past the float range."""
     x_slots = x_hat @ data.block_eigenvectors.conj().swapaxes(1, 2)
-    return ModuleVector.from_slots(y.descriptor, x_slots)
+    return ModuleVector.from_slots(y.descriptor, _in_range(x_slots))
 
 
 def _least_count(log_need, log_rate):
@@ -115,21 +130,24 @@ def _least_count(log_need, log_rate):
 def _norms(residuals, y_scale):
     """The norms of a run of residuals relative to y_scale, as floats, from one
     SVD of their stacked slot blocks (LAPACK factors each block as it would
-    alone).  A run with an entry that is not finite is normed a step at a
-    time, as the steps are read, so that a block past the stopping step that
-    a lone SVD would refuse is never normed."""
+    alone).  Only the steps before the first block with an entry that is not
+    finite are normed; that step and the ones after it read NaN."""
     blocks = np.stack(residuals)
-    if np.isfinite(blocks).all():
-        return (np.linalg.svd(blocks, compute_uv=False)[..., 0].max(axis=1) / y_scale).tolist()
-    return (_slot_norm(block) / y_scale for block in blocks)
+    finite = np.isfinite(blocks).reshape(len(blocks), -1).all(axis=1)
+    count = int(np.logical_and.accumulate(finite).sum())  # the steps before the first non-finite block
+    norms = np.linalg.svd(blocks[:count], compute_uv=False)[..., 0].max(axis=1) / y_scale
+    return norms.tolist() + [math.nan] * (len(blocks) - count)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused by name
 def _iterate(data, y, tol, theta, delta, predicted, **fields):
     """Chebyshev's recurrence on [theta - delta, theta + delta] from x_0 = y / theta,
     to the relative residual tol; ``fields`` complete the result.
 
-    The result is the first step whose residual is not above tol (a NaN
-    stops it too), with that step's iterate.  The steps' residuals are
+    The result is the first step whose residual is not above tol, with that
+    step's iterate.  A step up to it whose residual, or its norm, is past the
+    float range (an iterate past it gives such a residual, since mu > 0)
+    raises ValueError, as a step at a time would.  The steps' residuals are
     normed in runs, one SVD per run (``_norms``): steps 0 to ``predicted``,
     then the at most CHEBYSHEV_SLACK steps left before the cap, each run cut
     into pieces of at most RUN_STEPS steps.  The recurrence is the same a
@@ -158,8 +176,10 @@ def _iterate(data, y, tol, theta, delta, predicted, **fields):
             rho, rho_prev = delta / scale, rho
             d = (rho * rho_prev) * d + (2.0 / scale) * r
         for x_k, residual in zip(iterates, _norms(residuals, y_scale)):
+            if not math.isfinite(residual):  # the step's residual, or its norm, is past the float range
+                raise ValueError(_PAST_RANGE)
             history.append(residual)
-            if not residual > tol:
+            if residual <= tol:
                 return ReconstructionResult(
                     vector=_vector(data, y, x_k),
                     iterations=len(history) - 1,
@@ -176,6 +196,7 @@ def _iterate(data, y, tol, theta, delta, predicted, **fields):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused by name
 def reconstruct_direct(data: FrameOperatorData, y: ModuleVector) -> ReconstructionResult:
     """x = ((y V) / mu) V* from the cached eigenpairs of every slot block."""
     require_frame(data, SINGULARITY_RATIO, SingularFrameOperator)
@@ -184,7 +205,7 @@ def reconstruct_direct(data: FrameOperatorData, y: ModuleVector) -> Reconstructi
     return ReconstructionResult(
         vector=x,
         iterations=0,
-        residual_history=(_slot_norm(y.slots - x.slots @ data.blocks) / y_scale,),
+        residual_history=(_slot_norm(_in_range(y.slots - x.slots @ data.blocks)) / y_scale,),
         method="direct",
     )
 

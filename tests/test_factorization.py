@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from opframes.catalog import random_frame_family
 from opframes.cli import main
 from opframes.duals import canonical_dual, is_dual_pair
 from opframes.frames import OperatorFamily, frame_operator, optimal_bounds, synthesis
-from opframes.hilbert_module import L2Family
+from opframes.hilbert_module import L2Family, random_vector
 from opframes.perturbation import RelativePerturbation, ScalarFamily, relative_criterion_check
 from opframes.hilbert_module import _to_slots
 from opframes.quadrature import gauss_legendre, integrate_array
@@ -22,6 +23,7 @@ from opframes.scenario import load_scenario
 from oracles import criterion_terms, fold_integral, fold_products
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+FAR_POWER = r"^a node power t\^p is past the float range of doubles$"
 DESCRIPTORS = [AlgebraDescriptor("full", 3), AlgebraDescriptor("diagonal", 4)]
 RTOL = 1e-13
 
@@ -196,11 +198,28 @@ class TestVandermondeTriangle:
         for seed in (5, 6):  # two families on the rule, each factored twice
             family = random_family(DESCRIPTORS[1], seed).with_rule(rule)
             for _ in range(2):
-                with pytest.raises(ValueError, match="^a node power sqrt.* past the float range of doubles$"):
+                with pytest.raises(ValueError, match=FAR_POWER):
                     frames._slot_factor(family)
         assert rule.vandermonde_triangle(1).shape == (1, 1)  # t^0: in range, and cached alone
         with pytest.raises(ValueError, match="float range"):
             rule.vandermonde_triangle(3)
+
+    def test_a_far_interval_refuses_the_node_operators_by_name(self):
+        # the node blocks take their t^p where Phi does, so every call that
+        # evaluates them raises the one message, and numpy warns of nothing
+        rule = gauss_legendre(1e300, 1e300 * (1 + 2**-52), 4)
+        family = random_frame_family(AlgebraDescriptor("diagonal", 2), 2, gauss_legendre(0.0, 1.0, 4), seed=7)
+        family = family.with_rule(rule)
+        x = random_vector(family.descriptor, 2, np.random.default_rng(8))
+        sampled_scale = RelativePerturbation(ScalarFamily.sampled(np.ones(4)), ScalarFamily.constant(1.0), 0.1, 0.1)
+        calls = (lambda: family.blocks, lambda: family.flats, lambda: frames.analysis(family, x),
+                 lambda: relative_criterion_check(family, family, sampled_scale))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for call in calls:
+                with pytest.raises(ValueError, match=FAR_POWER):
+                    call()
+        assert caught == []
 
 
 class TestReadOnly:

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from opframes import quadrature
 from opframes.algebra import AlgebraDescriptor, AlgebraElement
 from opframes.quadrature import (
     QuadratureRule,
@@ -199,3 +203,27 @@ class TestIntegrate:
         lhs = integrate(rule, [AlgebraElement(descriptor, alpha * fi.entries + gi.entries) for fi, gi in zip(f, g)])
         rhs = alpha * integrate(rule, f).entries + integrate(rule, g).entries
         assert np.allclose(lhs.entries, rhs, atol=1e-14)
+
+
+def _calls_arange(node):
+    return any(isinstance(c, ast.Call) and getattr(c.func, "attr", getattr(c.func, "id", None)) == "arange"
+               for c in ast.walk(node))
+
+
+def _node_power_sites(tree, scope=()):
+    """(function, line) of every ** in ``tree`` whose exponent holds an arange(...) call."""
+    for child in ast.iter_child_nodes(tree):
+        inner = (*scope, child.name) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+        if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Pow):
+            if _calls_arange(child.right if isinstance(child, ast.BinOp) else child.value):
+                yield ".".join(scope), child.lineno
+        yield from _node_power_sites(child, inner)
+
+
+def test_node_powers_are_formed_in_one_function():
+    # every power t^p of the node variable comes from quadrature.node_powers,
+    # so a change to how they are formed, or refused, is made in one place
+    sites = []
+    for path in sorted(Path(quadrature.__file__).parent.glob("*.py")):
+        sites += [(path.name, *site) for site in _node_power_sites(ast.parse(path.read_text(), str(path)))]
+    assert [site[:2] for site in sites] == [("quadrature.py", "node_powers")], sites

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from opframes.reconstruction import (
     CHEBYSHEV_BUDGET,
     CHEBYSHEV_SLACK,
     RUN_STEPS,
+    _norms,
     reconstruct_chebyshev,
     reconstruct_direct,
     reconstruct_neumann,
@@ -415,19 +417,12 @@ class TestRunsOfResiduals:
         y = random_vector(DIAG2, 1, np.random.default_rng(25))
         assert assert_as_one_step_at_a_time(data, y, method, 1e-12) is None
 
-    @pytest.mark.parametrize("method", ["chebyshev", "auto"])
-    @pytest.mark.parametrize("kind", ["full", "diagonal"])
-    def test_a_residual_past_the_float_range_stops_as_one_step_at_a_time(self, method, kind):
-        # entries near the largest double: ||y|| and x_0 mu overflow, so the solve
-        # stops at step 0 with a relative residual of NaN or 0; the steps after it,
-        # which a run computes too, may hold NaN, which an SVD refuses
-        descriptor = AlgebraDescriptor(kind, 2)
-        rng = np.random.default_rng(26)
-        data = frame_operator(prescribed_family(descriptor, 2, [1.0, 3.0, 2.0, 2.5], rng))
-        y = random_vector(descriptor, 2, rng)
-        y = ModuleVector(descriptor, y.stack / np.abs(y.stack).max() * 1.7e308)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert_as_one_step_at_a_time(data, y, method, 1e-12)
+    def test_a_run_norms_no_block_from_the_first_that_is_not_finite(self):
+        # a step at a time stops at the first residual not above tol, which may come
+        # before that block; past it every step reads NaN, and no SVD meets one
+        block = np.array([[[3.0, 4.0]]])
+        norms = _norms([block, np.full_like(block, np.nan), block, np.full_like(block, np.inf)], 5.0)
+        assert norms[0] == 1.0 and all(math.isnan(norm) for norm in norms[1:])
 
     @pytest.mark.parametrize("method, slopes, runs", [
         ("chebyshev", (1.0, ROOT3 / 20.0), 1),  # B/A = 133, converged within the a-priori count
@@ -486,6 +481,31 @@ def test_data_vector_must_fit_the_frame_operator(reconstruct):
         with pytest.raises(ValueError, match="^data vector has an entry that is not finite"):
             reconstruct(data, poisoned(y, value))
     assert reconstruct(data, y).final_residual <= 1e-12
+
+
+def past_the_float_range(case):
+    """(frame operator data, y, cause) for a data vector whose norm, or whose solve, is past the float range."""
+    if case == "solve":  # ||y|| = 1e307 with A = 1/3000, so y / A is past it
+        data = frame_operator(diagonal_slope_family(ratio_slopes(1e-3)))
+        return data, ModuleVector(DIAG2, np.diag([1e307, 5e306])[None]), "drives the solve past"
+    descriptor = AlgebraDescriptor(case, 2)  # entries near the largest double, so ||y|| is past it
+    rng = np.random.default_rng(26)
+    data = frame_operator(prescribed_family(descriptor, 2, [1.0, 3.0, 2.0, 2.5], rng))
+    y = random_vector(descriptor, 2, rng)
+    return data, ModuleVector(descriptor, y.stack / np.abs(y.stack).max() * 1.7e308), "has a norm past"
+
+
+@pytest.mark.parametrize("method", ["direct", "chebyshev", "auto", "optimal"])
+@pytest.mark.parametrize("case", ["full", "diagonal", "solve"])
+def test_a_solve_past_the_float_range_is_refused_by_name(method, case):
+    # never a non-finite vector returned as converged, nor a relative residual of 0
+    # or NaN read from an infinite ||y||, nor LAPACK's "SVD did not converge"
+    data, y, cause = past_the_float_range(case)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^data vector {cause} the float range of doubles$"):
+            reconstruct_direct(data, y) if method == "direct" else iterate(data, y, method, 1e-12)
+    assert caught == []
 
 
 class TestConsistency:
