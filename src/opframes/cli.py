@@ -602,9 +602,6 @@ def main(argv=None) -> int:
     except NotAFrame as exc:
         print(f"not a frame: {exc}", file=sys.stderr)
         return EXIT_NOT_FRAME
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -6,8 +6,9 @@ picture the dual node matrix is ``s_inv @ M_w``, and the dual frame
 operator is ``s_inv`` itself, so the dual's optimal bounds are exactly
 (1/B, 1/A) of the primal.  Both the inverse, W diag(sigma^-2) W* from the
 SVD that ``frame_operator`` caches, and the resolution of the identity are
-taken per slot block (see ``frames``); for parametric families both come
-from the coefficients, and no node operator is evaluated.
+taken per slot block (see ``frames``).  The dual's slots are s^-1 times the
+family's, of either form, so a parametric dual is parametric and no node
+operator is evaluated.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _check_tol
-from .frames import FRAME_TOL, PARAMETRIC, OperatorFamily, _gram, _require_fit, frame_operator, optimal_bounds
+from .frames import FRAME_TOL, OperatorFamily, _gram, _require_fit, frame_operator, optimal_bounds
 from .frames import require_frame
-from .hilbert_module import _from_slots, _slot_norm, _to_slots
+from .hilbert_module import _slot_norm
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,7 @@ def canonical_dual(family: OperatorFamily, tol: float = FRAME_TOL) -> OperatorFa
         raise ValueError(f"lower frame bound {lower:.6g} inverts past the float range of doubles")
     vectors = data.block_eigenvectors
     s_inv = ((vectors / data.block_eigenvalues[:, None, :]) @ vectors.conj().swapaxes(1, 2))[:, None]
-    descriptor, n = family.descriptor, family.n
-    if family.form == PARAMETRIC:
-        dual_coeffs = _from_slots(descriptor, s_inv @ _to_slots(descriptor, family.coefficients))
-        return OperatorFamily.parametric(family.rule, descriptor, n, dual_coeffs)
-    return OperatorFamily(family.rule, descriptor, n, s_inv @ family.blocks)
+    return OperatorFamily(family.rule, family.descriptor, family.n, s_inv @ family.slots, family.form)
 
 
 def is_dual_pair(primal: OperatorFamily, other: OperatorFamily, tol: float = 1e-10) -> DualPairReport:

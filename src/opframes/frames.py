@@ -11,12 +11,13 @@ In the right-multiplication representation S acts as ``x @ s`` where
 two-sided inequality  A <x,x>  <=  <Sx,x>  <=  B <x,x>  are the extreme
 eigenvalues of the flattened ``s``: under the row flattening X of x one
 has <Sx,x> = X s X* and <x,x> = X X*, and placing an extremal eigenvector
-in a single row of X attains equality.  A family's node operators are
-slot blocks, (k, N, n, n) for a diagonal algebra and (1, N, nk, nk) for
-a full one, and every spectral quantity is one batched kernel over the
-slots: the spectrum of s is the union of its blocks' spectra.  Tables of
-algebra elements, slot blocks and the dense ``flats`` and ``flat`` convert
-into each other only through the helpers of ``hilbert_module``.
+in a single row of X attains equality.  A family holds slot blocks: a
+sampled family's node operators, (k, N, n, n) for a diagonal algebra and
+(1, N, nk, nk) for a full one, or a parametric family's coefficients,
+with D in place of N.  Every spectral quantity is one batched kernel over
+the slots: the spectrum of s is the union of its blocks' spectra.  Tables
+of algebra elements, slot blocks and the dense ``flats`` and ``flat``
+convert into each other only through the helpers of ``hilbert_module``.
 
 Every weighted Gram form sum_i w_i L_i M_i* is one product F_L* F_M of
 slot factors (``_gram``): per slot, F is a tall matrix with F* F = s.  A
@@ -29,7 +30,9 @@ family; the triangle R is computed once per rule and degree and cached on
 the rule.  A parametric family evaluates its node blocks only when they are
 read (``analysis``, ``synthesis``, and a pair with a sampled family, which
 pairs the two node factors V).  Phi and the node blocks take their t^p from
-``quadrature.node_powers``, which refuses one past the float range.  Every
+``quadrature.node_powers``, which refuses one past the float range, and
+the node blocks are summed by ``quadrature.polynomial_values``, which
+refuses a value past it.  A constructor refuses a non-finite entry.  Every
 spectral quantity of a family comes from one SVD per slot of its factor
 (``frame_operator``), never from the formed s, whose eigenvalues carry A
 with a relative error of about eps B/A; sigma_min^2 carries about
@@ -55,7 +58,7 @@ from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_to
 from .exceptions import NotAFrame
 from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _check_fit, _flatten, _from_slots
 from .hilbert_module import _side_by_side, _to_slots, _unflatten
-from .quadrature import QuadratureRule, node_powers
+from .quadrature import QuadratureRule, polynomial_values
 
 FRAME_TOL = 1e-8  # the default tol of the frame rule, in the library and in scenarios
 PARAMETRIC = "parametric"
@@ -68,34 +71,39 @@ def _read_only(arr):
     return arr
 
 
-def _node_blocks(rule, descriptor, coefficients):
-    """Slot blocks (m, N, b, b) of sum_p C_p t^p at the nodes of ``rule``, t^p from ``node_powers``."""
-    powers = node_powers(rule.nodes, len(coefficients))
-    blocks = np.tensordot(powers, _to_slots(descriptor, coefficients), axes=([1], [1]))
-    return np.ascontiguousarray(blocks.swapaxes(0, 1))
+def _node_blocks(rule, slots):
+    """Slot blocks (m, N, b, b) of sum_p C_p t^p at the nodes of ``rule``, from the coefficient
+    slots (m, D, b, b) (``quadrature.polynomial_values``, which refuses a value past the float range)."""
+    return np.ascontiguousarray(polynomial_values(rule.nodes, slots, axis=1).swapaxes(0, 1))
+
+
+def _table_slots(descriptor, table):
+    """The slot blocks of a constructor's validated table, converted once; a non-finite entry raises ValueError."""
+    if not np.isfinite(table).all():
+        raise ValueError("operator family entries must be finite")
+    return _to_slots(descriptor, table)
 
 
 class OperatorFamily:
     """An indexed operator family, parametric in the node variable or sampled.
 
-    Parametric families store polynomial coefficients, lowest degree first,
-    as an array of shape (degree + 1, n, n, k, k); the node operator is the
-    polynomial evaluated at that node.  The node operators are read-only
-    slot blocks (m, N, b, b).  A parametric family evaluates them only when
-    ``blocks`` is first read, which ``analysis``, ``synthesis`` and the
-    consumers that mix it with sampled data do: its frame operator, its
-    spectrum and its dual-pair resolution come from its slot factor
-    (``_slot_factor``), which costs O(N D^2) for the rule and nothing per
-    node operator.  Either form caches its factor and its frame operator.
+    Either form holds one read-only working array, ``slots``, which every
+    consumer reads: a sampled family's node operators (m, N, b, b), or a
+    parametric family's polynomial coefficients, lowest degree first,
+    (m, D, b, b).  A parametric family evaluates its node operators,
+    ``blocks``, only when first read, which ``analysis``, ``synthesis`` and
+    the consumers that mix it with sampled data do; its frame operator,
+    spectrum and dual-pair resolution come from its slot factor
+    (``_slot_factor``), at O(N D^2) for the rule and nothing per node
+    operator.  Either form caches its factor and its frame operator.
     """
 
-    def __init__(self, rule, descriptor, n, blocks=None, coefficients=None):
+    def __init__(self, rule, descriptor, n, slots, form):
         self.rule = rule
         self.descriptor = descriptor
         self.n = n
-        self.form = SAMPLED if coefficients is None else PARAMETRIC
-        self.coefficients = None if coefficients is None else _read_only(coefficients)
-        self._blocks = None if blocks is None else _read_only(blocks)
+        self.slots = _read_only(slots)
+        self.form = form
         self._factor = None              # slot factor, V or Y, set by _slot_factor
         self._frame = None               # FrameOperatorData, set by frame_operator
 
@@ -110,7 +118,9 @@ class OperatorFamily:
             )
         # each coefficient is itself a valid operator, so every node evaluation is one
         coefficients = _as_blocks(descriptor, coefficients, coefficients.shape, "operator blocks")
-        return cls(rule, descriptor, n, coefficients=coefficients)
+        family = cls(rule, descriptor, n, _table_slots(descriptor, coefficients), PARAMETRIC)
+        family.coefficients = coefficients  # the validated table as given, bit for bit
+        return family
 
     @classmethod
     def sampled(cls, rule: QuadratureRule, operators):
@@ -121,7 +131,7 @@ class OperatorFamily:
         for op in operators:
             _check_fit(op, first, "all sampled operators must share descriptor and rank")
         table = np.stack([op.blocks for op in operators])  # each one validated already
-        return cls(rule, first.descriptor, first.n, _to_slots(first.descriptor, table))
+        return cls(rule, first.descriptor, first.n, _table_slots(first.descriptor, table), SAMPLED)
 
     @classmethod
     def from_flats(cls, rule, descriptor, n, flats):
@@ -133,15 +143,19 @@ class OperatorFamily:
         if len(flats) != len(rule):
             raise ValueError(f"need {len(rule)} operators, got {len(flats)}")
         table = _as_blocks(descriptor, _unflatten(flats, k), (len(rule), n, n, k, k), "operator blocks")
-        return cls(rule, descriptor, n, _to_slots(descriptor, table))
+        return cls(rule, descriptor, n, _table_slots(descriptor, table), SAMPLED)
 
-    @property
+    @cached_property
+    def coefficients(self) -> np.ndarray | None:
+        """(D, n, n, k, k) read-only coefficient table of a parametric family (None if sampled),
+        for inspection and reports: the table given to ``parametric``, else built from ``slots``."""
+        return None if self.form == SAMPLED else _read_only(_from_slots(self.descriptor, self.slots))
+
+    @cached_property
     def blocks(self) -> np.ndarray:
-        """(m, N, b, b) read-only slot blocks of the node operators; a parametric
-        family evaluates its polynomial at the nodes on the first read."""
-        if self._blocks is None:
-            self._blocks = _read_only(_node_blocks(self.rule, self.descriptor, self.coefficients))
-        return self._blocks
+        """(m, N, b, b) read-only slot blocks of the node operators: a sampled family's ``slots``;
+        a parametric family evaluates its polynomial at the nodes on the first read."""
+        return self.slots if self.form == SAMPLED else _read_only(_node_blocks(self.rule, self.slots))
 
     @property
     def flats(self) -> np.ndarray:
@@ -240,7 +254,7 @@ def _slot_factor(family) -> np.ndarray:
         if family.form == SAMPLED:
             factor = _node_factor(family)
         else:
-            slots = _to_slots(family.descriptor, family.coefficients)
+            slots = family.slots
             triangle = family.rule.vandermonde_triangle(slots.shape[1])
             factor = np.tensordot(slots.conj().swapaxes(-1, -2), triangle, axes=([1], [1]))
             factor = np.moveaxis(factor, -1, 1).reshape(len(slots), -1, slots.shape[-1])
@@ -286,7 +300,7 @@ def frame_operator(family: OperatorFamily) -> FrameOperatorData:
         top = np.max(sigma)                # a NaN passes on, to be classified as malformed
         if top > np.sqrt(np.finfo(float).max):
             raise ValueError(f"singular value {top:.6g} squares past the float range of doubles")
-        nonzero = top > 0.0 or (family.blocks if family.form == SAMPLED else family.coefficients).any()
+        nonzero = top > 0.0 or family.slots.any()
         if nonzero and top < np.sqrt(np.finfo(float).tiny):  # a factor that underflowed to 0 too
             raise ValueError(f"largest singular value {top:.6g} squares below the float range of doubles")
         eigenpairs = sigma[:, ::-1] ** 2, right[:, ::-1].conj().swapaxes(1, 2)

@@ -16,9 +16,10 @@ made of entry (s, s) of every element, the form the spectral machinery
 works on; for the full algebra the whole flattening is the one slot.  Only
 this module knows the layout: a (..., r, c, k, k) table of algebra elements
 goes to its flattening in ``_flatten`` and to its slot blocks in
-``_to_slots``, a vector's slot blocks are ``ModuleVector.slots`` and back
-``ModuleVector.from_slots``, ``_side_by_side`` lays a slot's node matrices
-in one row, and ``_slot_norm`` is the norm of a direct sum of slot blocks.
+``_to_slots``, an operator's are ``ModuleOperator.slots``, a vector's are
+``ModuleVector.slots`` and back ``ModuleVector.from_slots``,
+``_side_by_side`` lays a slot's node matrices in one row, and
+``_slot_norm`` is the norm of a direct sum of slot blocks.
 Two values on A^n fit together when they share a descriptor and a rank,
 which ``_check_fit`` decides for every caller.
 """
@@ -149,6 +150,11 @@ class ModuleOperator:
         """(n*k) x (n*k) matrix with blocks[j, i] at block row j, block column i."""
         return _flatten(self.blocks)
 
+    @property
+    def slots(self) -> np.ndarray:
+        """Slot blocks of M: (k, n, n) for a diagonal algebra, (1, n*k, n*k) for a full one."""
+        return _to_slots(self.descriptor, self.blocks)
+
 
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """A-valued inner product sum_i x_i @ y_i*.
@@ -182,7 +188,7 @@ def apply(op: ModuleOperator, x: ModuleVector) -> ModuleVector:
 
 def op_norm(op: ModuleOperator) -> float:
     """Operator norm on H, the largest singular value of the flattening, read from its slot blocks."""
-    return _slot_norm(_to_slots(op.descriptor, op.blocks))
+    return _slot_norm(op.slots)
 
 
 @dataclass(frozen=True, eq=False)

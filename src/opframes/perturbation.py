@@ -19,9 +19,10 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .algebra import SINGULARITY_RATIO, _check_tol
-from .frames import PARAMETRIC, OperatorFamily, _gram, _require_fit, extremal_vector, frame_operator, require_frame
+from .frames import PARAMETRIC, SAMPLED, OperatorFamily, _gram, _require_fit, extremal_vector, frame_operator
+from .frames import require_frame
 from .hilbert_module import ModuleOperator, _check_fit, op_norm, random_vector
-from .quadrature import COUNTING, QuadratureRule, node_powers
+from .quadrature import COUNTING, QuadratureRule, polynomial_values
 
 
 class ScalarFamily:
@@ -62,7 +63,7 @@ class ScalarFamily:
             if len(self.values) != len(rule):
                 raise ValueError(f"need {len(rule)} samples, got {len(self.values)}")
             return self.values
-        return node_powers(rule.nodes, len(self.coefficients)) @ self.coefficients
+        return polynomial_values(rule.nodes, self.coefficients)
 
     def real_range(self, rule: QuadratureRule) -> tuple[float, float]:
         """Exact (inf, sup) of the real values over the node set or the interval.
@@ -79,7 +80,7 @@ class ScalarFamily:
             slopes = (P.polyder(self.coefficients.real), P.polyder(self.coefficients.imag))
             # extra points inside [a, b] never move the inf or the sup
             critical = np.clip(np.concatenate([P.polyroots(c).real for c in slopes]), a, b)
-            vals = node_powers(np.concatenate([[a, b], critical]), len(self.coefficients)) @ self.coefficients
+            vals = polynomial_values(np.concatenate([[a, b], critical]), self.coefficients)
         if np.max(np.abs(vals.imag), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(vals))):
             raise ValueError("scale family must be real-valued")
         return float(np.min(vals.real)), float(np.max(vals.real))
@@ -137,14 +138,14 @@ def _combination(terms) -> OperatorFamily:
     first = terms[0][1]
     rule, descriptor, n = first.rule, first.descriptor, first.n
     if all(c.form == "polynomial" and f.form == PARAMETRIC for c, f in terms):
-        degree = max(len(c.coefficients) + len(f.coefficients) - 1 for c, f in terms)
-        coeffs = np.zeros((degree,) + first.coefficients.shape[1:], dtype=np.complex128)
+        degree = max(len(c.coefficients) + f.slots.shape[1] - 1 for c, f in terms)
+        slots = np.zeros((len(first.slots), degree, *first.slots.shape[2:]), dtype=np.complex128)
         for c, f in terms:
             for d, c_d in enumerate(c.coefficients):
-                coeffs[d:d + len(f.coefficients)] += c_d * f.coefficients
-        return OperatorFamily(rule, descriptor, n, coefficients=coeffs)
+                slots[:, d:d + f.slots.shape[1]] += c_d * f.slots
+        return OperatorFamily(rule, descriptor, n, slots, PARAMETRIC)
     blocks = sum(c.at_nodes(rule)[:, None, None] * f.blocks for c, f in terms)
-    return OperatorFamily(rule, descriptor, n, blocks)
+    return OperatorFamily(rule, descriptor, n, blocks, SAMPLED)
 
 
 _ONE, _MINUS_ONE = ScalarFamily.constant(1.0), ScalarFamily.constant(-1.0)
@@ -154,8 +155,8 @@ _MISFIT = "perturbation operator does not match the family shape"
 def perturb_additive(family: OperatorFamily, pert: AdditivePerturbation) -> OperatorFamily:
     """The family {T_w + c_w K}; parametric + polynomial inputs stay parametric."""
     _check_fit(pert.operator, family, _MISFIT)
-    constant = pert.operator.blocks[None]  # K as a family of degree 0
-    direction = OperatorFamily(family.rule, family.descriptor, family.n, coefficients=constant)
+    constant = pert.operator.slots[:, None]  # K as a family of degree 0
+    direction = OperatorFamily(family.rule, family.descriptor, family.n, constant, PARAMETRIC)
     return _combination([(_ONE, family), (pert.coefficient, direction)])
 
 

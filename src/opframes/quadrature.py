@@ -9,9 +9,11 @@ node axis; weighted Gram forms of operator families are products of their
 slot factors (see ``frames``), and a rule caches the triangle of its
 weighted Vandermonde matrix for each degree they ask for.  Every power t^p
 of the node variable comes from ``node_powers``, which refuses one past the
-float range.  Results are the same from run to run for one numpy/BLAS build
-and thread count, but they are not bit-equal to a left-to-right fold: the
-two differ in the last few bits (a few 1e-15 relative).
+float range, and every polynomial's value at points from
+``polynomial_values``, which refuses a value past it.  Results are the same
+from run to run for one numpy/BLAS build and thread count, but they are not
+bit-equal to a left-to-right fold: the two differ in the last few bits (a
+few 1e-15 relative).
 """
 
 from __future__ import annotations
@@ -56,6 +58,18 @@ def node_powers(points: np.ndarray, terms: int, scale=1.0) -> np.ndarray:
     if not np.isfinite(powers).all():
         raise ValueError("a node power t^p is past the float range of doubles")
     return powers
+
+
+def polynomial_values(points: np.ndarray, coefficients: np.ndarray, axis=0) -> np.ndarray:
+    """sum_p C_p t^p at each of the points t, the C_p along ``axis`` of ``coefficients``
+    and the points' axis first, t^p from ``node_powers``.  A value past the float range
+    raises ValueError."""
+    powers = node_powers(points, coefficients.shape[axis])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.tensordot(powers, coefficients, axes=([1], [axis]))
+    if not np.isfinite(values).all():
+        raise ValueError("a polynomial's value is past the float range of doubles")
+    return values
 
 
 @dataclass(frozen=True, eq=False)

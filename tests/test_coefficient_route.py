@@ -3,6 +3,7 @@ answers match the node route, and the node count stops mattering on a Gauss rule
 
 import json
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ def run(capsys, argv):
     return code, (leaves(json.loads(out)) if out else {}), err
 
 
-def refuse_node_evaluation(rule, descriptor, coefficients):
+def refuse_node_evaluation(rule, slots):
     raise AssertionError("a parametric family evaluated its node operators")
 
 
@@ -93,6 +94,34 @@ def test_parametric_commands_evaluate_no_node_operator(monkeypatch, capsys, scen
                 assert abs(value - expected) <= BOUND_RTOL * max(abs(value), abs(expected)), path
         else:
             assert value == expected, path
+
+
+def count_conversions(patch, counts):
+    """Count in ``counts`` the layout conversions (``_to_slots``, ``_from_slots``) of the family modules."""
+    for module in (frames, duals, perturbation):
+        for name in ("_to_slots", "_from_slots"):
+            if hasattr(module, name):
+                def counted(*args, convert=getattr(module, name), name=name):
+                    counts[name] += 1
+                    return convert(*args)
+                patch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("nodes", [None, "64"], ids=["default", "nodes"])
+@pytest.mark.parametrize("source, tables", [
+    ("perturbed_relative.json", 2), ("diagonal_slope.json", 1), ("full-gauss_legendre-relative", 2),
+])
+def test_analyze_converts_each_parsed_table_to_slots_once(monkeypatch, capsys, tmp_path, source, tables, nodes):
+    # every consumer reads a family's slots: the parse converts each of its
+    # tables once, and only the dual's table for the report converts back
+    path = SCENARIOS / source if source.endswith(".json") else generated(tmp_path, *source.split("-"))
+    counts = Counter()
+    with monkeypatch.context() as patch:
+        count_conversions(patch, counts)
+        code = main(["analyze", "--scenario", str(path)] + (["--nodes", nodes] if nodes else []))
+    capsys.readouterr()
+    assert code == 0
+    assert counts["_to_slots"] == tables and counts["_from_slots"] <= 1, counts
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "full"])

@@ -24,6 +24,7 @@ from oracles import criterion_terms, fold_integral, fold_products
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 FAR_POWER = r"^a node power t\^p is past the float range of doubles$"
+FAR_VALUE = r"^a polynomial's value is past the float range of doubles$"
 DESCRIPTORS = [AlgebraDescriptor("full", 3), AlgebraDescriptor("diagonal", 4)]
 RTOL = 1e-13
 
@@ -218,6 +219,21 @@ class TestVandermondeTriangle:
             warnings.simplefilter("always")
             for call in calls:
                 with pytest.raises(ValueError, match=FAR_POWER):
+                    call()
+        assert caught == []
+
+    def test_a_node_operator_past_the_float_range_is_refused_by_name(self):
+        # on [1e150, ...] t^2 ~ 1e300 is a double, 1e10 t^2 is not: the node blocks
+        # read inf + nan j after numpy's overflow and invalid-value warnings
+        rule = gauss_legendre(1e150, 1e150 * (1 + 2**-52), 4)
+        coeffs = np.zeros((3, 1, 1, 2, 2), dtype=complex)
+        coeffs[0, 0, 0], coeffs[2, 0, 0] = np.eye(2), 1e10 * np.eye(2)
+        family = OperatorFamily.parametric(rule, AlgebraDescriptor("diagonal", 2), 1, coeffs)
+        x = random_vector(family.descriptor, 1, np.random.default_rng(9))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for call in (lambda: family.blocks, lambda: family.flats, lambda: frames.analysis(family, x)):
+                with pytest.raises(ValueError, match=FAR_VALUE):
                     call()
         assert caught == []
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from opframes.frames import (
     optimal_bounds,
     synthesis,
 )
+from opframes.duals import canonical_dual
 from opframes.hilbert_module import (
     L2Family,
     ModuleOperator,
@@ -23,7 +26,9 @@ from opframes.hilbert_module import (
     l2_inner_product,
     random_vector,
     scalar_norm,
+    _from_slots,
 )
+from opframes.perturbation import AdditivePerturbation, ScalarFamily, perturb_additive
 from opframes.quadrature import counting, gauss_legendre
 
 from families import rank_deficient_family
@@ -75,6 +80,57 @@ class TestOperatorFamily:
         )
         with pytest.raises(ValueError):
             sampled.with_rule(gauss_legendre(0.0, 1.0, 7))
+
+    @pytest.mark.parametrize("descriptor", [DIAG2, FULL2])
+    def test_every_form_holds_its_slot_blocks(self, descriptor):
+        # coefficient slots (m, D, b, b) for a parametric family, node slots (m, N, b, b) for a sampled one
+        fam = random_frame_family(descriptor, 2, gauss_legendre(0.0, 1.0, 5), degree=2, seed=3)
+        sampled = OperatorFamily.from_flats(fam.rule, descriptor, 2, fam.flats)
+        m, b = (2, 2) if descriptor.is_diagonal else (1, 4)
+        assert fam.slots.shape == (m, 3, b, b) and sampled.slots.shape == (m, 5, b, b)
+        assert np.array_equal(_from_slots(descriptor, fam.slots), fam.coefficients)
+        assert sampled.blocks is sampled.slots and sampled.coefficients is None
+        for slots in (fam.slots, sampled.slots):
+            with pytest.raises(ValueError, match="read-only"):
+                slots[0, 0, 0, 0] = 1.0
+
+    def test_a_given_table_is_kept_bit_for_bit(self):
+        # -0.0 off the diagonal, as catalog.random_frame_family writes it, survives;
+        # a slot round trip would read it back as 0.0
+        rng = np.random.default_rng(11)
+        coeffs = rng.standard_normal((3, 2, 2, 2, 2)) + 1j * rng.standard_normal((3, 2, 2, 2, 2))
+        coeffs[..., [0, 1], [1, 0]] = complex(-0.0, -0.0)
+        fam = OperatorFamily.parametric(gauss_legendre(0.0, 1.0, 6), DIAG2, 2, coeffs)
+        assert np.array_equal(fam.coefficients.view(np.uint64), coeffs.view(np.uint64))
+        assert not fam.coefficients.flags.writeable
+        assert np.array_equal(fam.with_rule(gauss_legendre(0.0, 1.0, 3)).coefficients.view(np.uint64),
+                              coeffs.view(np.uint64))
+
+    @pytest.mark.parametrize("descriptor", [DIAG2, FULL2])
+    def test_a_derived_table_is_read_from_the_slots(self, descriptor):
+        fam = random_frame_family(descriptor, 2, gauss_legendre(0.0, 1.0, 6), degree=1, seed=4)
+        shift = AdditivePerturbation(ModuleOperator(descriptor, 0.1 * fam.coefficients[0]),
+                                     ScalarFamily.polynomial([0.1, 0.2]))
+        for derived in (canonical_dual(fam), perturb_additive(fam, shift)):
+            want = _from_slots(descriptor, derived.slots)
+            assert derived.form == "parametric"
+            assert np.array_equal(derived.coefficients.view(np.uint64), want.view(np.uint64))
+            assert derived.coefficients is derived.coefficients and not derived.coefficients.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries_are_refused_by_name(self, bad):
+        rule = gauss_legendre(0.0, 1.0, 3)
+        coeffs = np.zeros((2, 1, 1, 2, 2), dtype=complex)
+        coeffs[1, 0, 0] = np.diag([1.0, bad])
+        table = np.broadcast_to(coeffs[1], (3, 1, 1, 2, 2))
+        builds = (lambda: OperatorFamily.parametric(rule, DIAG2, 1, coeffs),
+                  lambda: OperatorFamily.sampled(rule, [ModuleOperator(DIAG2, t) for t in table]),
+                  lambda: OperatorFamily.from_flats(rule, DIAG2, 1, table.reshape(3, 2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in builds:
+                with pytest.raises(ValueError, match="^operator family entries must be finite$"):
+                    build()
 
 
 class TestAnalysisSynthesis:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,18 @@ class TestScalarFamily:
             ScalarFamily.polynomial([1.0, 1.0, 1.0, bad])
         with pytest.raises(ValueError, match="finite"):
             ScalarFamily.sampled([1.0, bad])
+
+    def test_a_value_past_the_float_range_is_refused_by_name(self):
+        # t^2 ~ 1e300 is a double, 1e10 t^2 is not: at_nodes read inf + nan j and
+        # real_range (inf, inf), each after numpy's overflow and invalid-value warnings
+        rule = gauss_legendre(1e150, 1e150 * (1 + 2**-52), 4)
+        fam = ScalarFamily.polynomial([1.0, 0.0, 1e10])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for call in (fam.at_nodes, fam.real_range):
+                with pytest.raises(ValueError, match="^a polynomial's value is past the float range of doubles$"):
+                    call(rule)
+        assert caught == []
 
     def test_exactly_one_form(self):
         with pytest.raises(ValueError):

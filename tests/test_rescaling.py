@@ -181,6 +181,7 @@ def test_a_dual_past_the_float_range_is_refused_by_name(capsys, tmp_path):
 # the SVD failed to converge.  below: the slot factor underflowed to 0, and
 # analyze read bessel_only with bounds (0, 0) where A/B is 0.75.
 FAR_INTERVALS = {"past": (1e300, 1e300 * (1 + 2**-52)), "below": (0.0, 1e-300)}
+NEAR_TOP = (1e150, 1e150 * (1 + 2**-52))  # t^2 ~ 1e300 is a double, 1e10 t^2 is not
 
 
 @pytest.mark.parametrize("command", ["analyze", "independence", "dual"])
@@ -197,16 +198,38 @@ def test_a_far_interval_is_refused_by_name(capsys, tmp_path, interval, command):
 # operators are in range, but t^2 of the additive coefficient 0.4 + c t^2 is
 # not, and with c = 0, inf * 0 is NaN; numpy warned of overflow and of an
 # invalid matmul, and the SVD failed to converge
+def sampled_on(name, interval):
+    """The demo scenario ``name`` with its family, and a relative comparison family, as node
+    operators at its rule's nodes on [0, 1], moved to the interval (a, b)."""
+    doc = documents()[name]
+    unit = (np.polynomial.legendre.leggauss(doc["measure"]["nodes"])[0] + 1.0) / 2.0
+    pert = doc.get("perturbation") or {}
+    for family in [doc["family"]] + ([pert["comparison_family"]] if pert.get("kind") == "relative" else []):
+        coefficients = np.array(family.pop("coefficients"))
+        operators = np.tensordot(unit[:, None] ** np.arange(len(coefficients)), coefficients, 1)
+        family.update(form="sampled", operators=operators.tolist())
+    doc["measure"]["a"], doc["measure"]["b"] = interval
+    return doc
+
+
 @pytest.mark.parametrize("command", ["analyze", "perturb"])
 @pytest.mark.parametrize("c", [1e-300, 0.0])
 def test_a_far_polynomial_coefficient_is_refused_by_name(capsys, tmp_path, c, command):
-    doc = documents()["perturbed_additive"]
-    unit = (np.polynomial.legendre.leggauss(doc["measure"]["nodes"])[0] + 1.0) / 2.0  # its rule's nodes on [0, 1]
-    coefficients = np.array(doc["family"]["coefficients"])
-    doc["family"] = {"form": "sampled",
-                     "operators": np.tensordot(unit[:, None] ** np.arange(len(coefficients)), coefficients, 1).tolist()}
-    doc["measure"]["a"], doc["measure"]["b"] = FAR_INTERVALS["past"]
+    doc = sampled_on("perturbed_additive", FAR_INTERVALS["past"])
     doc["perturbation"]["coefficient"]["coefficients"] = [[0.4, 0.0], [0.0, 0.0], [c, 0.0]]
     path = tmp_path / "far_additive.json"
     path.write_text(json.dumps(doc))
     assert_refused_by_name(refusal(capsys, path, command))
+
+
+def test_a_far_scale_value_is_refused_by_name(capsys, tmp_path):
+    # perturbed_relative.json in sampled form on [1e150, 1e150 (1 + 2^-52)] with
+    # a = 1 + 1e10 t^2: t^2 ~ 1e300 is a double, a is not.  perturb exited 1 with
+    # "scale family a must be positively confined" after numpy's matmul warnings
+    doc = sampled_on("perturbed_relative", NEAR_TOP)
+    doc["perturbation"]["scale_primal"]["coefficients"] = [1.0, 0.0, 1e10]
+    path = tmp_path / "far_scale.json"
+    path.write_text(json.dumps(doc))
+    answer = refusal(capsys, path, "perturb")
+    assert_refused_by_name(answer)
+    assert "a polynomial's value is past the float range" in answer[2]

@@ -54,8 +54,29 @@ def test_compare_separates_rounding_level_moves(tmp_path, capsys):
 
 def test_compare_of_a_record_with_itself_passes(tmp_path, capsys):
     dir_a = record(tmp_path / "a", [("s analyze", '{"a": 1.0}\n')])
+    (dir_a / same_answers.INPUTS).mkdir()
+    (dir_a / same_answers.INPUTS / "s.json").write_text("{}")
     assert same_answers.main(["--compare", str(dir_a), str(dir_a)]) == 0
-    assert "0 of 1 invocations differ" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "0 of 1 invocations differ" in out and "0 of 1 generated input files differ" in out
+
+
+def test_compare_counts_changed_input_files(tmp_path, capsys):
+    # the same outputs from inputs that differ in one byte, or exist in one record only
+    dirs = [record(tmp_path / side, [("s analyze", '{"a": 1.0}\n')]) for side in "ab"]
+    files = ({"same.json": "[1.0]", "signed.json": "[-0.0]", "gone.json": "{}"},
+             {"same.json": "[1.0]", "signed.json": "[0.0]", "new.json": "{}"})
+    for directory, contents in zip(dirs, files):
+        (directory / same_answers.INPUTS).mkdir()
+        for name, text in contents.items():
+            (directory / same_answers.INPUTS / name).write_text(text)
+    assert same_answers.main(["--compare", *map(str, dirs)]) == 1
+    out = capsys.readouterr().out
+    assert "same     s analyze" in out and "0 of 1 invocations differ" in out
+    assert "input differs: gone.json (only in A)\n" in out
+    assert "input differs: new.json (only in B)\n" in out
+    assert "input differs: signed.json\n" in out and "same.json" not in out
+    assert "3 of 4 generated input files differ" in out
 
 
 def test_compare_counts_changed_verdicts(tmp_path, capsys):

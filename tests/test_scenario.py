@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from opframes.cli import EXIT_USAGE, main
 from opframes.perturbation import AdditivePerturbation, RelativePerturbation
 from opframes.scenario import ScenarioError, load_scenario, parse_scenario
 
@@ -187,3 +188,82 @@ class TestValidation:
         broken.write_text("{not json")
         with pytest.raises(ScenarioError):
             load_scenario(broken)
+
+
+def with_perturbation(perturbation):
+    """The base document with an additive perturbation by I, updated by ``perturbation``."""
+    def build(doc):
+        doc["perturbation"] = {
+            "kind": "additive",
+            "operator": pairs(np.eye(2).reshape(1, 1, 2, 2)),
+            "coefficient": {"form": "polynomial", "coefficients": [[0.4, 0.0]]},
+            **perturbation,
+        }
+        return doc
+    return build
+
+
+def changed(path, value):
+    """The base document with the field at the dotted ``path`` set to ``value``."""
+    def build(doc):
+        *parents, key = path.split(".")
+        owner = doc
+        for name in parents:
+            owner = owner[name]
+        owner[key] = value
+        return doc
+    return build
+
+
+RELATIVE = {
+    "kind": "relative",
+    "comparison_family": base_doc()["family"],
+    "scale_primal": {"form": "polynomial", "coefficients": [1.0]},
+    "scale_other": {"form": "polynomial", "coefficients": [1.0]},
+    "alpha": 0.5,
+    "beta": 0.25,
+}
+
+
+@pytest.mark.parametrize("build, field_path, message", [
+    (changed("measure", {"kind": "gaussian"}), "measure.kind", "unknown measure kind 'gaussian'"),
+    (changed("family.form", "tabulated"), "family.form", "unknown family form 'tabulated'"),
+    (with_perturbation({"coefficient": {"form": "spline", "coefficients": [[0.4, 0.0]]}}),
+     "perturbation.coefficient.form", "unknown scalar form 'spline'"),
+    (changed("family.coefficients", []), "family.coefficients", "need at least one coefficient"),
+    (with_perturbation({"coefficient": {"form": "polynomial", "coefficients": []}}),
+     "perturbation.coefficient.coefficients", "need at least one coefficient"),
+    (with_perturbation({"coefficient": {"form": "sampled", "values": [[1.0, 0.0]] * 7}}),
+     "perturbation.coefficient.values", "need one value per node (8)"),
+    (changed("family.coefficients", "[[1, 0]]"), "family.coefficients", "expected list"),
+    (with_perturbation(RELATIVE), "perturbation", "alpha and beta must lie in [0, 1/2)"),
+    (with_perturbation({"kind": "multiplicative"}), "perturbation.kind", "unknown perturbation kind 'multiplicative'"),
+    (lambda doc: [doc], "", "scenario must be a JSON object"),
+    (changed("algebra.kind", "upper"), "algebra.kind", "expected 'full' or 'diagonal', got 'upper'"),
+    (changed("schema_version", 2.0), "schema_version", "expected 1, got 2.0"),
+])
+def test_each_refusal_names_its_field(tmp_path, build, field_path, message):
+    # the document as given and as read from its text, where 2.0 is a number's token
+    doc = build(base_doc())
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    for parse in (lambda: parse_scenario(json.loads(json.dumps(doc))), lambda: load_scenario(path)):
+        with pytest.raises(ScenarioError) as info:
+            parse()
+        assert (info.value.field_path, str(info.value)) == (field_path, f"{field_path}: {message}")
+
+
+def test_schema_version_written_as_a_float_is_version_1(tmp_path):
+    doc = changed("schema_version", 1.0)(base_doc())
+    path = tmp_path / "float_version.json"
+    path.write_text(json.dumps(doc))
+    assert '"schema_version": 1.0' in path.read_text()
+    for scenario in (parse_scenario(doc), load_scenario(path)):
+        assert scenario.family.form == "parametric"
+
+
+def test_a_tolerance_that_is_no_number_is_a_usage_error(capsys):
+    code = main(["analyze", "--scenario", str(SCENARIOS / "diagonal_slope.json"), "--tol", "abc"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage error: argument --tol: expected a positive finite number, got 'abc'\n")

@@ -64,8 +64,11 @@ alone, such as a new margin, is listed with them and counted apart: no
 verdict moved.  It gives the largest move per scenario file, over all
 numeric leaves and over the leaves above ROUNDING_LEVEL in magnitude:
 residuals and recovery errors sit at the rounding level, where any change
-of summation order moves them by O(1) relative.  The exit code is 0 when
-every invocation is byte-identical, 1 otherwise.
+of summation order moves them by O(1) relative.  It also compares the input
+files that each record generated (under INPUTS in OUTDIR), byte by byte,
+prints ``input differs: <file>`` for each one that differs or is in one
+record only, and counts them.  The exit code is 0 when every invocation and
+every generated input is byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -114,6 +117,7 @@ FAR_COEFFICIENT = [[0.4, 0.0], [0.0, 0.0], [1e-300, 0.0]]  # its coefficient 0.4
 BOUNDARY_SEED = 2  # the boundary scenario's unitaries; eigenvalues of the formed s refuse this one
 SHOWN_DIFFERENCES = 3
 ROUNDING_LEVEL = 1e-9  # residuals and recovery errors stay below it
+INPUTS = "bench-scenarios"  # the directory of a record that holds the inputs it generated
 
 
 def bench_scenarios(workdir):
@@ -308,7 +312,7 @@ def slug(index):
 def cmd_run(outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    workdir = outdir / "bench-scenarios"
+    workdir = outdir / INPUTS
     workdir.mkdir(exist_ok=True)
     manifest = {}
     for index, (name, argv) in enumerate(matrix(workdir).items()):
@@ -420,6 +424,20 @@ def differences(text_a, text_b):
     return worst, above, other
 
 
+def changed_inputs(dir_a, dir_b):
+    """(names of the generated input files of two records that differ or are in one
+    record only, number of files in either), each printed as ``input differs``."""
+    names = sorted({path.name for record in (dir_a, dir_b) for path in (record / INPUTS).glob("*")})
+    changed = []
+    for name in names:
+        a, b = dir_a / INPUTS / name, dir_b / INPUTS / name
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            print(f"input differs: {name}" + ("" if a.is_file() and b.is_file() else
+                                               f" (only in {'A' if a.is_file() else 'B'})"))
+            changed.append(name)
+    return changed, len(names)
+
+
 def cmd_compare(dir_a, dir_b):
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     man_a = json.loads((dir_a / "manifest.json").read_text(encoding="utf-8"))
@@ -468,15 +486,17 @@ def cmd_compare(dir_a, dir_b):
         print(f"differs  {name}: " + ("; ".join(notes) or "no numeric move"))
         worst_so_far[0] = max(worst_so_far[0], worst[0])
         worst_so_far[1] = max(worst_so_far[1], above[0])
+    inputs, input_total = changed_inputs(dir_a, dir_b)
     total = len(set(man_a) | set(man_b))
     print(f"\n{changed} of {total} invocations differ")
+    print(f"{len(inputs)} of {input_total} generated input files differ")
     print(f"{verdicts} of {total} invocations changed an exit code or a boolean, string or integer"
           " leaf of a report")
     print(f"{additions} of {total} invocations only added such leaves")
     print(f"largest relative move of a numeric leaf per scenario: all leaves, leaves above {ROUNDING_LEVEL:g}")
     for source, (worst, above) in per_source.items():
         print(f"  {source:24s} {worst:<10.3g} {above:.3g}")
-    return 0 if changed == 0 else 1
+    return 0 if changed == 0 and not inputs else 1
 
 
 def main(argv=None):
