@@ -5,10 +5,16 @@ diagonal subalgebra.  An element is an immutable k x k complex matrix
 tagged with its descriptor: the value of an A-valued inner product or an
 integral.  The frame machinery itself works on flattenings and slot
 blocks (``hilbert_module``).
+
+The module also holds the checks that every numeric module shares: a
+tolerance (``_check_tol``), an element or block array (``_as_blocks``),
+and a value past the float range of doubles (``_finite``), through which
+every refusal of a NaN or infinite value goes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,3 +88,12 @@ def _check_tol(tol):
     """Refuse a tolerance that is not a positive finite number; NaN and inf decide nothing."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be > 0 and finite, got {tol!r}")
+
+
+def _finite(values, message):
+    """``values``, unless an entry is NaN or infinite: then ValueError(message).
+    A Python float, the per-step residual of an iteration, takes ``math.isfinite``,
+    a fraction of the time of ``np.isfinite``."""
+    if not (math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
+        raise ValueError(message)
+    return values

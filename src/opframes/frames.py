@@ -54,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_tol
+from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_tol, _finite
 from .exceptions import NotAFrame
 from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _check_fit, _flatten, _from_slots
 from .hilbert_module import _side_by_side, _to_slots, _unflatten
@@ -79,9 +79,7 @@ def _node_blocks(rule, slots):
 
 def _table_slots(descriptor, table):
     """The slot blocks of a constructor's validated table, converted once; a non-finite entry raises ValueError."""
-    if not np.isfinite(table).all():
-        raise ValueError("operator family entries must be finite")
-    return _to_slots(descriptor, table)
+    return _to_slots(descriptor, _finite(table, "operator family entries must be finite"))
 
 
 class OperatorFamily:

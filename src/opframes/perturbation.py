@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .algebra import SINGULARITY_RATIO, _check_tol
+from .algebra import SINGULARITY_RATIO, _check_tol, _finite
 from .frames import PARAMETRIC, SAMPLED, OperatorFamily, _gram, _require_fit, extremal_vector, frame_operator
 from .frames import require_frame
 from .hilbert_module import ModuleOperator, _check_fit, op_norm, random_vector
@@ -38,8 +38,7 @@ class ScalarFamily:
         given = self.values if coefficients is None else self.coefficients
         if given.ndim != 1 or len(given) == 0:
             raise ValueError(f"scale family needs a non-empty 1-d array, got shape {given.shape}")
-        if not np.all(np.isfinite(given)):
-            raise ValueError("scale family must be finite")
+        _finite(given, "scale family must be finite")
 
     @classmethod
     def polynomial(cls, coefficients):
@@ -94,15 +93,21 @@ class AdditivePerturbation:
     coefficient: ScalarFamily
 
     def __post_init__(self):
-        if not np.isfinite(self.operator.blocks).all():
-            raise ValueError("perturbation operator must be finite")
+        _finite(self.operator.blocks, "perturbation operator must be finite")
         if not self.operator.blocks.any():  # decided exactly, with no SVD of the operator
             raise ValueError("perturbation operator must be nonzero")
 
     def energy(self, rule: QuadratureRule) -> float:
-        """R = integral of |c_w|^2 ||K||^2."""
+        """R = integral of |c_w|^2 ||K||^2.  A factor, or R, past the float range
+        of doubles raises ValueError, naming it."""
         c = self.coefficient.at_nodes(rule)
-        return float(np.dot(rule.weights, np.abs(c) ** 2)) * op_norm(self.operator) ** 2
+        with np.errstate(over="ignore"):
+            mass = float(np.dot(rule.weights, np.abs(c) ** 2))
+            # the C pow of float's ** (not x * x, which can differ in the last bit), inf past the range
+            square = float(np.float64(op_norm(self.operator)) ** 2)
+        for name, value in (("sum w|c|^2", mass), ("||K||^2", square), ("R", mass * square)):
+            _finite(value, f"perturbation energy R = sum w|c|^2 ||K||^2: {name} is past the float range of doubles")
+        return mass * square
 
 
 @dataclass(frozen=True)
@@ -123,8 +128,10 @@ class RelativePerturbation:
         ra = self.scale_primal.real_range(rule)
         rb = self.scale_other.real_range(rule)
         for name, (lo, hi) in (("a", ra), ("b", rb)):
-            if lo <= 0.0 or not np.isfinite(hi):
-                raise ValueError(f"scale family {name} must be positively confined")
+            unconfined = f"scale family {name} must be positively confined"
+            if lo <= 0.0:
+                raise ValueError(unconfined)
+            _finite(hi, unconfined)
         return ra, rb
 
 
@@ -180,8 +187,7 @@ def additive_admissible(
 
 def additive_envelope(lower: float, upper: float, energy: float) -> tuple[float, float]:
     """Predicted bounds [(sqrt A - sqrt R)^2, (sqrt B + sqrt R)^2]; needs R < A."""
-    if not np.isfinite([lower, upper, energy]).all():
-        raise ValueError("frame bounds and perturbation energy must be finite")
+    _finite([lower, upper, energy], "frame bounds and perturbation energy must be finite")
     if energy >= lower:
         raise ValueError(f"perturbation energy {energy:.6g} must stay below A = {lower:.6g}")
     if energy < 0.0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _finite
 
 LEBESGUE = "lebesgue_interval"
 COUNTING = "counting"
@@ -39,8 +39,7 @@ class MeasureSpace:
     def __post_init__(self):
         if self.kind == LEBESGUE:
             for name, end in (("a", self.a), ("b", self.b)):
-                if not np.isfinite(end):
-                    raise ValueError(f"interval end {name} must be finite, got {end}")
+                _finite(end, f"interval end {name} must be finite, got {end}")
             if not self.a < self.b:
                 raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
         elif self.kind == COUNTING:
@@ -55,9 +54,7 @@ def node_powers(points: np.ndarray, terms: int, scale=1.0) -> np.ndarray:
     broadcasts, and 1.0 is exact.  An entry past the float range raises ValueError."""
     with np.errstate(over="ignore"):
         powers = scale * points[:, None] ** np.arange(terms)
-    if not np.isfinite(powers).all():
-        raise ValueError("a node power t^p is past the float range of doubles")
-    return powers
+    return _finite(powers, "a node power t^p is past the float range of doubles")
 
 
 def polynomial_values(points: np.ndarray, coefficients: np.ndarray, axis=0) -> np.ndarray:
@@ -67,9 +64,7 @@ def polynomial_values(points: np.ndarray, coefficients: np.ndarray, axis=0) -> n
     powers = node_powers(points, coefficients.shape[axis])
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.tensordot(powers, coefficients, axes=([1], [axis]))
-    if not np.isfinite(values).all():
-        raise ValueError("a polynomial's value is past the float range of doubles")
-    return values
+    return _finite(values, "a polynomial's value is past the float range of doubles")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +81,7 @@ class QuadratureRule:
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         for name, values in (("nodes", nodes), ("weights", weights)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"quadrature {name} must be finite")
+            _finite(values, f"quadrature {name} must be finite")
         if np.any(weights <= 0.0):
             raise ValueError("all quadrature weights must be strictly positive")
         if self.space.kind == LEBESGUE:

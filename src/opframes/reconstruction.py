@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SINGULARITY_RATIO, _check_tol
+from .algebra import SINGULARITY_RATIO, _check_tol, _finite
 from .exceptions import NoConvergence, SingularFrameOperator
 from .frames import FrameOperatorData, require_frame
 from .hilbert_module import ModuleVector, _slot_norm
@@ -100,26 +100,16 @@ def _eigenbasis(data, y):
     y_slots = y.slots
     if y.descriptor != data.descriptor or y_slots.shape[-1] != data.blocks.shape[-1]:
         raise ValueError("data vector does not match the frame operator shape")
-    if not np.isfinite(y.stack).all():
-        raise ValueError("data vector has an entry that is not finite")
-    y_scale = _slot_norm(y_slots)
-    if not math.isfinite(y_scale):
-        raise ValueError("data vector has a norm past the float range of doubles")
+    _finite(y.stack, "data vector has an entry that is not finite")
+    y_scale = _finite(_slot_norm(y_slots), "data vector has a norm past the float range of doubles")
     y_hat = y_slots @ data.block_eigenvectors
     return y_hat, data.block_eigenvalues[:, None, :], y_scale or 1.0
-
-
-def _in_range(blocks):
-    """``blocks``, unless an entry is not finite: the solve left the float range."""
-    if not np.isfinite(blocks).all():
-        raise ValueError(_PAST_RANGE)
-    return blocks
 
 
 def _vector(data, y, x_hat):
     """The module vector whose slot blocks are x_hat V*, refused past the float range."""
     x_slots = x_hat @ data.block_eigenvectors.conj().swapaxes(1, 2)
-    return ModuleVector.from_slots(y.descriptor, _in_range(x_slots))
+    return ModuleVector.from_slots(y.descriptor, _finite(x_slots, _PAST_RANGE))
 
 
 def _least_count(log_need, log_rate):
@@ -176,9 +166,7 @@ def _iterate(data, y, tol, theta, delta, predicted, **fields):
             rho, rho_prev = delta / scale, rho
             d = (rho * rho_prev) * d + (2.0 / scale) * r
         for x_k, residual in zip(iterates, _norms(residuals, y_scale)):
-            if not math.isfinite(residual):  # the step's residual, or its norm, is past the float range
-                raise ValueError(_PAST_RANGE)
-            history.append(residual)
+            history.append(_finite(residual, _PAST_RANGE))
             if residual <= tol:
                 return ReconstructionResult(
                     vector=_vector(data, y, x_k),
@@ -205,7 +193,7 @@ def reconstruct_direct(data: FrameOperatorData, y: ModuleVector) -> Reconstructi
     return ReconstructionResult(
         vector=x,
         iterations=0,
-        residual_history=(_slot_norm(_in_range(y.slots - x.slots @ data.blocks)) / y_scale,),
+        residual_history=(_slot_norm(_finite(y.slots - x.slots @ data.blocks, _PAST_RANGE)) / y_scale,),
         method="direct",
     )
 

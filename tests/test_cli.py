@@ -84,7 +84,7 @@ class TestAnalyze:
         path = self.nested_notes(tmp_path, 5000, "1.5")
         code, out, err = run(capsys, "analyze", "--scenario", str(path))
         assert (code, out) == (1, "")
-        assert err == "scenario error: : not valid JSON: nested too deeply\n"
+        assert err == "scenario error: not valid JSON: nested too deeply\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("inner", ["1.5", "[]"])
@@ -111,7 +111,7 @@ class TestAnalyze:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == "scenario error: : not valid JSON: nested too deeply\n"
+        assert proc.stderr == "scenario error: not valid JSON: nested too deeply\n"
 
     def test_json_writer_keeps_no_frame_per_level(self):
         depth = sys.getrecursionlimit() + 100
@@ -627,3 +627,21 @@ def test_scenario_commands_read_no_dense_view(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(OperatorFamily, "flats", property(refuse))
     for argv, answer in zip(invocations, answers):
         assert run(capsys, *argv) == answer, argv
+
+
+def test_a_fresh_import_of_the_cli_loads_a_fixed_set_of_modules():
+    # after numpy, what a run's start-up pays for: the package, numpy.polynomial
+    # and a few standard modules, never numpy.random
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import opframes.cli\n"
+        "print(*sorted(set(sys.modules) - before), 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    *added, random_loaded = proc.stdout.split()
+    assert (proc.returncode, proc.stderr, random_loaded) == (0, "", "False")
+    roots = {"numpy.polynomial" if name.startswith("numpy.polynomial") else name.split(".")[0] for name in added}
+    assert roots == {"opframes", "numpy.polynomial", "argparse", "csv", "_csv", "json", "_json",
+                     "dataclasses", "copy", "gettext", "__future__"}

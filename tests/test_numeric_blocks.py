@@ -363,7 +363,7 @@ def test_table_texts_load_as_json_reads_them(table, tmp_path):
     try:
         expected = outcome(json.loads(text))
     except json.JSONDecodeError as exc:
-        expected = "raised", (scenario.ScenarioError, f": not valid JSON: {exc}", "")
+        expected = "raised", (scenario.ScenarioError, f"not valid JSON: {exc}", "")
     assert load_outcome(text, tmp_path) == expected
 
 

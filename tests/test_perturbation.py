@@ -124,6 +124,21 @@ class TestAdditivePerturbation:
         fam = diagonal_slope_family()
         assert identity_perturbation(0.4).energy(fam.rule) == pytest.approx(0.16, abs=1e-12)
 
+    def test_energy_keeps_the_bits_of_its_formula(self):
+        # R = float(sum w|c|^2) * ||K|| ** 2, with float's ** (C pow).  For about one
+        # norm in 1200, ||K|| * ||K|| differs from it in the last bit: 40 such norms
+        rule = gauss_legendre(0.0, 1.0, 4)
+        rng = np.random.default_rng(29)
+        norms = (rng.uniform(0.5, 2.0, 200_000) * 10.0 ** rng.integers(-100, 100, 200_000)).tolist()
+        norms = [x for x in norms if x**2 != x * x][:40]
+        assert len(norms) == 40
+        for norm, c in zip(norms, rng.standard_normal(40) * 10.0 ** rng.integers(-50, 50, 40)):
+            operator = ModuleOperator.from_flat(DIAG2, np.diag([norm, norm / 3.0]))
+            pert = AdditivePerturbation(operator, ScalarFamily.polynomial([c, 1.0]))
+            assert op_norm(operator) == norm
+            mass = float(np.dot(rule.weights, np.abs(pert.coefficient.at_nodes(rule)) ** 2))
+            assert pert.energy(rule) == mass * norm**2
+
     def test_perturbed_node_blocks(self):
         fam = diagonal_slope_family()
         perturbed = perturb_additive(fam, identity_perturbation(0.1))

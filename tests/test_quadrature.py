@@ -205,25 +205,63 @@ class TestIntegrate:
         assert np.allclose(lhs.entries, rhs, atol=1e-14)
 
 
-def _calls_arange(node):
-    return any(isinstance(c, ast.Call) and getattr(c.func, "attr", getattr(c.func, "id", None)) == "arange"
+def _sources():
+    """(file name, syntax tree) of every module of the package."""
+    return [(path.name, ast.parse(path.read_text(), str(path)))
+            for path in sorted(Path(quadrature.__file__).parent.glob("*.py"))]
+
+
+def _calls(node, name):
+    """Whether ``node`` holds a call of a function or method named ``name``."""
+    return any(isinstance(c, ast.Call) and getattr(c.func, "attr", getattr(c.func, "id", None)) == name
                for c in ast.walk(node))
 
 
-def _node_power_sites(tree, scope=()):
-    """(function, line) of every ** in ``tree`` whose exponent holds an arange(...) call."""
+def _sites(tree, match, scope=()):
+    """(function, line) of every node in ``tree`` that ``match`` accepts."""
     for child in ast.iter_child_nodes(tree):
         inner = (*scope, child.name) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
-        if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Pow):
-            if _calls_arange(child.right if isinstance(child, ast.BinOp) else child.value):
-                yield ".".join(scope), child.lineno
-        yield from _node_power_sites(child, inner)
+        if match(child):
+            yield ".".join(scope), child.lineno
+        yield from _sites(child, match, inner)
+
+
+def _node_power(node):
+    """A ** whose exponent holds an arange(...) call."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+        return _calls(node.right if isinstance(node, ast.BinOp) else node.value, "arange")
+    return False
+
+
+def _finiteness_refusal(node):
+    """An ``if`` whose test calls an ``isfinite`` and whose body raises."""
+    return (isinstance(node, ast.If) and _calls(node.test, "isfinite")
+            and any(isinstance(inner, ast.Raise) for statement in node.body for inner in ast.walk(statement)))
 
 
 def test_node_powers_are_formed_in_one_function():
     # every power t^p of the node variable comes from quadrature.node_powers,
     # so a change to how they are formed, or refused, is made in one place
-    sites = []
-    for path in sorted(Path(quadrature.__file__).parent.glob("*.py")):
-        sites += [(path.name, *site) for site in _node_power_sites(ast.parse(path.read_text(), str(path)))]
+    sites = [(name, *site) for name, tree in _sources() for site in _sites(tree, _node_power)]
     assert [site[:2] for site in sites] == [("quadrature.py", "node_powers")], sites
+
+
+def test_values_that_are_not_finite_are_refused_in_one_function():
+    # every refusal of a NaN or infinite value goes through algebra._finite, so how
+    # such a value is detected, and how fast, is decided in one place
+    sites = [(name, *site) for name, tree in _sources() for site in _sites(tree, _finiteness_refusal)]
+    assert [site[:2] for site in sites] == [("algebra.py", "_finite")], sites
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ re-exports its public imports through __all__
+    unused = []
+    for name, tree in _sources():
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for statement in tree.body:
+            if isinstance(statement, (ast.Import, ast.ImportFrom)) and getattr(statement, "module", "") != "__future__":
+                for alias in statement.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded and not (name == "__init__.py" and not bound.startswith("_")):
+                        unused.append((name, statement.lineno, bound))
+    assert unused == []

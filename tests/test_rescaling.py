@@ -127,11 +127,11 @@ def test_rescaling_moves_no_verdict(capsys, tmp_path, name, c):
         compare(base_report, report, c)
 
 
-def refusal(capsys, path, command):
-    """(exit code, stdout, stderr, warnings) of ``command`` on the scenario at ``path``."""
+def refusal(capsys, path, command, *flags):
+    """(exit code, stdout, stderr, warnings) of ``command`` with ``flags`` on the scenario at ``path``."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main([command, "--scenario", str(path)])
+        code = main([command, "--scenario", str(path), *flags])
     out, err = capsys.readouterr()
     return code, out, err, [w.message for w in caught]
 
@@ -233,3 +233,26 @@ def test_a_far_scale_value_is_refused_by_name(capsys, tmp_path):
     answer = refusal(capsys, path, "perturb")
     assert_refused_by_name(answer)
     assert "a polynomial's value is past the float range" in answer[2]
+
+
+# perturbed_additive.json with one factor of R = sum w|c|^2 ||K||^2 past the
+# float range: ||K||^2 ~ 1e310 with c = 1e-170 raised an uncaught OverflowError,
+# and sum w|c|^2 ~ 1e320 with ||K|| = 1e-10 (R = 1e300) read energy Infinity
+# and margin -Infinity, after numpy's overflow warning
+ENERGY_FACTORS = {
+    "||K||^2": ([[[[[1e155, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]], 1e-170),
+    "sum w|c|^2": ([[[[[1e-10, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-10, 0.0]]]]], 1e160),
+}
+
+
+@pytest.mark.parametrize("argv", [("analyze",), ("analyze", "--format", "csv"), ("perturb",)])
+@pytest.mark.parametrize("factor", list(ENERGY_FACTORS))
+def test_an_energy_factor_past_the_float_range_is_refused_by_name(capsys, tmp_path, factor, argv):
+    doc = documents()["perturbed_additive"]
+    doc["perturbation"]["operator"], c = ENERGY_FACTORS[factor]
+    doc["perturbation"]["coefficient"]["coefficients"] = [[c, 0.0]]
+    path = tmp_path / "energy.json"
+    path.write_text(json.dumps(doc))
+    answer = refusal(capsys, path, *argv)
+    assert_refused_by_name(answer)
+    assert f": {factor} is past the float range of doubles" in answer[2]

@@ -231,6 +231,19 @@ def test_far_interval_scenarios_are_refused_by_name(tmp_path, monkeypatch):
             assert (code, out) == (1, "") and err.startswith("error: ") and "float range" in err, err
 
 
+def test_energy_factor_scenarios_are_refused_by_name(tmp_path, monkeypatch):
+    # the refusals themselves are tests/test_rescaling.py's; here, that the matrix reaches them
+    monkeypatch.chdir(ROOT)
+    written = same_answers.energy_factors(tmp_path)
+    assert [(name, calls) for name, _, calls in written] == [(name, []) for name in same_answers.ENERGY_FACTORS]
+    for name, path, _ in written:
+        for command in ("analyze", "perturb"):
+            code, out, err = same_answers.run_one([command, "--scenario", str(path)])
+            assert (code, out) == (1, "") and err.startswith("error: ") and "float range" in err, err
+        for command in ("dual", "independence"):  # they do not read the coefficient
+            assert same_answers.run_one([command, "--scenario", str(path)])[::2] == (0, "")
+
+
 def answers(argv):
     """Exit code and report leaves of one invocation, less the echo and the dual's
     coefficients and form, which a sampled family has in other terms."""

@@ -250,7 +250,8 @@ def test_each_refusal_names_its_field(tmp_path, build, field_path, message):
     for parse in (lambda: parse_scenario(json.loads(json.dumps(doc))), lambda: load_scenario(path)):
         with pytest.raises(ScenarioError) as info:
             parse()
-        assert (info.value.field_path, str(info.value)) == (field_path, f"{field_path}: {message}")
+        expected = f"{field_path}: {message}" if field_path else message  # the document's own, with no path
+        assert (info.value.field_path, str(info.value)) == (field_path, expected)
 
 
 def test_schema_version_written_as_a_float_is_version_1(tmp_path):

@@ -39,7 +39,13 @@ of ``perturbed_additive.json`` on the first interval with the coefficient
 0.4 + 1e-300 t^2, whose t^2 is past the largest double where the node
 operators are not, so ``analyze`` and ``perturb`` refuse it by the float
 range and the commands that do not read the coefficient answer; see
-``far_intervals``), and on the scenario of each benchmark workload for
+``far_intervals``), on two additive scenarios written into OUTDIR whose
+perturbation energy R = sum w|c|^2 ||K||^2 has one factor past the float
+range (``perturbed_additive.json`` with ||K|| = 1e155 and c = 1e-170, so
+||K||^2 ~ 1e310, and with ||K|| = 1e-10 and c = 1e160, so sum w|c|^2 ~ 1e320;
+``analyze`` and ``perturb`` refuse both by the float range and the commands
+that do not read the coefficient answer; see ``energy_factors``), and on
+the scenario of each benchmark workload for
 seed 1 (whose own benchmark calls are added as they are), plus
 ``analyze --nodes 300000`` on every demo scenario and ``verify-examples``
 with and without flags.
@@ -114,6 +120,10 @@ HUGE_SCALE = 1e150  # the huge-scale scenario's slopes: s ~ 1e300, near the larg
 FAR_INTERVALS = {"far_past": (1e300, 1e300 * (1 + 2**-52)), "far_below": (0.0, 1e-300)}
 FAR_ADDITIVE = "far_past_additive"  # a sampled additive scenario on the far_past interval
 FAR_COEFFICIENT = [[0.4, 0.0], [0.0, 0.0], [1e-300, 0.0]]  # its coefficient 0.4 + 1e-300 t^2
+ENERGY_FACTORS = {  # (additive operator, coefficient) with ||K||^2, then sum w|c|^2, past the float range
+    "energy_past_norm": ([[[[[1e155, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]], [[1e-170, 0.0]]),
+    "energy_past_mass": ([[[[[1e-10, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-10, 0.0]]]]], [[1e160, 0.0]]),
+}
 BOUNDARY_SEED = 2  # the boundary scenario's unitaries; eigenvalues of the formed s refuse this one
 SHOWN_DIFFERENCES = 3
 ROUNDING_LEVEL = 1e-9  # residuals and recovery errors stay below it
@@ -259,6 +269,21 @@ def far_intervals(workdir):
     return out
 
 
+def energy_factors(workdir):
+    """(name, path, no calls) of ``perturbed_additive.json`` with each of
+    ENERGY_FACTORS, written indented into ``workdir``: R is 1e-30 and 1e300,
+    both in range, while ||K||^2 and sum w|c|^2 are not."""
+    out = []
+    for name, (operator, coefficients) in ENERGY_FACTORS.items():
+        doc = json.loads((SCENARIOS / "perturbed_additive.json").read_text(encoding="utf-8"))
+        doc["perturbation"]["operator"] = operator
+        doc["perturbation"]["coefficient"]["coefficients"] = coefficients
+        target = workdir / f"{name}.json"
+        target.write_text(json.dumps(doc, **LAYOUTS["indented"]), encoding="utf-8")
+        out.append((target.stem, target, []))
+    return out
+
+
 def matrix(workdir):
     """Ordered {invocation name: argv}; paths are relative to the checkout root when possible."""
     from opframes.cli import COMMANDS
@@ -269,7 +294,8 @@ def matrix(workdir):
 
     demos = [(p.stem, p, []) for p in sorted(SCENARIOS.glob("*.json"))]
     sources = demos + respellings(workdir) + sampled(workdir) + ill_conditioned(workdir)
-    sources += boundary(workdir) + huge_scale(workdir) + far_intervals(workdir) + bench_scenarios(workdir)
+    sources += boundary(workdir) + huge_scale(workdir) + far_intervals(workdir) + energy_factors(workdir)
+    sources += bench_scenarios(workdir)
     invocations = {}
     for stem, path, own_calls in sources:
         for command, (_, _, flags) in COMMANDS.items():
