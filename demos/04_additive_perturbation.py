@@ -26,7 +26,7 @@ for c in (0.0, 0.2, 0.4, 0.49, 0.6):
     pert = AdditivePerturbation(
         ModuleOperator.identity(family.descriptor, 1), ScalarFamily.constant(c)
     )
-    admissible, energy, _ = additive_admissible(family, pert)
+    admissible, _, energy, _ = additive_admissible(family, pert)
     emp = optimal_bounds(frame_operator(perturb_additive(family, pert)))
     if admissible:
         env = additive_envelope(lower, upper, energy)
@@ -45,5 +45,5 @@ ramp = AdditivePerturbation(
     ModuleOperator.identity(family.descriptor, 1),
     ScalarFamily.polynomial([0.0, 0.45]),  # c(w) = 0.45 w
 )
-admissible, energy, _ = additive_admissible(family, ramp)
+admissible, _, energy, _ = additive_admissible(family, ramp)
 print(f"\nc(w) = 0.45 w: R = {energy:.4f}, admissible = {admissible}")

@@ -9,7 +9,8 @@ blocks (``hilbert_module``).
 The module also holds the checks that every numeric module shares: a
 tolerance (``_check_tol``), an element or block array (``_as_blocks``),
 and a value past the float range of doubles (``_finite``), through which
-every refusal of a NaN or infinite value goes.
+every refusal of a NaN or infinite value goes; every array the package
+freezes is made read-only by ``_read_only``.
 """
 
 from __future__ import annotations
@@ -52,9 +53,7 @@ def _as_blocks(descriptor, arr, shape, what):
         mask = ~np.eye(descriptor.dim, dtype=bool)
         if np.any(arr[..., mask] != 0):
             raise ValueError(f"{what}: diagonal descriptor requires zero off-diagonal entries")
-    out = arr.copy(order="K")  # in its own memory order, so a flattening stays a view
-    out.setflags(write=False)
-    return out
+    return _read_only(arr.copy(order="K"))  # in its own memory order, so a flattening stays a view
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +87,12 @@ def _check_tol(tol):
     """Refuse a tolerance that is not a positive finite number; NaN and inf decide nothing."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be > 0 and finite, got {tol!r}")
+
+
+def _read_only(arr):
+    """``arr``, made read-only in place."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _finite(values, message):

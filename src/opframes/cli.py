@@ -4,8 +4,10 @@ Subcommands: analyze, reconstruct, dual, perturb, independence,
 verify-examples; each accepts only the flags that ``COMMANDS`` lists for
 it.  Scenarios are JSON documents (schema version 1);
 reports go to standard output as JSON (default) or CSV.  Exit codes:
-0 success / frame, 2 family is not a frame, 1 error, 64 usage.  Every
-command decides "is a frame" by one rule at the classification tolerance.
+0 success / frame, 2 family is not a frame, 1 error, 64 usage.  The CLI
+decides nothing itself: every verdict, margin and envelope in a scenario
+report ("is a frame" at the classification tolerance, admissibility,
+envelope containment) is a library result, copied into it.
 
 Every report starts with the scenario's echo, ``Scenario.raw``, which
 writes each number as the file does: a token (bytes) as it reads, and a
@@ -59,6 +61,7 @@ from .perturbation import (
     perturb_additive,
     relative_criterion_check,
     relative_envelope,
+    within_envelope,
 )
 from .quadrature import gauss_legendre
 from .reconstruction import reconstruct_chebyshev, reconstruct_direct, reconstruct_neumann
@@ -68,8 +71,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_FRAME = 2
 EXIT_USAGE = 64
-
-_FRAME_KINDS = ("frame", "tight", "parseval")
 
 
 class _UsageError(Exception):
@@ -119,6 +120,7 @@ def _reconstruction_section(scenario, data, method, tol, seed):
     rng = np.random.default_rng(seed)
     x_true = random_vector(scenario.descriptor, scenario.module_rank, rng, unit=True)
     y = ModuleVector.from_slots(scenario.descriptor, x_true.slots @ data.blocks)
+    section = {"method": method, "tolerance": tol, "seed": seed}
     try:
         if method == "direct":
             result = reconstruct_direct(data, y)
@@ -127,84 +129,55 @@ def _reconstruction_section(scenario, data, method, tol, seed):
         else:
             result = reconstruct_chebyshev(data, y, tol=tol)
     except NoConvergence as exc:
-        return {
-            "method": method,
-            "converged": False,
-            "iterations": exc.iterations,
-            "predicted_iterations": exc.predicted_iterations,
-            "final_residual": exc.residual,
-            "tolerance": tol,
-            "seed": seed,
-        }
-    error = scalar_norm(result.vector - x_true)
-    return {
-        "method": result.method,
-        "converged": True,
-        "iterations": result.iterations,
-        "predicted_iterations": result.predicted_iterations,
-        "relaxation": result.relaxation,
-        "contraction": result.contraction,
-        "final_residual": result.final_residual,
-        "recovery_error": error,
-        "tolerance": tol,
-        "seed": seed,
-    }
-
-
-def _within(envelope, empirical):
-    """Empirical bounds inside the envelope, with a slack of 1e-9 relative to each end."""
-    lo, hi = envelope
-    return bool(lo - 1e-9 * abs(lo) <= empirical[0] and empirical[1] <= hi + 1e-9 * abs(hi))
+        section.update(converged=False, iterations=exc.iterations,
+                       predicted_iterations=exc.predicted_iterations, final_residual=exc.residual)
+        return section
+    section.update(converged=True, iterations=result.iterations, predicted_iterations=result.predicted_iterations,
+                   relaxation=result.relaxation, contraction=result.contraction,
+                   final_residual=result.final_residual, recovery_error=scalar_norm(result.vector - x_true))
+    return section
 
 
 def _perturbation_section(scenario, frame_tol):
+    """The perturbation report: each verdict, margin and envelope as the library returns it."""
     tols = scenario.tolerances
     pert = scenario.perturbation
     bounds = require_frame(frame_operator(scenario.family), frame_tol)
     if isinstance(pert, AdditivePerturbation):
         tol = tols["admissibility"]
-        admissible, energy, lower = additive_admissible(scenario.family, pert, tol)
-        perturbed = perturb_additive(scenario.family, pert)
-        empirical = optimal_bounds(frame_operator(perturbed))
+        admissible, margin, energy, lower = additive_admissible(scenario.family, pert, tol)
+        other = perturb_additive(scenario.family, pert)
+        envelope = additive_envelope(lower, bounds[1], energy) if admissible else None
         section = {
             "kind": "additive",
             "energy": energy,
             "lower_bound": lower,
             "admissible": admissible,
-            # 1 - tol - R/A, spelled so that its sign is the verdict R < (1 - tol) A
-            "margin": ((1.0 - tol) * lower - energy) / lower,
+            "margin": margin,
             "criterion": "perturbation energy below lower frame bound (R < A)",
             "tolerance": tol,
-            "empirical_bounds": [empirical[0], empirical[1]],
         }
-        if admissible:
-            lo, hi = additive_envelope(lower, bounds[1], energy)
-            section["envelope"] = [lo, hi]
-            section["within_envelope"] = _within((lo, hi), empirical)
-        else:
-            section["envelope"] = None
-            section["within_envelope"] = None
-            section["diagnostics"] = (
-                f"not admissible, R = {energy:.6g} >= A = {lower:.6g}"
-            )
-        return section
-    passed, margin = relative_criterion_check(
-        scenario.family, scenario.comparison_family, pert, tols["criterion"]
-    )
-    envelope = relative_envelope(bounds, pert, scenario.rule)
-    empirical = optimal_bounds(frame_operator(scenario.comparison_family))
-    return {
-        "kind": "relative",
-        "alpha": pert.alpha,
-        "beta": pert.beta,
-        "criterion_passed": passed,
-        "verdict": "exact",
-        "margin": margin,
-        "tolerance": tols["criterion"],
-        "envelope": [envelope[0], envelope[1]],
-        "empirical_bounds": [empirical[0], empirical[1]],
-        "within_envelope": _within(envelope, empirical),
-    }
+        if not admissible:
+            section["diagnostics"] = f"not admissible, R = {energy:.6g} >= A = {lower:.6g}"
+    else:
+        tol = tols["criterion"]
+        passed, margin = relative_criterion_check(scenario.family, scenario.comparison_family, pert, tol)
+        other = scenario.comparison_family
+        envelope = relative_envelope(bounds, pert, scenario.rule)
+        section = {
+            "kind": "relative",
+            "alpha": pert.alpha,
+            "beta": pert.beta,
+            "criterion_passed": passed,
+            "verdict": "exact",
+            "margin": margin,
+            "tolerance": tol,
+        }
+    empirical = optimal_bounds(frame_operator(other))
+    section["empirical_bounds"] = list(empirical)
+    section["envelope"] = None if envelope is None else list(envelope)
+    section["within_envelope"] = None if envelope is None else within_envelope(envelope, empirical)
+    return section
 
 
 def _block_template(shape, level):
@@ -416,8 +389,7 @@ def cmd_analyze(scenario, args):
         "perturbation": None,
         "timings": timings,
     }
-    is_frame = report_frame.classification in _FRAME_KINDS
-    if is_frame:
+    if report_frame.is_frame:
         start = time.perf_counter()
         report["dual"] = _dual_section(scenario, class_tol, tols["dual"])
         report["reconstruction"] = _reconstruction_section(
@@ -427,7 +399,7 @@ def cmd_analyze(scenario, args):
             timings["dual_reconstruction_seconds"] = time.perf_counter() - start
         if scenario.perturbation is not None:
             report["perturbation"] = _perturbation_section(scenario, class_tol)
-    return report, EXIT_OK if is_frame else EXIT_NOT_FRAME
+    return report, EXIT_OK if report_frame.is_frame else EXIT_NOT_FRAME
 
 
 def cmd_reconstruct(scenario, args):

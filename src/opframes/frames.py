@@ -54,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_tol, _finite
+from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_tol, _finite, _read_only
 from .exceptions import NotAFrame
 from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _check_fit, _flatten, _from_slots
 from .hilbert_module import _side_by_side, _to_slots, _unflatten
@@ -64,11 +64,6 @@ FRAME_TOL = 1e-8  # the default tol of the frame rule, in the library and in sce
 PARAMETRIC = "parametric"
 KERNEL_TOL = 1e-12  # singular values <= KERNEL_TOL * sigma_max count toward the synthesis kernel
 SAMPLED = "sampled"
-
-
-def _read_only(arr):
-    arr.setflags(write=False)
-    return arr
 
 
 def _node_blocks(rule, slots):
@@ -204,6 +199,7 @@ class FrameReport:
     lower_bound: float
     upper_bound: float
     classification: str                  # frame | tight | parseval | bessel_only | not_bessel
+    is_frame: bool                       # the frame rule (_is_frame) at ``tolerance``
     spectrum: tuple
     condition: float
     tolerance: float
@@ -366,6 +362,7 @@ def classify(data: FrameOperatorData, tol: float = FRAME_TOL) -> FrameReport:
         lower_bound=lower,
         upper_bound=upper,
         classification=kind,
+        is_frame=is_frame,
         spectrum=spectrum,
         condition=condition,
         tolerance=tol,

@@ -124,14 +124,13 @@ class RelativePerturbation:
             raise ValueError("alpha and beta must lie in [0, 1/2)")
 
     def confined_ranges(self, rule):
-        """((inf a, sup a), (inf b, sup b)), enforcing strict positivity."""
+        """((inf a, sup a), (inf b, sup b)), enforcing strict positivity.  Each sup is
+        finite: ``real_range`` ranges over values already refused when not finite."""
         ra = self.scale_primal.real_range(rule)
         rb = self.scale_other.real_range(rule)
-        for name, (lo, hi) in (("a", ra), ("b", rb)):
-            unconfined = f"scale family {name} must be positively confined"
+        for name, (lo, _) in (("a", ra), ("b", rb)):
             if lo <= 0.0:
-                raise ValueError(unconfined)
-            _finite(hi, unconfined)
+                raise ValueError(f"scale family {name} must be positively confined")
         return ra, rb
 
 
@@ -169,11 +168,12 @@ def perturb_additive(family: OperatorFamily, pert: AdditivePerturbation) -> Oper
 
 def additive_admissible(
     family: OperatorFamily, pert: AdditivePerturbation, tol: float = 1e-12
-) -> tuple[bool, float, float]:
+) -> tuple[bool, float, float, float]:
     """Whether the perturbation energy stays below the lower frame bound.
 
-    Returns (admissible, R, A) with the criterion R < (1 - tol) A, relative to
-    A so that rescaling the problem never changes the verdict; refuses
+    Returns (admissible, margin, R, A) with the criterion R < (1 - tol) A,
+    relative to A so that rescaling the problem never changes the verdict,
+    and margin = ((1 - tol) A - R) / A, whose sign is the verdict; refuses
     A <= SINGULARITY_RATIO * B, as the reconstructors do, and an operator that
     ``perturb_additive`` refuses.  The energy criterion
     is what the envelope consumes; integral |c|^2 < A / ||K|| is not used.
@@ -182,7 +182,7 @@ def additive_admissible(
     _check_fit(pert.operator, family, _MISFIT)
     lo, _ = require_frame(frame_operator(family), SINGULARITY_RATIO)
     energy = pert.energy(family.rule)
-    return energy < (1.0 - tol) * lo, energy, lo
+    return energy < (1.0 - tol) * lo, ((1.0 - tol) * lo - energy) / lo, energy, lo
 
 
 def additive_envelope(lower: float, upper: float, energy: float) -> tuple[float, float]:
@@ -193,6 +193,12 @@ def additive_envelope(lower: float, upper: float, energy: float) -> tuple[float,
     if energy < 0.0:
         raise ValueError("perturbation energy cannot be negative")
     return (lower**0.5 - energy**0.5) ** 2, (upper**0.5 + energy**0.5) ** 2
+
+
+def within_envelope(envelope: tuple[float, float], bounds: tuple[float, float]) -> bool:
+    """Whether frame bounds lie inside a predicted envelope, with a slack of 1e-9 relative to each end."""
+    lo, hi = envelope
+    return bool(lo - 1e-9 * abs(lo) <= bounds[0] and bounds[1] <= hi + 1e-9 * abs(hi))
 
 
 def relative_criterion_check(

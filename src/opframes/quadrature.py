@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .algebra import AlgebraElement, _finite
+from .algebra import AlgebraElement, _finite, _read_only
 
 LEBESGUE = "lebesgue_interval"
 COUNTING = "counting"
@@ -91,10 +91,8 @@ class QuadratureRule:
         else:
             if len(nodes) != self.space.count or np.any(weights != 1.0):
                 raise ValueError("counting rule needs one unit weight per point")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "nodes", _read_only(nodes))
+        object.__setattr__(self, "weights", _read_only(weights))
         object.__setattr__(self, "_triangles", {})  # vandermonde_triangle's, by degree
 
     def __len__(self):
@@ -112,8 +110,7 @@ class QuadratureRule:
         triangle = self._triangles.get(terms)
         if triangle is None:
             phi = node_powers(self.nodes, terms, np.sqrt(self.weights)[:, None])
-            triangle = self._triangles[terms] = np.linalg.qr(phi, mode="r")
-            triangle.setflags(write=False)
+            triangle = self._triangles[terms] = _read_only(np.linalg.qr(phi, mode="r"))
         return triangle
 
     def __eq__(self, other):

@@ -162,7 +162,7 @@ def test_criterion_5_additive_perturbation_envelope():
             pert = AdditivePerturbation(
                 direction, ScalarFamily.polynomial(scale * raw.coefficient.coefficients)
             )
-            admissible, energy, _ = additive_admissible(family, pert)
+            admissible, _, energy, _ = additive_admissible(family, pert)
             assert admissible
             env_lo, env_hi = additive_envelope(lower, upper, energy)
             emp_lo, emp_hi = optimal_bounds(frame_operator(perturb_additive(family, pert)))
@@ -174,7 +174,7 @@ def test_criterion_5_additive_perturbation_envelope():
         pert = AdditivePerturbation(
             ModuleOperator.identity(family.descriptor, 1), ScalarFamily.constant(0.4)
         )
-        admissible, energy, lower = additive_admissible(family, pert)
+        admissible, _, energy, lower = additive_admissible(family, pert)
         assert admissible
         assert abs(energy - 0.16) <= 1e-12
         env_lo, env_hi = additive_envelope(lower, optimal_bounds(frame_operator(family))[1], energy)

@@ -32,7 +32,15 @@ from opframes.perturbation import AdditivePerturbation, ScalarFamily, perturb_ad
 from opframes.quadrature import counting, gauss_legendre
 
 from families import rank_deficient_family
-from oracles import check_frame_inequality, node_operator, norm_bounds_estimate, psd_within, random_operator
+from oracles import (
+    check_frame_inequality,
+    fold_products,
+    jacobi_eigh,
+    node_operator,
+    norm_bounds_estimate,
+    psd_within,
+    random_operator,
+)
 
 DIAG2 = AlgebraDescriptor("diagonal", 2)
 FULL2 = AlgebraDescriptor("full", 2)
@@ -370,10 +378,32 @@ class TestIndependence:
         fam = OperatorFamily.sampled(counting(2), [op, op])
         independent, kernel_dim = independence_check(fam)
         assert not independent
-        assert kernel_dim >= 8
+        assert kernel_dim == 8  # k (N n k - rank) = 2 (8 - 4): the two nodes' ranges coincide
         y = random_vector(FULL2, 2, rng)
         pair = L2Family(fam.rule, FULL2, np.stack([y.stack, y.scale(-1.0).stack]))
         assert scalar_norm(synthesis(fam, pair)) <= 1e-12 * scalar_norm(y)
+
+
+    @pytest.mark.parametrize("blank", [False, True])
+    def test_full_algebra_kernel_is_counted_in_the_module(self, blank):
+        # the kernel of the synthesis map on N copies of A^n, N n k^2 complex
+        # dimensions, is N n k^2 - k rank(s), rank(s) from the Jacobi oracle;
+        # a blank row and column of blocks leaves every node operator rank n k - k
+        full3 = AlgebraDescriptor("full", 3)
+        rng = np.random.default_rng(30)
+        ops = [random_operator(full3, 2, rng) for _ in range(4)]
+        if blank:
+            blocks = np.array([op.blocks for op in ops])
+            blocks[:, 1, :] = blocks[:, :, 1] = 0.0
+            ops = [ModuleOperator(full3, table) for table in blocks]
+        fam = OperatorFamily.sampled(counting(4), ops)
+        flats = np.array([op.flatten() for op in ops])
+        values, _ = jacobi_eigh(fold_products(fam.rule.weights, flats, flats))
+        rank = int(np.sum(np.sqrt(np.clip(values, 0.0, None)) > 1e-12 * np.sqrt(values[-1])))
+        assert rank == (3 if blank else 6)
+        independent, kernel_dim = independence_check(fam)
+        assert not independent
+        assert kernel_dim == 4 * 2 * 3**2 - 3 * rank
 
 
 class TestSpectralInvariants:

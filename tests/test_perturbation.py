@@ -18,6 +18,7 @@ from opframes.perturbation import (
     perturb_additive,
     relative_criterion_check,
     relative_envelope,
+    within_envelope,
 )
 from opframes.quadrature import counting, gauss_legendre
 
@@ -179,20 +180,20 @@ class TestAdditivePerturbation:
 class TestAdmissibility:
     def test_admissible_case(self):
         fam = diagonal_slope_family()
-        admissible, energy, lower = additive_admissible(fam, identity_perturbation(0.4))
+        admissible, _, energy, lower = additive_admissible(fam, identity_perturbation(0.4))
         assert admissible
         assert energy == pytest.approx(0.16, abs=1e-12)
         assert lower == pytest.approx(0.25, abs=1e-10)
 
     def test_zero_coefficient_is_admissible(self):
         fam = diagonal_slope_family()
-        admissible, energy, _ = additive_admissible(fam, identity_perturbation(0.0))
+        admissible, _, energy, _ = additive_admissible(fam, identity_perturbation(0.0))
         assert admissible
         assert energy == 0.0
 
     def test_inadmissible_case(self):
         fam = diagonal_slope_family()
-        admissible, energy, lower = additive_admissible(fam, identity_perturbation(0.6))
+        admissible, _, energy, lower = additive_admissible(fam, identity_perturbation(0.6))
         assert not admissible
         assert energy == pytest.approx(0.36, abs=1e-12)
         assert energy >= lower
@@ -205,10 +206,33 @@ class TestAdmissibility:
         # A = 2.5e-13 and A/B = 0.75; the absolute margin R < A - 1e-12 refused it
         c = 1e-6
         fam = diagonal_slope_family((c, c * ROOT3 / 2.0))
-        admissible, energy, lower = additive_admissible(fam, identity_perturbation(c / 4.0))
+        admissible, _, energy, lower = additive_admissible(fam, identity_perturbation(c / 4.0))
         assert lower == pytest.approx(c * c / 4.0, rel=1e-12)
         assert energy == pytest.approx(lower / 4.0, rel=1e-12)
         assert admissible
+
+
+    @pytest.mark.parametrize("c", [0.0, 0.4, 0.49, 0.5, 0.6])
+    @pytest.mark.parametrize("tol", [1e-12, 0.1])
+    def test_margin_sign_is_the_verdict(self, c, tol):
+        admissible, margin, energy, lower = additive_admissible(diagonal_slope_family(), identity_perturbation(c), tol)
+        assert margin == ((1.0 - tol) * lower - energy) / lower
+        assert admissible is (margin > 0.0)
+
+
+class TestWithinEnvelope:
+    @pytest.mark.parametrize("bounds, inside", [
+        ((1.0, 2.0), True),
+        ((1.0 - 0.9e-9, 2.0 * (1 + 0.9e-9)), True),
+        ((1.0 - 1.1e-9, 2.0), False),
+        ((1.0, 2.0 * (1 + 1.1e-9)), False),
+    ])
+    def test_slack_is_1e_minus_9_relative_to_each_end(self, bounds, inside):
+        assert within_envelope((1.0, 2.0), bounds) is inside
+
+    def test_a_negative_end_keeps_its_slack_outward(self):
+        assert within_envelope((-1.0, 2.0), (-1.0 - 0.9e-9, 2.0))
+        assert not within_envelope((-1.0, 2.0), (-1.0 - 1.1e-9, 2.0))
 
 
 class TestAdditiveEnvelope:
@@ -235,7 +259,7 @@ class TestAdditiveEnvelope:
         fam = diagonal_slope_family()
         lower, upper = optimal_bounds(frame_operator(fam))
         pert = identity_perturbation(0.4)
-        _, energy, _ = additive_admissible(fam, pert)
+        _, _, energy, _ = additive_admissible(fam, pert)
         env_lo, env_hi = additive_envelope(lower, upper, energy)
         emp_lo, emp_hi = optimal_bounds(frame_operator(perturb_additive(fam, pert)))
         assert emp_lo >= env_lo - 1e-9
@@ -259,7 +283,7 @@ class TestAdditiveEnvelope:
             direction = ModuleOperator.identity(descriptor, 2)
             target = float(rng.uniform(0.05, 0.8)) * lower
             pert = AdditivePerturbation(direction, ScalarFamily.constant(np.sqrt(target)))
-            admissible, energy, _ = additive_admissible(fam, pert)
+            admissible, _, energy, _ = additive_admissible(fam, pert)
             assert admissible
             env_lo, env_hi = additive_envelope(lower, upper, energy)
             emp_lo, emp_hi = optimal_bounds(frame_operator(perturb_additive(fam, pert)))
@@ -431,6 +455,21 @@ class TestRelativeEnvelope:
         pert = RelativePerturbation(dip, ScalarFamily.constant(1.0), 0.1, 0.1)
         with pytest.raises(ValueError, match="positively confined"):
             pert.confined_ranges(rule)
+
+    @pytest.mark.parametrize("low, square, cause", [
+        # t^2 ~ 1e300 is a double, 1e10 t^2 is not
+        (1e150, 1e10, r"^a polynomial's value is past the float range of doubles$"),
+        # t^2 ~ 1e400 is not a double
+        (1e200, 1.0, r"^a node power t\^p is past the float range of doubles$"),
+    ])
+    def test_a_polynomial_scale_past_the_float_range_is_refused_upstream(self, low, square, cause):
+        # confined_ranges checks only inf > 0: a sup past the float range never reaches it
+        rule = gauss_legendre(low, low * (1 + 2**-52), 4)
+        far = ScalarFamily.polynomial([1.0, 0.0, square])
+        for pert in (RelativePerturbation(far, ScalarFamily.constant(1.0), 0.1, 0.1),
+                     RelativePerturbation(ScalarFamily.constant(1.0), far, 0.1, 0.1)):
+            with pytest.raises(ValueError, match=cause):
+                pert.confined_ranges(rule)
 
     def test_zero_perturbation_fixed_point(self):
         fam = diagonal_slope_family()

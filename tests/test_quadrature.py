@@ -239,11 +239,30 @@ def _finiteness_refusal(node):
             and any(isinstance(inner, ast.Raise) for statement in node.body for inner in ast.walk(statement)))
 
 
+def _freeze(node):
+    """A ``setflags`` call."""
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setflags"
+
+
 def test_node_powers_are_formed_in_one_function():
     # every power t^p of the node variable comes from quadrature.node_powers,
     # so a change to how they are formed, or refused, is made in one place
     sites = [(name, *site) for name, tree in _sources() for site in _sites(tree, _node_power)]
     assert [site[:2] for site in sites] == [("quadrature.py", "node_powers")], sites
+
+
+def test_the_cli_decides_nothing_and_one_function_freezes_arrays():
+    # each verdict, margin and envelope comes from the module that owns its theorem:
+    # the perturbation report does no arithmetic, and no classification is read back
+    # into "is a frame"; every read-only array is frozen by algebra._read_only
+    sources = dict(_sources())
+    section = next(node for node in ast.walk(sources["cli.py"])
+                   if isinstance(node, ast.FunctionDef) and node.name == "_perturbation_section")
+    assert [node.lineno for node in ast.walk(section) if isinstance(node, ast.BinOp)] == []
+    strings = {node.value for node in ast.walk(sources["cli.py"]) if isinstance(node, ast.Constant)}
+    assert strings.isdisjoint({"tight", "parseval"})
+    sites = [(name, *site) for name, tree in sources.items() for site in _sites(tree, _freeze)]
+    assert [site[:2] for site in sites] == [("algebra.py", "_read_only")], sites
 
 
 def test_values_that_are_not_finite_are_refused_in_one_function():

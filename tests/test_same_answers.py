@@ -2,10 +2,14 @@
 
 import importlib.util
 import json
+import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from opframes import cli
 from opframes.reconstruction import CHEBYSHEV_BUDGET
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +39,35 @@ def test_run_one_records_exit_code_and_streams(monkeypatch):
     assert json.loads(out)["dual"]["is_dual"] is True
     code, out, err = same_answers.run_one(["dual", "--scenario", "missing.json"])
     assert code == 1 and out == "" and err.startswith("error: ")
+
+
+def test_run_one_records_a_warning_in_every_invocation_that_raises_it(monkeypatch):
+    # under the default filter a warning shows once per code location, so without
+    # a fresh registry per invocation only the first of two would record it
+    def overflow(argv):
+        np.float64(1e300) * np.float64(1e300)  # one fixed line: numpy's overflow RuntimeWarning
+        return 0
+
+    def show(message, category, filename, lineno, file=None, line=None):  # as Python's own: to sys.stderr
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    monkeypatch.setattr(cli, "main", overflow)
+    monkeypatch.setattr(warnings, "showwarning", show)  # the test runner records warnings instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        errs = [same_answers.run_one([])[2] for _ in range(2)]
+    assert [err.count("RuntimeWarning: overflow") for err in errs] == [1, 1], errs
+
+
+def test_compare_parses_each_report_once(tmp_path, capsys, monkeypatch):
+    outputs = ['{"a": 1.0, "b": true}\n', '{"a": 2.0, "b": false}\n']
+    dirs = [record(tmp_path / side, [("s analyze", out)]) for side, out in zip("ab", outputs)]
+    parsed = []
+    parse = same_answers.report_leaves
+    monkeypatch.setattr(same_answers, "report_leaves", lambda text: parsed.append(text) or parse(text))
+    assert same_answers.main(["--compare", *map(str, dirs)]) == 1
+    assert "verdict leaves changed: .b" in capsys.readouterr().out
+    assert [parsed.count(out) for out in outputs] == [1, 1]
 
 
 def test_compare_separates_rounding_level_moves(tmp_path, capsys):

@@ -87,6 +87,7 @@ import json
 import math
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -319,10 +320,13 @@ def matrix(workdir):
 
 
 def run_one(argv):
+    """(exit code, stdout, stderr) of one in-process call of ``opframes.cli.main``.
+    It runs with a fresh warning registry, so a warning is recorded in every
+    invocation that raises it, whichever invocations ran before."""
     from opframes.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except Exception:  # an escaped exception is an answer too: record it
@@ -391,18 +395,18 @@ def csv_value(text):
     return text
 
 
-def leaves(text):
-    """{path: leaf} of a JSON report, a CSV report, or a text's lines."""
-    out = report_leaves(text)
-    return out if out is not None else {f"line {i + 1}": line for i, line in enumerate(text.splitlines())}
+def leaves(text, report):
+    """{path: leaf} of an output: ``report``, its ``report_leaves``, or when that is
+    None (no report), its lines."""
+    return report if report is not None else {f"line {i + 1}": line for i, line in enumerate(text.splitlines())}
 
 
-def verdict_changes(text_a, text_b):
+def verdict_changes(a, b):
     """Paths of report leaves that differ and are not floats on both sides:
     booleans, strings, integers and nulls (verdicts, classifications,
     iteration counts, kernel dimensions), and paths in one report only.
-    Outputs that are not reports, such as ``verify-examples`` text, have none."""
-    a, b = report_leaves(text_a), report_leaves(text_b)
+    ``a`` and ``b`` are the outputs' ``report_leaves``; outputs that are not
+    reports (None), such as ``verify-examples`` text, have none."""
     if a is None or b is None:
         return [] if a is None and b is None else ["(report in one output only)"]
     return [
@@ -412,9 +416,9 @@ def verdict_changes(text_a, text_b):
     ]
 
 
-def added_leaves(text_a, text_b):
-    """Paths of report leaves in B only; none unless both outputs are reports."""
-    a, b = report_leaves(text_a), report_leaves(text_b)
+def added_leaves(a, b):
+    """Paths of report leaves in B only, from the outputs' ``report_leaves``;
+    none unless both outputs are reports."""
     return [] if a is None or b is None else sorted(set(b) - set(a))
 
 
@@ -430,11 +434,10 @@ def relative_move(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def differences(text_a, text_b):
-    """Largest relative move of a numeric leaf between two outputs as
+def differences(a, b):
+    """Largest relative move of a numeric leaf between two outputs' ``leaves`` as
     (move, path, value in A, value in B), the same for leaves above
     ROUNDING_LEVEL, and the non-numeric differences."""
-    a, b = leaves(text_a), leaves(text_b)
     worst = above = (0.0, None, None, None)
     other = []
     for path in sorted(set(a) | set(b)):
@@ -487,16 +490,17 @@ def cmd_compare(dir_a, dir_b):
             print(f"same     {name}")
             continue
         changed += 1
-        worst, above, other = differences(out_a, out_b)
-        _, _, err_other = differences(err_a, err_b)
+        report_a, report_b = report_leaves(out_a), report_leaves(out_b)  # each report parsed once
+        worst, above, other = differences(leaves(out_a, report_a), leaves(out_b, report_b))
+        _, _, err_other = differences(leaves(err_a, report_leaves(err_a)), leaves(err_b, report_leaves(err_b)))
         notes = []
         for label, (move, path, value_a, value_b) in (("max", worst), ("above rounding", above)):
             if path is not None:
                 notes.append(f"{label} rel move {move:.3g} at {path} ({value_a!r} -> {value_b!r})")
         if ea["exit"] != eb["exit"]:
             notes.append(f"exit {ea['exit']} -> {eb['exit']}")
-        moved = verdict_changes(out_a, out_b)
-        added = added_leaves(out_a, out_b)
+        moved = verdict_changes(report_a, report_b)
+        added = added_leaves(report_a, report_b)
         if moved and set(moved) <= set(added) and ea["exit"] == eb["exit"]:
             notes.append(f"leaves added: {', '.join(added[:SHOWN_DIFFERENCES])}")
             additions += 1
