@@ -2,45 +2,26 @@
 
 Subcommands: analyze, reconstruct, dual, perturb, independence,
 verify-examples; each accepts only the flags that ``COMMANDS`` lists for
-it.  Scenarios are JSON documents (schema version 1);
-reports go to standard output as JSON (default) or CSV.  Exit codes:
-0 success / frame, 2 family is not a frame, 1 error, 64 usage.  The CLI
-decides nothing itself: every verdict, margin and envelope in a scenario
-report ("is a frame" at the classification tolerance, admissibility,
-envelope containment) is a library result, copied into it.
-
-Every report starts with the scenario's echo, ``Scenario.raw``, which
-writes each number as the file does: a token (bytes) as it reads, and a
-table of numbers (a ``TokenBlock``, recognised when the file is read) from
-its text.  Numbers the commands compute are written as their reprs, as
-``json.dumps`` writes them; the tables among them (the spectrum, the dual
-coefficients) stay float arrays until they are written.  The writers have
-two numeric routes: a TokenBlock and a float array are each written from
-one layout template built for the whole block and filled with its leaves'
-texts.  A float array's leaves that are +0.0 in every row of its outermost
-axis, such as the off-diagonal entries of a diagonal family's dual, are
-written into that template once, and only the other leaves are repr'd;
-the bytes are those of a leaf-by-leaf writer.  Any list is a plain
-container, written item by item.
+it.  A report, the scenario's echo (``Scenario.raw``) and the command's
+sections, goes to standard output as JSON (default) or CSV, written by
+``codec``.  Exit codes: 0 success / frame, 2 family is not a frame, 1
+error, 64 usage.  The CLI decides nothing: every verdict ("is a frame" at
+the classification tolerance, admissibility, envelope containment),
+margin and envelope in a report is a library result, copied into it.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
-import json
-import math
 import sys
 import time
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
 from .catalog import diagonal_slope_family
+from .codec import _pairs, _Parts, _write_csv, _write_json
 from .duals import canonical_dual, is_dual_pair
 from .exceptions import NoConvergence, NotAFrame
 from .frames import (
@@ -65,7 +46,7 @@ from .perturbation import (
 )
 from .quadrature import gauss_legendre
 from .reconstruction import reconstruct_chebyshev, reconstruct_direct, reconstruct_neumann
-from .scenario import ScenarioError, TokenBlock, load_scenario
+from .scenario import ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -80,12 +61,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _pairs(arr):
-    """Complex ndarray -> its float view, shape (..., 2), with innermost [re, im] pairs."""
-    arr = np.ascontiguousarray(arr, dtype=np.complex128)
-    return arr.view(np.float64).reshape(arr.shape + (2,))
 
 
 def _frame_section(report):
@@ -178,181 +153,6 @@ def _perturbation_section(scenario, frame_tol):
     section["envelope"] = None if envelope is None else list(envelope)
     section["within_envelope"] = None if envelope is None else within_envelope(envelope, empirical)
     return section
-
-
-def _block_template(shape, level):
-    """The indented json layout of a nested list of ``shape`` at ``level``, one %s per leaf."""
-    text = "%s"
-    for depth in reversed(range(len(shape))):
-        inner = "\n" + "  " * (level + depth + 1)
-        text = f"[{inner}{(',' + inner).join([text] * shape[depth])}\n{'  ' * (level + depth)}]"
-    return text
-
-
-def _array_rows(value):
-    """An array's leaves, row by row of its outermost axis, as the writers fill
-    a row template with them: ``(slots, kept)``.
-
-    ``slots`` has one text per leaf position of a row: "0.0" where a float64
-    leaf is +0.0 in every row (all its bits 0, so -0.0 keeps its own text),
-    "%s" elsewhere.  They are written into the template once, and ``kept``,
-    a 2-d array of the remaining leaves, is repr'd to fill its %s.
-    """
-    rows = value.reshape(math.prod(value.shape[:1]), math.prod(value.shape[1:]))
-    zero = np.zeros(rows.shape[1], bool)
-    if rows.dtype == np.float64:
-        zero = ~rows.view(np.uint64).any(axis=0)
-    slots = tuple(np.where(zero, "0.0", "%s").tolist())
-    return slots, rows[:, ~zero] if zero.any() else rows
-
-
-def _write_block(shape, rows, level, write, slots=None):
-    """Write a numeric block at nesting ``level`` a row of its outermost axis at a
-    time, each row a tuple of its leaves' texts filling one layout template:
-    bytes for tokens, else str.  A float array's ``slots`` (``_array_rows``)
-    are written into the template first, its always-zero leaves once."""
-    row = _block_template(shape[1:], level + 1)
-    if slots is not None:
-        row %= slots
-    token_row = row.encode()
-    opening, inner = "[", "\n" + "  " * (level + 1)
-    for texts in rows:
-        text = row % texts if slots is not None else (token_row % texts).decode()
-        write(opening + inner + text)
-        opening = ","
-    write("\n" + "  " * level + "]")
-
-
-def _write_json(value, write):
-    """Write ``json.dumps(value, indent=2, sort_keys=True)``, an ndarray written as
-    its ``tolist()``.
-
-    A number token (bytes, from the scenario) is written as it reads.  A
-    TokenBlock and a finite float array are written by ``_write_block`` from
-    one layout template, filled with the tokens or with the reprs of the
-    array's rows; the array's leaves that are +0.0 in every row are written
-    into the template once, as "0.0", the text their repr would give, so
-    the bytes do not change.  Any other array is written as its nested
-    lists, so NaN and Infinity come out as the stdlib writes them, and a
-    list is written item by item.  Types this encoder does not know, and non-finite
-    numbers, go to the stdlib.  Open containers are kept on a stack, not in
-    Python frames, so any depth the scenario decoder reads can be written.
-    """
-    stack = []                             # (items left, closing text) of each open container
-    while True:
-        kind = type(value)
-        depth = len(stack)
-        inner = "\n" + "  " * (depth + 1)
-        close = "\n" + "  " * depth
-        if kind is str:
-            write(encode_basestring_ascii(value))
-        elif value is None:
-            write("null")
-        elif kind is bool:
-            write("true" if value else "false")
-        elif kind is int or (kind is float and value - value == 0.0):
-            write(repr(value))
-        elif kind is bytes:
-            write(value.decode())
-        elif kind is TokenBlock:
-            rows = zip(*[iter(value.tokens())] * math.prod(value.shape[1:]))  # its tokens row by row
-            _write_block(value.shape, rows, depth, write)
-        elif kind is dict and value and set(map(type, value)) == {str}:
-            keys = sorted(value)
-            marks = chain("{", repeat(","))
-            openings = [f"{mark}{inner}{encode_basestring_ascii(key)}: " for mark, key in zip(marks, keys)]
-            stack.append((zip(openings, map(value.__getitem__, keys)), close + "}"))
-        elif kind is list and value:
-            openings = chain(["[" + inner], repeat("," + inner))
-            stack.append((zip(openings, value), close + "]"))
-        elif kind is np.ndarray:
-            if value.ndim and value.size and value.dtype.kind == "f" and np.isfinite(value).all():
-                slots, kept = _array_rows(value)
-                rows = (tuple(map(repr, row)) for row in kept.tolist())
-                _write_block(value.shape, rows, depth, write, slots)
-            else:                          # non-finite, empty or not floats: as its nested lists
-                value = value.tolist()
-                continue
-        else:
-            write(json.dumps(value, indent=2, sort_keys=True).replace("\n", close))
-        while stack:                       # the next value, after closing every finished container
-            items, closing = stack[-1]
-            opening, value = next(items, (None, None))
-            if opening is not None:
-                write(opening)
-                break
-            write(closing)
-            stack.pop()
-        else:
-            return
-
-
-def _csv_block(prefix, shape, texts, slots=None):
-    """The csv rows ``prefix[i0]...[im],text`` of a numeric block of ``shape``, as
-    csv.writer writes them, from one template built axis by axis.
-
-    ``texts`` are its leaves' texts in order: all str, or all bytes (tokens),
-    which fill the template encoded and are decoded once.  A float array's
-    ``slots`` (``_array_rows``) are written into the rows of one index of
-    its outermost axis before that axis and the prefix are, so its
-    always-zero leaves are written once and the prefix's % is escaped for
-    the one fill that follows.  The path is quoted exactly when csv.writer
-    quotes ``prefix``, since the indices never need it; a leaf's text never
-    does.
-    """
-    field = io.StringIO()
-    csv.writer(field, lineterminator="\n").writerow([prefix, ""])
-    head = field.getvalue()[:-2]           # the prefix as csv.writer writes it
-    tail = '"' if head != prefix else ""   # it quoted the prefix: the path's closing quote
-    text = "\0" + tail + ",%s\n"
-    for size in reversed(shape[1:]):       # "\0" marks where the next outer index goes
-        text = "".join([text.replace("\0", f"\0[{i}]") for i in range(size)])
-    if slots is not None:
-        text %= slots
-    for size in shape[:1]:
-        text = "".join([text.replace("\0", f"\0[{i}]") for i in range(size)])
-    text = text.replace("\0", head.removesuffix(tail).replace("%", "%%"))
-    if texts and type(texts[0]) is bytes:  # surrogatepass: a key may hold any str
-        return (text.encode("utf-8", "surrogatepass") % tuple(texts)).decode("utf-8", "surrogatepass")
-    return text % tuple(texts)
-
-
-def _write_csv(report, buffer):
-    """Write ``field,value`` rows, one per leaf, as csv.writer writes them; an
-    ndarray is written as its ``tolist()``.
-
-    A TokenBlock and an array are written by ``_csv_block`` from one
-    template, filled with the tokens or with the reprs of the array's
-    leaves, but for the always-zero leaves of a float array (``_array_rows``),
-    which are written into the template once; a list or tuple is walked item by item, and a token is written
-    as it reads.
-    """
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["field", "value"])
-
-    def walk(prefix, value):
-        if isinstance(value, dict):
-            for key in sorted(value):
-                walk(f"{prefix}.{key}" if prefix else key, value[key])
-        elif type(value) is TokenBlock:
-            buffer.write(_csv_block(prefix, value.shape, value.tokens()))
-        elif isinstance(value, (list, tuple)):
-            for i, item in enumerate(value):
-                walk(f"{prefix}[{i}]", item)
-        elif type(value) is np.ndarray:
-            slots, kept = _array_rows(value)
-            buffer.write(_csv_block(prefix, value.shape, list(map(repr, kept.ravel().tolist())), slots))
-        elif type(value) is bytes:
-            writer.writerow([prefix, value.decode()])
-        else:
-            writer.writerow([prefix, "" if value is None else value])
-
-    walk("", report)
-
-
-class _Parts(list):
-    """A report's pieces, joined once: no buffer of several MB grows by realloc."""
-    write = list.append
 
 
 def _emit(report, fmt):

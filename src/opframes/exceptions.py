@@ -1,4 +1,13 @@
-"""Exception types raised by the numerical core."""
+"""Exception types of the package."""
+
+
+class ScenarioError(ValueError):
+    """Schema violation; ``field_path`` names the offending field, or is empty
+    for the document as a whole, whose message is then the bare message."""
+
+    def __init__(self, field_path, message):
+        super().__init__(f"{field_path}: {message}" if field_path else message)
+        self.field_path = field_path
 
 
 class NotAFrame(Exception):

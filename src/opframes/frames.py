@@ -57,7 +57,7 @@ import numpy as np
 from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_tol, _finite, _read_only
 from .exceptions import NotAFrame
 from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _check_fit, _flatten, _from_slots
-from .hilbert_module import _side_by_side, _to_slots, _unflatten
+from .hilbert_module import _side_by_side, _slot_rows, _to_slots, _unflatten
 from .quadrature import QuadratureRule, polynomial_values
 
 FRAME_TOL = 1e-8  # the default tol of the frame rule, in the library and in scenarios
@@ -383,17 +383,16 @@ def independence_check(family, tol: float = KERNEL_TOL) -> tuple[bool, int]:
     The synthesis map sends the discretized l2 space, N copies of the module,
     onto the module; the family is independent exactly when the numerical
     kernel (singular values <= tol * sigma_max) is trivial.  Returns the
-    kernel dimension in the module, whose vectors have ``rows`` rows of b
-    entries in each of m slots (``ModuleVector.slots``), rows = 1 on a
-    diagonal algebra and k on a full one: rows (N m b - rank).
+    kernel dimension in the module, whose vectors have r rows of b entries
+    in each of m slots (``ModuleVector.slots``), r = 1 on a diagonal algebra
+    and k on a full one (``_slot_rows``): r (N m b - rank).
     """
     _check_tol(tol)
     data = frame_operator(family)
     sigma = np.sqrt(data.eigenvalues)  # ascending; all zero gives rank 0
     rank = int(np.sum(sigma > tol * sigma[-1]))
-    rows = 1 if family.descriptor.is_diagonal else family.descriptor.dim
     slots, size = data.blocks.shape[:2]
-    kernel_dim = rows * (len(family) * slots * size - rank)
+    kernel_dim = _slot_rows(family.descriptor) * (len(family) * slots * size - rank)
     return kernel_dim == 0, kernel_dim
 
 
@@ -407,7 +406,6 @@ def extremal_vector(data: FrameOperatorData, which: str = "min") -> ModuleVector
         raise ValueError("which must be 'min' or 'max'")
     col, pick = (0, np.argmin) if which == "min" else (-1, np.argmax)
     slot = int(pick(data.block_eigenvalues[:, col]))
-    rows = 1 if data.descriptor.is_diagonal else data.descriptor.dim
-    blocks = np.zeros((len(data.blocks), rows, data.blocks.shape[-1]), dtype=np.complex128)
+    blocks = np.zeros((len(data.blocks), _slot_rows(data.descriptor), data.blocks.shape[-1]), dtype=np.complex128)
     blocks[slot, 0] = data.block_eigenvectors[slot][:, col].conj()
     return ModuleVector.from_slots(data.descriptor, blocks)

@@ -17,7 +17,7 @@ works on; for the full algebra the whole flattening is the one slot.  Only
 this module knows the layout: a (..., r, c, k, k) table of algebra elements
 goes to its flattening in ``_flatten`` and to its slot blocks in
 ``_to_slots``, an operator's are ``ModuleOperator.slots``, a vector's are
-``ModuleVector.slots`` and back ``ModuleVector.from_slots``,
+``ModuleVector.slots`` (``_slot_rows`` rows) and back ``ModuleVector.from_slots``,
 ``_side_by_side`` lays a slot's node matrices in one row, and
 ``_slot_norm`` is the norm of a direct sum of slot blocks.
 Two values on A^n fit together when they share a descriptor and a rank,
@@ -58,6 +58,11 @@ def _to_slots(descriptor, table):
         return _flatten(table)[None]
     k = descriptor.dim
     return np.moveaxis(table, (-2, -1), (0, 1))[range(k), range(k)]
+
+
+def _slot_rows(descriptor):
+    """The rows of a vector's slot block: 1 on a diagonal algebra, k on a full one."""
+    return 1 if descriptor.is_diagonal else descriptor.dim
 
 
 def _from_slots(descriptor, blocks):

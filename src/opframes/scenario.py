@@ -1,32 +1,27 @@
-"""Loading and validation of JSON scenario files (schema version 1).
+"""Validation of JSON scenario documents (schema version 1), and ``load_scenario``.
 
 Complex numbers are two-element [re, im] arrays; polynomial coefficient
 tables are listed lowest degree first.  Validation failures raise
 ScenarioError carrying the JSON path of the offending field.
-
-``load_scenario`` reads every number once and keeps its text for the
-report's echo.  A rectangular table of numbers is recognised from its text
-(``_token_block``), decoded to one flat float array (``_decode``), and held
-as a ``TokenBlock``: its shape, its float array and its JSON text.  A float
-anywhere else becomes its token, the bytes of its own text, which the parse
+``load_scenario`` reads a file with ``codec._Reader``: each table of
+numbers as a ``TokenBlock``, any other float as its token, which the parse
 converts where it needs the value.  ``Scenario.raw`` is the document as
-read, so the echo writes each number as the file does.  Every table field
-reaches its array through ``_number_array``; a Python document given to
-``parse_scenario`` is converted there element by element.
+read, for the report's echo.  Every table field reaches its array through
+``_number_array``; a Python document given to ``parse_scenario`` is
+converted there element by element.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 from dataclasses import dataclass
-from json.decoder import WHITESPACE, JSONObject
-from json.scanner import make_scanner
 
 import numpy as np
 
 from .algebra import AlgebraDescriptor
+from .codec import TokenBlock, _Reader, _refuse_lone_surrogates
+from .exceptions import ScenarioError
 from .frames import FRAME_TOL, OperatorFamily
 from .hilbert_module import ModuleOperator, _flatten, _unflatten
 from .perturbation import AdditivePerturbation, RelativePerturbation, ScalarFamily
@@ -43,47 +38,6 @@ DEFAULT_TOLERANCES = {
 }
 
 _RULES = {"gauss_legendre": gauss_legendre, "midpoint": midpoint}
-
-
-class ScenarioError(ValueError):
-    """Schema violation; ``field_path`` names the offending field, or is empty
-    for the document as a whole, whose message is then the bare message."""
-
-    def __init__(self, field_path, message):
-        super().__init__(f"{field_path}: {message}" if field_path else message)
-        self.field_path = field_path
-
-
-class TokenBlock:
-    """A rectangular table of numbers as read from a file (``_token_block``):
-    its nested ``shape``, its numbers as a flat float array ``values``, and
-    its JSON text, in ``pieces`` of bytes small enough for Python's
-    small-object allocator."""
-
-    def __init__(self, shape, values, pieces):
-        self.shape = shape
-        self.values = values
-        self.pieces = pieces
-
-    def __len__(self):
-        return self.shape[0]
-
-    def tokens(self):
-        """Every number's token (bytes), in order."""
-        return b"".join(self.pieces).translate(_SEPARATORS).split()
-
-    def floats(self):
-        """The numbers as a flat float array: ``values``, or, once ``load_scenario``
-        has dropped it after the parse, its text decoded again as it was read
-        (``_decode``)."""
-        return _decode(b"".join(self.pieces)) if self.values is None else self.values
-
-
-_SCAN = json.JSONDecoder().scan_once    # the C scanner, numbers read as by ``json.loads``
-_SEPARATORS = bytes.maketrans(b"[],", b"   ")
-_BRACKETS = bytes.maketrans(b"[]", b"  ")
-_NUMBER = bytes.maketrans(b"123456789.eE+-", b"0" * 14)  # each byte of a number as 0
-_PIECE = 400  # characters, below the 512 bytes of the small-object allocator
 
 
 @dataclass(frozen=True)
@@ -317,148 +271,6 @@ def parse_scenario(doc: dict) -> Scenario:
         perturbation=perturbation,
         comparison_family=comparison,
     )
-
-
-def _skeleton(raw):
-    """``raw``, the bytes of a list's text, less its whitespace and with each
-    run of number bytes written as one ``0``."""
-    marks = np.frombuffer(raw.translate(_NUMBER, b" \t\n\r"), np.uint8)
-    other = marks != ord("0")
-    keep = np.empty(len(marks), bool)
-    keep[0] = True
-    np.logical_or(other[1:], other[:-1], out=keep[1:])   # no 0 right after a 0
-    return marks[keep].tobytes()
-
-
-def _table_shape(skeleton, depth):
-    """The shape of a rectangular table from its ``skeleton`` (``_skeleton``),
-    which opens ``depth`` lists; else None.
-
-    Each axis's length is read from the first row at its level, and the
-    skeleton must be exactly that shape's, no axis empty.  So every row is
-    full, and every number sits in a row of the last axis, between ``[`` or
-    ``,`` and ``,`` or ``]``.
-    """
-    shape, width, close = [], 1, 0          # width: the span of an item one level in
-    for level in reversed(range(depth)):
-        close = skeleton.find(b"]" * (depth - level), close)  # where its first row closes
-        if close < 0:
-            return None
-        span = close + depth - 2 * level    # [ item , item , ... ] of ``width`` each
-        shape.append((span - 1) // (width + 1))
-        width = span
-    row = b"0"
-    for size in shape:
-        row = b"[" + b",".join([row] * size) + b"]"
-    return tuple(reversed(shape)) if row == skeleton and all(shape) else None
-
-
-def _decode(raw):
-    """A table's text ``raw`` (bytes) as the flat float array of its numbers:
-    with its brackets blanked it is one flat list, which the C scanner
-    decodes, so JSON's own number grammar decides every leaf (``-0`` is the
-    int 0) and no nested list is built."""
-    flat, _ = _SCAN(f"[{raw.translate(_BRACKETS).decode()}]", 0)
-    return np.array(flat, dtype=float)
-
-
-def _token_block(text, start):
-    """``(TokenBlock, end)`` of the list that starts at ``text[start]`` if it is
-    a rectangular table of numbers only, each within float range; else None.
-
-    The table is read from its text, never as nested lists.  Its text runs
-    to the next key or closing brace, less trailing commas and whitespace.
-    Its skeleton (``_skeleton``) must be exactly a shape's (``_table_shape``),
-    which leaves no room for any other character, and its numbers are
-    decoded as one flat list (``_decode``), so each ``0`` of the skeleton is
-    one number.  A declined list goes to the reader's route for other
-    values, which raises the same errors as ever.
-    """
-    key = text.find('"', start)
-    key = len(text) if key < 0 else key
-    brace = text.find("}", start, key)
-    span = text[start:key if brace < 0 else brace].rstrip(", \t\n\r")
-    raw = span.encode("ascii", "replace")    # any other character is kept in the skeleton
-    skeleton = _skeleton(raw)
-    depth = len(skeleton) - len(skeleton.lstrip(b"["))
-    # No nested list is decoded, so probe the nesting the decoder allows: this
-    # raises RecursionError where scanning the table's own lists would.
-    _SCAN("[" * depth + "]" * depth, 0)
-    shape = _table_shape(skeleton, depth)
-    if shape is None:
-        return None
-    try:
-        values = _decode(raw)                # its floats' memory, freed, serves the pieces
-    except (StopIteration, ValueError, OverflowError):  # not JSON, or an int beyond float range
-        return None
-    pieces = [raw[i:i + _PIECE] for i in range(0, len(raw), _PIECE)]
-    return TokenBlock(shape, values, pieces), start + len(raw)
-
-
-class _Reader(json.JSONDecoder):
-    """The decoder of ``load_scenario``: objects member by member, a table of
-    numbers as a TokenBlock read from its text (``_token_block``), and any
-    other value with each float as its token."""
-
-    def __init__(self):
-        super().__init__()
-        self.blocks = []                      # every TokenBlock read
-        self.parse_float = str.encode
-        tokens = make_scanner(self)
-
-        def scan_once(text, idx):
-            head = text[idx:idx + 1]
-            if head == "{":
-                return JSONObject((text, idx + 1), self.strict, scan_once, None, None, self.memo)
-            if head == "[":
-                block = _token_block(text, idx)
-                if block is not None:
-                    self.blocks.append(block[0])
-                    return block
-            return tokens(text, idx)
-
-        self.scan_once = scan_once
-
-    def decode(self, s):
-        """``json.loads(s)``, with no frame between this one and ``scan_once``,
-        so that lists nest as deep here as ``json.loads`` reads them: 994
-        levels, called from one frame below a fresh interpreter's top, at the
-        default recursion limit of 1000.  An object level takes two frames,
-        ``scan_once`` and ``JSONObject``, so objects nest only 497 deep."""
-        if s.startswith("\ufeff"):
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
-        try:
-            doc, end = self.scan_once(s, WHITESPACE.match(s, 0).end())
-        except StopIteration as err:
-            raise json.JSONDecodeError("Expecting value", s, err.value) from None
-        end = WHITESPACE.match(s, end).end()
-        if end != len(s):
-            raise json.JSONDecodeError("Extra data", s, end)
-        return doc
-
-
-_SURROGATE = re.compile("[\ud800-\udfff]")  # after decoding, an escaped pair is one character
-
-
-def _refuse_lone_surrogates(doc):
-    """Raise ScenarioError at the first key or string, in document order, that
-    holds a lone surrogate.  A JSON escape such as ``\\ud800`` spells one, and
-    no report could write it as UTF-8.  Number tables (TokenBlocks) hold
-    none and are not walked; open containers are kept on a stack, so any
-    depth the decoder reads is walked."""
-    stack = [("", doc)]
-    while stack:
-        path, value = stack.pop()
-        if type(value) is dict:
-            for key in value:
-                if _SURROGATE.search(key):
-                    shown = key.encode("utf-8", "backslashreplace").decode()
-                    raise ScenarioError(f"{path}.{shown}" if path else shown, "key holds a lone surrogate")
-            stack.extend((f"{path}.{key}" if path else key, item) for key, item in reversed(value.items()))
-        elif type(value) is list:
-            stack.extend((f"{path}[{i}]", value[i]) for i in reversed(range(len(value))))
-        elif type(value) is str and _SURROGATE.search(value):
-            raise ScenarioError(path, "string holds a lone surrogate")
 
 
 def load_scenario(path, nodes=None) -> Scenario:

@@ -304,11 +304,20 @@ def norm_bounds_estimate(family, sample_count, seed=0):
 
 
 def csv_report(report):
-    """The csv report, row by row through csv.writer: the reference for the
-    bulk csv emitter."""
+    """The csv report, row by row through csv.writer, each row's end written
+    "\\n": the reference for the bulk csv emitter.  The writer ends rows with
+    "\\r\\n", so it quotes a field that holds either line break, as csv.reader
+    needs to read the row back whole."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["field", "value"])
+    writer = csv.writer(buffer, lineterminator="\r\n")
+
+    def row(fields):
+        writer.writerow(fields)
+        buffer.seek(buffer.tell() - 2)   # the row's "\r\n" becomes "\n"
+        buffer.write("\n")
+        buffer.truncate()
+
+    row(["field", "value"])
 
     def walk(prefix, value):
         if isinstance(value, dict):
@@ -318,7 +327,7 @@ def csv_report(report):
             for i, item in enumerate(value):
                 walk(f"{prefix}[{i}]", item)
         else:
-            writer.writerow([prefix, "" if value is None else value])
+            row([prefix, "" if value is None else value])
 
     walk("", report)
     return buffer.getvalue()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opframes import cli
+from opframes import cli, codec
 from opframes import scenario as scenario_module
 from opframes.cli import main
 from opframes.frames import KERNEL_TOL, FrameOperatorData, OperatorFamily, independence_check
@@ -119,7 +119,7 @@ class TestAnalyze:
         for _ in range(depth - 1):
             value = [value]
         parts = []
-        cli._write_json({"notes": value}, parts.append)
+        codec._write_json({"notes": value}, parts.append)
         lines = ["{", '  "notes": ['] + ["  " * i + "[" for i in range(2, depth)]
         lines += ["  " * depth + "[]"] + ["  " * i + "]" for i in reversed(range(1, depth))] + ["}"]
         assert "".join(parts) == "\n".join(lines)

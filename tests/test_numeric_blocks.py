@@ -2,7 +2,7 @@
 
 A table of numbers is a rectangular nested list whose leaves are all
 exactly int or float.  In a file, ``load_scenario`` recognises one from its
-text (``scenario._token_block``) and holds it as a TokenBlock.
+text (``codec._token_block``) and holds it as a TokenBlock.
 ``scenario._number_array`` converts a TokenBlock of the right shape in a
 single step and sends anything else, a Python document handed to
 ``parse_scenario`` included, to its element walker.  ``cli._emit`` writes
@@ -31,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opframes import cli, scenario
+from opframes import cli, codec, scenario
 from opframes.cli import _emit, main
 from opframes.hilbert_module import _flatten
 from opframes.perturbation import AdditivePerturbation, RelativePerturbation
@@ -341,7 +341,7 @@ def test_spelled_numbers_load_and_echo_as_written(name, spelling, tmp_path):
     raw = scenario.load_scenario(tmp_path / "doc.json").raw
     assert outcome(raw) == first
     read_owner, read_key = block_tables(raw)[0]
-    assert type(read_owner[read_key]) is scenario.TokenBlock
+    assert type(read_owner[read_key]) is codec.TokenBlock
     as_written = json.loads(text, parse_float=str, parse_int=str)
     assert json.loads(emitted(raw, "json"), parse_float=str, parse_int=str) == as_written
     assert emitted(raw, "csv") == csv_report(as_written)
@@ -378,7 +378,7 @@ def depth(value):
 def holds_block(value):
     if type(value) is list:
         return any(map(holds_block, value))
-    return type(value) is scenario.TokenBlock
+    return type(value) is codec.TokenBlock
 
 
 LEAVES = (
@@ -420,16 +420,16 @@ def assert_read_as_json(text):
         decoded = json.loads(text)["notes"]
     except json.JSONDecodeError as exc:
         with pytest.raises(json.JSONDecodeError) as got:
-            scenario._Reader().decode(text)
+            codec._Reader().decode(text)
         assert (got.value.msg, got.value.pos) == (exc.msg, exc.pos)
         return
-    read = scenario._Reader().decode(text)
+    read = codec._Reader().decode(text)
     shape = table_shape(decoded)
     if not shape:
         assert not holds_block(read["notes"])
         return
     block = read["notes"]
-    assert type(block) is scenario.TokenBlock and block.shape == shape
+    assert type(block) is codec.TokenBlock and block.shape == shape
     assert block.values.tobytes() == np.array([float(x) for x in leaves(decoded)]).tobytes()
     assert json.loads(b"".join(block.pieces)) == decoded and read.get("after", 1) == 1
 
@@ -468,7 +468,7 @@ def test_moved_brackets_read_as_json_reads_them(table, layout, which, to, last):
 
 def plain(value):
     """``value`` with each TokenBlock as the tuple of its fields, for comparison."""
-    if type(value) is scenario.TokenBlock:
+    if type(value) is codec.TokenBlock:
         return value.shape, value.values.tolist(), value.pieces
     if isinstance(value, dict):
         return {key: plain(item) for key, item in value.items()}
@@ -480,7 +480,7 @@ def plain(value):
 @pytest.mark.parametrize("name", sorted(documents()))
 def test_parse_leaves_its_document_alone(name):
     doc = documents()[name]
-    read = scenario._Reader().decode(json.dumps(doc))
+    read = codec._Reader().decode(json.dumps(doc))
     for given in (doc, read):
         before = copy.deepcopy(given)
         scenario.parse_scenario(given)
@@ -526,7 +526,7 @@ def test_fast_path_keeps_the_sign_of_zero(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     read = scenario.load_scenario(path)
-    assert type(read.raw["family"]["operators"]) is scenario.TokenBlock
+    assert type(read.raw["family"]["operators"]) is codec.TokenBlock
     for sc in (read, scenario.parse_scenario(read.raw)):
         entry = sc.family.flats[0, 0, 0]
         assert np.signbit(entry.real) and np.signbit(entry.imag)
@@ -676,7 +676,7 @@ def token_block(arr, cut):
     """A TokenBlock of ``arr`` written by json.dumps, its text cut into pieces of ``cut`` bytes."""
     text = json.dumps(arr.tolist()).encode()
     pieces = [text[i:i + cut] for i in range(0, len(text), cut)]
-    return scenario.TokenBlock(arr.shape, arr.ravel(), pieces)
+    return codec.TokenBlock(arr.shape, arr.ravel(), pieces)
 
 
 TOKEN_BLOCKS = st.builds(token_block, FINITE_ARRAYS, st.integers(1, 400))
@@ -700,7 +700,7 @@ def stdlib_plain(value):
     TokenBlock as its decoded text and a token as its number."""
     if type(value) is np.ndarray:
         return value.tolist()
-    if type(value) is scenario.TokenBlock:
+    if type(value) is codec.TokenBlock:
         return json.loads(b"".join(value.pieces))
     if type(value) is bytes:
         return json.loads(value)
@@ -723,7 +723,7 @@ def test_writers_match_the_stdlib_on_built_reports(report):
 
 # Float tables with leaves that are +0.0 in every row of the outermost axis,
 # as the canonical dual of a family over a diagonal algebra has: the writers
-# put those leaves into the row template once (``cli._array_rows``), and a
+# put those leaves into the row template once (``codec._array_rows``), and a
 # -0.0 or a subnormal among them must keep its own text.
 
 def with_zero_leaves(arr, zero, spoils):
@@ -762,7 +762,7 @@ def diagonal_table(*spoils):
 @example({"%s": np.array([[0.0, -0.0], [0.0, 5e-324], [0.0, 0.0]]), "": np.array([[0.0, 2.0]] * 2)})
 def test_always_zero_leaves_are_written_into_the_template(tables):
     for arr in tables.values():
-        slots, kept = cli._array_rows(arr)
+        slots, kept = codec._array_rows(arr)
         rows = arr.reshape(len(arr), -1)
         zero = ((rows == 0.0) & ~np.signbit(rows)).all(axis=0)
         assert slots == tuple("0.0" if z else "%s" for z in zero)
@@ -824,7 +824,7 @@ def test_diagonal_dual_reports_match_the_stdlib_writers(tmp_path, monkeypatch):
     assert out.getvalue() == csv_report(stdlib_plain(reports[1]))
     coefficients = reports[0]["dual"]["coefficients"]
     assert coefficients.shape == (3, 2, 2, 5, 5, 2)        # degree 2
-    assert cli._array_rows(coefficients)[0].count("0.0") >= 2 * 2 * 20 * 2  # off the diagonal
+    assert codec._array_rows(coefficients)[0].count("0.0") >= 2 * 2 * 20 * 2  # off the diagonal
 
 
 @pytest.mark.parametrize("command", SCENARIO_COMMANDS)
@@ -884,7 +884,7 @@ def token_scenario(tmp_path):
 def test_echo_writes_each_number_as_written(tmp_path, capsys):
     path = token_scenario(tmp_path)
     sc = scenario.load_scenario(path)
-    assert type(sc.raw["family"]["coefficients"]) is scenario.TokenBlock
+    assert type(sc.raw["family"]["coefficients"]) is codec.TokenBlock
     for index, (re_part, im_part) in TOKENS.items():
         assert sc.family.coefficients[index] == complex(float(re_part), float(im_part))
     assert sc.rule.nodes.tolist() == gauss_legendre(0.0, 1.0, 32).nodes.tolist()

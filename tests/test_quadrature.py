@@ -1,10 +1,6 @@
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from opframes import quadrature
 from opframes.algebra import AlgebraDescriptor, AlgebraElement
 from opframes.quadrature import (
     QuadratureRule,
@@ -203,84 +199,3 @@ class TestIntegrate:
         lhs = integrate(rule, [AlgebraElement(descriptor, alpha * fi.entries + gi.entries) for fi, gi in zip(f, g)])
         rhs = alpha * integrate(rule, f).entries + integrate(rule, g).entries
         assert np.allclose(lhs.entries, rhs, atol=1e-14)
-
-
-def _sources():
-    """(file name, syntax tree) of every module of the package."""
-    return [(path.name, ast.parse(path.read_text(), str(path)))
-            for path in sorted(Path(quadrature.__file__).parent.glob("*.py"))]
-
-
-def _calls(node, name):
-    """Whether ``node`` holds a call of a function or method named ``name``."""
-    return any(isinstance(c, ast.Call) and getattr(c.func, "attr", getattr(c.func, "id", None)) == name
-               for c in ast.walk(node))
-
-
-def _sites(tree, match, scope=()):
-    """(function, line) of every node in ``tree`` that ``match`` accepts."""
-    for child in ast.iter_child_nodes(tree):
-        inner = (*scope, child.name) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
-        if match(child):
-            yield ".".join(scope), child.lineno
-        yield from _sites(child, match, inner)
-
-
-def _node_power(node):
-    """A ** whose exponent holds an arange(...) call."""
-    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
-        return _calls(node.right if isinstance(node, ast.BinOp) else node.value, "arange")
-    return False
-
-
-def _finiteness_refusal(node):
-    """An ``if`` whose test calls an ``isfinite`` and whose body raises."""
-    return (isinstance(node, ast.If) and _calls(node.test, "isfinite")
-            and any(isinstance(inner, ast.Raise) for statement in node.body for inner in ast.walk(statement)))
-
-
-def _freeze(node):
-    """A ``setflags`` call."""
-    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setflags"
-
-
-def test_node_powers_are_formed_in_one_function():
-    # every power t^p of the node variable comes from quadrature.node_powers,
-    # so a change to how they are formed, or refused, is made in one place
-    sites = [(name, *site) for name, tree in _sources() for site in _sites(tree, _node_power)]
-    assert [site[:2] for site in sites] == [("quadrature.py", "node_powers")], sites
-
-
-def test_the_cli_decides_nothing_and_one_function_freezes_arrays():
-    # each verdict, margin and envelope comes from the module that owns its theorem:
-    # the perturbation report does no arithmetic, and no classification is read back
-    # into "is a frame"; every read-only array is frozen by algebra._read_only
-    sources = dict(_sources())
-    section = next(node for node in ast.walk(sources["cli.py"])
-                   if isinstance(node, ast.FunctionDef) and node.name == "_perturbation_section")
-    assert [node.lineno for node in ast.walk(section) if isinstance(node, ast.BinOp)] == []
-    strings = {node.value for node in ast.walk(sources["cli.py"]) if isinstance(node, ast.Constant)}
-    assert strings.isdisjoint({"tight", "parseval"})
-    sites = [(name, *site) for name, tree in sources.items() for site in _sites(tree, _freeze)]
-    assert [site[:2] for site in sites] == [("algebra.py", "_read_only")], sites
-
-
-def test_values_that_are_not_finite_are_refused_in_one_function():
-    # every refusal of a NaN or infinite value goes through algebra._finite, so how
-    # such a value is detected, and how fast, is decided in one place
-    sites = [(name, *site) for name, tree in _sources() for site in _sites(tree, _finiteness_refusal)]
-    assert [site[:2] for site in sites] == [("algebra.py", "_finite")], sites
-
-
-def test_no_module_imports_a_name_it_never_uses():
-    # the package's __init__ re-exports its public imports through __all__
-    unused = []
-    for name, tree in _sources():
-        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for statement in tree.body:
-            if isinstance(statement, (ast.Import, ast.ImportFrom)) and getattr(statement, "module", "") != "__future__":
-                for alias in statement.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if bound not in loaded and not (name == "__init__.py" and not bound.startswith("_")):
-                        unused.append((name, statement.lineno, bound))
-    assert unused == []

@@ -1,6 +1,8 @@
 """tools/same_answers.py: recording one invocation and comparing two records."""
 
+import csv
 import importlib.util
+import io
 import json
 import sys
 import warnings
@@ -188,6 +190,42 @@ def test_notes_keys_reach_the_csv_paths_escaped_and_quoted(tmp_path, monkeypatch
     assert '"scenario.notes.say ""x""[0][0][0]",3\n' in out
     assert '"scenario.notes.line\nbreak[1][0]",4.0\n' in out
     assert "scenario.notes.Ωmega ∑[1],2.5\n" in out
+
+
+def csv_leaves(value, prefix=""):
+    """(field, value) rows of a parsed JSON report's leaves, in order, with each
+    value's text as the CSV writer writes it."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from csv_leaves(item, f"{prefix}.{key}" if prefix else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from csv_leaves(item, f"{prefix}[{i}]")
+    else:
+        yield [prefix, "" if value is None else repr(value) if type(value) is float else str(value)]
+
+
+def test_csv_reports_of_the_notes_respellings_read_back_as_their_leaves(tmp_path, monkeypatch):
+    # a key or string that holds a carriage return is quoted, so csv.reader reads every row whole
+    monkeypatch.chdir(ROOT)
+    reports = 0
+    for name, path, _ in same_answers.respellings(tmp_path):
+        if not name.endswith(".notes"):
+            continue
+        for command, (_, _, flags) in cli.COMMANDS.items():
+            if "--format" not in flags:
+                continue
+            code, out, _ = same_answers.run_one([command, "--scenario", str(path)])
+            answer = same_answers.run_one([command, "--scenario", str(path), "--format", "csv"])
+            assert answer[0] == code, (name, command)
+            if not out:
+                assert answer[1] == "", (name, command)
+                continue
+            rows = list(csv.reader(io.StringIO(answer[1])))
+            assert rows == [["field", "value"], *csv_leaves(json.loads(out))], (name, command)
+            assert ["scenario.notes.a\rb[1]", "2.5"] in rows and ["scenario.notes.k", "x\ry"] in rows
+            reports += 1
+    assert reports == 20  # 25 calls; bessel_only is no frame, and 3 scenarios have no perturbation
 
 
 def test_ill_conditioned_scenario_converges(tmp_path, monkeypatch):

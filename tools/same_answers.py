@@ -13,8 +13,9 @@ of ``--format csv``, ``--tol``, ``--nodes 64``, ``--nodes 256``, ``--seed``,
 every ``demos/scenarios/*.json``, on three respellings of each written into
 OUTDIR (``json.dumps`` with ``indent=2, sort_keys=True``, with
 ``separators=(",", ":")``, and the first with a ``notes`` member of small
-tables under keys that the CSV writer must escape or quote, and of lists
-that are no table and so reach the writers as lists of tokens, NOTES), on a
+tables under keys that the CSV writer must escape or quote, of a string
+it must quote, and of lists that are no table and so reach the writers as
+lists of tokens, NOTES), on a
 sampled respelling of each written into OUTDIR (its family, and a relative
 comparison family, as node operators at its rule's nodes, evaluated with
 numpy alone, so every command also runs on sampled families; see
@@ -108,11 +109,13 @@ VARIANTS = (
 LARGE = ("--nodes", "300000")  # analyze on each demo scenario only: the node count stops mattering
 VERIFY = ((), ("--nodes", "64", "--tol", "1e-9"), ("--nodes", "1"), ("--tol", "1e-16"))
 LAYOUTS = {"indented": {"indent": 2, "sort_keys": True}, "tight": {"separators": (",", ":")}}
-NOTES = {  # a format mark, a comma, quotes, a line break and non-ASCII text in the CSV paths
+NOTES = {  # a format mark, a comma, quotes, line breaks and non-ASCII text in the CSV paths
     "100%s %%": [[0.5, -0.0], [2, 1e-05]],
     "a,b": [1.5, 1e16],
     'say "x"': [[[3]]],
     "line\nbreak": [[0.25], [4.0]],
+    "a\rb": [1.5, 2.5],                   # a carriage return in a table's path
+    "k": "x\ry",                          # and in a string
     "Ωmega ∑": [1, 2.5, 3],
     "ragged": [[1.5, 2], [3.0]],           # no table: its rows differ in length
     "mixed": ["x", [0.5, 1e-05]],          # no table: a string beside a row of numbers
