@@ -7,10 +7,11 @@ integral.  The frame machinery itself works on flattenings and slot
 blocks (``hilbert_module``).
 
 The module also holds the checks that every numeric module shares: a
-tolerance (``_check_tol``), an element or block array (``_as_blocks``),
-and a value past the float range of doubles (``_finite``), through which
-every refusal of a NaN or infinite value goes; every array the package
-freezes is made read-only by ``_read_only``.
+tolerance (``_check_tol``), a table of algebra elements (``_as_blocks``,
+the one birth check of every element, vector, operator, l2 family and
+operator family), and a value past the float range of doubles
+(``_finite``), through which every refusal of a NaN or infinite value
+goes; every array the package freezes is made read-only by ``_read_only``.
 """
 
 from __future__ import annotations
@@ -45,10 +46,14 @@ class AlgebraDescriptor:
 
 
 def _as_blocks(descriptor, arr, shape, what):
-    """``arr`` as a read-only complex array of ``shape`` of elements of ``descriptor``, else ValueError."""
+    """``arr`` as a read-only complex array of ``shape`` of elements of ``descriptor``, else ValueError naming
+    ``what``: a wrong shape, an empty axis, a non-finite entry or a nonzero off-diagonal entry of a diagonal one."""
     arr = np.asarray(arr, dtype=np.complex128)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not arr.size:
+        raise ValueError(f"{what} must have no empty axis, got shape {arr.shape}")
+    _finite(arr, f"{what} must be finite")
     if descriptor.is_diagonal:
         mask = ~np.eye(descriptor.dim, dtype=bool)
         if np.any(arr[..., mask] != 0):
@@ -79,7 +84,7 @@ class AlgebraElement:
 def operator_norm(a: AlgebraElement) -> float:
     """Largest singular value; for a Hermitian element this is max |eigenvalue|."""
     if a.descriptor.is_diagonal:
-        return float(np.max(np.abs(a.diag))) if a.descriptor.dim else 0.0
+        return float(np.max(np.abs(a.diag)))
     return float(np.linalg.norm(a.entries, 2))
 
 

@@ -52,6 +52,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_FRAME = 2
 EXIT_USAGE = 64
+# What --help tells a user; the module docstring is written for developers.
+_DESCRIPTION = ("Analyze an integral operator frame on a Hilbert C*-module, given as a JSON scenario: frame bounds,"
+                " reconstruction, the canonical dual, perturbation and independence, reported as JSON or CSV on"
+                f" standard output. Exit codes: {EXIT_OK} success, {EXIT_NOT_FRAME} the family is not a frame,"
+                f" {EXIT_ERROR} error, {EXIT_USAGE} usage error.")
 
 
 class _UsageError(Exception):
@@ -341,7 +346,7 @@ COMMANDS = {
 def build_parser():
     """The command-line parser, built once per process: it is configuration only,
     and parsing leaves it as it was."""
-    parser = _Parser(prog="opframes", description=__doc__)
+    parser = _Parser(prog="opframes", description=_DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"opframes {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags) in COMMANDS.items():

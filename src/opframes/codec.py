@@ -349,8 +349,7 @@ def _csv_block(prefix, shape, texts, slots=None):
 def _write_csv(report, buffer):
     """Write ``field,value`` rows, one per leaf, as ``_csv_row`` writes them: a table
     (``_write_table``) from its template, a list or tuple item by item, a token as it reads."""
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["field", "value"])
+    buffer.write(_csv_row(["field", "value"]))
 
     def walk(prefix, value):
         if isinstance(value, dict):
@@ -363,10 +362,8 @@ def _write_csv(report, buffer):
             _write_table(value, buffer.write, prefix=prefix)
         elif type(value) is bytes:
             walk(prefix, value.decode())
-        elif "\r" in prefix or type(value) is str and "\r" in value:
+        else:  # None is written as an empty field
             buffer.write(_csv_row([prefix, value]))
-        else:
-            writer.writerow([prefix, "" if value is None else value])
 
     walk("", report)
 

@@ -32,7 +32,8 @@ read (``analysis``, ``synthesis``, and a pair with a sampled family, which
 pairs the two node factors V).  Phi and the node blocks take their t^p from
 ``quadrature.node_powers``, which refuses one past the float range, and
 the node blocks are summed by ``quadrature.polynomial_values``, which
-refuses a value past it.  A constructor refuses a non-finite entry.  Every
+refuses a value past it.  ``algebra._as_blocks`` checks a constructor's
+table once; it refuses an empty axis and a non-finite entry.  Every
 spectral quantity of a family comes from one SVD per slot of its factor
 (``frame_operator``), never from the formed s, whose eigenvalues carry A
 with a relative error of about eps B/A; sigma_min^2 carries about
@@ -54,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_tol, _finite, _read_only
+from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_tol, _read_only
 from .exceptions import NotAFrame
 from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _check_fit, _flatten, _from_slots
 from .hilbert_module import _side_by_side, _slot_rows, _to_slots, _unflatten
@@ -72,11 +73,6 @@ def _node_blocks(rule, slots):
     return np.ascontiguousarray(polynomial_values(rule.nodes, slots, axis=1).swapaxes(0, 1))
 
 
-def _table_slots(descriptor, table):
-    """The slot blocks of a constructor's validated table, converted once; a non-finite entry raises ValueError."""
-    return _to_slots(descriptor, _finite(table, "operator family entries must be finite"))
-
-
 class OperatorFamily:
     """An indexed operator family, parametric in the node variable or sampled.
 
@@ -88,7 +84,9 @@ class OperatorFamily:
     the consumers that mix it with sampled data do; its frame operator,
     spectrum and dual-pair resolution come from its slot factor
     (``_slot_factor``), at O(N D^2) for the rule and nothing per node
-    operator.  Either form caches its factor and its frame operator.
+    operator.  Either form caches its factor and its frame operator.  A
+    constructor's table, checked by ``algebra._as_blocks`` (a sampled one's per
+    node operator), becomes slot blocks once, in ``_to_slots``.
     """
 
     def __init__(self, rule, descriptor, n, slots, form):
@@ -111,7 +109,7 @@ class OperatorFamily:
             )
         # each coefficient is itself a valid operator, so every node evaluation is one
         coefficients = _as_blocks(descriptor, coefficients, coefficients.shape, "operator blocks")
-        family = cls(rule, descriptor, n, _table_slots(descriptor, coefficients), PARAMETRIC)
+        family = cls(rule, descriptor, n, _to_slots(descriptor, coefficients), PARAMETRIC)
         family.coefficients = coefficients  # the validated table as given, bit for bit
         return family
 
@@ -124,7 +122,7 @@ class OperatorFamily:
         for op in operators:
             _check_fit(op, first, "all sampled operators must share descriptor and rank")
         table = np.stack([op.blocks for op in operators])  # each one validated already
-        return cls(rule, first.descriptor, first.n, _table_slots(first.descriptor, table), SAMPLED)
+        return cls(rule, first.descriptor, first.n, _to_slots(first.descriptor, table), SAMPLED)
 
     @classmethod
     def from_flats(cls, rule, descriptor, n, flats):
@@ -136,7 +134,7 @@ class OperatorFamily:
         if len(flats) != len(rule):
             raise ValueError(f"need {len(rule)} operators, got {len(flats)}")
         table = _as_blocks(descriptor, _unflatten(flats, k), (len(rule), n, n, k, k), "operator blocks")
-        return cls(rule, descriptor, n, _table_slots(descriptor, table), SAMPLED)
+        return cls(rule, descriptor, n, _to_slots(descriptor, table), SAMPLED)
 
     @cached_property
     def coefficients(self) -> np.ndarray | None:

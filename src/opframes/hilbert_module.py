@@ -88,11 +88,9 @@ class ModuleVector:
     stack: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.stack).shape[0] if np.asarray(self.stack).ndim == 3 else 0
+        n = np.shape(self.stack)[0] if np.ndim(self.stack) == 3 else 0
         k = self.descriptor.dim
         object.__setattr__(self, "stack", _as_blocks(self.descriptor, self.stack, (n, k, k), "vector components"))
-        if n < 1:
-            raise ValueError("module rank n must be >= 1")
 
     @property
     def n(self):
@@ -132,12 +130,9 @@ class ModuleOperator:
     blocks: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.blocks)
-        n = arr.shape[0] if arr.ndim == 4 else 0
+        n = np.shape(self.blocks)[0] if np.ndim(self.blocks) == 4 else 0
         k = self.descriptor.dim
         object.__setattr__(self, "blocks", _as_blocks(self.descriptor, self.blocks, (n, n, k, k), "operator blocks"))
-        if n < 1:
-            raise ValueError("module rank n must be >= 1")
 
     @classmethod
     def identity(cls, descriptor, n):

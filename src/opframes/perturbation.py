@@ -87,13 +87,12 @@ class ScalarFamily:
 
 @dataclass(frozen=True)
 class AdditivePerturbation:
-    """A direction operator K (nonzero) and a scalar coefficient family c_w."""
+    """A direction operator K (nonzero; finite since it was built) and a scalar coefficient family c_w."""
 
     operator: ModuleOperator
     coefficient: ScalarFamily
 
     def __post_init__(self):
-        _finite(self.operator.blocks, "perturbation operator must be finite")
         if not self.operator.blocks.any():  # decided exactly, with no SVD of the operator
             raise ValueError("perturbation operator must be nonzero")
 

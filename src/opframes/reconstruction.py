@@ -27,8 +27,9 @@ elementwise x_hat mu = y_hat, and x = x_hat V*.
 Both iterations report the least k their bound allows as
 ``predicted_iterations``, stop at that count plus CHEBYSHEV_SLACK, and
 never after more than CHEBYSHEV_BUDGET steps.  Every route refuses
-A <= SINGULARITY_RATIO * B and a y that is not a finite vector of the
-module s acts on, and refuses y by name, with no numpy warning, when ||y||,
+A <= SINGULARITY_RATIO * B and a y that is not a vector of the module s
+acts on (a y with an entry that is not finite was refused when it was
+built), and refuses y by name, with no numpy warning, when ||y||,
 an iterate, the solution or a residual is past the float range.  It
 measures residuals relative to ||y||, as the largest spectral norm over the
 slots (the norm of their direct sum).  V is unitary, so an iteration's
@@ -95,12 +96,11 @@ class ReconstructionResult:
 def _eigenbasis(data, y):
     """(y_hat, mu, y_scale): the slot blocks of y in the eigenbasis of s, its
     eigenvalues broadcast over the rows, and ||y|| (1 when y = 0).  Refuses a y
-    of another algebra or rank than s, with an entry that is not finite, or
-    whose norm is past the float range."""
+    of another algebra or rank than s, or whose norm is past the float range;
+    its entries are finite since it was built (``algebra._as_blocks``)."""
     y_slots = y.slots
     if y.descriptor != data.descriptor or y_slots.shape[-1] != data.blocks.shape[-1]:
         raise ValueError("data vector does not match the frame operator shape")
-    _finite(y.stack, "data vector has an entry that is not finite")
     y_scale = _finite(_slot_norm(y_slots), "data vector has a norm past the float range of doubles")
     y_hat = y_slots @ data.block_eigenvectors
     return y_hat, data.block_eigenvalues[:, None, :], y_scale or 1.0

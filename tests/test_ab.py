@@ -33,3 +33,28 @@ def test_summary_of_one_metric(metric, base, head, move, won, verdict):
     row = ab.summarise(metric, list(zip(base, head)))
     assert row["move"] == pytest.approx(move)
     assert (row["won"], row["pairs"], row["verdict"]) == (won, len(base), verdict)
+
+
+def test_a_startup_run_times_three_steps_in_a_fresh_interpreter():
+    scenario = str(ROOT / "demos" / "scenarios" / "diagonal_slope.json")
+    result = ab.startup_run(ROOT, [["analyze", "--scenario", scenario], ["explode"]])
+    assert result["codes"] == [0, 64]
+    assert all(result[step] > 0.0 for step in ab.STEPS)
+    assert Path(result["cli"]).resolve().parents[1] == ROOT / "src"
+
+
+def startup_pairs(base, head, codes=([0], [0])):
+    """Made-up ``startup_run`` pairs whose every step reads ``base`` and ``head``."""
+    return [{"first": "base", "base": dict.fromkeys(ab.STEPS, b) | {"codes": codes[0]},
+             "head": dict.fromkeys(ab.STEPS, h) | {"codes": codes[1]}} for b, h in zip(base, head)]
+
+
+def test_startup_rows_compare_each_step_and_check_the_exit_codes(capsys):
+    rows, same = ab.print_startup("base", "head", {"w": startup_pairs([1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 2.0, 2.0])})
+    assert same and set(rows["w"]) == set(ab.STEPS)
+    row = rows["w"]["cli_s"]
+    assert (row["base_median"], row["head_median"], row["won"], row["pairs"]) == (2.5, 2.0, 2, 4)
+    assert row["move"] == pytest.approx(-0.2)
+    assert "cli_s" in capsys.readouterr().out
+    _, same = ab.print_startup("base", "head", {"w": startup_pairs([1.0], [1.0], codes=([0], [1]))})
+    assert not same

@@ -208,6 +208,14 @@ class TestParser:
         assert [code for code, _, _ in cached] == [0, 0, 64, 0, 0]
         assert self.answers(capsys, fresh=True) == cached
 
+    def test_help_tells_users_the_exit_codes_in_plain_text(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps the description
+        assert exited.value.code == 0
+        assert "Exit codes: 0 success, 2 the family is not a frame, 1 error, 64 usage error." in text
+        assert "``" not in text
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

@@ -137,8 +137,14 @@ class TestOperatorFamily:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for build in builds:
-                with pytest.raises(ValueError, match="^operator family entries must be finite$"):
+                with pytest.raises(ValueError, match="^operator blocks must be finite$"):
                     build()
+
+    def test_a_table_with_no_coefficients_is_refused_by_name_and_shape(self):
+        # frame_operator failed on it with numpy's "zero-size array to reduction operation"
+        message = r"^operator blocks must have no empty axis, got shape \(0, 1, 1, 2, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            OperatorFamily.parametric(gauss_legendre(0.0, 1.0, 3), DIAG2, 1, np.zeros((0, 1, 1, 2, 2)))
 
 
 class TestAnalysisSynthesis:

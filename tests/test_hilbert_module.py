@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from opframes.algebra import AlgebraDescriptor, operator_norm
+from opframes.algebra import AlgebraDescriptor, AlgebraElement, operator_norm
 from opframes.hilbert_module import (
     L2Family,
     ModuleOperator,
@@ -41,6 +43,35 @@ class TestConstruction:
     def test_vector_diagonal_conformity(self):
         with pytest.raises(ValueError):
             ModuleVector(DIAG2, np.ones((1, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("descriptor", [DIAG2, FULL2], ids=["diagonal", "full"])
+    def test_non_finite_entries_are_refused_by_name_when_built(self, descriptor, bad):
+        # refused by the one birth check, before a norm's SVD fails to converge or
+        # apply, inner_product and l2_inner_product hand the entry on
+        entry = np.diag([1.0, bad])
+        rule = gauss_legendre(0.0, 1.0, 2)
+        builds = {"entries": lambda: AlgebraElement(descriptor, entry),
+                  "vector components": lambda: ModuleVector(descriptor, entry[None]),
+                  "operator blocks": lambda: ModuleOperator(descriptor, entry[None, None]),
+                  "l2 samples": lambda: L2Family(rule, descriptor, np.stack([entry[None]] * 2))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for what, build in builds.items():
+                with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+                    build()
+
+    def test_rank_zero_values_are_refused_by_name_and_shape(self):
+        rule = gauss_legendre(0.0, 1.0, 2)
+        builds = {r"vector components must have no empty axis, got shape \(0, 2, 2\)":
+                  lambda: ModuleVector(DIAG2, np.zeros((0, 2, 2))),
+                  r"operator blocks must have no empty axis, got shape \(0, 0, 2, 2\)":
+                  lambda: ModuleOperator(FULL2, np.zeros((0, 0, 2, 2))),
+                  r"l2 samples must have no empty axis, got shape \(2, 0, 2, 2\)":
+                  lambda: L2Family(rule, DIAG2, np.zeros((2, 0, 2, 2)))}
+        for message, build in builds.items():
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
 
     def test_flatten_round_trip(self):
         rng = np.random.default_rng(1)

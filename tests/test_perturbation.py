@@ -102,8 +102,8 @@ class TestAdditivePerturbation:
     def test_non_finite_direction_rejected(self, bad):
         blocks = np.zeros((1, 1, 2, 2), dtype=complex)
         blocks[0, 0, 1, 1] = bad
-        with pytest.raises(ValueError, match="^perturbation operator must be finite$"):
-            AdditivePerturbation(ModuleOperator(DIAG2, blocks), ScalarFamily.constant(1.0))
+        with pytest.raises(ValueError, match="^operator blocks must be finite$"):
+            ModuleOperator(DIAG2, blocks)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -5,8 +6,12 @@ import numpy as np
 import pytest
 
 from opframes.cli import EXIT_USAGE, main
-from opframes.perturbation import AdditivePerturbation, RelativePerturbation
-from opframes.scenario import ScenarioError, load_scenario, parse_scenario
+from opframes.duals import canonical_dual, is_dual_pair
+from opframes.frames import classify
+from opframes.perturbation import AdditivePerturbation, RelativePerturbation, additive_admissible
+from opframes.perturbation import relative_criterion_check
+from opframes.reconstruction import reconstruct_chebyshev, reconstruct_neumann
+from opframes.scenario import DEFAULT_TOLERANCES, ScenarioError, load_scenario, parse_scenario
 
 from families import pairs
 
@@ -268,3 +273,18 @@ def test_a_tolerance_that_is_no_number_is_a_usage_error(capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("usage error: argument --tol: expected a positive finite number, got 'abc'\n")
+
+
+@pytest.mark.parametrize("function,key", [
+    (classify, "classification"),
+    (canonical_dual, "classification"),
+    (reconstruct_chebyshev, "reconstruction"),
+    (reconstruct_neumann, "reconstruction"),
+    (is_dual_pair, "dual"),
+    (relative_criterion_check, "criterion"),
+    (additive_admissible, "admissibility"),
+], ids=lambda value: getattr(value, "__name__", value))
+def test_each_default_tolerance_agrees_with_the_library_default(function, key):
+    # DEFAULT_TOLERANCES spells the library's defaults again, so a scenario without
+    # a tolerances block decides as a library call without a tol does
+    assert inspect.signature(function).parameters["tol"].default == DEFAULT_TOLERANCES[key]

@@ -132,3 +132,21 @@ def test_the_rows_of_a_vector_slot_block_are_spelled_in_one_function():
     # hilbert_module owns the slot layout, so it alone says how many rows a vector's slot block has
     sites = [(name, *site) for name, tree in _sources() for site in _sites(tree, _slot_rows)]
     assert [site[:2] for site in sites] == [("hilbert_module.py", "_slot_rows")], sites
+
+
+# The names a table of algebra elements goes by: the value types' own arrays, a family's
+# coefficient or node-operator table, and the array that algebra._as_blocks checks.
+TABLES = {"arr", "table", "coefficients", "operators", "entries", "stack", "blocks", "samples"}
+
+
+def _table_finiteness_check(node):
+    """A ``_finite`` call whose checked value is a name or attribute that a table goes by."""
+    return (isinstance(node, ast.Call) and _spelled(node.func) == "_finite" and bool(node.args)
+            and isinstance(node.args[0], (ast.Name, ast.Attribute)) and _spelled(node.args[0]) in TABLES)
+
+
+def test_tables_of_algebra_elements_are_checked_for_finiteness_once_at_birth():
+    # algebra._as_blocks refuses a non-finite entry when a value or family is built,
+    # so no consumer of a built value checks it again
+    sites = [(name, *site) for name, tree in _sources() for site in _sites(tree, _table_finiteness_check)]
+    assert [site[:2] for site in sites] == [("algebra.py", "_as_blocks")], sites

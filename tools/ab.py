@@ -4,6 +4,8 @@ Usage (from the root of a checkout):
 
     python tools/ab.py BASE HEAD [--workload NAME ...] [--seeds 51-60]
                        [--workdir DIR] [--out FILE]
+    python tools/ab.py BASE HEAD --startup [--pairs 20] [--workload NAME ...]
+                       [--workdir DIR] [--out FILE]
 
 Each revision is exported with ``git archive`` into its own directory
 under WORKDIR (a new temporary directory by default), so neither tree
@@ -24,12 +26,24 @@ than the bound and not every HEAD run reads better than every base run,
 else ``ok``.  ``--out`` writes the same, with every run's metrics, as
 JSON.  The exit code is 0 when every run was correct with no failed
 request and no metric is ``BEYOND``, else 1.
+
+``--startup`` measures what ``setup_s`` lumps together.  It first compiles
+both trees with ``compileall``, so every interpreter starts from current
+bytecode, and writes each workload's seed-1 inputs once, with HEAD's
+``bench/workloads.py``.  Then, for ``--pairs`` alternating pairs, a fresh
+interpreter in each tree times three steps apart: ``import numpy``,
+``import opframes.cli``, and the workload's first request (every call of
+its session).  For each workload and step it prints the base median with
+its quartiles, the head median, its move and the pairs in which HEAD was
+faster; ``--out`` writes the same, with every run, as JSON.  The exit code
+is 1 when a call's exit code differs between the trees, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -38,6 +52,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
+STEPS = ("numpy_s", "cli_s", "first_request_s")
+# One fresh interpreter: the three startup steps of ``--startup``, timed apart.
+STARTUP_CHILD = """
+import contextlib, io, json, sys, time
+start = time.perf_counter()
+import numpy
+numpy_done = time.perf_counter()
+import opframes.cli as cli
+cli_done = time.perf_counter()
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+done = time.perf_counter()
+print(json.dumps({"numpy_s": numpy_done - start, "cli_s": cli_done - numpy_done,
+                  "first_request_s": done - cli_done, "codes": codes, "cli": cli.__file__}))
+"""
+# HEAD's benchmark writes a workload's seed-1 inputs and prints the argv of each call.
+INPUTS_CHILD = """
+import json, sys
+sys.path[:0] = ["src", "bench"]
+import workloads
+plan = workloads.generate(sys.argv[1], 1, sys.argv[2])
+print(json.dumps([call.argv for call in plan.calls]))
+"""
 
 
 def export(rev, dest):
@@ -61,33 +100,89 @@ def run_bench(tree, workload, seed):
     return result
 
 
+def startup_run(tree, argvs):
+    """The three step times, exit codes and ``opframes.cli`` file of one fresh interpreter in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_CHILD, json.dumps(argvs)], cwd=tree, env=env,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        raise SystemExit(f"{tree.name}: no startup result (exit {proc.returncode})\n{proc.stderr}") from None
+    if Path(result["cli"]).resolve().parents[1] != (tree / "src").resolve():
+        raise SystemExit(f"{tree.name}: opframes was imported from {result['cli']}")
+    return result
+
+
+def startup(trees, workloads, pairs, workdir):
+    """Per workload, every pair of ``startup_run`` results, the sides alternating which goes first."""
+    for tree in trees.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree)], check=True,
+                       capture_output=True, timeout=RUN_TIMEOUT_S)
+    argvs = {name: json.loads(subprocess.run(
+        [sys.executable, "-c", INPUTS_CHILD, name, str(workdir / "inputs")], cwd=trees["head"],
+        capture_output=True, text=True, check=True, timeout=RUN_TIMEOUT_S).stdout) for name in workloads}
+    runs = {name: [] for name in workloads}
+    for index in range(pairs):
+        for name in workloads:
+            order = ("base", "head") if index % 2 == 0 else ("head", "base")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = startup_run(trees[side], argvs[name])
+            runs[name].append(pair)
+            print(f"{name} pair {index + 1}: " + ", ".join(
+                f"{step} {pair['base'][step]:.4f} -> {pair['head'][step]:.4f}" for step in STEPS), flush=True)
+    return runs
+
+
 def worse_by(metric, base, head):
     """The move from ``base`` to ``head`` as a share of ``base``, positive when worse."""
     move = (head - base) / base
     return move if metric["better"] == "lower" else -move
 
 
-def summarise(metric, pairs):
-    """The comparison of one metric over ``pairs`` of (base value, head value)."""
+def compare(metric, pairs):
+    """The base median and quartiles, the head median, the move and the pairs HEAD won,
+    of one metric over ``pairs`` of (base value, head value)."""
     base = [b for b, _ in pairs]
-    head = [h for _, h in pairs]
     q1, median, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else base * 3
-    head_median = statistics.median(head)
-    move = worse_by(metric, median, head_median)
-    spread = (q3 - q1) / median
+    head_median = statistics.median(h for _, h in pairs)
+    return {"base_median": median, "base_q1": q1, "base_q3": q3, "head_median": head_median,
+            "move": worse_by(metric, median, head_median), "pairs": len(pairs),
+            "won": sum(worse_by(metric, b, h) < 0 for b, h in pairs)}
+
+
+def summarise(metric, pairs):
+    """``compare`` of one metric over ``pairs``, with its spread and its verdict against its bound."""
+    row = compare(metric, pairs)
+    spread = (row["base_q3"] - row["base_q1"]) / row["base_median"]
+    base, head = zip(*pairs)
     every_run_better = all(worse_by(metric, b, h) < 0 for b in base for h in head)
-    if move > metric["bound"]:
+    if row["move"] > metric["bound"]:
         verdict = "BEYOND"
     elif spread > metric["bound"] and not every_run_better:
         verdict = "unresolved"            # the base's own runs spread wider than the bound
     else:
         verdict = "ok"
-    return {
-        "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-        "base_median": median, "base_q1": q1, "base_q3": q3, "base_spread": spread,
-        "head_median": head_median, "move": move, "pairs": len(pairs),
-        "won": sum(worse_by(metric, b, h) < 0 for b, h in pairs), "verdict": verdict,
-    }
+    return {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"], **row,
+            "base_spread": spread, "verdict": verdict}
+
+
+def print_startup(base, head, runs):
+    """Print the ``compare`` row of each workload and step; return (rows, whether every exit code agreed)."""
+    print(f"\n{base} -> {head}, fresh interpreters, {len(next(iter(runs.values())))} alternating pairs")
+    print(f"{'workload':20s} {'step':16s} {'base median':>11s} {'[q1, q3]':>19s} {'head':>8s} {'move':>7s} {'won':>5s}")
+    rows, same = {}, True
+    for name, pairs in runs.items():
+        rows[name] = {}
+        for step in STEPS:
+            row = rows[name][step] = compare({"better": "lower"}, [(p["base"][step], p["head"][step]) for p in pairs])
+            print(f"{name:20s} {step:16s} {row['base_median']:11.4f} [{row['base_q1']:8.4f}, {row['base_q3']:8.4f}] "
+                  f"{row['head_median']:8.4f} {100 * row['move']:+6.1f}% {row['won']:2d}/{row['pairs']:<2d}")
+        if any(p["base"]["codes"] != p["head"]["codes"] for p in pairs):
+            print(f"{name}: the exit codes differ between the trees")
+            same = False
+    return rows, same
 
 
 def seeds_of(text):
@@ -106,6 +201,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=seeds_of, default=seeds_of("51-60"), help="51-60 or 1,3,5")
     parser.add_argument("--workdir", type=Path, default=None, help="where to export the trees")
     parser.add_argument("--out", type=Path, help="also write the comparison as JSON to this file")
+    parser.add_argument("--startup", action="store_true", help="time import and first request instead")
+    parser.add_argument("--pairs", type=int, default=20, help="--startup's alternating pairs (default 20)")
     args = parser.parse_args(argv)
 
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="ab-"))
@@ -114,6 +211,13 @@ def main(argv=None):
     export(args.head, trees["head"])
     spec = json.loads((trees["head"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    if args.startup:
+        runs = startup(trees, workloads, args.pairs, workdir)
+        summary, ok = print_startup(args.base, args.head, runs)
+        if args.out:
+            doc = {"base": args.base, "head": args.head, "summary": summary, "runs": runs, "ok": ok}
+            args.out.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+        return 0 if ok else 1
 
     runs = {name: [] for name in workloads}    # per workload: {"seed", "base", "head"} per pair
     ok = True
