@@ -63,11 +63,8 @@ def _as_blocks(descriptor, arr, shape, what):
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """A k x k complex matrix tagged with its algebra descriptor.
-
-    Diagonal-tagged elements must have exactly zero off-diagonal entries;
-    this is enforced at construction.  The entry array is read-only.
-    """
+    """A k x k complex matrix tagged with its algebra descriptor, checked by ``_as_blocks``
+    (finite, and zero off the diagonal of a diagonal algebra) and read-only."""
 
     descriptor: AlgebraDescriptor
     entries: np.ndarray

@@ -29,15 +29,15 @@ of min(N, D) b rows per slot, and Y* Y = V* V.  Either is cached on the
 family; the triangle R is computed once per rule and degree and cached on
 the rule.  A parametric family evaluates its node blocks only when they are
 read (``analysis``, ``synthesis``, and a pair with a sampled family, which
-pairs the two node factors V).  Phi and the node blocks take their t^p from
-``quadrature.node_powers``, which refuses one past the float range, and
-the node blocks are summed by ``quadrature.polynomial_values``, which
-refuses a value past it.  ``algebra._as_blocks`` checks a constructor's
-table once; it refuses an empty axis and a non-finite entry.  Every
-spectral quantity of a family comes from one SVD per slot of its factor
-(``frame_operator``), never from the formed s, whose eigenvalues carry A
-with a relative error of about eps B/A; sigma_min^2 carries about
-eps sqrt(B/A).
+pairs the two node factors V).  Phi and the node blocks take their t^p
+from ``quadrature.node_powers``, which refuses one past the float range,
+and the node blocks are summed by ``quadrature.polynomial_values``, which
+refuses a value past it, as ``analysis`` and ``synthesis`` refuse their
+results.  ``algebra._as_blocks`` checks a constructor's table once; it
+refuses an empty axis and a non-finite entry.  Every spectral quantity of
+a family comes from one SVD per slot of its factor (``frame_operator``),
+never from the formed s, whose eigenvalues carry A with a relative error
+of about eps B/A; sigma_min^2 carries about eps sqrt(B/A).
 
 "Is a frame" has one rule, in ``require_frame``, ``classify`` and
 ``below_bounded_check`` alike: A > tol * B with B > 0, by default at
@@ -55,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_tol, _read_only
+from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_tol, _finite, _read_only
 from .exceptions import NotAFrame
 from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _check_fit, _flatten, _from_slots
 from .hilbert_module import _side_by_side, _slot_rows, _to_slots, _unflatten
@@ -102,13 +102,8 @@ class OperatorFamily:
     def parametric(cls, rule: QuadratureRule, descriptor: AlgebraDescriptor, n: int, coefficients):
         coefficients = np.asarray(coefficients, dtype=np.complex128)
         k = descriptor.dim
-        if n < 1 or coefficients.ndim != 5 or coefficients.shape[1:] != (n, n, k, k):
-            raise ValueError(
-                f"coefficients must have shape (degree+1, {n}, {n}, {k}, {k}),"
-                f" got {coefficients.shape}"
-            )
         # each coefficient is itself a valid operator, so every node evaluation is one
-        coefficients = _as_blocks(descriptor, coefficients, coefficients.shape, "operator blocks")
+        coefficients = _as_blocks(descriptor, coefficients, (*coefficients.shape[:1], n, n, k, k), "operator blocks")
         family = cls(rule, descriptor, n, _to_slots(descriptor, coefficients), PARAMETRIC)
         family.coefficients = coefficients  # the validated table as given, bit for bit
         return family
@@ -129,7 +124,7 @@ class OperatorFamily:
         """Sampled family from pre-flattened node operators, validated and copied in one pass."""
         flats = np.asarray(flats, dtype=np.complex128)
         k = descriptor.dim
-        if n < 1 or flats.shape[1:] != (n * k, n * k):
+        if flats.shape[1:] != (n * k, n * k):
             raise ValueError(f"node operators must be {n * k} x {n * k}, got {flats.shape[1:]}")
         if len(flats) != len(rule):
             raise ValueError(f"need {len(rule)} operators, got {len(flats)}")
@@ -205,13 +200,15 @@ class FrameReport:
     diagnostics: str = ""
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused by name
 def analysis(family: OperatorFamily, x: ModuleVector) -> L2Family:
     """Apply every node operator to x; node and weight metadata travel along."""
     _check_fit(x, family, "vector does not match the family shape")
-    rows = x.slots[:, None] @ family.blocks
+    rows = _finite(x.slots[:, None] @ family.blocks, "T x is past the float range of doubles")
     return L2Family(family.rule, family.descriptor, _from_slots(family.descriptor, rows)[:, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused by name
 def synthesis(family: OperatorFamily, ys: L2Family) -> ModuleVector:
     """Weighted sum of adjoint node operators applied to the samples."""
     if ys.rule != family.rule:
@@ -219,7 +216,7 @@ def synthesis(family: OperatorFamily, ys: L2Family) -> ModuleVector:
     _check_fit(ys, family, "samples do not match the family shape")
     roots = np.sqrt(family.rule.weights)[:, None, None]
     rows = _side_by_side(roots * _to_slots(family.descriptor, ys.samples[:, None])) @ _node_factor(family)
-    return ModuleVector.from_slots(family.descriptor, rows)
+    return ModuleVector.from_slots(family.descriptor, _finite(rows, "T* y is past the float range of doubles"))
 
 
 def _node_factor(family) -> np.ndarray:

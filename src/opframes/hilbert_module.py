@@ -17,11 +17,12 @@ works on; for the full algebra the whole flattening is the one slot.  Only
 this module knows the layout: a (..., r, c, k, k) table of algebra elements
 goes to its flattening in ``_flatten`` and to its slot blocks in
 ``_to_slots``, an operator's are ``ModuleOperator.slots``, a vector's are
-``ModuleVector.slots`` (``_slot_rows`` rows) and back ``ModuleVector.from_slots``,
-``_side_by_side`` lays a slot's node matrices in one row, and
-``_slot_norm`` is the norm of a direct sum of slot blocks.
+``ModuleVector.slots`` (``_slot_rows`` rows) and back
+``ModuleVector.from_slots``, ``_side_by_side`` lays a slot's node matrices
+in one row, and ``_slot_norm`` is the norm of a direct sum of slot blocks.
 Two values on A^n fit together when they share a descriptor and a rank,
-which ``_check_fit`` decides for every caller.
+which ``_check_fit`` decides for every caller.  A value computed from finite
+ones is refused by name if it lands past the float range of doubles.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement, _as_blocks
+from .algebra import AlgebraDescriptor, AlgebraElement, _as_blocks, _finite
 from .quadrature import QuadratureRule, integrate_array
 
 
@@ -110,12 +111,16 @@ class ModuleVector:
         """The vector whose slot blocks are ``slots``; inverse of ``slots``."""
         return cls(descriptor, _from_slots(descriptor, slots)[0])
 
+    @np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused by name
     def scale(self, scalar):
-        return ModuleVector(self.descriptor, complex(scalar) * self.stack)
+        stack = complex(scalar) * self.stack
+        return ModuleVector(self.descriptor, _finite(stack, "the scaled vector is past the float range of doubles"))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __sub__(self, other):
         _check_fit(self, other, "vectors must share descriptor and rank")
-        return ModuleVector(self.descriptor, self.stack - other.stack)
+        stack = self.stack - other.stack
+        return ModuleVector(self.descriptor, _finite(stack, "x - y is past the float range of doubles"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +169,7 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """
     _check_fit(x, y, "vectors must share descriptor and rank")
     gram = np.einsum("iab,icb->ac", x.stack, y.stack.conj())
-    return AlgebraElement(x.descriptor, gram)
+    return AlgebraElement(x.descriptor, _finite(gram, "<x, y> is past the float range of doubles"))
 
 
 def _slot_norm(blocks):
@@ -183,7 +188,7 @@ def apply(op: ModuleOperator, x: ModuleVector) -> ModuleVector:
     """Right action x @ M."""
     _check_fit(op, x, "operator and vector shapes do not match")
     out = np.einsum("jab,jibc->iac", x.stack, op.blocks)
-    return ModuleVector(x.descriptor, out)
+    return ModuleVector(x.descriptor, _finite(out, "x @ M is past the float range of doubles"))
 
 
 def op_norm(op: ModuleOperator) -> float:

@@ -324,8 +324,9 @@ def integrate(rule: QuadratureRule, samples) -> AlgebraElement:
     return AlgebraElement(samples[0].descriptor, entries)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused by name
 def integrate_array(rule: QuadratureRule, samples: np.ndarray) -> np.ndarray:
-    """Weighted sum over axis 0 of a raw ndarray of per-node samples.
+    """Weighted sum over axis 0 of a raw ndarray of finite per-node samples, refused past the float range.
 
     One ``tensordot`` with the weights: reproducible from run to run for a
     fixed numpy/BLAS build and thread count, not bit-equal to a left fold.
@@ -333,4 +334,4 @@ def integrate_array(rule: QuadratureRule, samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples)
     if samples.shape[0] != len(rule):
         raise ValueError(f"sample count {samples.shape[0]} != node count {len(rule)}")
-    return np.tensordot(rule.weights, samples, axes=1)
+    return _finite(np.tensordot(rule.weights, samples, axes=1), "the integral is past the float range of doubles")

@@ -65,8 +65,12 @@ class TestOperatorFamily:
         rule = gauss_legendre(0.0, 1.0, 4)
         with pytest.raises(ValueError):
             OperatorFamily.parametric(rule, DIAG2, 1, np.ones((1, 1, 1, 2, 2)))
-        with pytest.raises(ValueError):
+        # the birth check names the shape a table of any number of axes should have
+        shape = r"^operator blocks must have shape \(1, 2, 2, 2, 2\), got \(1, 1, 1, 2, 2\)$"
+        with pytest.raises(ValueError, match=shape):
             OperatorFamily.parametric(rule, DIAG2, 2, np.zeros((1, 1, 1, 2, 2)))
+        with pytest.raises(ValueError, match=r"^operator blocks must have shape \(3, 1, 1, 2, 2\), got \(3,\)$"):
+            OperatorFamily.parametric(rule, DIAG2, 1, np.zeros(3))
 
     def test_sampled_length_check(self):
         rule = gauss_legendre(0.0, 1.0, 4)
@@ -141,10 +145,15 @@ class TestOperatorFamily:
                     build()
 
     def test_a_table_with_no_coefficients_is_refused_by_name_and_shape(self):
-        # frame_operator failed on it with numpy's "zero-size array to reduction operation"
-        message = r"^operator blocks must have no empty axis, got shape \(0, 1, 1, 2, 2\)$"
-        with pytest.raises(ValueError, match=message):
-            OperatorFamily.parametric(gauss_legendre(0.0, 1.0, 3), DIAG2, 1, np.zeros((0, 1, 1, 2, 2)))
+        # frame_operator failed on it with numpy's "zero-size array to reduction operation";
+        # a rank-0 table meets the same rule in both constructors that take a rank
+        rule = gauss_legendre(0.0, 1.0, 3)
+        builds = {r"\(0, 1, 1, 2, 2\)": lambda: OperatorFamily.parametric(rule, DIAG2, 1, np.zeros((0, 1, 1, 2, 2))),
+                  r"\(1, 0, 0, 2, 2\)": lambda: OperatorFamily.parametric(rule, DIAG2, 0, np.zeros((1, 0, 0, 2, 2))),
+                  r"\(3, 0, 0, 2, 2\)": lambda: OperatorFamily.from_flats(rule, DIAG2, 0, np.zeros((3, 0, 0)))}
+        for shape, build in builds.items():
+            with pytest.raises(ValueError, match=f"^operator blocks must have no empty axis, got shape {shape}$"):
+                build()
 
 
 class TestAnalysisSynthesis:
@@ -191,6 +200,16 @@ class TestAnalysisSynthesis:
             lhs = l2_inner_product(analysis(fam, x), ys).entries
             rhs = inner_product(x, synthesis(fam, ys)).entries
             assert np.allclose(lhs, rhs, atol=1e-10)
+
+    def test_a_result_past_the_float_range_is_refused_by_name(self):
+        # each input is finite, so a non-finite entry of the result is an overflow, not a bad input
+        rule = counting(2)
+        family = OperatorFamily.sampled(rule, [ModuleOperator(FULL2, 1e200 * np.eye(2)[None, None])] * 2)
+        x = ModuleVector(FULL2, 1e200 * np.eye(2)[None])
+        with pytest.raises(ValueError, match=r"^T x is past the float range of doubles$"):
+            analysis(family, x)
+        with pytest.raises(ValueError, match=r"^T\* y is past the float range of doubles$"):
+            synthesis(family, L2Family(rule, FULL2, 1e200 * np.ones((2, 1, 2, 2))))
 
     def test_rule_mismatch(self):
         fam = diagonal_slope_family()

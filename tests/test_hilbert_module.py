@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from opframes.hilbert_module import (
     _to_slots,
     _unflatten,
 )
-from opframes.quadrature import counting, gauss_legendre
+from opframes.quadrature import counting, gauss_legendre, integrate
 
 from oracles import _loewner_leq, check_norm_domination, jacobi_eigh, random_operator, weighted_sum
 
@@ -72,6 +73,23 @@ class TestConstruction:
         for message, build in builds.items():
             with pytest.raises(ValueError, match=f"^{message}$"):
                 build()
+
+    def test_a_result_past_the_float_range_is_refused_by_name(self):
+        # each input is finite, so a non-finite entry of the result is an overflow, not a bad input
+        # (the parent returned it); the birth check's "must be finite" would name an input never given
+        big = ModuleVector(FULL2, 1e200 * np.eye(2)[None])
+        huge = ModuleVector(FULL2, 1.5e308 * np.eye(2)[None])
+        rule = gauss_legendre(0.0, 100.0, 2)
+        samples = L2Family(rule, FULL2, 1e200 * np.ones((2, 1, 2, 2)))
+        results = [("<x, y>", lambda: inner_product(big, big)),
+                   ("x @ M", lambda: apply(ModuleOperator(FULL2, 1e200 * np.eye(2)[None, None]), big)),
+                   ("the integral", lambda: l2_inner_product(samples, samples)),
+                   ("the integral", lambda: integrate(rule, [AlgebraElement(FULL2, 1.5e308 * np.eye(2))] * 2)),
+                   ("the scaled vector", lambda: big.scale(1e200)),
+                   ("x - y", lambda: huge - huge.scale(-1.0))]
+        for what, result in results:
+            with pytest.raises(ValueError, match=f"^{re.escape(what)} is past the float range of doubles$"):
+                result()
 
     def test_flatten_round_trip(self):
         rng = np.random.default_rng(1)

@@ -139,14 +139,23 @@ def test_the_rows_of_a_vector_slot_block_are_spelled_in_one_function():
 TABLES = {"arr", "table", "coefficients", "operators", "entries", "stack", "blocks", "samples"}
 
 
+def _text(node):
+    """The literal text of a string or f-string, its replacement fields left out."""
+    parts = node.values if isinstance(node, ast.JoinedStr) else [node]
+    return "".join(part.value for part in parts if isinstance(part, ast.Constant) and isinstance(part.value, str))
+
+
 def _table_finiteness_check(node):
-    """A ``_finite`` call whose checked value is a name or attribute that a table goes by."""
+    """A ``_finite`` call whose checked value is a name or attribute that a table goes by, unless it
+    refuses a computed table past the float range, an overflow that the birth check cannot name."""
     return (isinstance(node, ast.Call) and _spelled(node.func) == "_finite" and bool(node.args)
-            and isinstance(node.args[0], (ast.Name, ast.Attribute)) and _spelled(node.args[0]) in TABLES)
+            and isinstance(node.args[0], (ast.Name, ast.Attribute)) and _spelled(node.args[0]) in TABLES
+            and not any("past the float range" in _text(arg) for arg in node.args[1:]))
 
 
 def test_tables_of_algebra_elements_are_checked_for_finiteness_once_at_birth():
     # algebra._as_blocks refuses a non-finite entry when a value or family is built,
-    # so no consumer of a built value checks it again
+    # so no consumer of a built value checks it again; a value computed from finite
+    # ones is refused by name where it overflows, before it is built
     sites = [(name, *site) for name, tree in _sources() for site in _sites(tree, _table_finiteness_check)]
     assert [site[:2] for site in sites] == [("algebra.py", "_as_blocks")], sites

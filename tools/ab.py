@@ -4,7 +4,7 @@ Usage (from the root of a checkout):
 
     python tools/ab.py BASE HEAD [--workload NAME ...] [--seeds 51-60]
                        [--workdir DIR] [--out FILE]
-    python tools/ab.py BASE HEAD --startup [--pairs 20] [--workload NAME ...]
+    python tools/ab.py BASE HEAD --startup [--workload NAME ...]
                        [--workdir DIR] [--out FILE]
 
 Each revision is exported with ``git archive`` into its own directory
@@ -30,13 +30,14 @@ request and no metric is ``BEYOND``, else 1.
 ``--startup`` measures what ``setup_s`` lumps together.  It first compiles
 both trees with ``compileall``, so every interpreter starts from current
 bytecode, and writes each workload's seed-1 inputs once, with HEAD's
-``bench/workloads.py``.  Then, for ``--pairs`` alternating pairs, a fresh
-interpreter in each tree times three steps apart: ``import numpy``,
-``import opframes.cli``, and the workload's first request (every call of
-its session).  For each workload and step it prints the base median with
-its quartiles, the head median, its move and the pairs in which HEAD was
-faster; ``--out`` writes the same, with every run, as JSON.  The exit code
-is 1 when a call's exit code differs between the trees, else 0.
+``bench/workloads.py``.  Then, for ``STARTUP_PAIRS`` (20) alternating
+pairs, a fresh interpreter in each tree times three steps apart:
+``import numpy``, ``import opframes.cli``, and the workload's first
+request (every call of its session).  For each workload and step it
+prints the base median with its quartiles, the head median, its move and
+the pairs in which HEAD was faster; ``--out`` writes the same, with every
+run, as JSON.  The exit code is 1 when a call's exit code differs between
+the trees, else 0.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 STEPS = ("numpy_s", "cli_s", "first_request_s")
+STARTUP_PAIRS = 20
 # One fresh interpreter: the three startup steps of ``--startup``, timed apart.
 STARTUP_CHILD = """
 import contextlib, io, json, sys, time
@@ -114,7 +116,7 @@ def startup_run(tree, argvs):
     return result
 
 
-def startup(trees, workloads, pairs, workdir):
+def startup(trees, workloads, workdir):
     """Per workload, every pair of ``startup_run`` results, the sides alternating which goes first."""
     for tree in trees.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree)], check=True,
@@ -123,7 +125,7 @@ def startup(trees, workloads, pairs, workdir):
         [sys.executable, "-c", INPUTS_CHILD, name, str(workdir / "inputs")], cwd=trees["head"],
         capture_output=True, text=True, check=True, timeout=RUN_TIMEOUT_S).stdout) for name in workloads}
     runs = {name: [] for name in workloads}
-    for index in range(pairs):
+    for index in range(STARTUP_PAIRS):
         for name in workloads:
             order = ("base", "head") if index % 2 == 0 else ("head", "base")
             pair = {"first": order[0]}
@@ -202,7 +204,6 @@ def main(argv=None):
     parser.add_argument("--workdir", type=Path, default=None, help="where to export the trees")
     parser.add_argument("--out", type=Path, help="also write the comparison as JSON to this file")
     parser.add_argument("--startup", action="store_true", help="time import and first request instead")
-    parser.add_argument("--pairs", type=int, default=20, help="--startup's alternating pairs (default 20)")
     args = parser.parse_args(argv)
 
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="ab-"))
@@ -212,7 +213,7 @@ def main(argv=None):
     spec = json.loads((trees["head"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     if args.startup:
-        runs = startup(trees, workloads, args.pairs, workdir)
+        runs = startup(trees, workloads, workdir)
         summary, ok = print_startup(args.base, args.head, runs)
         if args.out:
             doc = {"base": args.base, "head": args.head, "summary": summary, "runs": runs, "ok": ok}
