@@ -113,7 +113,7 @@ class ModuleVector:
 
     @np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused by name
     def scale(self, scalar):
-        stack = complex(scalar) * self.stack
+        stack = _finite(complex(scalar), "the scale factor must be finite") * self.stack
         return ModuleVector(self.descriptor, _finite(stack, "the scaled vector is past the float range of doubles"))
 
     @np.errstate(over="ignore", invalid="ignore")

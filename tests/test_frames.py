@@ -65,12 +65,8 @@ class TestOperatorFamily:
         rule = gauss_legendre(0.0, 1.0, 4)
         with pytest.raises(ValueError):
             OperatorFamily.parametric(rule, DIAG2, 1, np.ones((1, 1, 1, 2, 2)))
-        # the birth check names the shape a table of any number of axes should have
-        shape = r"^operator blocks must have shape \(1, 2, 2, 2, 2\), got \(1, 1, 1, 2, 2\)$"
-        with pytest.raises(ValueError, match=shape):
+        with pytest.raises(ValueError):
             OperatorFamily.parametric(rule, DIAG2, 2, np.zeros((1, 1, 1, 2, 2)))
-        with pytest.raises(ValueError, match=r"^operator blocks must have shape \(3, 1, 1, 2, 2\), got \(3,\)$"):
-            OperatorFamily.parametric(rule, DIAG2, 1, np.zeros(3))
 
     def test_sampled_length_check(self):
         rule = gauss_legendre(0.0, 1.0, 4)
@@ -154,6 +150,14 @@ class TestOperatorFamily:
         for shape, build in builds.items():
             with pytest.raises(ValueError, match=f"^operator blocks must have no empty axis, got shape {shape}$"):
                 build()
+
+    def test_a_coefficient_table_of_the_wrong_shape_is_refused_by_the_birth_check(self):
+        # the birth check names the shape that a table of any number of axes should have
+        rule = gauss_legendre(0.0, 1.0, 3)
+        for n, table, shapes in [(2, np.zeros((1, 1, 1, 2, 2)), r"\(1, 2, 2, 2, 2\), got \(1, 1, 1, 2, 2\)"),
+                                 (1, np.zeros(3), r"\(3, 1, 1, 2, 2\), got \(3,\)")]:
+            with pytest.raises(ValueError, match=f"^operator blocks must have shape {shapes}$"):
+                OperatorFamily.parametric(rule, DIAG2, n, table)
 
 
 class TestAnalysisSynthesis:

@@ -90,6 +90,10 @@ class TestConstruction:
         for what, result in results:
             with pytest.raises(ValueError, match=f"^{re.escape(what)} is past the float range of doubles$"):
                 result()
+        # a factor that is not finite is the caller's input, not an overflow
+        for factor in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^the scale factor must be finite$"):
+                big.scale(factor)
 
     def test_flatten_round_trip(self):
         rng = np.random.default_rng(1)
