@@ -34,6 +34,7 @@ from .hilbert_module import (
     op_norm,
     random_vector,
     scalar_norm,
+    uniform_vector,
 )
 from .perturbation import (
     AdditivePerturbation,

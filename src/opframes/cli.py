@@ -34,7 +34,7 @@ from .frames import (
     optimal_bounds,
     require_frame,
 )
-from .hilbert_module import ModuleVector, random_vector, scalar_norm
+from .hilbert_module import ModuleVector, scalar_norm, uniform_vector
 from .perturbation import (
     AdditivePerturbation,
     additive_envelope,
@@ -97,8 +97,7 @@ def _dual_section(scenario, frame_tol, tol):
 
 
 def _reconstruction_section(scenario, data, method, tol, seed):
-    rng = np.random.default_rng(seed)
-    x_true = random_vector(scenario.descriptor, scenario.module_rank, rng, unit=True)
+    x_true = uniform_vector(scenario.descriptor, scenario.module_rank, seed, unit=True)
     y = ModuleVector.from_slots(scenario.descriptor, x_true.slots @ data.blocks)
     section = {"method": method, "tolerance": tol, "seed": seed}
     try:
@@ -300,8 +299,8 @@ def _tolerance(text):
 
 
 def _integer(least):
-    """The type of a flag that takes an integer >= ``least``: ``--seed`` the seeds
-    numpy's ``default_rng`` takes (0 up), ``--nodes`` the node counts of a rule (1 up)."""
+    """The type of a flag that takes an integer >= ``least``: ``--seed`` any seed of
+    ``hilbert_module.uniform_vector`` (0 up, however large), ``--nodes`` the node counts of a rule (1 up)."""
     def parse(text):
         try:
             value = int(text)

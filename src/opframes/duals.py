@@ -13,22 +13,20 @@ operator is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebra import _check_tol
+from .algebra import _check_tol, _Frozen
 from .frames import FRAME_TOL, OperatorFamily, _gram, _require_fit, frame_operator, optimal_bounds
 from .frames import require_frame
 from .hilbert_module import _slot_norm
 
 
-@dataclass(frozen=True)
-class DualPairReport:
-    is_dual: bool
-    resolution_residual: float          # || integral of T* Lambda - I ||
-    dual_bounds: tuple
-    tolerance: float
+class DualPairReport(_Frozen):
+    """Whether two families are a dual pair: ``resolution_residual`` is || integral of T* Lambda - I ||."""
+
+    def __init__(self, is_dual: bool, resolution_residual: float, dual_bounds: tuple, tolerance: float):
+        self._store(is_dual=is_dual, resolution_residual=resolution_residual, dual_bounds=dual_bounds,
+                    tolerance=tolerance)
 
 
 def canonical_dual(family: OperatorFamily, tol: float = FRAME_TOL) -> OperatorFamily:

@@ -50,12 +50,11 @@ reconstructors refuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_tol, _finite, _read_only
+from .algebra import SINGULARITY_RATIO, AlgebraDescriptor, _as_blocks, _check_tol, _finite, _Frozen, _read_only
 from .exceptions import NotAFrame
 from .hilbert_module import L2Family, ModuleOperator, ModuleVector, _check_fit, _flatten, _from_slots
 from .hilbert_module import _side_by_side, _slot_rows, _to_slots, _unflatten
@@ -158,15 +157,16 @@ class OperatorFamily:
         return len(self.rule)
 
 
-@dataclass(frozen=True, eq=False)
-class FrameOperatorData:
+class FrameOperatorData(_Frozen, eq=False):
     """Frame operator of a family as slot blocks, with the blocks' eigenpairs
-    (from the slot factor, not from ``blocks``, so a residual with ``blocks`` checks them)."""
+    (from the slot factor, not from ``blocks``, so a residual with ``blocks`` checks them):
+    ``blocks`` (m, b, b) Hermitian, one per slot; ``block_eigenvalues`` (m, b), each row
+    ascending; ``block_eigenvectors`` (m, b, b), its columns matching those rows."""
 
-    descriptor: AlgebraDescriptor
-    blocks: np.ndarray                   # (m, b, b) Hermitian, one per slot
-    block_eigenvalues: np.ndarray        # (m, b), each row ascending
-    block_eigenvectors: np.ndarray       # (m, b, b), columns match the rows above
+    def __init__(self, descriptor: AlgebraDescriptor, blocks: np.ndarray, block_eigenvalues: np.ndarray,
+                 block_eigenvectors: np.ndarray):
+        self._store(descriptor=descriptor, blocks=blocks, block_eigenvalues=block_eigenvalues,
+                    block_eigenvectors=block_eigenvectors)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -185,19 +185,17 @@ class FrameOperatorData:
         return ModuleOperator(self.descriptor, _from_slots(self.descriptor, self.blocks))
 
 
-@dataclass(frozen=True)
-class FrameReport:
-    """Classification of a family from the spectrum of its frame operator."""
+class FrameReport(_Frozen):
+    """Classification of a family from the spectrum of its frame operator: ``classification``
+    is frame, tight, parseval, bessel_only or not_bessel, ``is_frame`` the frame rule
+    (``_is_frame``) at ``tolerance``."""
 
-    lower_bound: float
-    upper_bound: float
-    classification: str                  # frame | tight | parseval | bessel_only | not_bessel
-    is_frame: bool                       # the frame rule (_is_frame) at ``tolerance``
-    spectrum: tuple
-    condition: float
-    tolerance: float
-    tight_value: float | None = None
-    diagnostics: str = ""
+    def __init__(self, lower_bound: float, upper_bound: float, classification: str, is_frame: bool,
+                 spectrum: tuple, condition: float, tolerance: float, tight_value: float | None = None,
+                 diagnostics: str = ""):
+        self._store(lower_bound=lower_bound, upper_bound=upper_bound, classification=classification,
+                    is_frame=is_frame, spectrum=spectrum, condition=condition, tolerance=tolerance,
+                    tight_value=tight_value, diagnostics=diagnostics)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused by name

@@ -27,11 +27,12 @@ ones is refused by name if it lands past the float range of doubles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import random
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement, _as_blocks, _finite
+from .algebra import AlgebraDescriptor, AlgebraElement, _as_blocks, _finite, _Frozen
 from .quadrature import QuadratureRule, integrate_array
 
 
@@ -81,17 +82,13 @@ def _side_by_side(stack):
     return stack.swapaxes(1, 2).reshape(stack.shape[0], stack.shape[2], -1)
 
 
-@dataclass(frozen=True, eq=False)
-class ModuleVector:
+class ModuleVector(_Frozen, eq=False):
     """Element of H = A^n: components stacked as an (n, k, k) array."""
 
-    descriptor: AlgebraDescriptor
-    stack: np.ndarray
-
-    def __post_init__(self):
-        n = np.shape(self.stack)[0] if np.ndim(self.stack) == 3 else 0
-        k = self.descriptor.dim
-        object.__setattr__(self, "stack", _as_blocks(self.descriptor, self.stack, (n, k, k), "vector components"))
+    def __init__(self, descriptor: AlgebraDescriptor, stack: np.ndarray):
+        n = np.shape(stack)[0] if np.ndim(stack) == 3 else "n"
+        k = descriptor.dim
+        self._store(descriptor=descriptor, stack=_as_blocks(descriptor, stack, (n, k, k), "vector components"))
 
     @property
     def n(self):
@@ -123,21 +120,17 @@ class ModuleVector:
         return ModuleVector(self.descriptor, _finite(stack, "x - y is past the float range of doubles"))
 
 
-@dataclass(frozen=True, eq=False)
-class ModuleOperator:
+class ModuleOperator(_Frozen, eq=False):
     """Adjointable operator on A^n: blocks[j, i] carries component j to i.
 
     The action is right multiplication on row vectors,
     ``apply(M, x)_i = sum_j x_j @ blocks[j, i]``.
     """
 
-    descriptor: AlgebraDescriptor
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        n = np.shape(self.blocks)[0] if np.ndim(self.blocks) == 4 else 0
-        k = self.descriptor.dim
-        object.__setattr__(self, "blocks", _as_blocks(self.descriptor, self.blocks, (n, n, k, k), "operator blocks"))
+    def __init__(self, descriptor: AlgebraDescriptor, blocks: np.ndarray):
+        n = np.shape(blocks)[0] if np.ndim(blocks) == 4 else "n"
+        k = descriptor.dim
+        self._store(descriptor=descriptor, blocks=_as_blocks(descriptor, blocks, (n, n, k, k), "operator blocks"))
 
     @classmethod
     def identity(cls, descriptor, n):
@@ -196,20 +189,16 @@ def op_norm(op: ModuleOperator) -> float:
     return _slot_norm(op.slots)
 
 
-@dataclass(frozen=True, eq=False)
-class L2Family:
-    """A node-sampled element {x_w} of the discretized l2(Omega, H)."""
+class L2Family(_Frozen, eq=False):
+    """A node-sampled element {x_w} of the discretized l2(Omega, H): ``samples`` is (N, n, k, k)."""
 
-    rule: QuadratureRule
-    descriptor: AlgebraDescriptor
-    samples: np.ndarray  # (N, n, k, k)
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples)
-        if arr.ndim != 4 or arr.shape[0] != len(self.rule):
+    def __init__(self, rule: QuadratureRule, descriptor: AlgebraDescriptor, samples: np.ndarray):
+        arr = np.asarray(samples)
+        if arr.ndim != 4 or arr.shape[0] != len(rule):
             raise ValueError("need one (n, k, k) sample per quadrature node")
-        k = self.descriptor.dim
-        object.__setattr__(self, "samples", _as_blocks(self.descriptor, arr, (*arr.shape[:2], k, k), "l2 samples"))
+        k = descriptor.dim
+        samples = _as_blocks(descriptor, arr, (*arr.shape[:2], k, k), "l2 samples")
+        self._store(rule=rule, descriptor=descriptor, samples=samples)
 
     @property
     def n(self):
@@ -225,16 +214,35 @@ def l2_inner_product(xs: L2Family, ys: L2Family) -> AlgebraElement:
     return AlgebraElement(xs.descriptor, integrate_array(xs.rule, grams))
 
 
+def _unit(x, unit):
+    """x / ||x|| if ``unit``, else x."""
+    if not unit:
+        return x
+    nrm = scalar_norm(x)
+    if nrm == 0.0:
+        raise ValueError("cannot normalize a zero draw")
+    return x.scale(1.0 / nrm)
+
+
 def random_vector(descriptor, n, rng, unit=False) -> ModuleVector:
-    """Random vector with complex Gaussian entries conforming to the descriptor."""
+    """Random vector with complex Gaussian entries from the numpy generator ``rng``, conforming to the descriptor."""
     k = descriptor.dim
     stack = rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k))
     if descriptor.is_diagonal:
         stack = stack * np.eye(k)
-    x = ModuleVector(descriptor, stack)
-    if unit:
-        nrm = scalar_norm(x)
-        if nrm == 0.0:
-            raise ValueError("cannot normalize a zero draw")
-        x = x.scale(1.0 / nrm)
-    return x
+    return _unit(ModuleVector(descriptor, stack), unit)
+
+
+def uniform_vector(descriptor, n, seed, unit=False) -> ModuleVector:
+    """The vector that ``seed`` names: each entry the algebra holds (n k^2 on a full algebra,
+    n k on a diagonal one), in C order, takes a real and then an imaginary part 2 u - 1,
+    uniform in [-1, 1), u the next ``random.Random(seed).random()``.  The draw is exact
+    and calls no libm function, so its bits are the same on every platform."""
+    k = descriptor.dim
+    held = (n, k) if descriptor.is_diagonal else (n, k, k)
+    draw = random.Random(seed).random
+    stack = np.array([2.0 * draw() - 1.0 for _ in range(2 * math.prod(held))]).view(np.complex128).reshape(held)
+    if descriptor.is_diagonal:
+        stack, diagonals = np.zeros((n, k, k), dtype=np.complex128), stack
+        stack[:, range(k), range(k)] = diagonals
+    return _unit(ModuleVector(descriptor, stack), unit)

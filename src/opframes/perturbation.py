@@ -13,12 +13,9 @@ is decided exactly, from the spectrum of one Hermitian matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from numpy.polynomial import polynomial as P
 
-from .algebra import SINGULARITY_RATIO, _check_tol, _finite
+from .algebra import SINGULARITY_RATIO, _check_tol, _finite, _Frozen
 from .frames import PARAMETRIC, SAMPLED, OperatorFamily, _gram, _require_fit, extremal_vector, frame_operator
 from .frames import require_frame
 from .hilbert_module import ModuleOperator, _check_fit, op_norm, random_vector
@@ -75,6 +72,8 @@ class ScalarFamily:
         if self.values is not None or rule.space.kind == COUNTING:
             vals = self.at_nodes(rule)
         else:
+            from numpy.polynomial import polynomial as P  # here, its one user, so no run pays for it at import
+
             a, b = rule.space.a, rule.space.b
             slopes = (P.polyder(self.coefficients.real), P.polyder(self.coefficients.imag))
             # extra points inside [a, b] never move the inf or the sup
@@ -85,16 +84,13 @@ class ScalarFamily:
         return float(np.min(vals.real)), float(np.max(vals.real))
 
 
-@dataclass(frozen=True)
-class AdditivePerturbation:
+class AdditivePerturbation(_Frozen):
     """A direction operator K (nonzero; finite since it was built) and a scalar coefficient family c_w."""
 
-    operator: ModuleOperator
-    coefficient: ScalarFamily
-
-    def __post_init__(self):
-        if not self.operator.blocks.any():  # decided exactly, with no SVD of the operator
+    def __init__(self, operator: ModuleOperator, coefficient: ScalarFamily):
+        if not operator.blocks.any():  # decided exactly, with no SVD of the operator
             raise ValueError("perturbation operator must be nonzero")
+        self._store(operator=operator, coefficient=coefficient)
 
     def energy(self, rule: QuadratureRule) -> float:
         """R = integral of |c_w|^2 ||K||^2.  A factor, or R, past the float range
@@ -109,18 +105,14 @@ class AdditivePerturbation:
         return mass * square
 
 
-@dataclass(frozen=True)
-class RelativePerturbation:
-    """Positively confined scale families a_w, b_w and constants alpha, beta."""
+class RelativePerturbation(_Frozen):
+    """Positively confined scale families a_w (``scale_primal``, multiplies T_w x) and
+    b_w (``scale_other``, multiplies Lambda_w x), and constants alpha, beta."""
 
-    scale_primal: ScalarFamily           # a_w, multiplies T_w x
-    scale_other: ScalarFamily            # b_w, multiplies Lambda_w x
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha < 0.5 and 0.0 <= self.beta < 0.5):
+    def __init__(self, scale_primal: ScalarFamily, scale_other: ScalarFamily, alpha: float, beta: float):
+        if not (0.0 <= alpha < 0.5 and 0.0 <= beta < 0.5):
             raise ValueError("alpha and beta must lie in [0, 1/2)")
+        self._store(scale_primal=scale_primal, scale_other=scale_other, alpha=alpha, beta=beta)
 
     def confined_ranges(self, rule):
         """((inf a, sup a), (inf b, sup b)), enforcing strict positivity.  Each sup is

@@ -18,35 +18,29 @@ few 1e-15 relative).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
-from .algebra import AlgebraElement, _finite, _read_only
+from .algebra import AlgebraElement, _finite, _Frozen, _read_only
 
 LEBESGUE = "lebesgue_interval"
 COUNTING = "counting"
 
 
-@dataclass(frozen=True)
-class MeasureSpace:
-    kind: str
-    a: float = 0.0
-    b: float = 0.0
-    count: int = 0
+class MeasureSpace(_Frozen):
+    """Lebesgue measure on the interval [a, b], or counting measure on {1..count}."""
 
-    def __post_init__(self):
-        if self.kind == LEBESGUE:
-            for name, end in (("a", self.a), ("b", self.b)):
+    def __init__(self, kind: str, a: float = 0.0, b: float = 0.0, count: int = 0):
+        if kind == LEBESGUE:
+            for name, end in (("a", a), ("b", b)):
                 _finite(end, f"interval end {name} must be finite, got {end}")
-            if not self.a < self.b:
-                raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
-        elif self.kind == COUNTING:
-            if self.count < 1:
-                raise ValueError(f"counting measure requires N >= 1, got {self.count}")
+            if not a < b:
+                raise ValueError(f"interval requires a < b, got [{a}, {b}]")
+        elif kind == COUNTING:
+            if count < 1:
+                raise ValueError(f"counting measure requires N >= 1, got {count}")
         else:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
+            raise ValueError(f"unknown measure kind {kind!r}")
+        self._store(kind=kind, a=a, b=b, count=count)
 
 
 def node_powers(points: np.ndarray, terms: int, scale=1.0) -> np.ndarray:
@@ -67,33 +61,28 @@ def polynomial_values(points: np.ndarray, coefficients: np.ndarray, axis=0) -> n
     return _finite(values, "a polynomial's value is past the float range of doubles")
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Finite nodes and strictly positive finite weights discretizing a measure space."""
+class QuadratureRule(_Frozen):
+    """Finite nodes and strictly positive finite weights discretizing a measure space; rules
+    with one space, nodes and weights are equal (``__eq__``), and a rule has no hash."""
 
-    space: MeasureSpace
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float).copy()
-        weights = np.asarray(self.weights, dtype=float).copy()
+    def __init__(self, space: MeasureSpace, nodes: np.ndarray, weights: np.ndarray):
+        nodes = np.asarray(nodes, dtype=float).copy()
+        weights = np.asarray(weights, dtype=float).copy()
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         for name, values in (("nodes", nodes), ("weights", weights)):
             _finite(values, f"quadrature {name} must be finite")
         if np.any(weights <= 0.0):
             raise ValueError("all quadrature weights must be strictly positive")
-        if self.space.kind == LEBESGUE:
-            length = self.space.b - self.space.a
+        if space.kind == LEBESGUE:
+            length = space.b - space.a
             if abs(float(weights.sum()) - length) > 1e-12 * (1.0 + abs(length)):
                 raise ValueError("interval rule weights must sum to b - a")
         else:
-            if len(nodes) != self.space.count or np.any(weights != 1.0):
+            if len(nodes) != space.count or np.any(weights != 1.0):
                 raise ValueError("counting rule needs one unit weight per point")
-        object.__setattr__(self, "nodes", _read_only(nodes))
-        object.__setattr__(self, "weights", _read_only(weights))
-        object.__setattr__(self, "_triangles", {})  # vandermonde_triangle's, by degree
+        # _triangles holds vandermonde_triangle's, by degree
+        self._store(space=space, nodes=_read_only(nodes), weights=_read_only(weights), _triangles={})
 
     def __len__(self):
         return len(self.nodes)
@@ -231,16 +220,22 @@ _PI_HI = 52707178 / 2**24  # π to 26 bits, so m _PI_HI is exact for integer and
 _PI_LO = 3.178650954705639338e-08  # π - _PI_HI
 
 
+def _polyval(x: np.ndarray, coefficients) -> np.ndarray:
+    """sum_p c_p x^p, the c_p lowest degree first, by Horner's rule: ``np.polyval`` of them
+    highest first takes the steps of ``numpy.polynomial``'s ``polyval``, which it spares importing."""
+    return np.polyval(coefficients[::-1], x)
+
+
 def _mcmahon_offset(k: np.ndarray) -> np.ndarray:
     """j_{0,k} - π(k - 1/4) by McMahon's series, to an ulp or two for k > 20."""
     r = 1.0 / (np.pi * (k - 0.25))
-    return r * polyval(r * r, _MCMAHON)
+    return r * _polyval(r * r, _MCMAHON)
 
 
 def _j1_squared_tail(k: np.ndarray) -> np.ndarray:
     """J_1(j_{0,k})² by its asymptotic series in 1/(k - 1/4), for k > 21."""
     q = 1.0 / (k - 0.25)
-    return q * polyval(q * q, _J1_SQUARED_TAIL)
+    return q * _polyval(q * q, _J1_SQUARED_TAIL)
 
 
 def _angle(m, rest, den, corr):
@@ -272,7 +267,7 @@ def _bogaert_half(n: int):
     v = w * w * j_sin  # w α / sin α
     v2 = v * v
     alpha2 = alpha * alpha
-    f1, f2, f3, g1, g2, g3 = (polyval(alpha2, c) for c in _NODE_TERMS + _WEIGHT_TERMS)
+    f1, f2, f3, g1, g2, g3 = (_polyval(alpha2, c) for c in _NODE_TERMS + _WEIGHT_TERMS)
     corr = w * alpha * v * (f1 + v2 * (f2 + v2 * f3))
     weights = 2.0 * w / (j1_squared * j_sin * (1.0 + v2 * (g1 + v2 * (g2 + v2 * g3))))
     theta = _angle(2 * k - 0.5, 2.0 * offset, 2 * n + 1, corr)

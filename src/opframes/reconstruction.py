@@ -48,11 +48,10 @@ one, which it does not report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SINGULARITY_RATIO, _check_tol, _finite
+from .algebra import SINGULARITY_RATIO, _check_tol, _finite, _Frozen
 from .exceptions import NoConvergence, SingularFrameOperator
 from .frames import FrameOperatorData, require_frame
 from .hilbert_module import ModuleVector, _slot_norm
@@ -78,15 +77,14 @@ RUN_STEPS = 256
 _PAST_RANGE = "data vector drives the solve past the float range of doubles"
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    vector: ModuleVector
-    iterations: int
-    residual_history: tuple
-    method: str                      # "direct", "neumann" or "chebyshev"
-    relaxation: float | None = None
-    contraction: float | None = None
-    predicted_iterations: int | None = None
+class ReconstructionResult(_Frozen):
+    """A recovered vector and how it was found: ``method`` is "direct", "neumann" or "chebyshev"."""
+
+    def __init__(self, vector: ModuleVector, iterations: int, residual_history: tuple, method: str,
+                 relaxation: float | None = None, contraction: float | None = None,
+                 predicted_iterations: int | None = None):
+        self._store(vector=vector, iterations=iterations, residual_history=residual_history, method=method,
+                    relaxation=relaxation, contraction=contraction, predicted_iterations=predicted_iterations)
 
     @property
     def final_residual(self):

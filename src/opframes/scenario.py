@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor
+from .algebra import AlgebraDescriptor, _Frozen
 from .codec import TokenBlock, _Reader, _refuse_lone_surrogates
 from .exceptions import ScenarioError
 from .frames import FRAME_TOL, OperatorFamily
@@ -40,16 +39,15 @@ DEFAULT_TOLERANCES = {
 _RULES = {"gauss_legendre": gauss_legendre, "midpoint": midpoint}
 
 
-@dataclass(frozen=True)
-class Scenario:
-    raw: dict
-    descriptor: AlgebraDescriptor
-    module_rank: int
-    rule: QuadratureRule
-    family: OperatorFamily
-    tolerances: dict
-    perturbation: AdditivePerturbation | RelativePerturbation | None = None
-    comparison_family: OperatorFamily | None = None  # the relative perturbation's {L_w}
+class Scenario(_Frozen):
+    """A parsed scenario; ``comparison_family`` is a relative perturbation's {L_w}."""
+
+    def __init__(self, raw: dict, descriptor: AlgebraDescriptor, module_rank: int, rule: QuadratureRule,
+                 family: OperatorFamily, tolerances: dict,
+                 perturbation: AdditivePerturbation | RelativePerturbation | None = None,
+                 comparison_family: OperatorFamily | None = None):
+        self._store(raw=raw, descriptor=descriptor, module_rank=module_rank, rule=rule, family=family,
+                    tolerances=tolerances, perturbation=perturbation, comparison_family=comparison_family)
 
 
 def _get(mapping, key, path, kind=None):

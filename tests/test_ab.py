@@ -51,10 +51,31 @@ def startup_pairs(base, head, codes=([0], [0])):
 
 def test_startup_rows_compare_each_step_and_check_the_exit_codes(capsys):
     rows, same = ab.print_startup("base", "head", {"w": startup_pairs([1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 2.0, 2.0])})
-    assert same and set(rows["w"]) == set(ab.STEPS)
+    assert same and set(rows["w"]) == set(ab.STEPS + ab.RATIOS)
     row = rows["w"]["cli_s"]
     assert (row["base_median"], row["head_median"], row["won"], row["pairs"]) == (2.5, 2.0, 2, 4)
     assert row["move"] == pytest.approx(-0.2)
     assert "cli_s" in capsys.readouterr().out
     _, same = ab.print_startup("base", "head", {"w": startup_pairs([1.0], [1.0], codes=([0], [1]))})
     assert not same
+
+
+def test_startup_ratio_rows_divide_each_step_by_its_own_numpy_import(capsys):
+    # the host runs twice as slow in the head's second pair: numpy_s doubles with the package's
+    # steps, so the raw medians lose and the ratios to each interpreter's own numpy_s win
+    def run(numpy_s, cli_s, first_request_s):
+        return {"numpy_s": numpy_s, "cli_s": cli_s, "first_request_s": first_request_s, "codes": [0]}
+    pairs = [{"first": "base", "base": run(0.1, 0.03, 0.02), "head": run(0.1, 0.01, 0.01)},
+             {"first": "head", "base": run(0.1, 0.03, 0.02), "head": run(0.2, 0.02, 0.02)},
+             {"first": "base", "base": run(0.2, 0.06, 0.04), "head": run(0.2, 0.02, 0.05)}]
+    rows, same = ab.print_startup("base", "head", {"w": pairs})
+    assert same and ab.RATIOS == ("cli_s/numpy_s", "first_request_s/numpy_s")
+    cli_ratio, request_ratio = (rows["w"][ratio] for ratio in ab.RATIOS)
+    assert (cli_ratio["base_median"], cli_ratio["head_median"]) == pytest.approx((0.3, 0.1))
+    assert (cli_ratio["won"], cli_ratio["pairs"]) == (3, 3)
+    assert (request_ratio["base_median"], request_ratio["head_median"]) == pytest.approx((0.2, 0.1))
+    assert request_ratio["won"] == 2 and request_ratio["move"] == pytest.approx(-0.5)
+    raw = rows["w"]["first_request_s"]
+    assert (raw["base_median"], raw["head_median"], raw["won"]) == pytest.approx((0.02, 0.02, 1))
+    out = capsys.readouterr().out
+    assert all(ratio in out for ratio in ab.RATIOS)

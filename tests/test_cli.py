@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ import pytest
 from opframes import cli, codec
 from opframes import scenario as scenario_module
 from opframes.cli import main
-from opframes.frames import KERNEL_TOL, FrameOperatorData, OperatorFamily, independence_check
-from opframes.reconstruction import CHEBYSHEV_BUDGET, CHEBYSHEV_SLACK
+from opframes.frames import KERNEL_TOL, FrameOperatorData, OperatorFamily, frame_operator, independence_check
+from opframes.hilbert_module import ModuleVector, scalar_norm, uniform_vector
+from opframes.reconstruction import CHEBYSHEV_BUDGET, CHEBYSHEV_SLACK, reconstruct_direct
 
 from families import generated_doc, ratio_slopes, slope_scenario, tiny_slopes
 
@@ -637,19 +639,69 @@ def test_scenario_commands_read_no_dense_view(tmp_path, capsys, monkeypatch):
         assert run(capsys, *argv) == answer, argv
 
 
+def fresh(argv, **env):
+    """A fresh interpreter running ``argv`` with this checkout's package, plus ``env``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), **env)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=120)
+
+
 def test_a_fresh_import_of_the_cli_loads_a_fixed_set_of_modules():
-    # after numpy, what a run's start-up pays for: the package, numpy.polynomial
-    # and a few standard modules, never numpy.random
+    # after numpy, what a run's start-up pays for: the package and a few standard
+    # modules; never numpy.random, numpy.polynomial or the dataclass machinery
     script = (
         "import sys, numpy\n"
         "before = set(sys.modules)\n"
         "import opframes.cli\n"
         "print(*sorted(set(sys.modules) - before), 'numpy.random' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    *added, random_loaded = proc.stdout.split()
-    assert (proc.returncode, proc.stderr, random_loaded) == (0, "", "False")
+    proc = fresh(["-c", script])
+    *added, random_loaded = proc.stdout.decode().split()
+    assert (proc.returncode, proc.stderr, random_loaded) == (0, b"", "False")
     roots = {"numpy.polynomial" if name.startswith("numpy.polynomial") else name.split(".")[0] for name in added}
-    assert roots == {"opframes", "numpy.polynomial", "argparse", "csv", "_csv", "json", "_json",
-                     "dataclasses", "copy", "gettext", "__future__"}
+    assert roots == {"opframes", "argparse", "csv", "_csv", "json", "_json", "gettext", "__future__"}
+
+
+def test_analyze_and_reconstruct_load_neither_numpy_random_nor_dataclasses():
+    # the test vector comes from the standard library's random, which numpy loads already
+    script = (
+        "import contextlib, io, sys\n"
+        "from opframes.cli import main\n"
+        "for command in ('analyze', 'reconstruct'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([command, '--scenario', sys.argv[1]]) == 0\n"
+        "print('numpy.random' in sys.modules, 'dataclasses' in sys.modules)\n"
+    )
+    proc = fresh(["-c", script, RELATIVE])
+    assert (proc.returncode, proc.stderr, proc.stdout.split()) == (0, b"", [b"False", b"False"])
+
+
+@pytest.mark.parametrize("seed", [0, 2**80])
+@pytest.mark.parametrize("kind", ["diagonal", "full"])
+def test_the_test_vector_is_the_documented_draw(tmp_path, capsys, kind, seed):
+    # the entries the algebra holds take, in C order, a real then an imaginary part
+    # 2 u - 1 from random.Random(seed); the CLI reconstructs that vector, normalised
+    path = DIAGONAL if kind == "diagonal" else write_doc(tmp_path, generated_doc("full", 2, 3, 8, "parametric", 1))
+    scenario = scenario_module.load_scenario(path)
+    descriptor, n, k = scenario.descriptor, scenario.module_rank, scenario.descriptor.dim
+    raw = uniform_vector(descriptor, n, seed)
+    held = raw.stack[:, range(k), range(k)] if kind == "diagonal" else raw.stack
+    parts = np.stack([held.real, held.imag], axis=-1).ravel().tolist()
+    draw = random.Random(seed).random
+    assert parts == [2 * draw() - 1 for _ in range(2 * n * (k if kind == "diagonal" else k * k))]
+    assert np.count_nonzero(raw.stack) == held.size
+    x_true = uniform_vector(descriptor, n, seed, unit=True)
+    assert np.array_equal(x_true.stack, raw.scale(1.0 / scalar_norm(raw)).stack)
+    data = frame_operator(scenario.family)
+    result = reconstruct_direct(data, ModuleVector.from_slots(descriptor, x_true.slots @ data.blocks))
+    code, out, _ = run(capsys, "reconstruct", "--scenario", path, "--method", "direct", "--seed", str(seed))
+    section = json.loads(out)["reconstruction"]
+    assert code == 0 and section["seed"] == seed
+    assert section["recovery_error"] == scalar_norm(result.vector - x_true)
+    assert section["final_residual"] == result.final_residual
+
+
+def test_the_same_seed_gives_the_same_bytes_in_two_fresh_interpreters(capsys):
+    argv = ["reconstruct", "--scenario", RELATIVE, "--seed", str(2**80)]
+    runs = [fresh(["-m", "opframes.cli", *argv], PYTHONHASHSEED=str(hash_seed)) for hash_seed in (1, 2)]
+    assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, b""), (0, b"")]
+    assert runs[0].stdout == runs[1].stdout == run(capsys, *argv)[1].encode()

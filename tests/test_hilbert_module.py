@@ -74,6 +74,21 @@ class TestConstruction:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 build()
 
+    def test_a_wrong_number_of_axes_is_refused_by_the_axes_expected_and_the_shape_given(self):
+        # the rank n is read from the first axis only when the number of axes is right; else the
+        # message names it by its letter, and no shape with a rank of 0 is ever expected
+        builds = {r"vector components must have shape \(n, 2, 2\), got \(2, 2\)":
+                  lambda: ModuleVector(DIAG2, np.eye(2)),
+                  r"operator blocks must have shape \(n, n, 2, 2\), got \(1, 2, 2\)":
+                  lambda: ModuleOperator(DIAG2, np.eye(2)[None]),
+                  r"vector components must have shape \(n, 3, 3\), got \(1, 1, 3, 3\)":
+                  lambda: ModuleVector(AlgebraDescriptor("full", 3), np.eye(3)[None, None]),
+                  r"operator blocks must have shape \(2, 2, 2, 2\), got \(2, 1, 2, 2\)":
+                  lambda: ModuleOperator(FULL2, np.zeros((2, 1, 2, 2)))}
+        for message, build in builds.items():
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+
     def test_a_result_past_the_float_range_is_refused_by_name(self):
         # each input is finite, so a non-finite entry of the result is an overflow, not a bad input
         # (the parent returned it); the birth check's "must be finite" would name an input never given

@@ -159,3 +159,17 @@ def test_tables_of_algebra_elements_are_checked_for_finiteness_once_at_birth():
     # ones is refused by name where it overflows, before it is built
     sites = [(name, *site) for name, tree in _sources() for site in _sites(tree, _table_finiteness_check)]
     assert [site[:2] for site in sites] == [("algebra.py", "_as_blocks")], sites
+
+
+def _imports_dataclasses(node):
+    """An ``import dataclasses`` or a ``from dataclasses import ...``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+
+
+def test_no_module_imports_dataclasses():
+    # the value classes are plain classes on algebra._Frozen: a dataclass generates and
+    # compiles its methods when its module is imported, which every fresh run paid for
+    sites = [(name, *site) for name, tree in _sources() for site in _sites(tree, _imports_dataclasses)]
+    assert sites == []

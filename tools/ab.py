@@ -35,7 +35,12 @@ pairs, a fresh interpreter in each tree times three steps apart:
 ``import numpy``, ``import opframes.cli``, and the workload's first
 request (every call of its session).  For each workload and step it
 prints the base median with its quartiles, the head median, its move and
-the pairs in which HEAD was faster; ``--out`` writes the same, with every
+the pairs in which HEAD was faster.  A shared host's speed drifts from
+run to run, and ``import numpy``, which no change to this package touches,
+drifts with it; so each interpreter's ``cli_s`` and ``first_request_s`` are
+also taken as a ratio to its own ``numpy_s`` (the rows ``cli_s/numpy_s``
+and ``first_request_s/numpy_s``), which cancels the host's speed of the
+moment, and compared the same way.  ``--out`` writes the same, with every
 run, as JSON.  The exit code is 1 when a call's exit code differs between
 the trees, else 0.
 """
@@ -54,6 +59,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 STEPS = ("numpy_s", "cli_s", "first_request_s")
+# Each ratio divides a step by the same interpreter's ``import numpy``, the control.
+RATIOS = tuple(f"{step}/numpy_s" for step in STEPS[1:])
 STARTUP_PAIRS = 20
 # One fresh interpreter: the three startup steps of ``--startup``, timed apart.
 STARTUP_CHILD = """
@@ -133,8 +140,16 @@ def startup(trees, workloads, workdir):
                 pair[side] = startup_run(trees[side], argvs[name])
             runs[name].append(pair)
             print(f"{name} pair {index + 1}: " + ", ".join(
-                f"{step} {pair['base'][step]:.4f} -> {pair['head'][step]:.4f}" for step in STEPS), flush=True)
+                f"{step} {value(pair['base'], step):.4f} -> {value(pair['head'], step):.4f}"
+                for step in STEPS + RATIOS), flush=True)
     return runs
+
+
+def value(run, step):
+    """A step's time in one ``startup_run`` result, or for a ratio the step's time over ``numpy_s``."""
+    if step in RATIOS:
+        return run[step.split("/")[0]] / run["numpy_s"]
+    return run[step]
 
 
 def worse_by(metric, base, head):
@@ -171,15 +186,17 @@ def summarise(metric, pairs):
 
 
 def print_startup(base, head, runs):
-    """Print the ``compare`` row of each workload and step; return (rows, whether every exit code agreed)."""
+    """Print the ``compare`` row of each workload and step, and of each step's ratio to ``numpy_s``;
+    return (rows, whether every exit code agreed)."""
     print(f"\n{base} -> {head}, fresh interpreters, {len(next(iter(runs.values())))} alternating pairs")
-    print(f"{'workload':20s} {'step':16s} {'base median':>11s} {'[q1, q3]':>19s} {'head':>8s} {'move':>7s} {'won':>5s}")
+    print(f"{'workload':20s} {'step':24s} {'base median':>11s} {'[q1, q3]':>19s} {'head':>8s} {'move':>7s} {'won':>5s}")
     rows, same = {}, True
     for name, pairs in runs.items():
         rows[name] = {}
-        for step in STEPS:
-            row = rows[name][step] = compare({"better": "lower"}, [(p["base"][step], p["head"][step]) for p in pairs])
-            print(f"{name:20s} {step:16s} {row['base_median']:11.4f} [{row['base_q1']:8.4f}, {row['base_q3']:8.4f}] "
+        for step in STEPS + RATIOS:
+            row = rows[name][step] = compare({"better": "lower"},
+                                             [(value(p["base"], step), value(p["head"], step)) for p in pairs])
+            print(f"{name:20s} {step:24s} {row['base_median']:11.4f} [{row['base_q1']:8.4f}, {row['base_q3']:8.4f}] "
                   f"{row['head_median']:8.4f} {100 * row['move']:+6.1f}% {row['won']:2d}/{row['pairs']:<2d}")
         if any(p["base"]["codes"] != p["head"]["codes"] for p in pairs):
             print(f"{name}: the exit codes differ between the trees")
