@@ -37,8 +37,7 @@ class _Frozen:
     class is declared with ``eq=False``: then a value equals only itself.
     """
 
-    def __init_subclass__(cls, eq=True, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls, eq=True):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
         if not eq:
