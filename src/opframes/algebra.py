@@ -30,16 +30,17 @@ _KINDS = ("full", "diagonal")
 class _Frozen:
     """Base of the package's value classes, a plain class where a frozen dataclass would do.
 
-    A class's fields are the parameters of its ``__init__``, which checks them
-    and stores them with ``_store``; after that no attribute can be set or
-    deleted (AttributeError), though a ``cached_property`` fills its cache.
+    A class's fields are the parameters of its ``__init__``, keyword-only ones
+    included, which checks them and stores them with ``_store``, as it stores a
+    cache later; no attribute can be set or deleted (AttributeError), though a
+    ``cached_property`` fills its cache.
     ``repr`` lists the fields, and ``==`` and ``hash`` compare them, unless the
     class is declared with ``eq=False``: then a value equals only itself.
     """
 
     def __init_subclass__(cls, eq=True):
         code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._fields = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
@@ -71,9 +72,9 @@ class AlgebraDescriptor(_Frozen):
     def __init__(self, kind: str, dim: int):
         if kind not in _KINDS:
             raise ValueError(f"algebra kind must be one of {_KINDS}, got {kind!r}")
-        if dim < 1:
-            raise ValueError(f"algebra dimension must be >= 1, got {dim}")
-        self._store(kind=kind, dim=dim)
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError(f"algebra dimension must be an integer >= 1, got {dim!r}")
+        self._store(kind=kind, dim=int(dim))
 
     @property
     def is_diagonal(self):
@@ -89,10 +90,8 @@ def _as_blocks(descriptor, arr, shape, what):
     if not arr.size:
         raise ValueError(f"{what} must have no empty axis, got shape {arr.shape}")
     _finite(arr, f"{what} must be finite")
-    if descriptor.is_diagonal:
-        mask = ~np.eye(descriptor.dim, dtype=bool)
-        if np.any(arr[..., mask] != 0):
-            raise ValueError(f"{what}: diagonal descriptor requires zero off-diagonal entries")
+    if descriptor.is_diagonal and np.count_nonzero(arr) != np.count_nonzero(arr.diagonal(0, -2, -1)):
+        raise ValueError(f"{what}: diagonal descriptor requires zero off-diagonal entries")
     return _read_only(arr.copy(order="K"))  # in its own memory order, so a flattening stays a view
 
 

@@ -20,6 +20,8 @@ from .frames import FRAME_TOL, OperatorFamily, _gram, _require_fit, frame_operat
 from .frames import require_frame
 from .hilbert_module import _slot_norm
 
+_INVERTIBLE = 1.0 / np.finfo(float).max  # the least lower bound A whose 1/A is a double
+
 
 class DualPairReport(_Frozen):
     """Whether two families are a dual pair: ``resolution_residual`` is || integral of T* Lambda - I ||."""
@@ -35,7 +37,7 @@ def canonical_dual(family: OperatorFamily, tol: float = FRAME_TOL) -> OperatorFa
     Raises ValueError, before s^-1 is formed, when 1/A is past the largest double."""
     data = frame_operator(family)
     lower, _ = require_frame(data, tol)
-    if lower < 1.0 / np.finfo(float).max:
+    if lower < _INVERTIBLE:
         raise ValueError(f"lower frame bound {lower:.6g} inverts past the float range of doubles")
     vectors = data.block_eigenvectors
     s_inv = ((vectors / data.block_eigenvalues[:, None, :]) @ vectors.conj().swapaxes(1, 2))[:, None]

@@ -64,6 +64,7 @@ FRAME_TOL = 1e-8  # the default tol of the frame rule, in the library and in sce
 PARAMETRIC = "parametric"
 KERNEL_TOL = 1e-12  # singular values <= KERNEL_TOL * sigma_max count toward the synthesis kernel
 SAMPLED = "sampled"
+_SIGMA_MAX, _SIGMA_TINY = np.sqrt(np.finfo(float).max), np.sqrt(np.finfo(float).tiny)  # square to the float range
 
 
 def _node_blocks(rule, slots):
@@ -72,7 +73,7 @@ def _node_blocks(rule, slots):
     return np.ascontiguousarray(polynomial_values(rule.nodes, slots, axis=1).swapaxes(0, 1))
 
 
-class OperatorFamily:
+class OperatorFamily(_Frozen, eq=False):
     """An indexed operator family, parametric in the node variable or sampled.
 
     Either form holds one read-only working array, ``slots``, which every
@@ -83,19 +84,16 @@ class OperatorFamily:
     the consumers that mix it with sampled data do; its frame operator,
     spectrum and dual-pair resolution come from its slot factor
     (``_slot_factor``), at O(N D^2) for the rule and nothing per node
-    operator.  Either form caches its factor and its frame operator.  A
-    constructor's table, checked by ``algebra._as_blocks`` (a sampled one's per
-    node operator), becomes slot blocks once, in ``_to_slots``.
+    operator.  Either form caches its factor and its frame operator, and no
+    field can be set again under them.  A constructor's table, checked by
+    ``algebra._as_blocks`` (a sampled one's per node operator), becomes slot
+    blocks once, in ``_to_slots``.
     """
 
     def __init__(self, rule, descriptor, n, slots, form):
-        self.rule = rule
-        self.descriptor = descriptor
-        self.n = n
-        self.slots = _read_only(slots)
-        self.form = form
-        self._factor = None              # slot factor, V or Y, set by _slot_factor
-        self._frame = None               # FrameOperatorData, set by frame_operator
+        # _factor, the slot factor V or Y, is set by _slot_factor; _frame, a FrameOperatorData, by frame_operator
+        self._store(rule=rule, descriptor=descriptor, n=n, slots=_read_only(slots), form=form, _factor=None,
+                    _frame=None)
 
     @classmethod
     def parametric(cls, rule: QuadratureRule, descriptor: AlgebraDescriptor, n: int, coefficients):
@@ -104,7 +102,7 @@ class OperatorFamily:
         # each coefficient is itself a valid operator, so every node evaluation is one
         coefficients = _as_blocks(descriptor, coefficients, (*coefficients.shape[:1], n, n, k, k), "operator blocks")
         family = cls(rule, descriptor, n, _to_slots(descriptor, coefficients), PARAMETRIC)
-        family.coefficients = coefficients  # the validated table as given, bit for bit
+        family._store(coefficients=coefficients)  # the validated table as given, bit for bit
         return family
 
     @classmethod
@@ -244,8 +242,8 @@ def _slot_factor(family) -> np.ndarray:
             slots = family.slots
             triangle = family.rule.vandermonde_triangle(slots.shape[1])
             factor = np.tensordot(slots.conj().swapaxes(-1, -2), triangle, axes=([1], [1]))
-            factor = np.moveaxis(factor, -1, 1).reshape(len(slots), -1, slots.shape[-1])
-        family._factor = _read_only(factor)
+            factor = factor.transpose(0, 3, 1, 2).reshape(len(slots), -1, slots.shape[-1])
+        family._store(_factor=_read_only(factor))
     return family._factor
 
 
@@ -284,15 +282,15 @@ def frame_operator(family: OperatorFamily) -> FrameOperatorData:
     """
     if family._frame is None:
         _, sigma, right = np.linalg.svd(np.linalg.qr(_slot_factor(family), mode="r"))
-        top = np.max(sigma)                # a NaN passes on, to be classified as malformed
-        if top > np.sqrt(np.finfo(float).max):
+        top = np.max(sigma)  # a NaN, from a factor past the float range, passes on to be classified not_bessel
+        if top > _SIGMA_MAX:
             raise ValueError(f"singular value {top:.6g} squares past the float range of doubles")
         nonzero = top > 0.0 or family.slots.any()
-        if nonzero and top < np.sqrt(np.finfo(float).tiny):  # a factor that underflowed to 0 too
+        if nonzero and top < _SIGMA_TINY:  # a factor that underflowed to 0 too
             raise ValueError(f"largest singular value {top:.6g} squares below the float range of doubles")
         eigenpairs = sigma[:, ::-1] ** 2, right[:, ::-1].conj().swapaxes(1, 2)
         blocks = _gram(family, family)
-        family._frame = FrameOperatorData(family.descriptor, *map(_read_only, (blocks, *eigenpairs)))
+        family._store(_frame=FrameOperatorData(family.descriptor, *map(_read_only, (blocks, *eigenpairs))))
     return family._frame
 
 

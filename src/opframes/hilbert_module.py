@@ -58,8 +58,8 @@ def _to_slots(descriptor, table):
     """Slot blocks of tables, (..., r, c, k, k) -> (k, ..., r, c), or (1, ..., r*k, c*k) if full."""
     if not descriptor.is_diagonal:
         return _flatten(table)[None]
-    k = descriptor.dim
-    return np.moveaxis(table, (-2, -1), (0, 1))[range(k), range(k)]
+    diagonals = table.diagonal(0, -2, -1)  # a view, (..., r, c, k)
+    return diagonals.transpose(-1, *range(diagonals.ndim - 1)).copy()
 
 
 def _slot_rows(descriptor):
@@ -73,7 +73,7 @@ def _from_slots(descriptor, blocks):
         return _unflatten(blocks[0], descriptor.dim)
     k = descriptor.dim
     table = np.zeros((*blocks.shape[1:], k, k), dtype=blocks.dtype)
-    np.moveaxis(table, (-2, -1), (0, 1))[range(k), range(k)] = blocks
+    table[..., range(k), range(k)] = blocks.transpose(*range(1, blocks.ndim), 0)
     return table
 
 

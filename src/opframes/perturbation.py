@@ -15,27 +15,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import SINGULARITY_RATIO, _check_tol, _finite, _Frozen
+from .algebra import SINGULARITY_RATIO, _check_tol, _finite, _Frozen, _read_only
 from .frames import PARAMETRIC, SAMPLED, OperatorFamily, _gram, _require_fit, extremal_vector, frame_operator
 from .frames import require_frame
 from .hilbert_module import ModuleOperator, _check_fit, op_norm, random_vector
 from .quadrature import COUNTING, QuadratureRule, polynomial_values
 
 
-class ScalarFamily:
+class ScalarFamily(_Frozen, eq=False):
     """A scalar function of the node variable: a polynomial, valued through ``node_powers``, or per-node samples."""
 
     def __init__(self, *, coefficients=None, values=None):
         if (coefficients is None) == (values is None):
             raise ValueError("give exactly one of coefficients or values")
-        self.coefficients = (
-            None if coefficients is None else np.asarray(coefficients, dtype=np.complex128)
-        )
-        self.values = None if values is None else np.asarray(values, dtype=np.complex128)
-        given = self.values if coefficients is None else self.coefficients
+        polynomial = coefficients is not None
+        given = _read_only(np.array(coefficients if polynomial else values, dtype=np.complex128))
         if given.ndim != 1 or len(given) == 0:
             raise ValueError(f"scale family needs a non-empty 1-d array, got shape {given.shape}")
         _finite(given, "scale family must be finite")
+        self._store(coefficients=given if polynomial else None, values=None if polynomial else given)
 
     @classmethod
     def polynomial(cls, coefficients):
@@ -67,17 +65,19 @@ class ScalarFamily:
         Sampled forms, and any form under counting measure, range over the
         rule's nodes; polynomial forms over the interval, evaluated at its
         endpoints and at the critical points of their real and imaginary
-        parts.  Rejects values with an imaginary part.
+        parts, for which degree 2 or more imports ``numpy.polynomial`` (a
+        line has none).  Rejects values with an imaginary part.
         """
         if self.values is not None or rule.space.kind == COUNTING:
             vals = self.at_nodes(rule)
         else:
-            from numpy.polynomial import polynomial as P  # here, its one user, so no run pays for it at import
-
             a, b = rule.space.a, rule.space.b
-            slopes = (P.polyder(self.coefficients.real), P.polyder(self.coefficients.imag))
-            # extra points inside [a, b] never move the inf or the sup
-            critical = np.clip(np.concatenate([P.polyroots(c).real for c in slopes]), a, b)
+            critical = ()  # a constant or a line has no interior critical point
+            if len(self.coefficients) > 2:
+                from numpy.polynomial import polynomial as P  # here, its one user, so no run pays for it at import
+                slopes = (P.polyder(self.coefficients.real), P.polyder(self.coefficients.imag))
+                # extra points inside [a, b] never move the inf or the sup
+                critical = np.clip(np.concatenate([P.polyroots(c).real for c in slopes]), a, b)
             vals = polynomial_values(np.concatenate([[a, b], critical]), self.coefficients)
         if np.max(np.abs(vals.imag), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(vals))):
             raise ValueError("scale family must be real-valued")

@@ -215,6 +215,8 @@ _WEIGHT_TERMS = (
      -0.422888059282921161626339411388e-4, 0.200559326396458326778521795392e-4, -0.397933316519135275712977531366e-5,
      5.08898347288671653137451093208e-7, -4.38647122520206649251063212545e-8, 2.01826791256703301806643264922e-9),
 )
+# The six fits as one table, (10, 6, 1), highest degree first; a shorter fit starts with zeros
+_FITS = np.array([(0.0,) * (10 - len(c)) + c[::-1] for c in _NODE_TERMS + _WEIGHT_TERMS]).T[:, :, None]
 _NEWTON_MAX = 100  # the expansions' error grows as n falls: 3e-10 at n = 10, 1.9e-15 at 50
 _PI_HI = 52707178 / 2**24  # π to 26 bits, so m _PI_HI is exact for integer and half-integer m < 2^26
 _PI_LO = 3.178650954705639338e-08  # π - _PI_HI
@@ -222,8 +224,20 @@ _PI_LO = 3.178650954705639338e-08  # π - _PI_HI
 
 def _polyval(x: np.ndarray, coefficients) -> np.ndarray:
     """sum_p c_p x^p, the c_p lowest degree first, by Horner's rule: ``np.polyval`` of them
-    highest first takes the steps of ``numpy.polynomial``'s ``polyval``, which it spares importing."""
+    highest first takes the steps of ``numpy.polynomial``'s ``polyval``, which it spares importing.
+    The two asymptotic series take it; the six fits of ``_bogaert_half`` share one pass, ``_fits``."""
     return np.polyval(coefficients[::-1], x)
+
+
+def _fits(alpha2: np.ndarray) -> np.ndarray:
+    """(6, len(alpha2)): f1, f2, f3, g1, g2, g3 at α² in one Horner pass over ``_FITS``.  A row takes
+    the steps of ``np.polyval`` for its fit alone, y = y α² + c from y = 0, after leading steps
+    0 α² + 0 = 0, exact, so it holds the bits of ``_polyval(alpha2, fit)``."""
+    values = np.zeros((len(_FITS[0]), len(alpha2)))
+    for row in _FITS:
+        values *= alpha2
+        values += row
+    return values
 
 
 def _mcmahon_offset(k: np.ndarray) -> np.ndarray:
@@ -267,7 +281,7 @@ def _bogaert_half(n: int):
     v = w * w * j_sin  # w α / sin α
     v2 = v * v
     alpha2 = alpha * alpha
-    f1, f2, f3, g1, g2, g3 = (_polyval(alpha2, c) for c in _NODE_TERMS + _WEIGHT_TERMS)
+    f1, f2, f3, g1, g2, g3 = _fits(alpha2)
     corr = w * alpha * v * (f1 + v2 * (f2 + v2 * f3))
     weights = 2.0 * w / (j1_squared * j_sin * (1.0 + v2 * (g1 + v2 * (g2 + v2 * g3))))
     theta = _angle(2 * k - 0.5, 2.0 * offset, 2 * n + 1, corr)

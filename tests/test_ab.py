@@ -1,6 +1,7 @@
 """tools/ab.py: the verdict on one metric over alternating pairs of runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,47 @@ def test_summary_of_one_metric(metric, base, head, move, won, verdict):
     row = ab.summarise(metric, list(zip(base, head)))
     assert row["move"] == pytest.approx(move)
     assert (row["won"], row["pairs"], row["verdict"]) == (won, len(base), verdict)
+
+
+SPREAD = [1.0 + i / 100 for i in range(10)]  # median 1.045, [q1, q3] = [1.0175, 1.0725]
+
+
+@pytest.mark.parametrize("metric,base,head,won,gain", [
+    (LOWER, SPREAD, [0.9] * 10, 10, True),
+    (LOWER, SPREAD, [0.9] * 9 + [1.2], 9, True),                  # nine tenths won is enough
+    (LOWER, SPREAD, [0.9] * 8 + [1.2] * 2, 8, False),
+    (LOWER, SPREAD, [0.9] * 8 + SPREAD[8:], 8, False),            # a tie counts for neither side
+    (LOWER, SPREAD, [b - 0.01 for b in SPREAD], 10, False),       # every pair won, but by less than q3 - q1
+    (LOWER, SPREAD, [b - 0.06 for b in SPREAD], 10, True),
+    (HIGHER, [10 * b for b in SPREAD], [12.0] * 10, 10, True),
+    (HIGHER, [10 * b for b in SPREAD], [9.0] * 10, 0, False),
+])
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_base_spread(metric, base, head, won, gain):
+    row = ab.summarise(metric, list(zip(base, head)))
+    assert (row["won"], row["gain"]) == (won, gain)
+    assert (row["base_q1"], row["base_q3"]) == pytest.approx((10 * 1.0175, 10 * 1.0725) if metric is HIGHER
+                                                             else (1.0175, 1.0725))
+    assert ab.gain_word(row) == ("gain" if gain else "no gain")
+
+
+def test_the_gain_is_printed_and_written_with_each_row(tmp_path, monkeypatch, capsys):
+    spec = {"end_to_end": [dict(LOWER, name="call_cost_p50")], "workloads": [{"name": "w"}]}
+
+    def made_up_export(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+
+    def made_up_run(tree, workload, seed):  # seeds 51-60: the base reads SPREAD, the head 0.9
+        value = SPREAD[seed - 51] if tree.name == "base" else 0.9
+        return {"correct": True, "failed": 0, "metrics": {"call_cost_p50": {"value": value}}}
+
+    monkeypatch.setattr(ab, "export", made_up_export)
+    monkeypatch.setattr(ab, "run_bench", made_up_run)
+    out = tmp_path / "ab.json"
+    assert ab.main(["base", "head", "--workdir", str(tmp_path / "trees"), "--out", str(out)]) == 0
+    row = json.loads(out.read_text(encoding="utf-8"))["summary"]["w"]["call_cost_p50"]
+    assert (row["won"], row["verdict"], row["gain"]) == (10, "ok", True)
+    assert capsys.readouterr().out.splitlines()[-1].split()[-2:] == ["ok", "gain"]
 
 
 def test_a_startup_run_times_three_steps_in_a_fresh_interpreter():

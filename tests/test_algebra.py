@@ -29,6 +29,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             AlgebraDescriptor("full", 0)
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, False, "2", None, 0, -1, np.float64(2.0)])
+    def test_descriptor_refuses_a_dimension_that_is_no_integer_of_at_least_1_by_name(self, dim):
+        with pytest.raises(ValueError, match=r"algebra dimension must be an integer >= 1, got "):
+            AlgebraDescriptor("full", dim)
+
+    @pytest.mark.parametrize("dim", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_descriptor_keeps_a_numpy_integer_dimension_as_an_int(self, dim):
+        descriptor = AlgebraDescriptor("diagonal", dim)
+        assert type(descriptor.dim) is int and descriptor == AlgebraDescriptor("diagonal", 3)
+        assert AlgebraElement(descriptor, np.eye(3)).entries.shape == (3, 3)
+
     def test_diagonal_rejects_off_diagonal(self):
         with pytest.raises(ValueError):
             AlgebraElement(DIAG2, [[1.0, 0.5], [0.0, 2.0]])

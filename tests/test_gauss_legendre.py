@@ -120,6 +120,24 @@ def test_no_recurrence_above_100_nodes(n, monkeypatch):
     gauss_legendre(0.0, 1.0, n)
 
 
+def test_the_six_fits_in_one_pass_are_bit_for_bit_one_polyval_per_fit(monkeypatch):
+    # every α² that the closed form evaluates its fits at, n = 101 ... 1199 and 300000
+    fits, batched, sizes = quadrature._NODE_TERMS + quadrature._WEIGHT_TERMS, quadrature._fits, []
+
+    def compared(alpha2):
+        values = batched(alpha2)
+        assert values.shape == (len(fits), alpha2.size)
+        for row, fit in zip(values, fits):
+            assert row.tobytes() == np.polyval(fit[::-1], alpha2).tobytes()
+        sizes.append(alpha2.size)
+        return values
+
+    monkeypatch.setattr(quadrature, "_fits", compared)
+    for n in [*range(101, 1200), 300000]:
+        gauss_legendre(-1.0, 1.0, n)
+    assert sizes == [(n + 1) // 2 for n in [*range(101, 1200), 300000]]
+
+
 def test_bessel_constants_and_tails_match_mpmath():
     # the tabulated literals are the doubles nearest mpmath's values; the
     # McMahon tail (k > 20) and the J_1² tail (k > 21) are within an ulp or two

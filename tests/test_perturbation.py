@@ -56,6 +56,16 @@ class TestScalarFamily:
         with pytest.raises(ValueError):
             ScalarFamily.constant(1.0 + 0.5j).real_range(rule)
 
+    @pytest.mark.parametrize("coefficients, expected", [
+        ([2.0], (2.0, 2.0)),
+        ([1.0, -0.5], (0.0, 1.0)),
+        ([0.5, 0.25], (0.5, 1.0)),
+        ([1.0, -2.0, 1.0], (0.0, 1.0)),  # (1 - w)^2 on [0, 2]: the interior minimum at w = 1
+    ])
+    def test_real_range_takes_the_endpoints_and_the_interior_critical_points(self, coefficients, expected):
+        rule = gauss_legendre(0.0, 2.0, 3)
+        assert ScalarFamily.polynomial(coefficients).real_range(rule) == pytest.approx(expected, abs=1e-15)
+
     def test_real_range_sees_an_interior_imaginary_part(self):
         # imaginary part 1e-3 (w - w^2): zero at both endpoints, 2.5e-4 at w = 1/2
         rule = gauss_legendre(0.0, 1.0, 4)

@@ -13,7 +13,7 @@ import pytest
 
 from opframes.algebra import AlgebraDescriptor, AlgebraElement
 from opframes.duals import DualPairReport, canonical_dual, is_dual_pair
-from opframes.frames import FrameOperatorData, FrameReport, classify, frame_operator
+from opframes.frames import FrameOperatorData, FrameReport, OperatorFamily, _slot_factor, classify, frame_operator
 from opframes.hilbert_module import L2Family, ModuleOperator, ModuleVector
 from opframes.perturbation import AdditivePerturbation, RelativePerturbation, ScalarFamily
 from opframes.quadrature import MeasureSpace, QuadratureRule, gauss_legendre
@@ -47,7 +47,7 @@ SIGNATURES = {
     Scenario: [("raw", EMPTY), ("descriptor", EMPTY), ("module_rank", EMPTY), ("rule", EMPTY), ("family", EMPTY),
                ("tolerances", EMPTY), ("perturbation", None), ("comparison_family", None)],
 }
-IDENTITY = {AlgebraElement, ModuleVector, ModuleOperator, L2Family, FrameOperatorData}
+IDENTITY = {AlgebraElement, ModuleVector, ModuleOperator, L2Family, FrameOperatorData, OperatorFamily, ScalarFamily}
 
 
 def values():
@@ -72,6 +72,8 @@ def values():
         RelativePerturbation: RelativePerturbation(ScalarFamily.constant(1.0), ScalarFamily.constant(1.0), 0.25, 0.25),
         ReconstructionResult: reconstruct_direct(data, y),
         Scenario: scenario,
+        OperatorFamily: scenario.family,
+        ScalarFamily: ScalarFamily.polynomial([1.0, 0.5]),
     }
 
 
@@ -120,6 +122,42 @@ def test_values_declared_without_field_equality_compare_by_identity(cls):
     first, second = values()[cls], values()[cls]  # built alike, twice
     assert first == first and first != second and not first == second
     assert len({first, second}) == 2
+
+
+@pytest.mark.parametrize("form", ["parametric", "sampled"])
+def test_a_family_refuses_assignment_and_deletion_and_still_fills_its_caches(form):
+    # reassigning a field under the cached factorization would leave frame_operator reading the old family
+    family = values()[OperatorFamily]
+    family = family if form == "parametric" else OperatorFamily(family.rule, family.descriptor, family.n,
+                                                                family.blocks, "sampled")
+    data = frame_operator(family)
+    assert frame_operator(family) is data and _slot_factor(family) is _slot_factor(family)
+    for name in ("rule", "descriptor", "n", "slots", "form", "coefficients", "blocks", "_factor", "_frame"):
+        before = getattr(family, name)
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(family, name, None)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(family, name)
+        assert getattr(family, name) is before
+    assert (family.coefficients is None) == (form == "sampled")
+    assert repr(family).startswith("OperatorFamily(rule=QuadratureRule(")
+
+
+def test_a_scale_family_refuses_assignment_and_holds_a_read_only_copy():
+    given = np.array([1.0, 0.5])
+    scale = ScalarFamily.polynomial(given)
+    given[0] = np.inf
+    assert scale.coefficients.tolist() == [1.0, 0.5] and scale.values is None
+    for name in ("coefficients", "values"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(scale, name, np.array([np.inf]))
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(scale, name)
+    with pytest.raises(ValueError, match="read-only"):
+        scale.coefficients[0] = np.inf
+    # keyword-only parameters are fields too
+    assert ScalarFamily._fields == ("coefficients", "values")
+    assert repr(ScalarFamily.sampled([2.0])) == "ScalarFamily(coefficients=None, values=array([2.+0.j]))"
 
 
 def test_a_frame_operator_record_builds_from_its_eigenvalues_alone():

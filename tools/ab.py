@@ -23,8 +23,11 @@ prints the base median with its quartiles, the head median and its move
 ``BEYOND`` when the move is worse than the metric's bound, ``unresolved``
 when the base's interquartile range, as a share of its median, is wider
 than the bound and not every HEAD run reads better than every base run,
-else ``ok``.  ``--out`` writes the same, with every run's metrics, as
-JSON.  The exit code is 0 when every run was correct with no failed
+else ``ok``.  Each row also says whether it shows a ``gain``, the rule a
+claimed gain must meet: HEAD better in at least nine tenths of the pairs
+(a tie counts for neither side), and the head median better than the base
+median by more than the base's own spread, q3 - q1.  ``--out`` writes the
+same, with every run's metrics, as JSON.  The exit code is 0 when every run was correct with no failed
 request and no metric is ``BEYOND``, else 1.
 
 ``--startup`` measures what ``setup_s`` lumps together.  It first compiles
@@ -40,7 +43,7 @@ run to run, and ``import numpy``, which no change to this package touches,
 drifts with it; so each interpreter's ``cli_s`` and ``first_request_s`` are
 also taken as a ratio to its own ``numpy_s`` (the rows ``cli_s/numpy_s``
 and ``first_request_s/numpy_s``), which cancels the host's speed of the
-moment, and compared the same way.  ``--out`` writes the same, with every
+moment, and compared the same way, each row with its ``gain``.  ``--out`` writes the same, with every
 run, as JSON.  The exit code is 1 when a call's exit code differs between
 the trees, else 0.
 """
@@ -159,14 +162,18 @@ def worse_by(metric, base, head):
 
 
 def compare(metric, pairs):
-    """The base median and quartiles, the head median, the move and the pairs HEAD won,
-    of one metric over ``pairs`` of (base value, head value)."""
+    """The base median and quartiles, the head median, the move, the pairs HEAD won and
+    whether that is a ``gain`` (nine tenths of the pairs won, and the medians further
+    apart, in HEAD's favour, than q3 - q1 of the base), of one metric over ``pairs`` of
+    (base value, head value)."""
     base = [b for b, _ in pairs]
     q1, median, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else base * 3
     head_median = statistics.median(h for _, h in pairs)
+    won = sum(worse_by(metric, b, h) < 0 for b, h in pairs)
+    ahead = median - head_median if metric["better"] == "lower" else head_median - median
     return {"base_median": median, "base_q1": q1, "base_q3": q3, "head_median": head_median,
-            "move": worse_by(metric, median, head_median), "pairs": len(pairs),
-            "won": sum(worse_by(metric, b, h) < 0 for b, h in pairs)}
+            "move": worse_by(metric, median, head_median), "pairs": len(pairs), "won": won,
+            "gain": 10 * won >= 9 * len(pairs) and ahead > q3 - q1}
 
 
 def summarise(metric, pairs):
@@ -185,11 +192,17 @@ def summarise(metric, pairs):
             "base_spread": spread, "verdict": verdict}
 
 
+def gain_word(row):
+    """``gain`` or ``no gain``, as a summary line prints a row's ``gain``."""
+    return "gain" if row["gain"] else "no gain"
+
+
 def print_startup(base, head, runs):
     """Print the ``compare`` row of each workload and step, and of each step's ratio to ``numpy_s``;
     return (rows, whether every exit code agreed)."""
     print(f"\n{base} -> {head}, fresh interpreters, {len(next(iter(runs.values())))} alternating pairs")
-    print(f"{'workload':20s} {'step':24s} {'base median':>11s} {'[q1, q3]':>19s} {'head':>8s} {'move':>7s} {'won':>5s}")
+    print(f"{'workload':20s} {'step':24s} {'base median':>11s} {'[q1, q3]':>19s} {'head':>8s} {'move':>7s} {'won':>5s} "
+          "gain")
     rows, same = {}, True
     for name, pairs in runs.items():
         rows[name] = {}
@@ -197,7 +210,8 @@ def print_startup(base, head, runs):
             row = rows[name][step] = compare({"better": "lower"},
                                              [(value(p["base"], step), value(p["head"], step)) for p in pairs])
             print(f"{name:20s} {step:24s} {row['base_median']:11.4f} [{row['base_q1']:8.4f}, {row['base_q3']:8.4f}] "
-                  f"{row['head_median']:8.4f} {100 * row['move']:+6.1f}% {row['won']:2d}/{row['pairs']:<2d}")
+                  f"{row['head_median']:8.4f} {100 * row['move']:+6.1f}% {row['won']:2d}/{row['pairs']:<2d} "
+                  f"{gain_word(row)}")
         if any(p["base"]["codes"] != p["head"]["codes"] for p in pairs):
             print(f"{name}: the exit codes differ between the trees")
             same = False
@@ -254,7 +268,7 @@ def main(argv=None):
     summary = {}
     print(f"\n{args.base} -> {args.head}, {len(args.seeds)} alternating pairs per workload")
     print(f"{'workload':20s} {'metric':20s} {'base median':>11s} {'[q1, q3]':>23s} {'head':>10s} "
-          f"{'move':>7s} {'won':>5s} {'bound':>5s}")
+          f"{'move':>7s} {'won':>5s} {'bound':>5s} verdict    gain")
     for name in workloads:
         summary[name] = {}
         for metric in spec["end_to_end"]:
@@ -264,7 +278,7 @@ def main(argv=None):
             ok &= row["verdict"] != "BEYOND"
             print(f"{name:20s} {key:20s} {row['base_median']:11.4g} [{row['base_q1']:10.4g}, {row['base_q3']:10.4g}] "
                   f"{row['head_median']:10.4g} {100 * row['move']:+6.1f}% {row['won']:2d}/{row['pairs']:<2d} "
-                  f"{row['bound']:5.2f} {row['verdict']}")
+                  f"{row['bound']:5.2f} {row['verdict']:10s} {gain_word(row)}")
         failed = [(side, p["seed"]) for p in runs[name] for side in ("base", "head")
                   if not p[side]["correct"] or p[side]["failed"]]
         if failed:
