@@ -31,9 +31,9 @@ class _Frozen:
     """Base of the package's value classes, a plain class where a frozen dataclass would do.
 
     A class's fields are the parameters of its ``__init__``, keyword-only ones
-    included, which checks them and stores them with ``_store``, as it stores a
-    cache later; no attribute can be set or deleted (AttributeError), though a
-    ``cached_property`` fills its cache.
+    included, which checks them and stores them with ``_store``, as a method
+    stores a cache; no attribute can be set or deleted (AttributeError), though
+    a ``cached_property`` fills its cache.
     ``repr`` lists the fields, and ``==`` and ``hash`` compare them, unless the
     class is declared with ``eq=False``: then a value equals only itself.
     """
